@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -128,17 +129,28 @@ func TestAllProcesses(t *testing.T) {
 	}
 }
 
+// TestProcessSetOutOfRangePanics pins the panic and its message for
+// the three methods that go through bitOf: the message is built off
+// the hot path (so that they inline) but must read as it always did.
 func TestProcessSetOutOfRangePanics(t *testing.T) {
 	t.Parallel()
-	for _, p := range []ProcessID{0, -1, 65} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Add(%v) did not panic", p)
-				}
+	ops := map[string]func(ProcessID){
+		"Add":    func(p ProcessID) { EmptySet().Add(p) },
+		"Remove": func(p ProcessID) { EmptySet().Remove(p) },
+		"Has":    func(p ProcessID) { EmptySet().Has(p) },
+	}
+	for name, op := range ops {
+		for _, p := range []ProcessID{0, -1, 65} {
+			func() {
+				defer func() {
+					want := "model: process ID out of range [1, 64]: " + p.String()
+					if got := fmt.Sprint(recover()); got != want {
+						t.Errorf("%s(%v) panicked with %q, want %q", name, p, got, want)
+					}
+				}()
+				op(p)
 			}()
-			EmptySet().Add(p)
-		}()
+		}
 	}
 }
 

@@ -123,12 +123,9 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 	tr.Pattern = pattern
 	tr.Undelivered = tr.Undelivered[:0]
 	tr.Stopped = 0
-	if tr.byProc == nil {
-		tr.byProc = make(map[model.ProcessID][]int, n)
-	} else {
-		for p, idx := range tr.byProc {
-			tr.byProc[p] = idx[:0]
-		}
+	tr.byProc = grow(tr.byProc, n+1)
+	for p, idx := range tr.byProc {
+		tr.byProc[p] = idx[:0]
 	}
 	tr.decisions = tr.decisions[:0]
 	for inst, d := range tr.decByInst {

@@ -24,80 +24,95 @@ func (tr *Trace) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// digestBlock is the size at which encode hands its buffer to the
+// writer: large enough that SHA-256 consumes whole blocks straight
+// from the buffer instead of staging sub-block writes, small enough
+// that the retained scratch stays a minor part of a run context.
+const digestBlock = 16 << 10
+
 // encode writes a canonical rendering of the trace to w. The rendering
 // is pinned by the golden-trace digests, so its bytes must never
-// change. It is also the streaming sweeps' per-run hot path (one
-// digest per run), so lines are assembled with append-style formatting
-// into a scratch buffer the trace retains across runs — the fmt
-// round-trips that used to dominate a streamed sweep's allocation
-// profile are gone, byte for byte equivalently (appendValue replicates
-// %v for every payload shape).
+// change; the write boundaries are not pinned. It is the streaming
+// sweeps' per-run hot path (one digest per run; at n=64 it costs more
+// than the run), so lines are assembled with append-style formatting
+// in the scratch buffer the trace retains across runs and reach w one
+// block at a time: a Write whenever a finished line brings the buffer
+// to digestBlock, and one at the end — per-line writes made the hash
+// stage and copy every sub-block piece. The buffer grows by append, so
+// a short trace never holds a whole block. appendValue replicates %v
+// for every payload shape.
 func (tr *Trace) encode(w io.Writer) {
 	b := tr.scratch[:0]
 	b = fmt.Appendf(b, "n=%d stopped=%d pattern=%s\n", tr.N, tr.Stopped, tr.Pattern)
-	w.Write(b)
 	for i := range tr.Events {
 		ev := &tr.Events[i]
-		b = append(b[:0], 'e')
-		b = strconv.AppendInt(b, int64(ev.Index), 10)
+		b = append(b, 'e')
+		b = model.AppendDecimal(b, int64(ev.Index))
 		b = append(b, " p="...)
-		b = strconv.AppendInt(b, int64(ev.P), 10)
+		b = model.AppendDecimal(b, int64(ev.P))
 		b = append(b, " t="...)
-		b = strconv.AppendInt(b, int64(ev.T), 10)
+		b = model.AppendDecimal(b, int64(ev.T))
 		b = append(b, " fd="...)
 		b = ev.FD.AppendText(b)
 		b = append(b, " prev="...)
-		b = strconv.AppendInt(b, int64(ev.PrevSameProc), 10)
+		b = model.AppendDecimal(b, int64(ev.PrevSameProc))
 		if m := ev.Msg; m != nil {
 			b = append(b, " rcv=("...)
-			b = strconv.AppendInt(b, m.ID, 10)
+			b = model.AppendDecimal(b, m.ID)
 			b = append(b, ' ')
-			b = strconv.AppendInt(b, int64(m.From), 10)
+			b = model.AppendDecimal(b, int64(m.From))
 			b = append(b, '>')
-			b = strconv.AppendInt(b, int64(m.To), 10)
+			b = model.AppendDecimal(b, int64(m.To))
 			b = append(b, " @"...)
-			b = strconv.AppendInt(b, int64(m.SentAt), 10)
+			b = model.AppendDecimal(b, int64(m.SentAt))
 			b = append(b, " by"...)
-			b = strconv.AppendInt(b, int64(m.SentBy), 10)
+			b = model.AppendDecimal(b, int64(m.SentBy))
 			b = append(b, ' ')
 			b = appendValue(b, m.Payload)
 			b = append(b, ')')
 		}
 		for _, m := range ev.Sends {
 			b = append(b, " snd=("...)
-			b = strconv.AppendInt(b, m.ID, 10)
+			b = model.AppendDecimal(b, m.ID)
 			b = append(b, " >"...)
-			b = strconv.AppendInt(b, int64(m.To), 10)
+			b = model.AppendDecimal(b, int64(m.To))
 			b = append(b, ' ')
 			b = appendValue(b, m.Payload)
 			b = append(b, ')')
 		}
 		for _, pe := range ev.Events {
 			b = append(b, " ev=("...)
-			b = strconv.AppendInt(b, int64(pe.Kind), 10)
+			b = model.AppendDecimal(b, int64(pe.Kind))
 			b = append(b, ' ')
-			b = strconv.AppendInt(b, int64(pe.Instance), 10)
+			b = model.AppendDecimal(b, int64(pe.Instance))
 			b = append(b, ' ')
 			b = appendValue(b, pe.Value)
 			b = append(b, ')')
 		}
 		b = append(b, '\n')
-		w.Write(b)
+		if len(b) >= digestBlock {
+			w.Write(b)
+			b = b[:0]
+		}
 	}
 	for _, m := range tr.Undelivered {
-		b = append(b[:0], "u=("...)
-		b = strconv.AppendInt(b, m.ID, 10)
+		b = append(b, "u=("...)
+		b = model.AppendDecimal(b, m.ID)
 		b = append(b, ' ')
-		b = strconv.AppendInt(b, int64(m.From), 10)
+		b = model.AppendDecimal(b, int64(m.From))
 		b = append(b, '>')
-		b = strconv.AppendInt(b, int64(m.To), 10)
+		b = model.AppendDecimal(b, int64(m.To))
 		b = append(b, " @"...)
-		b = strconv.AppendInt(b, int64(m.SentAt), 10)
+		b = model.AppendDecimal(b, int64(m.SentAt))
 		b = append(b, ' ')
 		b = appendValue(b, m.Payload)
 		b = append(b, ")\n"...)
-		w.Write(b)
+		if len(b) >= digestBlock {
+			w.Write(b)
+			b = b[:0]
+		}
 	}
+	w.Write(b)
 	tr.scratch = b
 }
 
@@ -114,11 +129,11 @@ func appendValue(b []byte, v any) []byte {
 	case string:
 		return append(b, x...)
 	case int:
-		return strconv.AppendInt(b, int64(x), 10)
+		return model.AppendDecimal(b, int64(x))
 	case int64:
-		return strconv.AppendInt(b, x, 10)
+		return model.AppendDecimal(b, x)
 	case model.Time:
-		return strconv.AppendInt(b, int64(x), 10)
+		return model.AppendDecimal(b, int64(x))
 	case model.ProcessID:
 		return append(b, x.String()...)
 	case bool:

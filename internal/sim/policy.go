@@ -67,42 +67,41 @@ type RandomFairPolicy struct {
 	// message is picked instead of the oldest. Default 30.
 	ShufflePct int
 	// MaxAge forces delivery of messages older than this many ticks.
-	// Default 8·n ticks (set on first use when zero).
+	// Default 64 ticks, whatever n is (used when zero; the golden
+	// digests pin the constant).
 	MaxAge model.Time
 
+	// order is the current round's shuffled schedule, order[pos:] the
+	// part still to step and rem the same part as a set, so that the
+	// per-step "did a process of the remainder crash?" test is one
+	// word operation instead of a rescan of the remainder.
 	order []model.ProcessID
 	pos   int
+	rem   model.ProcessSet
 }
 
 var _ Policy = (*RandomFairPolicy)(nil)
 
 // NextProcess implements Policy with shuffled rounds.
 func (rp *RandomFairPolicy) NextProcess(alive []model.ProcessID, _ model.Time, r *rand.Rand) model.ProcessID {
-	// Rebuild the round order when exhausted or when membership
-	// changed (crashes shrink the alive set mid-round).
-	if rp.pos >= len(rp.order) || !subsetOfAlive(rp.order[rp.pos:], alive) {
+	// The alive set is rebuilt every step (n ORs): the engine's list
+	// shrinks at crashes and a MuzzlePolicy's filtered list grows when
+	// the muzzle lifts, so nothing carries over from the last call.
+	av := model.NewProcessSet(alive...)
+	// Rebuild the round order when exhausted or when a process still
+	// to step this round is gone (crashes shrink the alive set).
+	if rp.pos >= len(rp.order) || !rp.rem.SubsetOf(av) {
 		rp.order = append(rp.order[:0], alive...)
 		r.Shuffle(len(rp.order), func(i, j int) {
 			rp.order[i], rp.order[j] = rp.order[j], rp.order[i]
 		})
 		rp.pos = 0
+		rp.rem = av
 	}
 	p := rp.order[rp.pos]
 	rp.pos++
+	rp.rem = rp.rem.Remove(p)
 	return p
-}
-
-func subsetOfAlive(order []model.ProcessID, alive []model.ProcessID) bool {
-	var av model.ProcessSet
-	for _, p := range alive {
-		av = av.Add(p)
-	}
-	for _, p := range order {
-		if !av.Has(p) {
-			return false
-		}
-	}
-	return true
 }
 
 // PickMessage implements Policy.

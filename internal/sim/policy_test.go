@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"realisticfd/internal/fd"
@@ -164,5 +165,164 @@ func TestOracleNoiseDeterminism(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical noise")
+	}
+}
+
+// refRandomFair is RandomFairPolicy's scheduling half as it was before
+// the round's remainder became a set: every step it rebuilds the alive
+// set and rescans the remainder with subsetOfAlive. It is kept as the
+// reference RandomFairPolicy.NextProcess is held to, pick for pick.
+type refRandomFair struct {
+	order []model.ProcessID
+	pos   int
+}
+
+func (rp *refRandomFair) NextProcess(alive []model.ProcessID, _ model.Time, r *rand.Rand) model.ProcessID {
+	if rp.pos >= len(rp.order) || !subsetOfAlive(rp.order[rp.pos:], alive) {
+		rp.order = append(rp.order[:0], alive...)
+		r.Shuffle(len(rp.order), func(i, j int) {
+			rp.order[i], rp.order[j] = rp.order[j], rp.order[i]
+		})
+		rp.pos = 0
+	}
+	p := rp.order[rp.pos]
+	rp.pos++
+	return p
+}
+
+// PickMessage is the unchanged half; it keeps no state.
+func (rp *refRandomFair) PickMessage(p model.ProcessID, pending []*Message, t model.Time, r *rand.Rand) int {
+	return (&RandomFairPolicy{}).PickMessage(p, pending, t, r)
+}
+
+func subsetOfAlive(order []model.ProcessID, alive []model.ProcessID) bool {
+	var av model.ProcessSet
+	for _, p := range alive {
+		av = av.Add(p)
+	}
+	for _, p := range order {
+		if !av.Has(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRandomFairPolicyMatchesReference drives the set-based fairness
+// check and the rescanning reference from the same rand seed over
+// alive lists that shrink (crashes), grow (a muzzle lifting) and swap
+// members at equal length, with no promise from one step to the next.
+// Every pick, every reshuffle point (pos returns to 1) and every round
+// order must agree.
+func TestRandomFairPolicyMatchesReference(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 200; seed++ {
+		gen := rand.New(rand.NewSource(seed))
+		n := 4 + gen.Intn(61) // 4..64
+		member := make([]bool, n+1)
+		for p := 1; p <= n; p++ {
+			member[p] = true
+		}
+		size := n
+		flip := func(want bool) bool { // flips one random process that is !want to want
+			for _, off := range gen.Perm(n) {
+				if p := off + 1; member[p] != want {
+					member[p] = want
+					return true
+				}
+			}
+			return false
+		}
+		rp, ref := &RandomFairPolicy{}, &refRandomFair{}
+		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		alive := make([]model.ProcessID, 0, n)
+		for step := 0; step < 600; step++ {
+			switch gen.Intn(12) {
+			case 0: // shrink, never to empty
+				for k := 1 + gen.Intn(3); k > 0 && size > 1; k-- {
+					flip(false)
+					size--
+				}
+			case 1: // grow
+				for k := 1 + gen.Intn(3); k > 0; k-- {
+					if flip(true) {
+						size++
+					}
+				}
+			case 2: // swap at equal length
+				if size < n {
+					flip(true)
+					// take out any member, possibly the one just added
+					flip(false)
+				}
+			}
+			alive = alive[:0]
+			for p := 1; p <= n; p++ {
+				if member[p] {
+					alive = append(alive, model.ProcessID(p))
+				}
+			}
+			got := rp.NextProcess(alive, model.Time(step), r1)
+			want := ref.NextProcess(alive, model.Time(step), r2)
+			if got != want || rp.pos != ref.pos {
+				t.Fatalf("seed %d step %d alive %v: picked %v at pos %d, reference %v at pos %d",
+					seed, step, alive, got, rp.pos, want, ref.pos)
+			}
+			if !slices.Equal(rp.order, ref.order) {
+				t.Fatalf("seed %d step %d: round order %v, reference %v", seed, step, rp.order, ref.order)
+			}
+			if rem := model.NewProcessSet(rp.order[rp.pos:]...); !rem.Equal(rp.rem) {
+				t.Fatalf("seed %d step %d: remainder set %v, order[pos:] is %v", seed, step, rp.rem, rem)
+			}
+		}
+	}
+}
+
+// TestRandomFairPolicyUnderMuzzleMatchesReference is the same
+// equivalence through the engine: MuzzlePolicy hands its inner policy
+// a filtered list that grows back to the full alive list when the
+// muzzle lifts, while scripted crashes shrink both.
+func TestRandomFairPolicyUnderMuzzleMatchesReference(t *testing.T) {
+	t.Parallel()
+	for seed := int64(1); seed <= 20; seed++ {
+		run := func(inner Policy) string {
+			tr, err := Execute(Config{
+				N: 12, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 1},
+				Pattern: model.MustPattern(12).MustCrash(4, 30).MustCrash(9, 95),
+				Horizon: 400, Seed: seed,
+				Policy: &MuzzlePolicy{Inner: inner, Muzzled: model.NewProcessSet(2, 3, 9, 11), Until: 70},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr.Digest()
+		}
+		if got, want := run(&RandomFairPolicy{}), run(&refRandomFair{}); got != want {
+			t.Fatalf("seed %d: digest %s under the set-based check, %s under the reference", seed, got[:16], want[:16])
+		}
+	}
+}
+
+// TestRandomFairPolicyNextProcessAllocs: the round order is the
+// policy's only allocation; once the first round has sized it, picks
+// and reshuffles — including after a crash — allocate nothing.
+func TestRandomFairPolicyNextProcessAllocs(t *testing.T) {
+	rp := &RandomFairPolicy{}
+	r := rand.New(rand.NewSource(1))
+	alive := make([]model.ProcessID, 64)
+	for i := range alive {
+		alive[i] = model.ProcessID(i + 1)
+	}
+	for range alive {
+		rp.NextProcess(alive, 0, r)
+	}
+	step := 0
+	if avg := testing.AllocsPerRun(1000, func() {
+		if step++; step == 500 {
+			alive = alive[:60] // p61..p64 crash mid-round
+		}
+		rp.NextProcess(alive, model.Time(step), r)
+	}); avg != 0 {
+		t.Fatalf("NextProcess allocates %.2f times per call after the first round, want 0", avg)
 	}
 }

@@ -39,8 +39,9 @@ type Trace struct {
 	Undelivered []*Message
 	// Stopped reports why the run ended.
 	Stopped StopReason
-	// byProc[p] lists event indices of process p in order.
-	byProc map[model.ProcessID][]int
+	// byProc[p] lists event indices of process p in order; indexed by
+	// process (slot 0 unused), empty for hand-built traces.
+	byProc [][]int
 
 	// Incremental indexes, maintained by appendEvent as the engine
 	// records steps so that the query API below never rescans the
@@ -59,8 +60,9 @@ type Trace struct {
 	alive      model.ProcessSet
 	aliveValid bool
 
-	// scratch is the digest encoder's line buffer, retained so that a
-	// RunContext-reused trace digests without per-line allocation.
+	// scratch is the digest encoder's block buffer (at most digestBlock
+	// plus one line), retained so that a RunContext-reused trace
+	// digests without allocating.
 	scratch []byte
 }
 
@@ -149,7 +151,12 @@ func (s StopReason) String() string {
 }
 
 // EventsOf returns the indices of p's events in schedule order.
-func (tr *Trace) EventsOf(p model.ProcessID) []int { return tr.byProc[p] }
+func (tr *Trace) EventsOf(p model.ProcessID) []int {
+	if p < 1 || int(p) >= len(tr.byProc) {
+		return nil
+	}
+	return tr.byProc[p]
+}
 
 // Decisions returns every decide event in the trace for the given
 // instance (use AnyInstance for all instances), in schedule order.
@@ -273,7 +280,7 @@ func (tr *Trace) MaxTime() model.Time {
 // DeliveredTo counts messages received (non-λ steps) by p.
 func (tr *Trace) DeliveredTo(p model.ProcessID) int {
 	cnt := 0
-	for _, i := range tr.byProc[p] {
+	for _, i := range tr.EventsOf(p) {
 		if tr.Events[i].Msg != nil {
 			cnt++
 		}
