@@ -1,0 +1,150 @@
+package experiments
+
+import (
+	"bufio"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"realisticfd/internal/abcast"
+	"realisticfd/internal/fd"
+	"realisticfd/internal/harness"
+	"realisticfd/internal/model"
+	"realisticfd/internal/sim"
+)
+
+const (
+	goldenProtocolSeeds = 6
+	goldenProtocolPath  = "testdata/golden_protocol_traces.txt"
+)
+
+// goldenProtocolTraces pins, in absolute terms, how the protocol
+// payloads render into Trace.Digest(): the sim goldens only run
+// sim-internal test automata and TestScenarioFilesMatchStructs is
+// relative (file vs struct on the same code). Every embedded scenario
+// is replayed at crashes {0, 2, 4} (process i+1 at 30+60·i) × seeds
+// 0–5, plus one abcast.Atomic scenario, all on one reused RunContext —
+// so S-flooding, rotating-coordinator, Marabout, P<, reduction
+// (taggedMsg), TRB (trbCons) and abcast (acEnv) payloads all reach the
+// digest, and stale arena state would too.
+func goldenProtocolTraces(t *testing.T) map[string]string {
+	t.Helper()
+	entries, err := scenarioFiles.ReadDir("testdata/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type namedScenario struct {
+		name string
+		sc   harness.Scenario
+	}
+	var cases []namedScenario
+	for _, e := range entries {
+		file := strings.TrimSuffix(e.Name(), ".json")
+		for _, crashes := range []int{0, 2, 4} {
+			s := baseSpec(file)
+			s.Crashes = crashSpecs(crashes, 30, 90, 150, 210)
+			sc, err := s.Build()
+			if err != nil {
+				t.Fatalf("%s crashes=%d: %v", file, crashes, err)
+			}
+			cases = append(cases, namedScenario{fmt.Sprintf("%s/crash%d", file, crashes), sc})
+		}
+	}
+	cases = append(cases, namedScenario{"abcast/crash1", harness.Scenario{
+		Name: "abcast", N: expN,
+		Automaton: abcast.Atomic{
+			ToBroadcast: map[model.ProcessID][]string{
+				1: {"a0", "a1"}, 2: {"b0"}, 3: {"c0", "c1"}, 4: {"d0"}, 5: {"e0"},
+			},
+			MaxInstances: 6,
+		},
+		Oracle:  fd.Perfect{Delay: 2},
+		Horizon: 3000,
+		Pattern: func() *model.FailurePattern { return model.MustPattern(expN).MustCrash(2, 40) },
+		Policy:  func() sim.Policy { return &sim.RandomFairPolicy{} },
+	}})
+
+	out := make(map[string]string)
+	rc := sim.NewRunContext()
+	for _, c := range cases {
+		for seed := int64(0); seed < goldenProtocolSeeds; seed++ {
+			r := c.sc.RunIn(rc, seed)
+			if r.Err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, r.Err)
+			}
+			out[fmt.Sprintf("%s/seed%d", c.name, seed)] = r.Trace.Digest()
+		}
+	}
+	return out
+}
+
+// TestGoldenProtocolTraces holds protocol-layer refactors to
+// byte-identical runs. Regenerate with
+//
+//	go test ./internal/experiments -run TestGoldenProtocolTraces -update
+//
+// only when a payload rendering or a schedule is *supposed* to change,
+// and say why in the PR.
+func TestGoldenProtocolTraces(t *testing.T) {
+	got := goldenProtocolTraces(t)
+
+	if *updateGolden {
+		keys := make([]string, 0, len(got))
+		for k := range got {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		b.WriteString("# Pinned Trace.Digest() values of the protocol scenarios; regenerate with: go test ./internal/experiments -run TestGoldenProtocolTraces -update\n")
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s %s\n", k, got[k])
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenProtocolPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenProtocolPath, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d golden digests to %s", len(got), goldenProtocolPath)
+		return
+	}
+
+	f, err := os.Open(goldenProtocolPath)
+	if err != nil {
+		t.Fatalf("golden table missing (generate with -update): %v", err)
+	}
+	defer f.Close()
+	want := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		want[name] = digest
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(got) != len(want) {
+		t.Errorf("grid has %d runs, golden table has %d (regenerate with -update after reviewing)", len(got), len(want))
+	}
+	for name, d := range got {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("%s: no pinned digest (new case? regenerate with -update)", name)
+			continue
+		}
+		if d != w {
+			t.Errorf("%s: digest %s… != pinned %s… — a protocol payload or schedule changed", name, d[:16], w[:16])
+		}
+	}
+}
