@@ -139,12 +139,17 @@ type (
 		ID   MsgID
 		Body string
 	}
-	// acEnv wraps embedded-consensus traffic for one instance.
+	// acEnv wraps embedded-consensus traffic for one instance. It
+	// travels by pointer, carved from the sender's slab.
 	acEnv struct {
 		Instance int
 		Inner    any
 	}
 )
+
+// String renders the envelope as fmt renders the struct value, which
+// is the text the trace digests pin.
+func (m *acEnv) String() string { return fmt.Sprintf("{%d %v}", m.Instance, m.Inner) }
 
 type abProc struct {
 	self    model.ProcessID
@@ -162,11 +167,15 @@ type abProc struct {
 	proposed bool
 	pending  []MsgID // decided batch awaiting full knowledge
 	future   map[int][]*sim.Message
+
+	envs  sim.Slab[acEnv]       // outgoing envelopes
+	views sim.Slab[sim.Message] // inner views of received messages
+	sends []sim.Send            // the step's Sends, reused from step to step
 }
 
 // Step implements sim.Process.
 func (p *abProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
-	var acts sim.Actions
+	acts := sim.Actions{Sends: p.sends[:0]}
 	if !p.started {
 		p.started = true
 		for i, body := range p.toSend {
@@ -184,23 +193,20 @@ func (p *abProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) si
 				p.known[m.ID] = m.Body
 				p.relay(m.ID, m.Body, &acts)
 			}
-		case acEnv:
+		case *acEnv:
 			switch {
 			case m.Instance < p.inst:
 				// late traffic for a decided instance
 			case m.Instance > p.inst:
-				cp := *in
-				cp.Payload = m.Inner
-				p.future[m.Instance] = append(p.future[m.Instance], &cp)
+				p.future[m.Instance] = append(p.future[m.Instance], in.View(&p.views, m.Inner))
 			default:
-				cp := *in
-				cp.Payload = m.Inner
-				innerIn = &cp
+				innerIn = in.View(&p.views, m.Inner)
 			}
 		}
 	}
 
 	p.progress(innerIn, susp, now, &acts)
+	p.sends = acts.Sends
 	return acts
 }
 
@@ -285,10 +291,9 @@ func (p *abProc) feed(in *sim.Message, susp model.ProcessSet, now model.Time, ac
 	}
 	innerActs := p.inner.Step(in, susp, now)
 	for _, s := range innerActs.Sends {
-		acts.Sends = append(acts.Sends, sim.Send{
-			To:      s.To,
-			Payload: acEnv{Instance: p.inst, Inner: s.Payload},
-		})
+		env := p.envs.New()
+		*env = acEnv{Instance: p.inst, Inner: s.Payload}
+		acts.Sends = append(acts.Sends, sim.Send{To: s.To, Payload: env})
 	}
 	for _, ev := range innerActs.Events {
 		if ev.Kind != sim.KindDecide {

@@ -28,6 +28,7 @@ package consensus
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"realisticfd/internal/model"
@@ -47,7 +48,7 @@ type Proposals map[model.ProcessID]Value
 func DistinctProposals(n int) Proposals {
 	props := make(Proposals, n)
 	for p := 1; p <= n; p++ {
-		props[model.ProcessID(p)] = Value(fmt.Sprintf("v%d", p))
+		props[model.ProcessID(p)] = Value("v" + strconv.Itoa(p))
 	}
 	return props
 }
@@ -76,18 +77,4 @@ func (props Proposals) String() string {
 		parts = append(parts, fmt.Sprintf("%v=%s", model.ProcessID(p), props[model.ProcessID(p)]))
 	}
 	return "{" + strings.Join(parts, " ") + "}"
-}
-
-// vecString renders a value vector for diagnostics.
-func vecString(v map[model.ProcessID]Value) string {
-	ids := make([]int, 0, len(v))
-	for p := range v {
-		ids = append(ids, int(p))
-	}
-	sort.Ints(ids)
-	parts := make([]string, 0, len(ids))
-	for _, p := range ids {
-		parts = append(parts, fmt.Sprintf("%v:%s", model.ProcessID(p), v[model.ProcessID(p)]))
-	}
-	return "[" + strings.Join(parts, " ") + "]"
 }

@@ -37,17 +37,19 @@ var _ sim.Automaton = SFlooding{}
 
 // Spawn implements sim.Automaton.
 func (a SFlooding) Spawn(self model.ProcessID, n int) sim.Process {
-	v := map[model.ProcessID]Value{self: a.Proposals[self]}
-	return &sfProc{
+	sets := make([]model.ProcessSet, 2*n+1) // one block for both tables
+	p := &sfProc{
 		self:     self,
 		n:        n,
 		rounds:   n - 1,
 		round:    0, // bumped to 1 by the first step's progress loop
-		v:        v,
-		sent:     map[model.ProcessID]bool{},
-		received: make([]model.ProcessSet, n+1),
-		vectors:  map[model.ProcessID]map[model.ProcessID]Value{},
+		v:        make([]Value, n+1),
+		known:    model.NewProcessSet(self),
+		received: sets[:n], // rounds 1..n-1
+		vectors:  sets[n:], // processes 1..n
 	}
+	p.v[self] = a.Proposals[self]
+	return p
 }
 
 // sfPhase enumerates the S-flooding phases.
@@ -59,16 +61,42 @@ const (
 	sfDone
 )
 
+// valueVec is a partial vector of proposals in dense form: keys is the
+// set of processes with an entry and vals[q] the entry of q ∈ keys
+// (len(vals) > keys.Max()). A process's proposals are write-once, so a
+// message shares its sender's vals and differs only in keys.
+type valueVec struct {
+	keys model.ProcessSet
+	vals []Value
+}
+
+// String renders the vector the way fmt renders the
+// map[model.ProcessID]Value it replaced — "map[p1:v1 p3:v3]", keys
+// ascending — which is the text the trace digests pin.
+func (v valueVec) String() string {
+	b := append(make([]byte, 0, 64), "map["...)
+	v.keys.ForEach(func(q model.ProcessID) bool {
+		if len(b) > len("map[") {
+			b = append(b, ' ')
+		}
+		b = append(b, q.String()...)
+		b = append(b, ':')
+		b = append(b, v.vals[q]...)
+		return true
+	})
+	return string(append(b, ']'))
+}
+
 // sfFloodMsg is the round-r flood message carrying newly learned
 // proposals (the Δ_p of Chandra-Toueg).
 type sfFloodMsg struct {
 	Round int
-	Delta map[model.ProcessID]Value
+	Delta valueVec
 }
 
 // sfVectorMsg carries the full estimate vector after the last round.
 type sfVectorMsg struct {
-	Vector map[model.ProcessID]Value
+	Vector valueVec
 }
 
 type sfProc struct {
@@ -79,84 +107,82 @@ type sfProc struct {
 	phase sfPhase
 	round int // current flood round, 1-based once started
 
-	v    map[model.ProcessID]Value // known proposals
-	sent map[model.ProcessID]bool  // proposal keys already broadcast
+	v     []Value          // v[q] is q's proposal for q ∈ known; write-once
+	known model.ProcessSet // proposals learned so far
+	sent  model.ProcessSet // proposal keys already broadcast
 
 	received    []model.ProcessSet // received[r] = round-r flood senders
-	vectors     map[model.ProcessID]map[model.ProcessID]Value
+	vectors     []model.ProcessSet // vectors[q] = key set of q's vector, q ∈ vecReceived
 	vecReceived model.ProcessSet
+
+	sends []sim.Send // the step's Sends, reused from step to step
 }
 
 // Step implements sim.Process.
 func (p *sfProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.Actions {
-	var acts sim.Actions
 	if in != nil {
 		p.absorb(in)
 	}
-	if p.phase == sfDone {
-		return acts
+	p.sends = p.sends[:0]
+	var acts sim.Actions
+	if val, ok := p.progress(susp); ok {
+		acts.Events = []sim.ProtocolEvent{{Kind: sim.KindDecide, Instance: 0, Value: val}}
 	}
+	acts.Sends = p.sends
+	return acts
+}
 
-	// Progress loop: guards may already be satisfied by buffered
-	// messages, letting several transitions fire in one step.
+// progress fires every enabled transition — guards may already be
+// satisfied by buffered messages, letting several fire in one step —
+// and returns the decision if this step reached it.
+func (p *sfProc) progress(susp model.ProcessSet) (Value, bool) {
 	for {
 		switch p.phase {
 		case sfFlood:
-			if p.round == 0 {
-				p.round = 1
-				acts.Sends = append(acts.Sends, p.floodSends()...)
-				continue
-			}
-			if !p.roundGuard(p.round, susp) {
-				return acts
+			if p.round > 0 && !p.heardAll(p.received[p.round], susp) {
+				return NoValue, false
 			}
 			if p.round < p.rounds {
 				p.round++
-				acts.Sends = append(acts.Sends, p.floodSends()...)
+				p.floodSends()
 				continue
 			}
 			p.phase = sfVector
-			acts.Sends = append(acts.Sends, p.vectorSends()...)
-			continue
+			p.vectorSends()
 
 		case sfVector:
-			if !p.vectorGuard(susp) {
-				return acts
+			if !p.heardAll(p.vecReceived, susp) {
+				return NoValue, false
 			}
-			val, ok := p.decide(susp)
 			p.phase = sfDone
-			if ok {
-				acts.Events = append(acts.Events, sim.ProtocolEvent{
-					Kind: sim.KindDecide, Instance: 0, Value: val,
-				})
-			}
-			return acts
+			return p.decide()
 
 		default:
-			return acts
+			return NoValue, false
 		}
 	}
 }
 
-// absorb merges an incoming message into local knowledge.
+// absorb merges an incoming message into local knowledge. Senders and
+// keys outside 1..n (possible only on the wire) are ignored.
 func (p *sfProc) absorb(in *sim.Message) {
+	if in.From < 1 || int(in.From) > p.n {
+		return
+	}
 	switch m := in.Payload.(type) {
 	case sfFloodMsg:
 		if m.Round >= 1 && m.Round <= p.rounds {
 			p.received[m.Round] = p.received[m.Round].Add(in.From)
 		}
-		for q, val := range m.Delta {
-			if _, ok := p.v[q]; !ok {
-				p.v[q] = val
-			}
-		}
+		fresh := m.Delta.keys.Intersect(model.AllProcesses(p.n)).Diff(p.known)
+		fresh.ForEach(func(q model.ProcessID) bool {
+			p.v[q] = m.Delta.vals[q]
+			return true
+		})
+		p.known = p.known.Union(fresh)
 	case sfVectorMsg:
-		if _, ok := p.vectors[in.From]; !ok {
-			vec := make(map[model.ProcessID]Value, len(m.Vector))
-			for q, val := range m.Vector {
-				vec[q] = val
-			}
-			p.vectors[in.From] = vec
+		if !p.vecReceived.Has(in.From) {
+			p.vectors[in.From] = m.Vector.keys.Intersect(model.AllProcesses(p.n))
 			p.vecReceived = p.vecReceived.Add(in.From)
 		}
 	}
@@ -164,111 +190,62 @@ func (p *sfProc) absorb(in *sim.Message) {
 
 // floodSends broadcasts the newly learned proposals for the current
 // round to every other process and marks the round received from self.
-func (p *sfProc) floodSends() []sim.Send {
-	delta := make(map[model.ProcessID]Value)
-	for q, val := range p.v {
-		if !p.sent[q] {
-			p.sent[q] = true
-			delta[q] = val
-		}
-	}
+func (p *sfProc) floodSends() {
+	delta := p.known.Diff(p.sent)
+	p.sent = p.known
 	p.received[p.round] = p.received[p.round].Add(p.self)
-	// One boxed payload shared by every destination: payloads are
-	// immutable once sent, so the broadcast costs one allocation.
-	var msg any = sfFloodMsg{Round: p.round, Delta: delta}
-	sends := make([]sim.Send, 0, p.n-1)
-	for q := 1; q <= p.n; q++ {
-		if model.ProcessID(q) != p.self {
-			sends = append(sends, sim.Send{To: model.ProcessID(q), Payload: msg})
-		}
-	}
-	return sends
+	p.broadcast(sfFloodMsg{Round: p.round, Delta: valueVec{keys: delta, vals: p.v}})
 }
 
 // vectorSends broadcasts the full vector and stores our own.
-func (p *sfProc) vectorSends() []sim.Send {
-	vec := make(map[model.ProcessID]Value, len(p.v))
-	for q, val := range p.v {
-		vec[q] = val
-	}
-	p.vectors[p.self] = vec
+func (p *sfProc) vectorSends() {
+	p.vectors[p.self] = p.known
 	p.vecReceived = p.vecReceived.Add(p.self)
-	var msg any = sfVectorMsg{Vector: vec}
-	sends := make([]sim.Send, 0, p.n-1)
+	p.broadcast(sfVectorMsg{Vector: valueVec{keys: p.known, vals: p.v}})
+}
+
+// broadcast queues msg for every other process. The payload is boxed
+// once and shared by every destination: payloads are immutable once
+// sent, so the broadcast costs one allocation.
+func (p *sfProc) broadcast(msg any) {
+	if p.sends == nil {
+		p.sends = make([]sim.Send, 0, p.n-1)
+	}
 	for q := 1; q <= p.n; q++ {
 		if model.ProcessID(q) != p.self {
-			sends = append(sends, sim.Send{To: model.ProcessID(q), Payload: msg})
+			p.sends = append(p.sends, sim.Send{To: model.ProcessID(q), Payload: msg})
 		}
 	}
-	return sends
 }
 
-// roundGuard is the §4 wait condition: for every process q, a round-r
-// message was received from q or q is currently suspected.
-func (p *sfProc) roundGuard(r int, susp model.ProcessSet) bool {
-	for q := 1; q <= p.n; q++ {
-		id := model.ProcessID(q)
-		if !p.received[r].Has(id) && !susp.Has(id) {
-			return false
-		}
-	}
-	return true
+// heardAll is the §4 wait condition shared by the flood rounds and the
+// vector round: every process is in from (its message was received) or
+// currently suspected.
+func (p *sfProc) heardAll(from, susp model.ProcessSet) bool {
+	return model.AllProcesses(p.n).SubsetOf(from.Union(susp))
 }
 
-// vectorGuard waits for a vector from every non-suspected process.
-func (p *sfProc) vectorGuard(susp model.ProcessSet) bool {
-	for q := 1; q <= p.n; q++ {
-		id := model.ProcessID(q)
-		if !p.vecReceived.Has(id) && !susp.Has(id) {
-			return false
-		}
+// decide intersects the vectors received (own vector included) and
+// returns the value of the lowest-indexed surviving entry. Only the
+// key sets matter: a proposal has one value wherever it is known. An
+// empty intersection can only happen when the detector lied (false
+// suspicions partitioned knowledge); the paper's S-based algorithm
+// never encounters it, and the E2 adversary relies on the fallback to
+// the local estimate (lowest-indexed known value) below.
+func (p *sfProc) decide() (Value, bool) {
+	inter := p.vectors[p.self]
+	p.vecReceived.ForEach(func(q model.ProcessID) bool {
+		inter = inter.Intersect(p.vectors[q])
+		return true
+	})
+	if inter.IsEmpty() {
+		inter = p.known
 	}
-	return true
-}
-
-// decide intersects the vectors received from non-suspected processes
-// (own vector included) and returns the value of the lowest-indexed
-// surviving entry. An empty intersection can only happen when the
-// detector lied (false suspicions partitioned knowledge); the paper's
-// S-based algorithm never encounters it, and the E2 adversary relies
-// on the fallback to the local estimate below.
-func (p *sfProc) decide(susp model.ProcessSet) (Value, bool) {
-	inter := make(map[model.ProcessID]Value, len(p.vectors[p.self]))
-	for q, val := range p.vectors[p.self] {
-		inter[q] = val
-	}
-	for q := 1; q <= p.n; q++ {
-		id := model.ProcessID(q)
-		vec, ok := p.vectors[id]
-		if !ok {
-			continue // suspected, no vector
-		}
-		for r := range inter {
-			if _, present := vec[r]; !present {
-				delete(inter, r)
-			}
-		}
-	}
-	if len(inter) == 0 {
-		// Degenerate fallback outside the S assumptions: decide own
-		// estimate (lowest-indexed known value).
-		return p.lowest(p.v)
-	}
-	return p.lowest(inter)
-}
-
-// lowest returns the value of the smallest process ID in the vector —
-// the "first non-⊥ entry" of Chandra-Toueg.
-func (p *sfProc) lowest(vec map[model.ProcessID]Value) (Value, bool) {
-	for q := 1; q <= p.n; q++ {
-		if val, ok := vec[model.ProcessID(q)]; ok {
-			return val, true
-		}
-	}
-	return NoValue, false
+	// The "first non-⊥ entry" of Chandra-Toueg.
+	return p.v[inter.Min()], true
 }
 
 // String aids debugging.
 func (p *sfProc) String() string {
-	return fmt.Sprintf("sf{%v phase=%d round=%d v=%s}", p.self, p.phase, p.round, vecString(p.v))
+	return fmt.Sprintf("sf{%v phase=%d round=%d v=%v}", p.self, p.phase, p.round, valueVec{keys: p.known, vals: p.v})
 }

@@ -65,22 +65,33 @@ func DecodeWire(b []byte) (any, error) {
 	}
 }
 
-func valsToWire(v map[model.ProcessID]Value) map[string]string {
-	out := make(map[string]string, len(v))
-	for p, val := range v {
-		out[strconv.Itoa(int(p))] = string(val)
-	}
+func valsToWire(v valueVec) map[string]string {
+	out := make(map[string]string, v.keys.Len())
+	v.keys.ForEach(func(p model.ProcessID) bool {
+		out[strconv.Itoa(int(p))] = string(v.vals[p])
+		return true
+	})
 	return out
 }
 
-func valsFromWire(w map[string]string) (map[model.ProcessID]Value, error) {
-	out := make(map[model.ProcessID]Value, len(w))
+func valsFromWire(w map[string]string) (valueVec, error) {
+	var out valueVec
 	for k, val := range w {
 		id, err := strconv.Atoi(k)
 		if err != nil || id < 1 || id > model.MaxProcesses {
-			return nil, fmt.Errorf("consensus: bad process key %q on the wire", k)
+			return valueVec{}, fmt.Errorf("consensus: bad process key %q on the wire", k)
 		}
-		out[model.ProcessID(id)] = Value(val)
+		out.set(model.ProcessID(id), Value(val))
 	}
 	return out, nil
+}
+
+// set stores q's entry, growing vals to hold it. Only for vectors that
+// own their vals (decoded ones); a sender's vector shares the process's.
+func (v *valueVec) set(q model.ProcessID, val Value) {
+	if int(q) >= len(v.vals) {
+		v.vals = append(v.vals, make([]Value, int(q)+1-len(v.vals))...)
+	}
+	v.keys = v.keys.Add(q)
+	v.vals[q] = val
 }

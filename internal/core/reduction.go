@@ -56,11 +56,18 @@ func (r Reduction) Spawn(self model.ProcessID, n int) sim.Process {
 }
 
 // taggedMsg is the wire envelope: the inner payload of one consensus
-// instance plus the alive-tags accumulated along its causal past.
+// instance plus the alive-tags accumulated along its causal past. It
+// travels by pointer, carved from the sender's slab.
 type taggedMsg struct {
 	Instance int
 	Tags     model.ProcessSet
 	Inner    any
+}
+
+// String renders the envelope as fmt renders the struct value, which
+// is the text the trace digests pin.
+func (m *taggedMsg) String() string {
+	return fmt.Sprintf("{%d %v %v}", m.Instance, m.Tags, m.Inner)
 }
 
 type pendingMsg struct {
@@ -79,6 +86,10 @@ type redProc struct {
 	tags   model.ProcessSet // alive-tags accumulated in current instance
 	future map[int][]pendingMsg
 	output model.ProcessSet // cumulative output(P)
+
+	envs  sim.Slab[taggedMsg]   // outgoing envelopes
+	views sim.Slab[sim.Message] // inner views of received messages
+	sends []sim.Send            // the step's Sends, reused from step to step
 }
 
 // startInstance spawns the automaton of instance k and resets tags.
@@ -94,13 +105,11 @@ func (p *redProc) startInstance(k int) {
 
 // Step implements sim.Process.
 func (p *redProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
-	var acts sim.Actions
-
 	var innerIn *sim.Message
 	if in != nil {
-		env, ok := in.Payload.(taggedMsg)
+		env, ok := in.Payload.(*taggedMsg)
 		if !ok {
-			return acts // foreign payload; drop
+			return sim.Actions{} // foreign payload; drop
 		}
 		switch {
 		case env.Instance < p.inst || p.inner == nil:
@@ -111,20 +120,22 @@ func (p *redProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) s
 			// Early message for an instance not yet started: buffer
 			// with its tags.
 			p.future[env.Instance] = append(p.future[env.Instance], pendingMsg{
-				msg:  rewrap(in, env.Inner),
+				msg:  in.View(&p.views, env.Inner),
 				tags: env.Tags,
 			})
 		default:
 			p.tags = p.tags.Union(env.Tags)
-			innerIn = rewrap(in, env.Inner)
+			innerIn = in.View(&p.views, env.Inner)
 		}
 	}
 
 	if p.inner == nil {
-		return acts
+		return sim.Actions{}
 	}
 
+	acts := sim.Actions{Sends: p.sends[:0]}
 	p.drive(innerIn, susp, now, &acts)
+	p.sends = acts.Sends
 	return acts
 }
 
@@ -180,10 +191,9 @@ func (p *redProc) advance(susp model.ProcessSet, now model.Time, acts *sim.Actio
 func (p *redProc) handleInnerActions(inActs sim.Actions, acts *sim.Actions) bool {
 	attach := p.tags.Add(p.self)
 	for _, s := range inActs.Sends {
-		acts.Sends = append(acts.Sends, sim.Send{
-			To:      s.To,
-			Payload: taggedMsg{Instance: p.inst, Tags: attach, Inner: s.Payload},
-		})
+		env := p.envs.New()
+		*env = taggedMsg{Instance: p.inst, Tags: attach, Inner: s.Payload}
+		acts.Sends = append(acts.Sends, sim.Send{To: s.To, Payload: env})
 	}
 	decided := false
 	for _, ev := range inActs.Events {
@@ -201,13 +211,6 @@ func (p *redProc) handleInnerActions(inActs sim.Actions, acts *sim.Actions) bool
 		}
 	}
 	return decided
-}
-
-// rewrap builds the inner view of a received message.
-func rewrap(in *sim.Message, inner any) *sim.Message {
-	cp := *in
-	cp.Payload = inner
-	return &cp
 }
 
 // ExtractEmulatedHistory converts the KindFDOutput events of a

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -92,47 +88,10 @@ func TestGoldenProtocolTraces(t *testing.T) {
 	got := goldenProtocolTraces(t)
 
 	if *updateGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		b.WriteString("# Pinned Trace.Digest() values of the protocol scenarios; regenerate with: go test ./internal/experiments -run TestGoldenProtocolTraces -update\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s\n", k, got[k])
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenProtocolPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenProtocolPath, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden digests to %s", len(got), goldenProtocolPath)
+		saveGolden(t, goldenProtocolPath, "# Pinned Trace.Digest() values of the protocol scenarios; regenerate with: go test ./internal/experiments -run TestGoldenProtocolTraces -update\n", got)
 		return
 	}
-
-	f, err := os.Open(goldenProtocolPath)
-	if err != nil {
-		t.Fatalf("golden table missing (generate with -update): %v", err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, digest, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		want[name] = digest
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := loadGolden(t, goldenProtocolPath)
 
 	if len(got) != len(want) {
 		t.Errorf("grid has %d runs, golden table has %d (regenerate with -update after reviewing)", len(got), len(want))

@@ -56,26 +56,49 @@ func TestGoldenTables(t *testing.T) {
 	path := filepath.Join("testdata", "golden_tables.txt")
 
 	if *updateGolden {
-		ids := make([]string, 0, len(got))
-		for id := range got {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		var b strings.Builder
-		b.WriteString("# SHA-256 of each rendered E-table at 2 seeds; regenerate with: go test ./internal/experiments -run TestGoldenTables -update\n")
-		for _, id := range ids {
-			fmt.Fprintf(&b, "%s %s\n", id, got[id])
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden table hashes to %s", len(got), path)
+		saveGolden(t, path, "# SHA-256 of each rendered E-table at 2 seeds; regenerate with: go test ./internal/experiments -run TestGoldenTables -update\n", got)
 		return
 	}
+	want := loadGolden(t, path)
 
+	for id, h := range got {
+		w, ok := want[id]
+		if !ok {
+			t.Errorf("%s: no pinned hash (regenerate with -update)", id)
+			continue
+		}
+		if h != w {
+			t.Errorf("%s: table hash %s… != pinned %s… — experiment output changed", id, h[:16], w[:16])
+		}
+	}
+}
+
+// saveGolden writes a "<name> <hex>" table, sorted by name, under the
+// given header comment line.
+func saveGolden(t *testing.T, path, header string, got map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	b.WriteString(header)
+	for _, name := range names {
+		fmt.Fprintf(&b, "%s %s\n", name, got[name])
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d golden entries to %s", len(got), path)
+}
+
+// loadGolden reads a table written by saveGolden.
+func loadGolden(t *testing.T, path string) map[string]string {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatalf("golden table missing (generate with -update): %v", err)
@@ -97,15 +120,5 @@ func TestGoldenTables(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-
-	for id, h := range got {
-		w, ok := want[id]
-		if !ok {
-			t.Errorf("%s: no pinned hash (regenerate with -update)", id)
-			continue
-		}
-		if h != w {
-			t.Errorf("%s: table hash %s… != pinned %s… — experiment output changed", id, h[:16], w[:16])
-		}
-	}
+	return want
 }

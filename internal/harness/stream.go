@@ -144,7 +144,8 @@ func Stream[A any](sc Scenario, seeds SeedRange, red Reducer[A], opts StreamOpti
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			rc := sim.NewRunContext()
+			rc := takeRunContext()
+			defer returnRunContext(rc)
 			for {
 				ci := int(claim.Add(1)) - 1
 				if ci >= numChunks {
@@ -192,6 +193,42 @@ func Stream[A any](sc Scenario, seeds SeedRange, red Reducer[A], opts StreamOpti
 		}
 	}
 	return st.prefix, nil
+}
+
+// freeContexts is the free list Stream's workers draw their run
+// contexts from and return them to on exit, so the dozens of small
+// campaigns behind one experiment table share arenas instead of each
+// warming its own. A plain stack rather than a sync.Pool: reuse must
+// not depend on when the collector runs, or allocations per seed would
+// vary from run to run. It holds at most GOMAXPROCS contexts — what
+// one full-width campaign can use — each at its high-water size.
+var freeContexts struct {
+	mu  sync.Mutex
+	rcs []*sim.RunContext
+}
+
+// takeRunContext pops a recycled context, or makes the first ones.
+func takeRunContext() *sim.RunContext {
+	freeContexts.mu.Lock()
+	defer freeContexts.mu.Unlock()
+	n := len(freeContexts.rcs)
+	if n == 0 {
+		return sim.NewRunContext()
+	}
+	rc := freeContexts.rcs[n-1]
+	freeContexts.rcs[n-1] = nil
+	freeContexts.rcs = freeContexts.rcs[:n-1]
+	return rc
+}
+
+// returnRunContext hands a worker's context back; beyond the cap it is
+// left to the collector.
+func returnRunContext(rc *sim.RunContext) {
+	freeContexts.mu.Lock()
+	defer freeContexts.mu.Unlock()
+	if len(freeContexts.rcs) < runtime.GOMAXPROCS(0) {
+		freeContexts.rcs = append(freeContexts.rcs, rc)
+	}
 }
 
 // checkpointSchema identifies the checkpoint file format. v2 added the

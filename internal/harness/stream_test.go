@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -291,5 +292,64 @@ func TestStreamEmptyRange(t *testing.T) {
 	}
 	if got.Runs != 0 || got.Digest != "" {
 		t.Fatalf("empty range produced %+v", got)
+	}
+}
+
+// TestStreamRecyclesRunContexts pins the run-context free list behind
+// Stream: 200 back-to-back campaigns at four workers (so every exit
+// returns more contexts than the list keeps whenever GOMAXPROCS < 4)
+// must never have two workers folding out of one context at once, must
+// leave at most GOMAXPROCS distinct contexts on the list, and must
+// produce the accumulators fresh contexts produce. Most of its value is
+// under -race, where a shared context is also a reported data race.
+func TestStreamRecyclesRunContexts(t *testing.T) {
+	t.Parallel()
+	sc := testScenario(&sim.LinkFaults{MaxExtraDelay: 3})
+	seeds := Seeds(8)
+	want := refStats(t, sc, seeds)
+
+	var (
+		mu     sync.Mutex
+		inUse  = map[*sim.Trace]bool{}
+		shared atomic.Int64
+	)
+	red := SweepReducer()
+	inner := red.Fold
+	red.Fold = func(st SweepStats, r Result) SweepStats {
+		mu.Lock()
+		if inUse[r.Trace] {
+			shared.Add(1)
+		}
+		inUse[r.Trace] = true
+		mu.Unlock()
+		runtime.Gosched() // let another worker run while this trace is held
+		st = inner(st, r)
+		mu.Lock()
+		delete(inUse, r.Trace)
+		mu.Unlock()
+		return st
+	}
+	for i := 0; i < 200; i++ {
+		got, err := Stream(sc, seeds, red, StreamOptions{Workers: 4, ChunkSize: 2})
+		if err != nil {
+			t.Fatalf("campaign %d: %v", i, err)
+		}
+		assertStatsEqual(t, "recycled contexts", got, want)
+	}
+	if n := shared.Load(); n != 0 {
+		t.Errorf("%d folds ran on a context another worker was folding from", n)
+	}
+
+	freeContexts.mu.Lock()
+	defer freeContexts.mu.Unlock()
+	if got, max := len(freeContexts.rcs), runtime.GOMAXPROCS(0); got > max {
+		t.Errorf("free list holds %d contexts, cap is GOMAXPROCS = %d", got, max)
+	}
+	distinct := map[*sim.RunContext]bool{}
+	for _, rc := range freeContexts.rcs {
+		if rc == nil || distinct[rc] {
+			t.Errorf("free list holds a nil or duplicate context: %v", freeContexts.rcs)
+		}
+		distinct[rc] = true
 	}
 }

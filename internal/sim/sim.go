@@ -104,6 +104,15 @@ type ProtocolEvent struct {
 
 // Actions is what a protocol step returns: messages to send and
 // observable events that occurred during the step.
+//
+// The two slices have different lifetimes. Sends is valid only until
+// the next Step on the same process: whoever called Step (the engine,
+// an envelope wrapper such as core.Reduction, trb.Broadcast or
+// abcast.Atomic, the live node loop) reads it before stepping that
+// process again and neither keeps nor changes it, so a process may
+// return the same backing array every step, or one shared read-only
+// slice. Events is kept by the trace for the whole run, so it must be
+// a fresh slice every step (or nil).
 type Actions struct {
 	Sends  []Send
 	Events []ProtocolEvent
@@ -114,7 +123,8 @@ type Actions struct {
 // susp the value seen from the failure-detector module, now the global
 // time (exposed for tracing only — protocol logic must not branch on
 // it in ways the paper's asynchronous model would forbid; protocols in
-// this repository use it only for logging).
+// this repository use it only for logging). The returned Actions.Sends
+// may be reused by the process at its next Step; see Actions.
 type Process interface {
 	Step(in *Message, susp model.ProcessSet, now model.Time) Actions
 }

@@ -83,7 +83,11 @@ func (b Broadcast) Spawn(self model.ProcessID, n int) sim.Process {
 		n:         n,
 		waves:     waves,
 		script:    script,
-		instances: map[int]*trbInstance{},
+		instances: make([]trbInstance, waves*n),
+	}
+	for i := range p.instances {
+		seq, init := i/n, model.ProcessID(i%n+1)
+		p.instances[i] = trbInstance{id: InstanceID(init, seq), initiator: init, seq: seq}
 	}
 	return p
 }
@@ -95,12 +99,17 @@ type (
 		Seq int
 		Val consensus.Value
 	}
-	// trbCons wraps embedded-consensus traffic for one instance.
+	// trbCons wraps embedded-consensus traffic for one instance. It
+	// travels by pointer, carved from the sender's slab.
 	trbCons struct {
 		Instance int // InstanceID
 		Inner    any
 	}
 )
+
+// String renders the envelope as fmt renders the struct value, which
+// is the text the trace digests pin.
+func (m *trbCons) String() string { return fmt.Sprintf("{%d %v}", m.Instance, m.Inner) }
 
 // trbInstance is the per-instance state machine.
 type trbInstance struct {
@@ -129,23 +138,27 @@ type trbProc struct {
 	started  bool
 	selfWave int // next wave this process will initiate
 
-	instances map[int]*trbInstance
+	// instances holds instance (i, k) at index k·n + i−1: wave-major,
+	// the order Step drives them in.
+	instances []trbInstance
+
+	envs  sim.Slab[trbCons]     // outgoing envelopes
+	views sim.Slab[sim.Message] // inner views of received messages
+	sends []sim.Send            // the step's Sends, reused from step to step
 }
 
-// instance returns (creating if needed) the state of instance id.
-func (p *trbProc) instance(id int) *trbInstance {
-	inst, ok := p.instances[id]
-	if !ok {
-		init, seq := SplitInstanceID(id)
-		inst = &trbInstance{id: id, initiator: init, seq: seq}
-		p.instances[id] = inst
+// instance returns the state of instance (initiator, seq), or nil for
+// an instance outside this run's waves×n.
+func (p *trbProc) instance(initiator model.ProcessID, seq int) *trbInstance {
+	if initiator < 1 || int(initiator) > p.n || seq < 0 || seq >= p.waves {
+		return nil
 	}
-	return inst
+	return &p.instances[seq*p.n+int(initiator)-1]
 }
 
 // Step implements sim.Process.
 func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
-	var acts sim.Actions
+	acts := sim.Actions{Sends: p.sends[:0]}
 
 	if !p.started {
 		p.started = true
@@ -155,33 +168,27 @@ func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) s
 	if in != nil {
 		switch m := in.Payload.(type) {
 		case trbValue:
-			inst := p.instance(InstanceID(in.From, m.Seq))
-			if !inst.gotSet {
+			if inst := p.instance(in.From, m.Seq); inst != nil && !inst.gotSet {
 				inst.got = m.Val
 				inst.gotSet = true
 			}
-		case trbCons:
-			inst := p.instance(m.Instance)
-			inner := *in
-			inner.Payload = m.Inner
-			if inst.inner == nil {
-				if !inst.delivered {
-					inst.buffer = append(inst.buffer, &inner)
+		case *trbCons:
+			if inst := p.instance(SplitInstanceID(m.Instance)); inst != nil && !inst.delivered {
+				inner := in.View(&p.views, m.Inner)
+				if inst.inner == nil {
+					inst.buffer = append(inst.buffer, inner)
+				} else {
+					p.feed(inst, inner, susp, now, &acts)
 				}
-			} else if !inst.delivered {
-				p.feed(inst, &inner, susp, now, &acts)
 			}
 		}
 	}
 
 	// Drive every live instance of every wave ≤ the frontier.
-	for wave := 0; wave < p.waves; wave++ {
-		for init := 1; init <= p.n; init++ {
-			id := InstanceID(model.ProcessID(init), wave)
-			inst := p.instance(id)
-			p.progress(inst, susp, now, &acts)
-		}
+	for i := range p.instances {
+		p.progress(&p.instances[i], susp, now, &acts)
 	}
+	p.sends = acts.Sends
 	return acts
 }
 
@@ -192,7 +199,7 @@ func (p *trbProc) initiateWave(k int, acts *sim.Actions) {
 	}
 	p.selfWave = k + 1
 	val := p.script(p.self, k)
-	inst := p.instance(InstanceID(p.self, k))
+	inst := p.instance(p.self, k)
 	inst.got = val
 	inst.gotSet = true
 	msg := trbValue{Seq: k, Val: val}
@@ -244,10 +251,9 @@ func (p *trbProc) progress(inst *trbInstance, susp model.ProcessSet, now model.T
 func (p *trbProc) feed(inst *trbInstance, in *sim.Message, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
 	innerActs := inst.inner.Step(in, susp, now)
 	for _, s := range innerActs.Sends {
-		acts.Sends = append(acts.Sends, sim.Send{
-			To:      s.To,
-			Payload: trbCons{Instance: inst.id, Inner: s.Payload},
-		})
+		env := p.envs.New()
+		*env = trbCons{Instance: inst.id, Inner: s.Payload}
+		acts.Sends = append(acts.Sends, sim.Send{To: s.To, Payload: env})
 	}
 	for _, ev := range innerActs.Events {
 		if ev.Kind != sim.KindDecide {
