@@ -11,12 +11,12 @@
 // LiveSpec schedule and a /v3 Spec plan compile to the identical IR.
 //
 // The control plane is one TCP connection per node to the
-// orchestrator, carrying length-prefixed JSON frames (the transport
-// package's codec): hello → topology → {cut, heal, drop, delay,
-// join}* → collect → report → stop. The data plane is the gossip
-// heartbeat overlay of internal/heartbeat over internal/transport
-// TCP nodes; each node heartbeats only its O(log n) overlay
-// neighbors.
+// orchestrator, carrying length-prefixed JSON frames
+// (transport.WriteJSON/ReadJSON): hello → topology → {cut, heal, drop,
+// delay, join}* → collect → report → stop. The data plane is the
+// gossip heartbeat overlay of internal/heartbeat over
+// internal/transport TCP nodes and their binary frames; each node
+// heartbeats only its O(log n) overlay neighbors.
 package cluster
 
 import (

@@ -53,3 +53,30 @@ func BenchmarkObserve(b *testing.B) {
 		p.Observe(t)
 	}
 }
+
+// The codec benchmarks use the frame a steady n=256 cluster gossips
+// (lags in the nibbles, two dead nodes escaped).
+
+func BenchmarkPiggybackEncode(b *testing.B) {
+	b.ReportAllocs()
+	pb := steadyFrame(256, 3000, 40, 170)
+	for i := 0; i < b.N; i++ {
+		if _, err := pb.Encode(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPiggybackDecodeInto(b *testing.B) {
+	b.ReportAllocs()
+	data, err := steadyFrame(256, 3000, 40, 170).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pb Piggyback
+	for i := 0; i < b.N; i++ {
+		if err := pb.decodeInto(data, 256); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"realisticfd/internal/model"
@@ -105,10 +106,15 @@ type Gossiper struct {
 	present   []bool      // false while a deferred joiner is unseen
 	peers     []int       // overlay neighbors; grows via AddPeer
 	rng       *rand.Rand
-	scratch   []int // fanout sampling buffer
+	scratch   []int  // fanout sampling buffer
+	verdicts  []bool // round's verdict buffer
 	sentTo    map[int]bool
 	rounds    uint64
 	muted     bool
+
+	rx Piggyback // receive's decode buffer, touched by no one else
+
+	badFrames, forwardDrops, sendErrors atomic.Uint64
 
 	stop     chan struct{}
 	emitDone chan struct{}
@@ -132,6 +138,7 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 		ests:      make([]Estimator, cfg.N),
 		present:   make([]bool, cfg.N),
 		peers:     append([]int(nil), cfg.Peers...),
+		verdicts:  make([]bool, cfg.N),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		sentTo:    map[int]bool{},
 		stop:      make(chan struct{}),
@@ -183,7 +190,8 @@ func (g *Gossiper) emitLoop() {
 }
 
 // round advances the local counter and gossips the state snapshot to
-// this round's destinations.
+// this round's destinations: one frame, encoded once, whose body every
+// destination's envelope shares.
 func (g *Gossiper) round(now time.Time) {
 	g.mu.Lock()
 	if g.muted {
@@ -192,27 +200,24 @@ func (g *Gossiper) round(now time.Time) {
 	}
 	g.rounds++
 	g.counters[g.cfg.Self-1]++
-	pb := Piggyback{
-		Origin:   g.cfg.Self,
-		Counters: append([]uint64(nil), g.counters...),
-		Suspects: g.verdictsLocked(now),
-	}
+	g.verdictsInto(g.verdicts, now)
+	body, err := Piggyback{Origin: g.cfg.Self, Counters: g.counters, Suspects: g.verdicts}.Encode()
 	dests := g.pickDestsLocked()
 	for _, d := range dests {
 		g.sentTo[d] = true
 	}
 	g.mu.Unlock()
 
-	data, err := pb.Encode()
 	if err != nil {
 		return // impossible by construction; drop the round if not
 	}
 	for _, d := range dests {
-		env := transport.Envelope{To: model.ProcessID(d), Type: GossipEnvelopeType}
-		if err := env.Marshal(data); err != nil {
-			continue
+		env := transport.Envelope{To: model.ProcessID(d), Type: GossipEnvelopeType, Body: body}
+		// A loss is silent and the network's business; an error is the
+		// transport refusing the frame.
+		if g.tr.Send(env) != nil {
+			g.sendErrors.Add(1)
 		}
-		_ = g.tr.Send(env) // losses are the network's business
 	}
 }
 
@@ -239,23 +244,27 @@ func (g *Gossiper) recvLoop() {
 	defer close(g.recvDone)
 	defer close(g.forward)
 	for env := range g.tr.Recv() {
-		if env.Type != GossipEnvelopeType {
-			select {
-			case g.forward <- env:
-			default: // slow consumer: drop rather than stall detection
-			}
-			continue
-		}
-		var data []byte
-		if err := env.Unmarshal(&data); err != nil {
-			continue
-		}
-		pb, err := DecodePiggyback(data)
-		if err != nil || len(pb.Counters) != g.cfg.N {
-			continue
-		}
-		g.merge(pb, time.Now())
+		g.receive(env)
 	}
+}
+
+// receive handles one inbound envelope on recvLoop's goroutine: gossip
+// is decoded into the scratch piggyback and merged, anything else goes
+// to Forward. It reads env.Body and keeps no reference to it.
+func (g *Gossiper) receive(env transport.Envelope) {
+	if env.Type != GossipEnvelopeType {
+		select {
+		case g.forward <- env:
+		default: // slow consumer: drop rather than stall detection
+			g.forwardDrops.Add(1)
+		}
+		return
+	}
+	if g.rx.decodeInto(env.Body, g.cfg.N) != nil {
+		g.badFrames.Add(1)
+		return
+	}
+	g.merge(g.rx, time.Now())
 }
 
 // merge folds one received piggyback into local state: counters merge
@@ -296,23 +305,22 @@ func (g *Gossiper) merge(pb Piggyback, now time.Time) {
 	}
 }
 
-// verdictsLocked evaluates every local estimator at time now.
-func (g *Gossiper) verdictsLocked(now time.Time) []bool {
-	out := make([]bool, g.cfg.N)
+// verdictsInto evaluates every local estimator at time now into out,
+// which has one entry per node; g.mu is held.
+func (g *Gossiper) verdictsInto(out []bool, now time.Time) {
 	for i, est := range g.ests {
-		if est != nil {
-			out[i] = est.Suspect(now)
-		}
+		out[i] = est != nil && est.Suspect(now)
 	}
-	return out
 }
 
 // Verdicts returns the local estimator verdict for every node
 // (index id-1; always false at self).
 func (g *Gossiper) Verdicts(now time.Time) []bool {
+	out := make([]bool, g.cfg.N)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.verdictsLocked(now)
+	g.verdictsInto(out, now)
+	return out
 }
 
 // Suspects returns the IDs this node currently suspects locally.
@@ -398,6 +406,30 @@ func (g *Gossiper) DistinctDestinations() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.sentTo)
+}
+
+// GossipStats counts the work a Gossiper dropped without telling
+// anyone.
+type GossipStats struct {
+	// BadFrames are gossip envelopes that did not decode as a piggyback
+	// for this cluster's size.
+	BadFrames uint64
+	// ForwardDrops are non-gossip envelopes discarded because the
+	// Forward consumer was not keeping up.
+	ForwardDrops uint64
+	// SendErrors are frames the transport refused (a closed transport,
+	// an unregistered peer); frames it lost after accepting them are
+	// its own to count.
+	SendErrors uint64
+}
+
+// Stats returns the gossiper's silent-drop counters so far.
+func (g *Gossiper) Stats() GossipStats {
+	return GossipStats{
+		BadFrames:    g.badFrames.Load(),
+		ForwardDrops: g.forwardDrops.Load(),
+		SendErrors:   g.sendErrors.Load(),
+	}
 }
 
 // Rounds returns the number of gossip rounds emitted.

@@ -12,11 +12,14 @@ import (
 
 // sinkTransport records gossip destinations without any network.
 type sinkTransport struct {
-	self model.ProcessID
-	in   chan transport.Envelope
+	self    model.ProcessID
+	in      chan transport.Envelope
+	sendErr error // what Send returns; set before the gossiper starts
 
 	mu    sync.Mutex
 	dests map[model.ProcessID]int
+	keep  bool // whether Send also appends to sent
+	sent  []transport.Envelope
 }
 
 func newSinkTransport(self model.ProcessID) *sinkTransport {
@@ -28,7 +31,10 @@ func (s *sinkTransport) Send(env transport.Envelope) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dests[env.To]++
-	return nil
+	if s.keep {
+		s.sent = append(s.sent, env)
+	}
+	return s.sendErr
 }
 func (s *sinkTransport) Recv() <-chan transport.Envelope { return s.in }
 func (s *sinkTransport) Close() error                    { close(s.in); return nil }
@@ -55,18 +61,7 @@ func chordPeers(self, n int) []int {
 // emitter the exemplar choked on.
 func TestGossipFanoutIsLogN(t *testing.T) {
 	const n = 200
-	tr := newSinkTransport(1)
-	g, err := NewGossiper(tr, GossipConfig{
-		Self:         1,
-		N:            n,
-		Peers:        chordPeers(1, n),
-		Interval:     time.Hour, // rounds driven by hand below
-		NewEstimator: func() Estimator { return &FixedTimeout{Timeout: time.Second} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
+	g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: chordPeers(1, n)})
 	now := time.Now()
 	for i := 0; i < 50; i++ {
 		g.round(now.Add(time.Duration(i) * time.Millisecond))
@@ -85,20 +80,8 @@ func TestGossipFanoutIsLogN(t *testing.T) {
 func TestGossipFanoutSubsetSampling(t *testing.T) {
 	const n, k = 64, 3
 	tr := newSinkTransport(1)
-	g, err := NewGossiper(tr, GossipConfig{
-		Self:         1,
-		N:            n,
-		Peers:        chordPeers(1, n),
-		Fanout:       k,
-		Interval:     time.Hour,
-		Seed:         11,
-		NewEstimator: func() Estimator { return &FixedTimeout{Timeout: time.Second} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	before := int(g.Rounds()) // emitLoop's immediate first round may have fired
+	g := handDriven(t, tr, GossipConfig{N: n, Peers: chordPeers(1, n), Fanout: k, Seed: 11})
+	before := int(g.Rounds()) // emitLoop's immediate first round
 	now := time.Now()
 	for i := 0; i < 30; i++ {
 		g.round(now)
@@ -423,4 +406,176 @@ func TestGossipMidRunJoin(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// handDriven starts node 1's gossiper on a sink transport with a round
+// period of an hour, so that its only round is the one NewGossiper
+// emits at once; it returns when that round is over, and from then on
+// the test alone drives round and receive.
+func handDriven(t *testing.T, tr *sinkTransport, cfg GossipConfig) *Gossiper {
+	t.Helper()
+	cfg.Self, cfg.Interval = 1, time.Hour
+	if cfg.NewEstimator == nil {
+		cfg.NewEstimator = func() Estimator { return &FixedTimeout{Timeout: time.Hour} }
+	}
+	g, err := NewGossiper(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	firstRound := len(cfg.Peers)
+	if cfg.Fanout > 0 && cfg.Fanout < firstRound {
+		firstRound = cfg.Fanout
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		tr.mu.Lock()
+		sends := 0
+		for _, c := range tr.dests {
+			sends += c
+		}
+		tr.mu.Unlock()
+		if sends == firstRound {
+			return g
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the gossiper's first round never finished")
+		}
+	}
+}
+
+// TestGossipStatsCountSilentDrops provokes each of the gossiper's
+// silent drops and watches its counter move.
+func TestGossipStatsCountSilentDrops(t *testing.T) {
+	const n = 8
+	tr := newSinkTransport(1)
+	tr.sendErr = transport.ErrClosed
+	g := handDriven(t, tr, GossipConfig{N: n, Peers: []int{2, 3}})
+	if st := g.Stats(); st != (GossipStats{SendErrors: 2}) {
+		t.Fatalf("after one round of 2 refused sends: %+v", st)
+	}
+
+	encode := func(pb Piggyback) []byte {
+		t.Helper()
+		data, err := pb.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	good := Piggyback{Origin: 2, Counters: make([]uint64, n), Suspects: make([]bool, n)}
+	good.Counters[1] = 41
+	bad := [][]byte{
+		nil,
+		[]byte(`"AgIBCRAB"`), // what the JSON envelope used to carry
+		append([]byte{1, n, 2}, make([]byte, n+1)...),                                        // version 1
+		encode(Piggyback{Origin: 2, Counters: make([]uint64, 4), Suspects: make([]bool, 4)}), // another cluster's
+		encode(good)[:10],
+	}
+	for _, body := range bad {
+		tr.in <- transport.Envelope{From: 2, To: 1, Type: GossipEnvelopeType, Body: body}
+	}
+	tr.in <- transport.Envelope{From: 2, To: 1, Type: GossipEnvelopeType, Body: encode(good)}
+	// Nobody reads Forward: its queue takes what it has room for.
+	const extra = 5
+	for i := 0; i < cap(g.forward)+extra; i++ {
+		tr.in <- transport.Envelope{From: 2, To: 1, Type: "membership"}
+	}
+	want := GossipStats{BadFrames: uint64(len(bad)), ForwardDrops: extra, SendErrors: 2}
+	for deadline := time.Now().Add(5 * time.Second); g.Stats() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats %+v, want %+v", g.Stats(), want)
+		}
+	}
+	if got := g.Counter(2); got != 41 {
+		t.Fatalf("the good frame behind the bad ones left node 2's counter at %d, want 41", got)
+	}
+}
+
+// TestGossipRoundSharesOneBody pins the round's wire contract: one
+// encoded frame per round, the same slice in every destination's
+// envelope, and — because receivers may still hold it — never written
+// again, so it decodes to its own round's state after later rounds.
+func TestGossipRoundSharesOneBody(t *testing.T) {
+	const n = 8
+	tr := newSinkTransport(1)
+	g := handDriven(t, tr, GossipConfig{N: n, Peers: []int{2, 3}})
+	tr.mu.Lock()
+	tr.keep = true
+	tr.mu.Unlock()
+
+	now := time.Now()
+	g.round(now) // the gossiper's second round: its counter reaches 2
+	tr.mu.Lock()
+	first := append([]transport.Envelope(nil), tr.sent...)
+	tr.mu.Unlock()
+	if len(first) != 2 || first[0].To == first[1].To {
+		t.Fatalf("one round to 2 peers sent %+v", first)
+	}
+	if &first[0].Body[0] != &first[1].Body[0] || len(first[0].Body) != len(first[1].Body) {
+		t.Fatal("the two destinations of one round got different body slices")
+	}
+	for i := 0; i < 3; i++ {
+		g.round(now)
+	}
+	for _, env := range first {
+		pb, err := DecodePiggyback(env.Body)
+		if err != nil {
+			t.Fatalf("receiver %v cannot decode its frame after the sender's later rounds: %v", env.To, err)
+		}
+		if pb.Origin != 1 || pb.Counters[0] != 2 {
+			t.Fatalf("receiver %v reads origin %d counter %d from round 2's frame, want 1 and 2", env.To, pb.Origin, pb.Counters[0])
+		}
+	}
+}
+
+// TestGossipAllocBudgets pins the two per-frame costs the live ledger
+// is spent on: taking a frame in allocates nothing, and emitting a
+// round allocates the same whether it goes to 1 peer or to 15.
+func TestGossipAllocBudgets(t *testing.T) {
+	const n, runs = 256, 100
+	peers15 := make([]int, 15)
+	for i := range peers15 {
+		peers15[i] = i + 2
+	}
+
+	g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: peers15})
+	// Every frame raises every counter, so each merge feeds all 255
+	// estimators: the expensive receive, not the no-news one.
+	frames := make([]transport.Envelope, runs+2) // AllocsPerRun warms up with one call more
+	for i := range frames {
+		pb := steadyFrame(n, uint64(100+i))
+		pb.Origin = 2
+		body, err := pb.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = transport.Envelope{From: 2, To: 1, Type: GossipEnvelopeType, Body: body}
+	}
+	next := 0
+	g.receive(frames[next]) // sizes the scratch piggyback
+	next++
+	if allocs := testing.AllocsPerRun(runs, func() {
+		g.receive(frames[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("receiving an n=%d frame allocates %.1f times, want 0", n, allocs)
+	}
+	if got, want := g.Counter(n), uint64(100+next-1)-uint64((n-1)%9); got != want {
+		t.Fatalf("after %d frames node %d's counter is %d, want %d: the frames were not merged", next, n, got, want)
+	}
+	if st := g.Stats(); st != (GossipStats{}) {
+		t.Fatalf("the frames were dropped, not merged: %+v", st)
+	}
+
+	now := time.Now()
+	perRound := func(peers []int) float64 {
+		g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: peers})
+		g.round(now)
+		return testing.AllocsPerRun(runs, func() { g.round(now) })
+	}
+	one, fifteen := perRound(peers15[:1]), perRound(peers15)
+	// The frame; a race-detector build adds one of its own.
+	if one != fifteen || one > 2 {
+		t.Errorf("a round allocates %.1f times to 1 peer and %.1f to 15, want the same and no more than 2", one, fifteen)
+	}
 }

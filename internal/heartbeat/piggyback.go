@@ -3,6 +3,7 @@ package heartbeat
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Piggyback is one gossip heartbeat message: the sender's
@@ -17,6 +18,24 @@ import (
 // carries the sender's local verdicts; receivers record the counter
 // value each accusation was made at, so an accusation auto-expires the
 // moment fresher news of the accused propagates.
+//
+// On the wire (version 2) the counters are packed as lags behind the
+// largest of them, because live nodes all advance once a round and so
+// sit within a few rounds of each other whatever the cluster's age:
+//
+//	version        1 byte, piggybackVersion
+//	n              uvarint, node count
+//	origin         uvarint, 1..n
+//	base           uvarint, the largest counter
+//	lags           ⌈n/2⌉ bytes, one nibble per node, node 1 in the low
+//	               nibble of the first byte: base − counter, or 15 for
+//	               "15 or more"; the unused high nibble of an odd n is 0
+//	escapes        for each nibble of 15, in node order, uvarint lag − 15
+//	suspects       ⌈n/8⌉ bytes, bit i%8 of byte i/8 set when node i+1 is
+//	               suspected; unused bits are 0
+//
+// A steady frame is therefore ≈ n/2 + n/8 bytes at any counter
+// magnitude; a node that stopped long ago adds its escape varint.
 type Piggyback struct {
 	// Origin is the sending node, 1-based.
 	Origin int
@@ -28,17 +47,19 @@ type Piggyback struct {
 }
 
 // piggybackVersion tags the wire format; bumping it invalidates old
-// frames explicitly instead of mis-decoding them.
-const piggybackVersion = 1
+// frames explicitly instead of mis-decoding them. Version 1 carried
+// every counter as an absolute uvarint.
+const piggybackVersion = 2
 
 // maxPiggybackNodes bounds the node count a frame may claim, keeping
 // adversarial frames from forcing large allocations.
 const maxPiggybackNodes = 1 << 16
 
-// Encode serializes the piggyback compactly: version byte, uvarint n,
-// uvarint origin, n uvarint counters, then an n-bit suspicion bitmap.
-// For a 200-node cluster this is a few hundred bytes against the ~50
-// KiB an all-to-all JSON snapshot would cost.
+// lagEscape is the nibble that sends a lag to the escape list.
+const lagEscape = 15
+
+// Encode serializes the piggyback in the format described on the type,
+// into one fresh slice.
 func (pb Piggyback) Encode() ([]byte, error) {
 	n := len(pb.Counters)
 	if n == 0 || n > maxPiggybackNodes {
@@ -50,72 +71,130 @@ func (pb Piggyback) Encode() ([]byte, error) {
 	if pb.Origin < 1 || pb.Origin > n {
 		return nil, fmt.Errorf("heartbeat: piggyback origin %d outside [1, %d]", pb.Origin, n)
 	}
-	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+n*2+(n+7)/8)
+	var base uint64
+	for _, c := range pb.Counters {
+		base = max(base, c)
+	}
+	escapes := 0 // bytes of escape varints
+	for _, c := range pb.Counters {
+		if lag := base - c; lag >= lagEscape {
+			escapes += (bits.Len64((lag-lagEscape)|1) + 6) / 7
+		}
+	}
+	buf := make([]byte, 0, 1+3+3+binary.MaxVarintLen64+(n+1)/2+escapes+(n+7)/8)
 	buf = append(buf, piggybackVersion)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = binary.AppendUvarint(buf, uint64(pb.Origin))
-	for _, c := range pb.Counters {
-		buf = binary.AppendUvarint(buf, c)
+	buf = binary.AppendUvarint(buf, base)
+	lags := len(buf)
+	buf = buf[:lags+(n+1)/2] // within the capacity
+	for i := 0; i+1 < n; i += 2 {
+		lo, hi := min(base-pb.Counters[i], lagEscape), min(base-pb.Counters[i+1], lagEscape)
+		buf[lags+i/2] = byte(lo | hi<<4)
 	}
-	bitmap := make([]byte, (n+7)/8)
-	for i, s := range pb.Suspects {
-		if s {
-			bitmap[i/8] |= 1 << (i % 8)
+	if n%2 == 1 {
+		buf[len(buf)-1] = byte(min(base-pb.Counters[n-1], lagEscape))
+	}
+	if escapes > 0 {
+		for _, c := range pb.Counters {
+			if lag := base - c; lag >= lagEscape {
+				buf = binary.AppendUvarint(buf, lag-lagEscape)
+			}
 		}
 	}
-	return append(buf, bitmap...), nil
+	bitmap := len(buf)
+	buf = append(buf, make([]byte, (n+7)/8)...)
+	for i, s := range pb.Suspects {
+		if s {
+			buf[bitmap+i/8] |= 1 << (i % 8)
+		}
+	}
+	return buf, nil
 }
 
 // DecodePiggyback parses one frame, rejecting truncated, oversized,
-// mis-versioned and trailing-garbage inputs.
+// mis-versioned and trailing-garbage inputs, set padding, and lags no
+// counter can have.
 func DecodePiggyback(data []byte) (Piggyback, error) {
 	var pb Piggyback
+	if err := pb.decodeInto(data, 0); err != nil {
+		return Piggyback{}, err
+	}
+	return pb, nil
+}
+
+// decodeInto parses one frame into pb, reusing the capacity of its
+// slices, with every check DecodePiggyback promises. A non-zero wantN
+// is the only node count accepted, and a frame claiming another is
+// refused on its header, before pb is touched; after any other error
+// pb's contents are unspecified.
+func (pb *Piggyback) decodeInto(data []byte, wantN int) error {
 	if len(data) == 0 {
-		return pb, fmt.Errorf("heartbeat: empty piggyback")
+		return fmt.Errorf("heartbeat: empty piggyback")
 	}
 	if data[0] != piggybackVersion {
-		return pb, fmt.Errorf("heartbeat: piggyback version %d, want %d", data[0], piggybackVersion)
+		return fmt.Errorf("heartbeat: piggyback version %d, want %d", data[0], piggybackVersion)
 	}
 	rest := data[1:]
-	readUvarint := func() (uint64, error) {
+	var header [3]uint64 // n, origin, base
+	for i := range header {
 		v, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return 0, fmt.Errorf("heartbeat: truncated piggyback varint")
+			return fmt.Errorf("heartbeat: truncated piggyback header")
 		}
-		rest = rest[k:]
-		return v, nil
+		header[i], rest = v, rest[k:]
 	}
-	n64, err := readUvarint()
-	if err != nil {
-		return pb, err
-	}
+	n64, origin, base := header[0], header[1], header[2]
 	if n64 == 0 || n64 > maxPiggybackNodes {
-		return pb, fmt.Errorf("heartbeat: piggyback n = %d outside [1, %d]", n64, maxPiggybackNodes)
+		return fmt.Errorf("heartbeat: piggyback n = %d outside [1, %d]", n64, maxPiggybackNodes)
 	}
 	n := int(n64)
-	origin, err := readUvarint()
-	if err != nil {
-		return pb, err
+	if wantN != 0 && n != wantN {
+		return fmt.Errorf("heartbeat: piggyback for %d nodes, want %d", n, wantN)
 	}
 	if origin < 1 || origin > n64 {
-		return pb, fmt.Errorf("heartbeat: piggyback origin %d outside [1, %d]", origin, n)
+		return fmt.Errorf("heartbeat: piggyback origin %d outside [1, %d]", origin, n)
 	}
+	nibbles, bitmapLen := (n+1)/2, (n+7)/8
+	if len(rest) < nibbles+bitmapLen {
+		return fmt.Errorf("heartbeat: piggyback body is %d bytes, want at least %d", len(rest), nibbles+bitmapLen)
+	}
+	lags, rest := rest[:nibbles], rest[nibbles:]
+	if n%2 == 1 && lags[nibbles-1]>>4 != 0 {
+		return fmt.Errorf("heartbeat: piggyback padding nibble is set")
+	}
+
 	pb.Origin = int(origin)
-	pb.Counters = make([]uint64, n)
+	if cap(pb.Counters) < n || cap(pb.Suspects) < n {
+		pb.Counters, pb.Suspects = make([]uint64, n), make([]bool, n)
+	}
+	pb.Counters, pb.Suspects = pb.Counters[:n], pb.Suspects[:n]
 	for i := range pb.Counters {
-		c, err := readUvarint()
-		if err != nil {
-			return Piggyback{}, err
+		lag := uint64(lags[i/2] >> (4 * (i % 2)) & 0xf)
+		if lag == lagEscape {
+			v, k := binary.Uvarint(rest)
+			if k <= 0 {
+				return fmt.Errorf("heartbeat: truncated piggyback escape for node %d", i+1)
+			}
+			rest = rest[k:]
+			if base < lagEscape || v > base-lagEscape { // so lag + v cannot wrap
+				return fmt.Errorf("heartbeat: piggyback escaped lag of node %d exceeds base %d", i+1, base)
+			}
+			lag += v
 		}
-		pb.Counters[i] = c
+		if lag > base {
+			return fmt.Errorf("heartbeat: piggyback lag %d of node %d exceeds base %d", lag, i+1, base)
+		}
+		pb.Counters[i] = base - lag
 	}
-	bitmapLen := (n + 7) / 8
 	if len(rest) != bitmapLen {
-		return Piggyback{}, fmt.Errorf("heartbeat: piggyback bitmap is %d bytes, want %d", len(rest), bitmapLen)
+		return fmt.Errorf("heartbeat: piggyback bitmap is %d bytes, want %d", len(rest), bitmapLen)
 	}
-	pb.Suspects = make([]bool, n)
+	if n%8 != 0 && rest[bitmapLen-1]>>(n%8) != 0 {
+		return fmt.Errorf("heartbeat: piggyback padding bits are set")
+	}
 	for i := range pb.Suspects {
 		pb.Suspects[i] = rest[i/8]&(1<<(i%8)) != 0
 	}
-	return pb, nil
+	return nil
 }

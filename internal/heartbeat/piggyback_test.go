@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,8 +17,14 @@ func TestPiggybackRoundTrip(t *testing.T) {
 			Counters: make([]uint64, n),
 			Suspects: make([]bool, n),
 		}
+		// Even trials are a cluster in step (lags in the nibbles), odd
+		// ones counters of any magnitude (every lag escaped).
+		spread := int64(1 << 40)
+		if trial%2 == 0 {
+			spread = 20
+		}
 		for i := range pb.Counters {
-			pb.Counters[i] = uint64(rng.Int63n(1 << 40))
+			pb.Counters[i] = 1<<41 - uint64(rng.Int63n(spread))
 			pb.Suspects[i] = rng.Intn(3) == 0
 		}
 		data, err := pb.Encode()
@@ -73,6 +80,75 @@ func TestPiggybackDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestPiggybackDecodeRejectsMalformed holds the decoder to the one
+// rendering Encode gives each field: no old-format frame, no set
+// padding, no lag that would put a counter below zero, no escape
+// without its varint.
+func TestPiggybackDecodeRejectsMalformed(t *testing.T) {
+	// Version 1 of {origin 1, counters 5 6 7, no suspects}: absolute
+	// uvarint counters, then the bitmap.
+	if _, err := DecodePiggyback([]byte{1, 3, 1, 5, 6, 7, 0}); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("a version 1 frame was not refused by its version: %v", err)
+	}
+	// The same value in version 2: base 7, lags 2 1 0.
+	good := []byte{piggybackVersion, 3, 1, 7, 0x12, 0x00, 0x00}
+	pb, err := DecodePiggyback(good)
+	if err != nil || !reflect.DeepEqual(pb.Counters, []uint64{5, 6, 7}) {
+		t.Fatalf("hand-built frame decoded as %+v, %v", pb, err)
+	}
+	if re, _ := pb.Encode(); !bytes.Equal(re, good) {
+		t.Fatalf("hand-built frame % x re-encodes as % x", good, re)
+	}
+	cases := map[string][]byte{
+		"padding nibble set on odd n":   {piggybackVersion, 3, 1, 7, 0x12, 0x10, 0x00},
+		"padding bits set in bitmap":    {piggybackVersion, 3, 1, 7, 0x12, 0x00, 0x08},
+		"nibble lag above base":         {piggybackVersion, 3, 1, 7, 0x82, 0x00, 0x00},
+		"escaped lag above base":        {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 6, 0x00},
+		"escaped lag wrapping uint64":   {piggybackVersion, 2, 1, 20, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00},
+		"escape varint missing":         {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 0x00},
+		"escape varint beyond the data": {piggybackVersion, 2, 1, 20, 0xff, 0x01},
+		"n of zero":                     {piggybackVersion, 0, 1, 7},
+		"origin beyond n":               {piggybackVersion, 3, 4, 7, 0x12, 0x00, 0x00},
+	}
+	for name, data := range cases {
+		if pb, err := DecodePiggyback(data); err == nil {
+			t.Errorf("%s: decoded as %+v", name, pb)
+		}
+	}
+	// One step inside each lag bound decodes.
+	for name, data := range map[string][]byte{
+		"nibble lag equal to base":  {piggybackVersion, 3, 1, 7, 0x27, 0x00, 0x00},
+		"escaped lag equal to base": {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 5, 0x00},
+	} {
+		pb, err := DecodePiggyback(data)
+		if err != nil || pb.Counters[0] != 0 {
+			t.Errorf("%s: decoded as %+v, %v; want counter 0 for node 1", name, pb, err)
+		}
+	}
+}
+
+// TestDecodeIntoChecksNBeforeScratch pins recvLoop's use of the
+// decoder: a frame for another cluster size is refused on its header,
+// with the scratch piggyback as it was.
+func TestDecodeIntoChecksNBeforeScratch(t *testing.T) {
+	scratch := Piggyback{Origin: 3, Counters: []uint64{1, 2, 3, 4}, Suspects: []bool{true, false, true, false}}
+	before := Piggyback{Origin: 3, Counters: []uint64{1, 2, 3, 4}, Suspects: []bool{true, false, true, false}}
+	// A valid frame of the largest n there is.
+	huge, err := Piggyback{Origin: 1, Counters: make([]uint64, maxPiggybackNodes), Suspects: make([]bool, maxPiggybackNodes)}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodePiggyback(huge); err != nil {
+		t.Fatalf("the largest frame does not decode: %v", err)
+	}
+	if err := scratch.decodeInto(huge, 4); err == nil || !strings.Contains(err.Error(), "want 4") {
+		t.Fatalf("frame for %d nodes not refused on its node count: %v", maxPiggybackNodes, err)
+	}
+	if !reflect.DeepEqual(scratch, before) {
+		t.Fatalf("refused frame changed the scratch: %+v", scratch)
+	}
+}
+
 // FuzzPiggybackDecode holds the decoder to memory safety and the
 // decode-encode-decode fixpoint on arbitrary input: the wire format
 // gains fields in live-cluster PRs, and a frame off the network is
@@ -86,7 +162,13 @@ func FuzzPiggybackDecode(f *testing.F) {
 	if data, err := seedPB.Encode(); err == nil {
 		f.Add(data)
 	}
-	f.Add([]byte{piggybackVersion, 1, 1, 0, 0})
+	if data, err := steadyFrame(33, 3000, 4).Encode(); err == nil {
+		f.Add(data)
+	}
+	f.Add([]byte{piggybackVersion, 1, 1, 0, 0, 0})
+	f.Add([]byte{piggybackVersion, 3, 1, 20, 0x0f, 0x00, 5, 0x00}) // one escaped lag
+	f.Add([]byte{piggybackVersion, 3, 1, 7, 0x12, 0x10, 0x00})     // set padding nibble
+	f.Add([]byte{1, 3, 1, 5, 6, 7, 0})                             // version 1
 	f.Add([]byte{piggybackVersion, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,23 +190,55 @@ func FuzzPiggybackDecode(f *testing.F) {
 	})
 }
 
-// TestPiggybackSize documents the wire-size win of the binary codec:
-// a 200-node vector with realistic counters stays well under a
-// kilobyte.
-func TestPiggybackSize(t *testing.T) {
-	const n = 200
+// steadyFrame is what a node of an n-node cluster gossips in steady
+// state: every live counter within a few rounds of base (the overlay's
+// diameter in rounds), and the nodes in dead stopped long ago.
+func steadyFrame(n int, base uint64, dead ...int) Piggyback {
 	pb := Piggyback{Origin: 1, Counters: make([]uint64, n), Suspects: make([]bool, n)}
 	for i := range pb.Counters {
-		pb.Counters[i] = 100_000 // ~3 varint bytes each
+		pb.Counters[i] = base - uint64(i%9) // lags 0..8
 	}
-	data, err := pb.Encode()
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range dead {
+		pb.Counters[d-1] = base / 3
+		pb.Suspects[d-1] = true
 	}
-	if len(data) > 1024 {
-		t.Fatalf("200-node piggyback is %d bytes, want ≤ 1024", len(data))
+	return pb
+}
+
+// TestPiggybackSteadySize pins what the lag packing is for: a steady
+// frame costs about n/2 + n/8 bytes whatever the counters' magnitude,
+// and a dead node adds only its escape.
+func TestPiggybackSteadySize(t *testing.T) {
+	size := func(pb Piggyback) int {
+		t.Helper()
+		data, err := pb.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(data)
 	}
-	if bytes.Equal(data, nil) {
-		t.Fatal("empty encoding")
+	const n = 256
+	young, old := size(steadyFrame(n, 100)), size(steadyFrame(n, 1_000_000_000))
+	if young > 180 || old > 180 {
+		t.Errorf("steady n=%d frame is %d B at base 100 and %d B at base 1e9, want ≤ 180", n, young, old)
+	}
+	// Only the base varint grows with the cluster's age: 1 byte at 100,
+	// 5 at 1e9.
+	if old-young != 4 {
+		t.Errorf("frame grew %d B from base 100 to base 1e9, want the base varint's 4", old-young)
+	}
+	withSuspects := steadyFrame(n, 3000)
+	withSuspects.Suspects[7], withSuspects.Suspects[90], withSuspects.Suspects[200] = true, true, true
+	if got, plain := size(withSuspects), size(steadyFrame(n, 3000)); got != plain {
+		t.Errorf("3 suspicions changed the frame from %d to %d B", plain, got)
+	}
+	if extra := size(steadyFrame(n, 3000, 77)) - size(steadyFrame(n, 3000)); extra < 1 || extra > 3 {
+		t.Errorf("a node dead for 2000 rounds costs %d extra bytes, want its escape varint, 1 to 3", extra)
+	}
+	// The ledger's three sizes, for a cluster a few thousand rounds in.
+	for n, want := range map[int]int{64: 45, 256: 166, 1024: 646} {
+		if got := size(steadyFrame(n, 3000)); got != want {
+			t.Errorf("steady n=%d frame is %d B, want %d", n, got, want)
+		}
 	}
 }

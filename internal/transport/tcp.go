@@ -8,15 +8,17 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"realisticfd/internal/model"
 )
 
 // TCPNode is a Transport over real TCP sockets on localhost: each node
-// listens on its own port and dials peers on demand; frames are
-// length-prefixed JSON envelopes. This is the "heartbeats over
-// sockets" substrate of experiment E9 and the live cluster
+// listens on its own port and dials peers on demand; each envelope
+// travels as one length-prefixed binary frame (see appendFrame) whose
+// body is the envelope's bytes, untouched. This is the "heartbeats
+// over sockets" substrate of experiment E9 and the live cluster
 // (internal/cluster).
 //
 // Writes to one peer are serialized through a per-peer link lock, so
@@ -40,14 +42,35 @@ type TCPNode struct {
 	hook   *FaultHook
 	closed bool
 
+	inboxDrops, linkDrops atomic.Uint64
+
 	wg sync.WaitGroup
 }
 
-// peerLink serializes writes to one peer. conn is nil until dialed and
-// is accessed only with mu held.
+// peerLink serializes writes to one peer. conn is nil until dialed;
+// conn and buf, the frame being written, are accessed only with mu
+// held.
 type peerLink struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte
+}
+
+// TCPStats counts the frames a TCPNode lost without telling anyone.
+// Frames shed by a cut or by the fault hook are injected faults, not
+// losses, and are not counted here.
+type TCPStats struct {
+	// InboxDrops are frames read off a socket and discarded because
+	// the receive queue was full.
+	InboxDrops uint64
+	// LinkDrops are frames Send accepted and then lost to a peer that
+	// could not be dialed or a connection that broke mid-write.
+	LinkDrops uint64
+}
+
+// Stats returns the node's silent-loss counters so far.
+func (n *TCPNode) Stats() TCPStats {
+	return TCPStats{InboxDrops: n.inboxDrops.Load(), LinkDrops: n.linkDrops.Load()}
 }
 
 var _ Transport = (*TCPNode)(nil)
@@ -188,9 +211,14 @@ func (n *TCPNode) send(env Envelope) error {
 
 	link.mu.Lock()
 	defer link.mu.Unlock()
+	var err error
+	if link.buf, err = appendFrame(link.buf[:0], env); err != nil {
+		return err // the caller's mistake, not a loss: the link stays up
+	}
 	if link.conn == nil {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
+			n.linkDrops.Add(1)
 			return nil // unreachable peer ≈ lost message
 		}
 		n.mu.Lock()
@@ -203,7 +231,8 @@ func (n *TCPNode) send(env Envelope) error {
 		n.mu.Unlock()
 		link.conn = conn
 	}
-	if err := writeFrame(link.conn, env); err != nil {
+	if _, err := link.conn.Write(link.buf); err != nil {
+		n.linkDrops.Add(1)
 		conn := link.conn
 		link.conn = nil
 		n.mu.Lock()
@@ -294,14 +323,15 @@ func (n *TCPNode) readLoop(conn net.Conn) {
 		case n.in <- env:
 		default:
 			// Receiver queue full: drop like a full socket buffer.
+			n.inboxDrops.Add(1)
 		}
 	}
 }
 
-// WriteJSON frames an arbitrary JSON-marshalable value with the same
-// length-prefixed format as envelopes: 4-byte big-endian length, then
-// the JSON bytes. The cluster control channel shares this codec with
-// the data plane.
+// WriteJSON frames an arbitrary JSON-marshalable value: 4-byte
+// big-endian length, then the JSON bytes. This is the cluster control
+// channel's codec; envelopes between nodes travel as binary frames
+// (appendFrame) and never pass through it.
 func WriteJSON(w io.Writer, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -340,18 +370,66 @@ func ReadJSON(r io.Reader, v any) error {
 	return nil
 }
 
-// writeFrame emits a length-prefixed JSON envelope.
-func writeFrame(w io.Writer, env Envelope) error {
-	return WriteJSON(w, env)
+// appendFrame appends env's wire frame to dst:
+//
+//	size    4 bytes big-endian, the length of what follows, ≤ maxFrame
+//	from    uvarint
+//	to      uvarint
+//	typeLen uvarint
+//	type    typeLen bytes
+//	body    the rest of the frame, env.Body verbatim
+//
+// An envelope too large to frame is refused with dst unchanged.
+func appendFrame(dst []byte, env Envelope) ([]byte, error) {
+	var hdr [4 + 3*binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:4], uint64(env.From))
+	h = binary.AppendUvarint(h, uint64(env.To))
+	h = binary.AppendUvarint(h, uint64(len(env.Type)))
+	size := len(h) - 4 + len(env.Type) + len(env.Body)
+	if size > maxFrame {
+		return dst, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+	}
+	binary.BigEndian.PutUint32(h, uint32(size))
+	dst = append(dst, h...)
+	dst = append(dst, env.Type...)
+	return append(dst, env.Body...), nil
 }
 
-// readFrame reads one length-prefixed JSON envelope.
-func readFrame(r io.Reader) (Envelope, error) {
-	var env Envelope
-	if err := ReadJSON(r, &env); err != nil {
+// readFrame reads one frame written by appendFrame, rejecting a size
+// over the limit before allocating. The returned body is the frame's
+// own buffer, not r's.
+func readFrame(r *bufio.Reader) (Envelope, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return Envelope{}, err
 	}
-	return env, nil
+	size := binary.BigEndian.Uint32(hdr)
+	if size > maxFrame {
+		return Envelope{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", size)
+	}
+	_, _ = r.Discard(4) // cannot fail: Peek buffered them
+	buf := make([]byte, size)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return Envelope{}, err
+	}
+	var fields [3]uint64 // from, to, typeLen
+	for i := range fields {
+		v, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return Envelope{}, fmt.Errorf("transport: bad frame: truncated header")
+		}
+		fields[i], buf = v, buf[k:]
+	}
+	typeLen := fields[2]
+	if typeLen > uint64(len(buf)) {
+		return Envelope{}, fmt.Errorf("transport: bad frame: type of %d bytes in the %d left", typeLen, len(buf))
+	}
+	return Envelope{
+		From: model.ProcessID(fields[0]),
+		To:   model.ProcessID(fields[1]),
+		Type: string(buf[:typeLen]),
+		Body: buf[typeLen:],
+	}, nil
 }
 
 // NewTCPCluster starts n interconnected TCP nodes on localhost and

@@ -34,6 +34,22 @@ func TestEnvelopeBodyRoundTrip(t *testing.T) {
 	if got.Seq != 7 || got.Note != "hi" {
 		t.Fatalf("round trip = %+v", got)
 	}
+
+	// A []byte is the body itself, not a JSON rendering of it.
+	raw := []byte{2, 0xff, 0, '"'}
+	if err := env.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if &env.Body[0] != &raw[0] || len(env.Body) != len(raw) {
+		t.Fatalf("Marshal([]byte) set body %v, want the slice itself", env.Body)
+	}
+	var back []byte
+	if err := env.Unmarshal(&back); err != nil {
+		t.Fatal(err)
+	}
+	if &back[0] != &raw[0] || len(back) != len(raw) {
+		t.Fatalf("Unmarshal(*[]byte) gave %v, want the body itself", back)
+	}
 }
 
 func TestChanNetworkDelivery(t *testing.T) {
@@ -232,6 +248,60 @@ func TestTCPSendToDeadPeerIsSilentLoss(t *testing.T) {
 	}
 	if err := nodes[0].Send(Envelope{To: 4, Type: "x"}); err != nil {
 		t.Fatalf("send to dead peer should be silent, got %v", err)
+	}
+	if st := nodes[0].Stats(); st.LinkDrops != 1 {
+		t.Fatalf("frame to an undialable peer counted as %+v, want 1 link drop", st)
+	}
+
+	// Kill node 3 under an established link: the writes that follow
+	// fail sooner or later, and each failure is one counted loss.
+	if err := nodes[0].Send(Envelope{To: 3, Type: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recvWithin(t, nodes[2], 2*time.Second); !ok {
+		t.Fatal("no delivery on the live link")
+	}
+	if err := nodes[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); nodes[0].Stats().LinkDrops < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("frames to a killed peer never counted: %+v", nodes[0].Stats())
+		}
+		if err := nodes[0].Send(Envelope{To: 3, Type: "x"}); err != nil {
+			t.Fatalf("send to killed peer should be silent, got %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPInboxFullIsCounted floods a node nobody reads from: what does
+// not fit its receive queue is dropped, and every drop is counted.
+func TestTCPInboxFullIsCounted(t *testing.T) {
+	t.Parallel()
+	nodes, err := NewTCPCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer CloseTCPCluster(nodes)
+	const extra = 40
+	sent := cap(nodes[1].in) + extra
+	for i := 0; i < sent; i++ {
+		if err := nodes[0].Send(Envelope{To: 2, Type: "x", Body: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); nodes[1].Stats().InboxDrops < extra; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames into a queue of %d counted as %+v, want %d inbox drops", sent, cap(nodes[1].in), nodes[1].Stats(), extra)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := nodes[1].Stats(); st.InboxDrops != extra || len(nodes[1].in) != cap(nodes[1].in) {
+		t.Fatalf("stats %+v with %d queued, want exactly %d drops and a full queue", st, len(nodes[1].in), extra)
+	}
+	if st := nodes[0].Stats(); st != (TCPStats{}) {
+		t.Fatalf("the sender lost nothing, yet counts %+v", st)
 	}
 }
 
