@@ -10,6 +10,7 @@ import (
 	"realisticfd/internal/harness"
 	"realisticfd/internal/model"
 	"realisticfd/internal/sim"
+	"realisticfd/internal/sim/tracetest"
 )
 
 const (
@@ -18,15 +19,21 @@ const (
 )
 
 // goldenProtocolTraces pins, in absolute terms, how the protocol
-// payloads render into Trace.Digest(): the sim goldens only run
-// sim-internal test automata and TestScenarioFilesMatchStructs is
-// relative (file vs struct on the same code). Every embedded scenario
+// payloads render into a trace: the sim goldens only run sim-internal
+// test automata and TestScenarioFilesMatchStructs is relative (file vs
+// struct on the same code). What is hashed per run is
+// tracetest.TextHash — the SHA-256 of Trace.WriteText, which is what
+// Trace.Digest() returned when the file was generated. Trace.Digest()
+// itself is a different, versioned value (sim.DigestVersion), returned
+// second and held to the pinned rendering rather than pinned: every run
+// must survive the encode → decode → WriteText round trip, which is what
+// makes the digest cover each payload's String(). Every embedded scenario
 // is replayed at crashes {0, 2, 4} (process i+1 at 30+60·i) × seeds
 // 0–5, plus one abcast.Atomic scenario, all on one reused RunContext —
 // so S-flooding, rotating-coordinator, Marabout, P<, reduction
 // (taggedMsg), TRB (trbCons) and abcast (acEnv) payloads all reach the
-// digest, and stale arena state would too.
-func goldenProtocolTraces(t *testing.T) map[string]string {
+// hash, and stale arena state would too.
+func goldenProtocolTraces(t *testing.T) (textHashes, digests map[string]string) {
 	t.Helper()
 	entries, err := scenarioFiles.ReadDir("testdata/scenarios")
 	if err != nil {
@@ -63,18 +70,22 @@ func goldenProtocolTraces(t *testing.T) map[string]string {
 		Policy:  func() sim.Policy { return &sim.RandomFairPolicy{} },
 	}})
 
-	out := make(map[string]string)
+	textHashes, digests = make(map[string]string), make(map[string]string)
 	rc := sim.NewRunContext()
 	for _, c := range cases {
 		for seed := int64(0); seed < goldenProtocolSeeds; seed++ {
+			name := fmt.Sprintf("%s/seed%d", c.name, seed)
 			r := c.sc.RunIn(rc, seed)
 			if r.Err != nil {
-				t.Fatalf("%s seed %d: %v", c.name, seed, r.Err)
+				t.Fatalf("%s: %v", name, r.Err)
 			}
-			out[fmt.Sprintf("%s/seed%d", c.name, seed)] = r.Trace.Digest()
+			textHashes[name], digests[name] = tracetest.TextHash(r.Trace), r.Trace.Digest()
+			if err := tracetest.RoundTrip(r.Trace); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 	}
-	return out
+	return textHashes, digests
 }
 
 // TestGoldenProtocolTraces holds protocol-layer refactors to
@@ -83,12 +94,17 @@ func goldenProtocolTraces(t *testing.T) map[string]string {
 //	go test ./internal/experiments -run TestGoldenProtocolTraces -update
 //
 // only when a payload rendering or a schedule is *supposed* to change,
-// and say why in the PR.
+// and say why in the PR. A new digest format is not such a change: the
+// file pins text hashes, and over the whole grid digests must separate
+// exactly the runs those separate.
 func TestGoldenProtocolTraces(t *testing.T) {
-	got := goldenProtocolTraces(t)
+	got, digests := goldenProtocolTraces(t)
+	if err := tracetest.SamePartition(got, digests); err != nil {
+		t.Error(err)
+	}
 
 	if *updateGolden {
-		saveGolden(t, goldenProtocolPath, "# Pinned Trace.Digest() values of the protocol scenarios; regenerate with: go test ./internal/experiments -run TestGoldenProtocolTraces -update\n", got)
+		saveGolden(t, goldenProtocolPath, "# Pinned sha256(Trace.WriteText) per run of the protocol scenarios (not Trace.Digest(), which is versioned); regenerate with: go test ./internal/experiments -run TestGoldenProtocolTraces -update\n", got)
 		return
 	}
 	want := loadGolden(t, goldenProtocolPath)
@@ -99,11 +115,11 @@ func TestGoldenProtocolTraces(t *testing.T) {
 	for name, d := range got {
 		w, ok := want[name]
 		if !ok {
-			t.Errorf("%s: no pinned digest (new case? regenerate with -update)", name)
+			t.Errorf("%s: no pinned hash (new case? regenerate with -update)", name)
 			continue
 		}
 		if d != w {
-			t.Errorf("%s: digest %s… != pinned %s… — a protocol payload or schedule changed", name, d[:16], w[:16])
+			t.Errorf("%s: text hash %s… != pinned %s… — a protocol payload or schedule changed", name, d[:16], w[:16])
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // SweepStats is the standard streaming-sweep accumulator: everything
@@ -53,20 +54,28 @@ func durationBucket(v int64) int {
 }
 
 // xorDigest folds one seed-tagged run digest into the hex accumulator.
+// It runs once per seed of a streaming sweep, so the preimage and both
+// hex conversions stay in fixed arrays: a run digest costs only the
+// string returned (an error text longer than a digest spills to the
+// heap, which no sweep does per seed).
 func xorDigest(acc string, seed int64, runDigest string) string {
+	var pre [len("-9223372036854775808:") + 2*sha256.Size]byte
+	b := append(strconv.AppendInt(pre[:0], seed, 10), ':')
+	h := sha256.Sum256(append(b, runDigest...))
+
 	var cur [sha256.Size]byte
+	var hx [2 * sha256.Size]byte
 	if acc != "" {
-		b, err := hex.DecodeString(acc)
-		if err != nil || len(b) != sha256.Size {
+		copy(hx[:], acc)
+		if _, err := hex.Decode(cur[:], hx[:]); err != nil || len(acc) != len(hx) {
 			panic(fmt.Sprintf("harness: malformed sweep digest %q", acc))
 		}
-		copy(cur[:], b)
 	}
-	h := sha256.Sum256([]byte(fmt.Sprintf("%d:%s", seed, runDigest)))
 	for i := range cur {
 		cur[i] ^= h[i]
 	}
-	return hex.EncodeToString(cur[:])
+	hex.Encode(hx[:], cur[:])
+	return string(hx[:])
 }
 
 // xorHex XORs two hex digest accumulators (either may be empty).

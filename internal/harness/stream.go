@@ -231,16 +231,17 @@ func returnRunContext(rc *sim.RunContext) {
 	}
 }
 
-// checkpointSchema identifies the checkpoint file format. v2 added the
-// scenario config digest to the campaign identity: v1 keyed a campaign
-// on the scenario *name* alone, so two campaigns sharing a name but
-// differing in fault plan or policy silently resumed from each other's
-// checkpoints. v1 files are rejected outright — they carry no digest
-// to verify against.
-const (
-	checkpointSchema   = "realisticfd-sweep-checkpoint/v2"
-	checkpointSchemaV1 = "realisticfd-sweep-checkpoint/v1"
-)
+// checkpointSchema identifies the checkpoint file format and, through
+// sim.DigestVersion, the run digests XOR-folded into the SweepStats it
+// stores. v2 added the scenario config digest to the campaign identity
+// (v1 keyed a campaign on the scenario *name* alone, so two campaigns
+// sharing a name but differing in fault plan or policy silently resumed
+// from each other's checkpoints). v3 is v2 written under the binary
+// trace digest: a v2 prefix folds text digests, and resuming it would
+// silently mix the two kinds in one XOR. The digest version is part of
+// the schema string, so the next digest format retires these files
+// without anyone remembering to. Any other schema is refused outright.
+const checkpointSchema = "realisticfd-sweep-checkpoint/v3+" + sim.DigestVersion
 
 // checkpointMeta is a campaign's identity: a checkpoint written for a
 // different scenario configuration, seed range or chunking must not be
@@ -372,8 +373,9 @@ func (st *streamState[A]) load() error {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("harness: parse checkpoint %s: %w", st.path, err)
 	}
-	if f.Schema == checkpointSchemaV1 {
-		return fmt.Errorf("harness: checkpoint %s uses the retired v1 format, which cannot verify the scenario configuration; delete it and restart the campaign", st.path)
+	if f.Schema != checkpointSchema {
+		return fmt.Errorf("harness: checkpoint %s has schema %q, but this build reads and writes %q (run digests are %s, and digests of different versions must not be folded together); delete it and restart the campaign",
+			st.path, f.Schema, checkpointSchema, sim.DigestVersion)
 	}
 	if f.checkpointMeta != st.meta {
 		return fmt.Errorf("harness: checkpoint %s is for campaign %+v, not %+v",

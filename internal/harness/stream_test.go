@@ -2,7 +2,10 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -211,23 +214,32 @@ func TestCheckpointConfigChangeRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Rejected pins the schema migration: a v1 checkpoint
-// has no config digest to verify, so resuming from one must fail with
-// a clear error rather than fall through to a field-by-field mismatch.
+// TestCheckpointV1Rejected pins the schema migrations: a checkpoint of
+// a retired schema must fail with an error that names the schema it
+// found and the digest version this build writes, rather than fall
+// through to a field-by-field mismatch — or, worse, resume. v1 has no
+// config digest to verify; v2 is well-formed in every field and would
+// resume cleanly, XOR-folding its text digests with binary ones.
 func TestCheckpointV1Rejected(t *testing.T) {
 	t.Parallel()
 	sc := testScenario(nil)
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	v1 := []byte(`{"schema":"realisticfd-sweep-checkpoint/v1","scenario":"sflooding","seed_from":0,"seed_to":8,"chunk_size":4,"complete":true,"next_chunk":2,"prefix":{}}`)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Stream(sc, Seeds(8), SweepReducer(), StreamOptions{ChunkSize: 4, Checkpoint: path})
-	if err == nil {
-		t.Fatal("v1 checkpoint was not rejected")
-	}
-	if !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("v1 rejection error does not name the retired format: %v", err)
+	for version, file := range map[string]string{
+		"v1": `{"schema":"realisticfd-sweep-checkpoint/v1","scenario":"sflooding","seed_from":0,"seed_to":8,"chunk_size":4,"complete":true,"next_chunk":2,"prefix":{}}`,
+		"v2": `{"schema":"realisticfd-sweep-checkpoint/v2","scenario":"sflooding","config_digest":"` + sc.identityDigest() + `","seed_from":0,"seed_to":8,"chunk_size":4,"complete":false,"next_chunk":1,"prefix":{"runs":4,"errors":0,"digest":"` + strings.Repeat("ab", 32) + `","decisions":0,"events":0,"undelivered":0}}`,
+	} {
+		path := filepath.Join(t.TempDir(), version+".ckpt")
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Stream(sc, Seeds(8), SweepReducer(), StreamOptions{ChunkSize: 4, Checkpoint: path})
+		if err == nil {
+			t.Fatalf("%s checkpoint was not rejected", version)
+		}
+		for _, want := range []string{"/" + version, sim.DigestVersion} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s rejection does not mention %q: %v", version, want, err)
+			}
+		}
 	}
 }
 
@@ -281,6 +293,35 @@ func TestSweepStatsJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStatsEqual(t, "round-trip", back, st)
+}
+
+// TestXorDigestDefinition holds the per-seed fold, which builds its
+// preimage and hex in fixed arrays, to the definition in SweepStats's
+// doc — each run contributes sha256(seed ":" runDigest), combined by
+// XOR — and to its budget of one allocation, the string it returns.
+func TestXorDigestDefinition(t *testing.T) {
+	acc := ""
+	var want [sha256.Size]byte
+	for _, run := range []struct {
+		seed   int64
+		digest string
+	}{
+		{0, strings.Repeat("0f", 32)},
+		{math.MinInt64, strings.Repeat("a1", 32)},
+		{7, "err:" + strings.Repeat("longer than a digest ", 8)},
+	} {
+		h := sha256.Sum256([]byte(fmt.Sprintf("%d:%s", run.seed, run.digest)))
+		for i := range want {
+			want[i] ^= h[i]
+		}
+		if acc = xorDigest(acc, run.seed, run.digest); acc != hex.EncodeToString(want[:]) {
+			t.Fatalf("after seed %d: accumulator %s, want %x", run.seed, acc, want)
+		}
+	}
+	digest := strings.Repeat("5c", 32)
+	if got := testing.AllocsPerRun(100, func() { acc = xorDigest(acc, 1_000_000, digest) }); got > 1 {
+		t.Errorf("xorDigest: %.0f allocations per seed, want ≤ 1", got)
+	}
 }
 
 // TestStreamEmptyRange pins the degenerate case.

@@ -82,6 +82,10 @@ func (s ProcessSet) Diff(t ProcessSet) ProcessSet {
 	return ProcessSet{bits: s.bits &^ t.bits}
 }
 
+// Word returns the set as its 64-bit word: bit p−1 is set iff p ∈ s.
+// It is how the canonical trace encoding writes a set.
+func (s ProcessSet) Word() uint64 { return s.bits }
+
 // Equal reports whether s = t.
 func (s ProcessSet) Equal(t ProcessSet) bool { return s.bits == t.bits }
 
@@ -141,22 +145,4 @@ func (s ProcessSet) String() string {
 		parts = append(parts, p.String())
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// AppendText appends the String rendering to b without allocating —
-// the trace digest encoder's hot path.
-func (s ProcessSet) AppendText(b []byte) []byte {
-	b = append(b, '{')
-	first := true
-	w := s.bits
-	for w != 0 {
-		if !first {
-			b = append(b, ',')
-		}
-		first = false
-		b = append(b, 'p')
-		b = AppendDecimal(b, int64(bits.TrailingZeros64(w)+1))
-		w &= w - 1
-	}
-	return append(b, '}')
 }

@@ -81,18 +81,3 @@ func BenchmarkContributors(b *testing.B) {
 		_ = tr.Contributors(last)
 	}
 }
-
-// BenchmarkDigestN64 is one Trace.Digest of the repository benchmark's
-// sim-sweep-n64 body (≈ 940 KB rendered): the per-seed cost the ledger
-// reports as sim.digest_us.
-func BenchmarkDigestN64(b *testing.B) {
-	tr, err := Execute(benchShape(1_000_000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tr.Digest()
-	}
-}

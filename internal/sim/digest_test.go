@@ -1,44 +1,27 @@
-package sim
+package sim_test
 
 import (
 	"bytes"
-	"fmt"
-	"io"
+	"encoding/hex"
+	"slices"
+	"strings"
 	"testing"
 
 	"realisticfd/internal/fd"
 	"realisticfd/internal/model"
+	"realisticfd/internal/scenario"
+	"realisticfd/internal/sim"
+	"realisticfd/internal/sim/tracetest"
 )
 
-// encodeReference is the original fmt-based trace rendering the
-// append-based encoder replaced. The digest bytes are pinned by the
-// golden-trace suite; this reference keeps the equivalence checkable
-// on arbitrary traces, payload shapes included.
-func encodeReference(tr *Trace, w io.Writer) {
-	fmt.Fprintf(w, "n=%d stopped=%d pattern=%s\n", tr.N, tr.Stopped, tr.Pattern)
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		fmt.Fprintf(w, "e%d p=%d t=%d fd=%s prev=%d", ev.Index, ev.P, ev.T, ev.FD, ev.PrevSameProc)
-		if ev.Msg != nil {
-			fmt.Fprintf(w, " rcv=(%d %d>%d @%d by%d %v)",
-				ev.Msg.ID, ev.Msg.From, ev.Msg.To, ev.Msg.SentAt, ev.Msg.SentBy, ev.Msg.Payload)
-		}
-		for _, m := range ev.Sends {
-			fmt.Fprintf(w, " snd=(%d >%d %v)", m.ID, m.To, m.Payload)
-		}
-		for _, pe := range ev.Events {
-			fmt.Fprintf(w, " ev=(%d %d %v)", pe.Kind, pe.Instance, pe.Value)
-		}
-		fmt.Fprintln(w)
-	}
-	for _, m := range tr.Undelivered {
-		fmt.Fprintf(w, "u=(%d %d>%d @%d %v)\n", m.ID, m.From, m.To, m.SentAt, m.Payload)
-	}
-}
+// These tests are in package sim_test because they import the test
+// decoder, internal/sim/tracetest, which imports sim. The busy
+// broadcast workload is therefore scenario.BusyAutomaton, the exported
+// twin of this directory's noisyAutomaton.
 
-// payloadAutomaton broadcasts a different payload shape per process:
-// every branch of appendValue's type switch must render exactly as
-// fmt's %v did.
+// payloadAutomaton broadcasts a different payload shape per process, so
+// that every branch of the encoder's rendering switch is hashed as
+// fmt's %v prints it.
 type payloadAutomaton struct{}
 
 type payloadProc struct {
@@ -56,12 +39,12 @@ type stringerPayload struct{ tag string }
 
 func (sp stringerPayload) String() string { return "tagged:" + sp.tag }
 
-func (payloadAutomaton) Spawn(self model.ProcessID, n int) Process {
+func (payloadAutomaton) Spawn(self model.ProcessID, n int) sim.Process {
 	return &payloadProc{self: self, n: n}
 }
 
-func (p *payloadProc) Step(in *Message, _ model.ProcessSet, t model.Time) Actions {
-	var acts Actions
+func (p *payloadProc) Step(in *sim.Message, _ model.ProcessSet, t model.Time) sim.Actions {
+	var acts sim.Actions
 	if !p.sent {
 		p.sent = true
 		var payload any
@@ -83,139 +66,379 @@ func (p *payloadProc) Step(in *Message, _ model.ProcessSet, t model.Time) Action
 		default:
 			payload = stringerPayload{tag: "x"}
 		}
-		acts.Sends = Broadcast(p.n, payload)
-		acts.Events = []ProtocolEvent{{Kind: KindViewChange, Instance: int(t), Value: payload}}
+		acts.Sends = sim.Broadcast(p.n, payload)
+		acts.Events = []sim.ProtocolEvent{{Kind: sim.KindViewChange, Instance: int(t), Value: payload}}
 	}
 	return acts
 }
 
 // benchShape is the body of the repository benchmark's sim-sweep-n64
 // workload: n=64, two scripted crashes, horizon 2000, the random fair
-// policy, and noisyAutomaton — scenario.BusyAutomaton's twin in this
-// package (scenario imports sim). Its rendering is ≈ 940 KB: dozens of
-// block flushes, five-digit message IDs, prev=-1 on every first step.
-func benchShape(seed int64) Config {
-	return Config{
-		N: 64, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+// policy and the busy automaton. Its text rendering is 940 132 bytes
+// at seed 1 000 000; the canonical encoding must stay under 250 000.
+func benchShape(seed int64) sim.Config {
+	return sim.Config{
+		N: 64, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 		Pattern: model.MustPattern(64).MustCrash(7, 300).MustCrash(21, 900),
-		Horizon: 2000, Seed: seed, Policy: &RandomFairPolicy{},
+		Horizon: 2000, Seed: seed, Policy: &sim.RandomFairPolicy{},
 	}
 }
 
-// requireSameBytes fails with the first diverging window.
-func requireSameBytes(t *testing.T, what string, want, got []byte) {
+// vectorTraces are the two hand-built traces whose encodings
+// TestCanonicalVectors spells out. Between them: a λ step, a received
+// message that is a back-reference and one that is not, two sends, a
+// protocol event, PrevSameProc −1 and 0, a nil and a non-nil pattern, a
+// back-referenced and an injected (SentBy −1) undelivered message, and
+// an ID and a payload length that each take two varint bytes.
+func vectorTraces() (first, second *sim.Trace) {
+	m1 := &sim.Message{ID: 1, From: 1, To: 2, SentAt: 1, SentBy: 0, Payload: "hi"}
+	m2 := &sim.Message{ID: 2, From: 1, To: 3, SentAt: 1, SentBy: 0, Payload: 7}
+	stray := &sim.Message{ID: 9, From: 3, To: 1, SentAt: 0, SentBy: -1}
+	first = &sim.Trace{
+		N: 4, Stopped: sim.StopHorizon,
+		Events: []sim.EventRecord{
+			{Index: 0, P: 1, T: 1, PrevSameProc: -1, Sends: []*sim.Message{m1, m2},
+				Events: []sim.ProtocolEvent{{Kind: sim.KindDecide, Instance: 0, Value: "v"}}},
+			{Index: 1, P: 2, T: 2, FD: model.NewProcessSet(3), PrevSameProc: -1, Msg: m1},
+			{Index: 2, P: 1, T: 3, PrevSameProc: 0, Msg: stray},
+		},
+		Undelivered: []*sim.Message{m2},
+	}
+	second = &sim.Trace{
+		N: 4, Stopped: sim.StopAllCrashed,
+		Pattern: model.MustPattern(4).MustCrash(2, 5),
+		Events: []sim.EventRecord{
+			{Index: 0, P: 3, T: 1, FD: model.NewProcessSet(2), PrevSameProc: -1},
+		},
+		Undelivered: []*sim.Message{
+			{ID: 300, From: 4, To: 3, SentAt: 0, SentBy: -1, Payload: strings.Repeat("x", 130)},
+		},
+	}
+	return first, second
+}
+
+// fromHex decodes the concatenation of its arguments, spaces ignored.
+func fromHex(t *testing.T, fields ...string) []byte {
 	t.Helper()
-	if bytes.Equal(want, got) {
-		return
+	b, err := hex.DecodeString(strings.ReplaceAll(strings.Join(fields, ""), " ", ""))
+	if err != nil {
+		t.Fatal(err)
 	}
-	i := 0
-	for i < len(want) && i < len(got) && want[i] == got[i] {
-		i++
-	}
-	lo := max(i-40, 0)
-	t.Fatalf("%s: encoder diverged from fmt reference at byte %d (ref %d bytes, new %d):\nref: ...%q\nnew: ...%q",
-		what, i, len(want), len(got), want[lo:min(i+40, len(want))], got[lo:min(i+40, len(got))])
+	return b
 }
 
-// TestEncodeMatchesReference holds the append-based, block-buffered
-// digest encoder to the fmt-based rendering byte for byte, on traces
-// that exercise every payload fast path plus the fmt fallback, under
-// loss (undelivered buffer) and crashes, and at the benchmark's own
-// size, where the buffer is flushed many times and a lossy run leaves
-// a long Undelivered tail.
+// TestCanonicalVectors pins the format itself, byte for byte: the
+// golden files pin behaviour through the text rendering and would not
+// notice a changed encoding. A change here is a new DigestVersion.
+func TestCanonicalVectors(t *testing.T) {
+	t.Parallel()
+	first, second := vectorTraces()
+	for _, v := range []struct {
+		name string
+		tr   *sim.Trace
+		want []byte
+	}{
+		{"first", first, fromHex(t,
+			"66 64 74 72 61 63 65 2f 32", // "fdtrace/2"
+			"04",                         // N = 4
+			"01",                         // Stopped = StopHorizon
+			"00",                         // nil pattern
+			"03",                         // three events
+			// event 0
+			"00",          // Index 0
+			"01",          // P = p1
+			"01",          // T = 1
+			"00",          // FD = {}
+			"01",          // PrevSameProc = −1 (zigzag)
+			"00",          // received λ
+			"02",          // two sends
+			"01 02",       // ID 1, To p2
+			"02 68 69",    // payload "hi"
+			"02 03",       // ID 2, To p3
+			"01 37",       // payload 7, rendered "7"
+			"01",          // one protocol event
+			"02 00 01 76", // Kind decide (1, zigzag), Instance 0, value "v"
+			// event 1
+			"01 02 02", // Index 1, P = p2, T = 2
+			"04",       // FD = {p3}: bit 2 of the word
+			"01",       // PrevSameProc = −1
+			"02 00",    // received Events[0].Sends[0]: 2 + j, then k
+			"00 00",    // no sends, no protocol events
+			// event 2
+			"02 01 03",          // Index 2, P = p1, T = 3
+			"00",                // FD = {}
+			"00",                // PrevSameProc = 0
+			"01",                // received in full:
+			"09 03 01 00",       // ID 9, From p3, To p1, SentAt 0
+			"01",                // SentBy = −1
+			"05 3c 6e 69 6c 3e", // nil payload, rendered "<nil>"
+			"00 00",             // no sends, no protocol events
+			// undelivered
+			"01",    // one message
+			"03 00", // Events[0].Sends[1]
+		)},
+		{"second", second, fromHex(t,
+			"66 64 74 72 61 63 65 2f 32", // "fdtrace/2"
+			"04",                         // N = 4
+			"04",                         // Stopped = StopAllCrashed
+			"05",                         // pattern over n = 4 (n + 1)
+			"00 06 00 00",                // p2 crashes at 5 (t + 1), the others never
+			"01",                         // one event
+			"00 03 01",                   // Index 0, P = p3, T = 1
+			"02",                         // FD = {p2}
+			"01",                         // PrevSameProc = −1
+			"00 00 00",                   // λ, no sends, no protocol events
+			"01",                         // one undelivered message
+			"01",                         // in full:
+			"ac 02",                      // ID 300
+			"04 03 00",                   // From p4, To p3, SentAt 0
+			"01",                         // SentBy = −1
+			"82 01",                      // payload of 130 bytes
+			strings.Repeat("78", 130),    // "xxx…"
+		)},
+	} {
+		if got := v.tr.AppendCanonical(nil); !bytes.Equal(got, v.want) {
+			t.Errorf("%s vector: encoding changed\n got %x\nwant %x", v.name, got, v.want)
+		}
+		if err := tracetest.RoundTrip(v.tr); err != nil {
+			t.Errorf("%s vector: %v", v.name, err)
+		}
+	}
+}
+
+// TestEncodeMatchesReference holds the canonical encoder to the
+// reference rendering, Trace.WriteText, by round trip (see tracetest):
+// on engine-built traces that exercise every payload fast path plus the
+// fmt fallback, under loss (a long undelivered tail) and crashes, and at
+// the benchmark's own size; and on hand-built traces the engine would
+// never produce, where back-references must give way to full records.
+// The two golden grids make the same check on every pinned run.
 func TestEncodeMatchesReference(t *testing.T) {
 	t.Parallel()
-	for name, cfg := range map[string]Config{
+	for name, cfg := range map[string]sim.Config{
 		"payload shapes, lossy n=8": {
 			N: 8, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(8).MustCrash(3, 20),
 			Horizon: 300, Seed: 5,
-			Policy: &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropPct: 30}},
+			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 30}},
 		},
-		"noisy n=6": {
-			N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
-			Horizon: 400, Seed: 9, Policy: &RandomFairPolicy{},
+		"busy n=6": {
+			N: 6, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{},
+			Horizon: 400, Seed: 9, Policy: &sim.RandomFairPolicy{},
 		},
 		"benchmark shape n=64": benchShape(1_000_000),
 		"lossy n=64": {
-			N: 64, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+			N: 64, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(64).MustCrash(7, 300),
 			Horizon: 1500, Seed: 11,
-			Policy: &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropPct: 35}},
+			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 35}},
 		},
 	} {
-		tr, err := Execute(cfg)
+		tr, err := sim.Execute(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cfg.N == 64 && len(tr.Undelivered) < 1000 {
 			t.Fatalf("%s: only %d undelivered messages; the case is meant to have a long tail", name, len(tr.Undelivered))
 		}
-		var want, got bytes.Buffer
-		encodeReference(tr, &want)
-		tr.encode(&got)
-		requireSameBytes(t, name, want.Bytes(), got.Bytes())
-	}
-}
-
-// countingWriter records how the encoder cut its output into writes.
-type countingWriter struct {
-	bytes.Buffer
-	writes int
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	cw.writes++
-	return cw.Buffer.Write(p)
-}
-
-// TestEncodeWritesBlocks pins the block contract: the bytes are the
-// reference rendering, and they reach the hash in at most
-// ⌈bytes/digestBlock⌉+1 writes — not one per event and per undelivered
-// message, which was most of a digest's cost. A second pass over the
-// same trace starts from the retained, dirty scratch buffer and must
-// render the same bytes; a short trace must not grow it to a block.
-func TestEncodeWritesBlocks(t *testing.T) {
-	t.Parallel()
-	tr, err := Execute(benchShape(1_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	encodeReference(tr, &want)
-	if want.Len() < 50*digestBlock {
-		t.Fatalf("rendering is %d bytes; the benchmark shape is meant to span dozens of blocks", want.Len())
-	}
-	lines := len(tr.Events) + len(tr.Undelivered) + 1
-	for pass := 0; pass < 2; pass++ {
-		var cw countingWriter
-		tr.encode(&cw)
-		requireSameBytes(t, "counted pass", want.Bytes(), cw.Bytes())
-		if limit := (cw.Len()+digestBlock-1)/digestBlock + 1; cw.writes > limit {
-			t.Fatalf("pass %d: %d bytes (%d lines) reached the writer in %d writes, want ≤ %d",
-				pass, cw.Len(), lines, cw.writes, limit)
+		if err := tracetest.RoundTrip(tr); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 
-	short, err := Execute(Config{
-		N: 8, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{}, Horizon: 20, Seed: 1,
+	for name, tr := range handBuiltTraces() {
+		if err := tracetest.RoundTrip(tr); err != nil {
+			t.Errorf("hand-built, %s: %v", name, err)
+		}
+	}
+}
+
+// handBuiltTraces are shapes only a test can make: each defeats one
+// clause of the back-reference rule, or puts a value where the engine
+// never would.
+func handBuiltTraces() map[string]*sim.Trace {
+	sent := func(id int64, by int, from model.ProcessID, at model.Time) *sim.Message {
+		return &sim.Message{ID: id, From: from, To: 2, SentAt: at, SentBy: by, Payload: "m"}
+	}
+	event := func(i int, p model.ProcessID, rcv *sim.Message, sends ...*sim.Message) sim.EventRecord {
+		return sim.EventRecord{Index: i, P: p, T: model.Time(i + 1), PrevSameProc: -1, Msg: rcv, Sends: sends}
+	}
+	out := map[string]*sim.Trace{"empty": {}}
+
+	// Two sends share ID 5; each is received. An ID alone would not say
+	// which, a position does.
+	a, b := sent(5, 0, 1, 1), sent(5, 1, 3, 2)
+	out["duplicate IDs"] = &sim.Trace{N: 4, Events: []sim.EventRecord{
+		event(0, 1, nil, a), event(1, 3, nil, b), event(2, 2, b), event(3, 2, a),
+	}}
+
+	// IDs 1 and 3 in one step: the second is not where its ID says.
+	c, d := sent(1, 0, 1, 1), sent(3, 0, 1, 1)
+	out["IDs not consecutive"] = &sim.Trace{N: 4, Events: []sim.EventRecord{
+		event(0, 1, nil, c, d), event(1, 2, d), event(2, 2, c),
+	}}
+
+	// SentBy names the receiving event itself (e), a later one (f, which
+	// is a plain back-reference once undelivered), one past the end (g)
+	// and one that sent nothing (h).
+	e, f, g, h := sent(1, 0, 2, 1), sent(2, 2, 1, 3), sent(3, 7, 1, 1), sent(4, 1, 1, 2)
+	out["SentBy astray"] = &sim.Trace{N: 4, Events: []sim.EventRecord{
+		event(0, 2, e, e), event(1, 1, f), event(2, 1, g, f), event(3, 2, h),
+	}, Undelivered: []*sim.Message{g, f, f, h}}
+
+	// The very object its sending step holds, but it names another
+	// sender and time than that step's.
+	i, j := sent(1, 0, 3, 1), sent(2, 0, 1, 9)
+	out["From and SentAt astray"] = &sim.Trace{N: 4, Events: []sim.EventRecord{
+		event(0, 1, nil, i, j), event(1, 2, i), event(2, 2, j),
+	}}
+
+	// One message received twice and still undelivered; values the
+	// engine never writes; renderings full of the text's punctuation.
+	k := sent(1, 0, 1, 1)
+	k.Payload = "a) snd=(2 >3 b)\nu=(7 1>2 @1 c"
+	out["odd values"] = &sim.Trace{
+		N: -3, Stopped: -1, Pattern: model.MustPattern(5).MustCrash(5, 0).MustCrash(1, 7),
+		Events: []sim.EventRecord{
+			event(0, 1, nil, k),
+			{Index: -5, P: 0, T: -1, FD: model.AllProcesses(64), PrevSameProc: 1 << 40, Msg: k,
+				Events: []sim.ProtocolEvent{{Kind: -2, Instance: -1, Value: structPayload{1, strings.Repeat("long", 50)}}}},
+			event(2, 2, k, &sim.Message{ID: -1, To: -7, Payload: error(nil)}),
+		},
+		Undelivered: []*sim.Message{k, {ID: 1 << 62, From: 64, To: 1, SentAt: model.NoCrash, SentBy: -1}},
+	}
+	return out
+}
+
+// TestDigestConflatesWhatTextConflates: nil and the string "<nil>"
+// render alike, so they hash alike, as they always have.
+func TestDigestConflatesWhatTextConflates(t *testing.T) {
+	t.Parallel()
+	build := func(v any) *sim.Trace {
+		return &sim.Trace{N: 4, Events: []sim.EventRecord{{
+			Sends:  []*sim.Message{{ID: 1, To: 2, Payload: v}},
+			Events: []sim.ProtocolEvent{{Kind: sim.KindDeliver, Value: v}},
+		}}}
+	}
+	if a, b := build(nil).Digest(), build("<nil>").Digest(); a != b {
+		t.Errorf("nil and \"<nil>\" payloads digest differently: %s vs %s", a[:16], b[:16])
+	}
+	if a, b := build(7).Digest(), build("8").Digest(); a == b {
+		t.Error("payloads 7 and \"8\" share a digest")
+	}
+}
+
+// TestBackReferenceSoundness attacks the one place the encoding says
+// less than the text: a received or undelivered message written as a
+// position. Each mutation replaces such a message by a copy with one
+// field changed — the copy is not the object its sending step holds, so
+// the record must be written in full — and both the text and the digest
+// must notice. The control is the copy with nothing changed, which must
+// render as the original does.
+func TestBackReferenceSoundness(t *testing.T) {
+	t.Parallel()
+	base, err := sim.Execute(sim.Config{
+		N: 6, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+		Horizon: 200, Seed: 3,
+		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cw countingWriter
-	short.encode(&cw)
-	if cw.writes != 1 || cap(short.scratch) >= digestBlock {
-		t.Fatalf("short trace: %d bytes in %d writes with a %d-byte buffer; want one write and less than a block",
-			cw.Len(), cw.writes, cap(short.scratch))
+	rcv := slices.IndexFunc(base.Events, func(ev sim.EventRecord) bool { return ev.Msg != nil })
+	if rcv < 0 || len(base.Undelivered) < 2 {
+		t.Fatalf("base run has no received message or only %d undelivered", len(base.Undelivered))
+	}
+	text := func(tr *sim.Trace) string {
+		var b bytes.Buffer
+		if err := tr.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	baseText, baseDigest := text(base), base.Digest()
+
+	// mutated returns base with the received message (slot −1) or
+	// Undelivered[slot] replaced by an edited copy.
+	type edit struct {
+		slot int
+		fn   func(*sim.Message)
+	}
+	mutated := func(edits ...edit) *sim.Trace {
+		tr := *base
+		tr.Events = slices.Clone(base.Events)
+		tr.Undelivered = slices.Clone(base.Undelivered)
+		for _, e := range edits {
+			at := &tr.Events[rcv].Msg
+			if e.slot >= 0 {
+				at = &tr.Undelivered[e.slot]
+			}
+			cp := **at
+			e.fn(&cp)
+			*at = &cp
+		}
+		return &tr
+	}
+
+	control := mutated(edit{-1, func(*sim.Message) {}})
+	if text(control) != baseText {
+		t.Error("control: an unchanged copy of the received message renders differently")
+	}
+	if err := tracetest.RoundTrip(control); err != nil {
+		t.Errorf("control: %v", err)
+	}
+
+	u0, u1 := base.Undelivered[0].ID, base.Undelivered[1].ID
+	for name, edits := range map[string][]edit{
+		"To":      {{-1, func(m *sim.Message) { m.To++ }}},
+		"From":    {{-1, func(m *sim.Message) { m.From++ }}},
+		"SentAt":  {{-1, func(m *sim.Message) { m.SentAt++ }}},
+		"SentBy":  {{-1, func(m *sim.Message) { m.SentBy++ }}},
+		"ID":      {{-1, func(m *sim.Message) { m.ID++ }}},
+		"payload": {{-1, func(m *sim.Message) { m.Payload = "forged" }}},
+
+		"undelivered To":      {{0, func(m *sim.Message) { m.To++ }}},
+		"undelivered From":    {{0, func(m *sim.Message) { m.From++ }}},
+		"undelivered SentAt":  {{0, func(m *sim.Message) { m.SentAt++ }}},
+		"undelivered payload": {{0, func(m *sim.Message) { m.Payload = "forged" }}},
+		"undelivered IDs swapped": {
+			{0, func(m *sim.Message) { m.ID = u1 }},
+			{1, func(m *sim.Message) { m.ID = u0 }},
+		},
+	} {
+		tr := mutated(edits...)
+		if text(tr) == baseText {
+			t.Errorf("%s: the text rendering missed the change", name)
+		}
+		if tr.Digest() == baseDigest {
+			t.Errorf("%s: the digest missed the change", name)
+		}
+		if err := tracetest.RoundTrip(tr); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
-// FuzzEncodeMatchesReference holds the encoder to the fmt reference
-// over system size, horizon, seed and loss rate: block boundaries land
-// on every kind of line, number widths cross every digit count, and
-// the two automata alternate string and mixed-type payloads.
-func FuzzEncodeMatchesReference(f *testing.F) {
+// TestDigestAllocs pins the sweep's per-seed cost: on a warmed run
+// context a digest allocates the string it returns and nothing else
+// (no hasher, no Sum, no pattern rendering).
+func TestDigestAllocs(t *testing.T) {
+	rc := sim.NewRunContext()
+	tr, err := rc.Execute(benchShape(1_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = tr.Digest() // grows the retained scratch buffer
+	if got := testing.AllocsPerRun(5, func() { _ = tr.Digest() }); got > 2 {
+		t.Errorf("Digest() on a warmed context: %.0f allocations, want ≤ 2", got)
+	}
+}
+
+// FuzzDigestRoundTrip holds the encoder to the reference rendering over
+// system size, horizon, seed and loss rate: number widths cross every
+// varint length, back-references reach every distance, and the two
+// automata alternate string and mixed-type payloads.
+func FuzzDigestRoundTrip(f *testing.F) {
 	f.Add(uint8(4), uint16(300), int64(5), uint8(30))
 	f.Add(uint8(60), uint16(1999), int64(1_000_000), uint8(0))
 	f.Add(uint8(60), uint16(1200), int64(12), uint8(35))
@@ -225,16 +448,16 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nRaw uint8, horizonRaw uint16, seed int64, dropRaw uint8) {
 		n := 4 + int(nRaw%61)                      // 4..64
 		horizon := model.Time(1 + horizonRaw%2000) // 1..2000
-		var auto Automaton = noisyAutomaton{}
+		var auto sim.Automaton = scenario.BusyAutomaton{}
 		if seed&1 == 1 {
 			auto = payloadAutomaton{}
 		}
-		var policy Policy = &RandomFairPolicy{}
+		var policy sim.Policy = &sim.RandomFairPolicy{}
 		if drop := int(dropRaw % 60); drop > 0 {
-			policy = &FaultyPolicy{Inner: policy, Faults: LinkFaults{DropPct: drop}}
+			policy = &sim.FaultyPolicy{Inner: policy, Faults: sim.LinkFaults{DropPct: drop}}
 		}
 		victim := model.ProcessID(1 + uint64(seed)%uint64(n))
-		tr, err := Execute(Config{
+		tr, err := sim.Execute(sim.Config{
 			N: n, Automaton: auto, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(n).MustCrash(victim, 1+horizon/3),
 			Horizon: horizon, Seed: seed, Policy: policy,
@@ -242,9 +465,30 @@ func FuzzEncodeMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want, got bytes.Buffer
-		encodeReference(tr, &want)
-		tr.encode(&got)
-		requireSameBytes(t, "fuzzed trace", want.Bytes(), got.Bytes())
+		if err := tracetest.RoundTrip(tr); err != nil {
+			t.Fatal(err)
+		}
 	})
+}
+
+// BenchmarkDigestN64 is one Trace.Digest of the repository benchmark's
+// sim-sweep-n64 body: the per-seed cost the ledger reports as
+// sim.digest_us. MB/s is over the canonical encoding, whose size is the
+// bytes/trace column.
+func BenchmarkDigestN64(b *testing.B) {
+	tr, err := sim.Execute(benchShape(1_000_000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := len(tr.AppendCanonical(nil))
+	if size > 250_000 {
+		b.Fatalf("canonical encoding is %d bytes, over the 250 000 budget", size)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tr.Digest()
+	}
+	b.ReportMetric(float64(size), "bytes/trace")
 }

@@ -1,40 +1,34 @@
 package sim
 
 import (
-	"bufio"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"testing"
 
 	"realisticfd/internal/fd"
 	"realisticfd/internal/model"
 )
 
-var updateGolden = flag.Bool("update", false, "regenerate testdata/golden_traces.txt")
-
-// goldenCase is one cell of the (automaton, policy, faults, oracle,
-// pattern, seed) grid whose digest is pinned in testdata.
-type goldenCase struct {
-	name string
-	cfg  func(seed int64) Config
+// GoldenCase is one cell of the (automaton, policy, faults, oracle,
+// pattern, seed) grid whose rendering is pinned in testdata. The grid
+// is built here, beside the test automata it schedules, and exported to
+// TestGoldenTraces, which lives in package sim_test because it imports
+// the test decoder (internal/sim/tracetest imports this package).
+type GoldenCase struct {
+	Name string
+	Cfg  func(seed int64) Config
 }
 
-// goldenGrid enumerates the pinned configurations. The grid was fixed
+// GoldenGrid enumerates the pinned configurations. The grid was fixed
 // (and its digests generated) *before* the incremental trace-index /
 // engine hot-path rewrite — though after the deliberate, digest-visible
 // StopQuiescent→StopAllCrashed rename, which the allcrash case pins —
-// so a digest mismatch means the rewrite changed observable run
+// so a hash mismatch means the rewrite changed observable run
 // behavior — exactly what it must never do. Extend the grid freely;
 // regenerating requires
 //
 //	go test ./internal/sim -run TestGoldenTraces -update
 //
 // and a PR explaining why behavior was allowed to change.
-func goldenGrid() []goldenCase {
+func GoldenGrid() []GoldenCase {
 	policies := []struct {
 		name   string
 		policy func() Policy
@@ -79,14 +73,14 @@ func goldenGrid() []goldenCase {
 		}},
 	}
 
-	var out []goldenCase
+	var out []GoldenCase
 	for _, pol := range policies {
 		for _, o := range oracles {
 			for _, pat := range patterns {
 				pol, o, pat := pol, o, pat
-				out = append(out, goldenCase{
-					name: fmt.Sprintf("noisy/%s/%s/%s", pol.name, o.name, pat.name),
-					cfg: func(seed int64) Config {
+				out = append(out, GoldenCase{
+					Name: fmt.Sprintf("noisy/%s/%s/%s", pol.name, o.name, pat.name),
+					Cfg: func(seed int64) Config {
 						return Config{
 							N: 6, Automaton: noisyAutomaton{}, Oracle: o.oracle,
 							Pattern: pat.pattern(), Horizon: 400, Seed: seed,
@@ -99,9 +93,9 @@ func goldenGrid() []goldenCase {
 	}
 	// A StopWhen run: the predicate path is digest-visible (it decides
 	// where the run ends), so it is pinned too.
-	out = append(out, goldenCase{
-		name: "chain/fair/perfect/stopwhen",
-		cfg: func(seed int64) Config {
+	out = append(out, GoldenCase{
+		Name: "chain/fair/perfect/stopwhen",
+		Cfg: func(seed int64) Config {
 			return Config{
 				N: 5, Automaton: chainAutomaton{k: 4}, Oracle: fd.Perfect{},
 				Horizon: 400, Seed: seed, StopWhen: CorrectDecided(0),
@@ -109,9 +103,9 @@ func goldenGrid() []goldenCase {
 		},
 	})
 	// An all-crashed run pins the StopAllCrashed reason.
-	out = append(out, goldenCase{
-		name: "broadcast/fair/perfect/allcrash",
-		cfg: func(seed int64) Config {
+	out = append(out, GoldenCase{
+		Name: "broadcast/fair/perfect/allcrash",
+		Cfg: func(seed int64) Config {
 			pat := model.MustPattern(4)
 			for p := 1; p <= 4; p++ {
 				pat.MustCrash(model.ProcessID(p), 20)
@@ -123,92 +117,4 @@ func goldenGrid() []goldenCase {
 		},
 	})
 	return out
-}
-
-const goldenSeeds = 3
-
-func goldenPath(t *testing.T) string {
-	t.Helper()
-	return filepath.Join("testdata", "golden_traces.txt")
-}
-
-// computeGolden runs the whole grid and returns name → digest.
-func computeGolden(t *testing.T) map[string]string {
-	t.Helper()
-	out := make(map[string]string)
-	for _, gc := range goldenGrid() {
-		for seed := int64(0); seed < goldenSeeds; seed++ {
-			tr, err := Execute(gc.cfg(seed))
-			if err != nil {
-				t.Fatalf("%s seed %d: %v", gc.name, seed, err)
-			}
-			out[fmt.Sprintf("%s/seed%d", gc.name, seed)] = tr.Digest()
-		}
-	}
-	return out
-}
-
-// TestGoldenTraces is the behavior-preservation gate for engine and
-// trace-index rewrites: every digest must match the table generated at
-// the pre-refactor commit, byte for byte.
-func TestGoldenTraces(t *testing.T) {
-	got := computeGolden(t)
-	path := goldenPath(t)
-
-	if *updateGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		b.WriteString("# Pinned Trace.Digest() values; regenerate with: go test ./internal/sim -run TestGoldenTraces -update\n")
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s\n", k, got[k])
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden digests to %s", len(got), path)
-		return
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("golden table missing (generate with -update): %v", err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		want[fields[0]] = fields[1]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != len(want) {
-		t.Errorf("grid has %d runs, golden table has %d (regenerate with -update after reviewing)", len(got), len(want))
-	}
-	for name, d := range got {
-		w, ok := want[name]
-		if !ok {
-			t.Errorf("%s: no pinned digest (new case? regenerate with -update)", name)
-			continue
-		}
-		if d != w {
-			t.Errorf("%s: digest %s… != pinned %s… — the engine changed observable behavior", name, d[:16], w[:16])
-		}
-	}
 }

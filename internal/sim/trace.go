@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 
 	"realisticfd/internal/model"
 )
@@ -60,9 +62,9 @@ type Trace struct {
 	alive      model.ProcessSet
 	aliveValid bool
 
-	// scratch is the digest encoder's block buffer (at most digestBlock
-	// plus one line), retained so that a RunContext-reused trace
-	// digests without allocating.
+	// scratch holds the canonical encoding while Digest hashes it,
+	// retained so that a RunContext-reused trace digests without
+	// allocating.
 	scratch []byte
 }
 
@@ -332,6 +334,35 @@ func (tr *Trace) Summary() Summary {
 		Decisions:   tr.DecisionCount(AnyInstance),
 		Undelivered: len(tr.Undelivered),
 	}
+}
+
+// WriteText writes the human-readable rendering of the full run: one
+// line for the header, one per event, one per undelivered message,
+// payloads as fmt's %v prints them. It is the debug view of exactly
+// what Digest covers, and what the golden-trace files pin (as its
+// SHA-256) — so its bytes must never change. It is fmt-based and far
+// off the hot path; Digest hashes AppendCanonical, not this.
+func (tr *Trace) WriteText(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "n=%d stopped=%d pattern=%s\n", tr.N, tr.Stopped, tr.Pattern)
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		fmt.Fprintf(bw, "e%d p=%d t=%d fd=%s prev=%d", ev.Index, ev.P, ev.T, ev.FD, ev.PrevSameProc)
+		if m := ev.Msg; m != nil {
+			fmt.Fprintf(bw, " rcv=(%d %d>%d @%d by%d %v)", m.ID, m.From, m.To, m.SentAt, m.SentBy, m.Payload)
+		}
+		for _, m := range ev.Sends {
+			fmt.Fprintf(bw, " snd=(%d >%d %v)", m.ID, m.To, m.Payload)
+		}
+		for _, pe := range ev.Events {
+			fmt.Fprintf(bw, " ev=(%d %d %v)", pe.Kind, pe.Instance, pe.Value)
+		}
+		bw.WriteByte('\n')
+	}
+	for _, m := range tr.Undelivered {
+		fmt.Fprintf(bw, "u=(%d %d>%d @%d %v)\n", m.ID, m.From, m.To, m.SentAt, m.Payload)
+	}
+	return bw.Flush()
 }
 
 // String summarizes the trace.
