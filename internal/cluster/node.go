@@ -30,8 +30,10 @@ type NodeConfig struct {
 	ControlAddr string `json:"control_addr"`
 	// IntervalMs is the gossip round period (default 50).
 	IntervalMs int `json:"interval_ms,omitempty"`
-	// SamplePeriodMs is the verdict sampling period for the QoS
-	// timelines (default: the gossip interval).
+	// SamplePeriodMs is the period of the QoS fold's query grid and of
+	// the node's sample tick, which counts Samples and puts accusations
+	// to the membership feed; verdict flips are not sampled, they are
+	// stamped when they happen (default: the gossip interval).
 	SamplePeriodMs int `json:"sample_period_ms,omitempty"`
 	// Fanout bounds gossip destinations per round; 0 means every
 	// overlay neighbor.
@@ -202,6 +204,57 @@ func (h *inprocHandle) Shutdown() {
 	<-h.done
 }
 
+// verdictLog is a node's consumer of its gossiper's transitions: each
+// suspect or trust becomes a flip of the report at the instant the
+// gossiper stamped it, a suspect is put to the membership feed at once,
+// so the view that excludes a crashed node is installed when its
+// timeout expires, and a joiner is admitted at its first sighting.
+type verdictLog struct {
+	g     *heartbeat.Gossiper
+	in    <-chan heartbeat.Transition
+	feed  *membership.Feed // nil when the group is too small for one
+	flips map[int][]qos.Flip
+}
+
+func newVerdictLog(g *heartbeat.Gossiper, feed *membership.Feed) *verdictLog {
+	return &verdictLog{g: g, in: g.Transitions(), feed: feed, flips: map[int][]qos.Flip{}}
+}
+
+func (l *verdictLog) apply(tr heartbeat.Transition) {
+	if tr.Cause == heartbeat.CauseFirstSighting {
+		if l.feed != nil {
+			l.feed.Admit(tr.Peer)
+		}
+		return
+	}
+	l.flips[tr.Peer] = append(l.flips[tr.Peer], qos.Flip{AtUnixNano: tr.At.UnixNano(), Suspected: tr.Suspected})
+	if tr.Suspected {
+		l.updateFeed()
+	}
+}
+
+// updateFeed puts the community suspicion — own verdicts and live
+// accusations from elsewhere — to the membership feed.
+func (l *verdictLog) updateFeed() {
+	if l.feed != nil {
+		l.feed.Update(l.g.CommunitySuspects())
+	}
+}
+
+// catchUp applies every transition stamped up to the instant it
+// returns.
+func (l *verdictLog) catchUp() time.Time {
+	now := l.g.Now()
+	for {
+		select {
+		case tr := <-l.in:
+			l.apply(tr)
+		default:
+			return now
+		}
+	}
+}
+
 // runNode is the node runtime shared by real processes (h == nil) and
 // in-process nodes.
 func runNode(cfg NodeConfig, h *inprocHandle) error {
@@ -252,31 +305,6 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 		tr.SetFaultHook(hook)
 	}
 
-	g, err := heartbeat.NewGossiper(tr, heartbeat.GossipConfig{
-		Self:         cfg.ID,
-		N:            cfg.N,
-		Peers:        topo.GossipPeers,
-		Fanout:       cfg.Fanout,
-		Interval:     interval,
-		NewEstimator: EstimatorFactory(cfg.Estimator, interval),
-		Seed:         cfg.Seed,
-		Deferred:     topo.Deferred,
-	})
-	if err != nil {
-		_ = tr.Close()
-		return err
-	}
-	defer g.Close()
-	if h != nil {
-		h.register(g)
-	}
-	// Non-gossip envelopes have no consumer in a detection-only node;
-	// drain them so the channel never fills.
-	go func() {
-		for range g.Forward() {
-		}
-	}()
-
 	// The membership feed derives view sequences from the disseminated
 	// suspicion state at any cluster size (the former 64-process cap is
 	// gone): initial members are everyone but the plan's deferred
@@ -296,6 +324,32 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 		feed, _ = membership.NewFeedMembers(cfg.ID, members)
 	}
 
+	g, err := heartbeat.NewGossiper(tr, heartbeat.GossipConfig{
+		Self:         cfg.ID,
+		N:            cfg.N,
+		Peers:        topo.GossipPeers,
+		Fanout:       cfg.Fanout,
+		Interval:     interval,
+		NewEstimator: EstimatorFactory(cfg.Estimator, interval),
+		Seed:         cfg.Seed,
+		Deferred:     topo.Deferred,
+	})
+	if err != nil {
+		_ = tr.Close()
+		return err
+	}
+	defer g.Close()
+	log := newVerdictLog(g, feed) // before the first transition can happen
+	if h != nil {
+		h.register(g)
+	}
+	// Non-gossip envelopes have no consumer in a detection-only node;
+	// drain them so the channel never fills.
+	go func() {
+		for range g.Forward() {
+		}
+	}()
+
 	// Control reader: buffered well past the handful of frames an
 	// orchestrator ever sends, so the goroutine cannot jam if the loop
 	// exits first; the deferred ctl.Close() unblocks the read.
@@ -313,27 +367,13 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 	}()
 
 	start := time.Now()
-	last := make([]bool, cfg.N)
-	flips := map[int][]qos.Flip{}
 	samples := 0
-	sample := func(now time.Time) {
+	sample := func() {
 		if h != nil && h.isPaused() {
 			return // a SIGSTOPped process samples nothing
 		}
-		for i, s := range g.Verdicts(now) {
-			if i+1 == cfg.ID || s == last[i] {
-				continue
-			}
-			last[i] = s
-			flips[i+1] = append(flips[i+1], qos.Flip{AtUnixNano: now.UnixNano(), Suspected: s})
-		}
 		samples++
-		if feed != nil {
-			for _, id := range g.Known() {
-				feed.Admit(id) // no-op for current members
-			}
-			feed.Update(g.CommunitySuspects())
-		}
+		log.updateFeed() // accusations made elsewhere have no event yet
 	}
 
 	var killCh chan struct{}
@@ -344,8 +384,10 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 	defer ticker.Stop()
 	for {
 		select {
-		case now := <-ticker.C:
-			sample(now)
+		case <-ticker.C:
+			sample()
+		case tr := <-log.in:
+			log.apply(tr)
 		case m := <-ctlIn:
 			switch m.Kind {
 			case ctlCut:
@@ -374,16 +416,17 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 				tr.SetPeer(model.ProcessID(m.Joiner), m.JoinerAddr)
 				g.AddPeer(m.Joiner)
 			case ctlCollect:
-				now := time.Now()
-				sample(now)
+				now := log.catchUp()
+				sample()
 				rep := &NodeReport{
-					ID:            cfg.ID,
-					StartUnixNano: start.UnixNano(),
-					EndUnixNano:   now.UnixNano(),
-					Samples:       samples,
-					Flips:         flips,
-					Destinations:  g.DistinctDestinations(),
-					Rounds:        g.Rounds(),
+					ID:              cfg.ID,
+					StartUnixNano:   start.UnixNano(),
+					EndUnixNano:     now.UnixNano(),
+					Samples:         samples,
+					Flips:           log.flips,
+					Destinations:    g.DistinctDestinations(),
+					Rounds:          g.Rounds(),
+					TransitionDrops: g.Stats().TransitionDrops,
 				}
 				if feed != nil {
 					v := feed.View()

@@ -799,6 +799,9 @@ func foldResult(rs runSpec, cfg Config, states map[int]*nodeState, reports map[i
 			res.MaxDistinctDestinations = rep.Destinations
 		}
 		res.Views = append(res.Views, NodeView{Node: o, ViewID: rep.ViewID, Excluded: rep.Excluded})
+		if rep.TransitionDrops > 0 {
+			failures = append(failures, fmt.Sprintf("node %d dropped %d verdict transitions: its flips have holes", o, rep.TransitionDrops))
+		}
 		for _, fs := range rep.FaultStats {
 			res.FramesSent += fs.Frames
 			res.FramesDropped += fs.Drops

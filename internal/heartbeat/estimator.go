@@ -32,6 +32,16 @@ type Estimator interface {
 	// Suspect reports whether the peer should be suspected at time
 	// now, given the arrivals observed so far.
 	Suspect(now time.Time) bool
+	// Deadline returns the instant up to which Suspect stays false if
+	// nothing more arrives — Suspect(Deadline()) is false, a nanosecond
+	// later it is true — or the zero time when silence alone never
+	// turns the verdict. It is a function of the past arrivals only,
+	// like Suspect: a caller that arms a timer at it learns of the
+	// timeout when it expires instead of at its next poll.
+	Deadline() time.Time
+	// LastArrival returns the latest arrival Suspect and Deadline judge
+	// on, or the zero time before the first.
+	LastArrival() time.Time
 }
 
 // EpochSetter is implemented by estimators that bound the initial
@@ -81,6 +91,20 @@ func (f *FixedTimeout) Suspect(now time.Time) bool {
 		return !f.epoch.IsZero() && now.Sub(f.epoch) > f.Timeout
 	}
 	return now.Sub(f.last) > f.Timeout
+}
+
+// LastArrival implements Estimator.
+func (f *FixedTimeout) LastArrival() time.Time { return f.last }
+
+// Deadline implements Estimator.
+func (f *FixedTimeout) Deadline() time.Time {
+	if !f.hasLast {
+		if f.epoch.IsZero() {
+			return time.Time{}
+		}
+		return f.epoch.Add(f.Timeout)
+	}
+	return f.last.Add(f.Timeout)
 }
 
 // Chen is the adaptive estimator of Chen, Toueg and Aguilera ("On the
@@ -169,6 +193,20 @@ func (c *Chen) Suspect(now time.Time) bool {
 	return now.After(deadline)
 }
 
+// LastArrival implements Estimator.
+func (c *Chen) LastArrival() time.Time { return c.last }
+
+// Deadline implements Estimator.
+func (c *Chen) Deadline() time.Time {
+	if !c.hasLast {
+		if c.epoch.IsZero() {
+			return time.Time{}
+		}
+		return c.epoch.Add(c.Alpha)
+	}
+	return c.last.Add(c.mean() + c.Alpha)
+}
+
 // PhiAccrual is the φ-accrual estimator of Hayashibara et al. (the
 // design popularized by Cassandra and Akka): instead of a binary
 // verdict it accrues a suspicion level φ = −log10 P(heartbeat still
@@ -234,38 +272,40 @@ func (p *PhiAccrual) Observe(arrival time.Time) {
 	p.hasLast = true
 }
 
-// Phi returns the current suspicion level at time now: 0 means "just
-// heard", +Inf means "statistically dead".
-func (p *PhiAccrual) Phi(now time.Time) float64 {
-	if !p.hasLast {
-		return 0
-	}
+// stats returns the mean and the floored standard deviation of the
+// inter-arrival window, in nanoseconds; ok is false while the window
+// is empty.
+func (p *PhiAccrual) stats() (mean, std float64, ok bool) {
 	n := p.next
 	if p.filled {
 		n = len(p.intervals)
 	}
 	if n == 0 {
-		return 0
+		return 0, 0, false
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
 		sum += float64(p.intervals[i])
 	}
-	mean := sum / float64(n)
+	mean = sum / float64(n)
 	var varSum float64
 	for i := 0; i < n; i++ {
 		d := float64(p.intervals[i]) - mean
 		varSum += d * d
 	}
-	std := math.Sqrt(varSum / float64(n))
+	std = math.Sqrt(varSum / float64(n))
 	if floor := float64(p.MinStdDev); std < floor {
 		std = floor
 	}
 	if std == 0 {
 		std = 1 // last-resort floor: nanoseconds
 	}
-	elapsed := float64(now.Sub(p.last))
-	// P(next heartbeat later than elapsed) under N(mean, std²).
+	return mean, std, true
+}
+
+// phiAt is φ after elapsed nanoseconds of silence under N(mean, std²).
+func phiAt(elapsed, mean, std float64) float64 {
+	// P(next heartbeat later than elapsed).
 	z := (elapsed - mean) / std
 	pLater := 0.5 * math.Erfc(z/math.Sqrt2)
 	if pLater <= 0 {
@@ -274,17 +314,83 @@ func (p *PhiAccrual) Phi(now time.Time) float64 {
 	return -math.Log10(pLater)
 }
 
+// Phi returns the current suspicion level at time now: 0 means "just
+// heard", +Inf means "statistically dead".
+func (p *PhiAccrual) Phi(now time.Time) float64 {
+	if !p.hasLast {
+		return 0
+	}
+	mean, std, ok := p.stats()
+	if !ok {
+		return 0
+	}
+	return phiAt(float64(now.Sub(p.last)), mean, std)
+}
+
+// firstGrace is the bounded grace of a peer that has sent nothing yet.
+func (p *PhiAccrual) firstGrace() time.Duration {
+	if p.FirstTimeout <= 0 {
+		return time.Second
+	}
+	return p.FirstTimeout
+}
+
 // Suspect implements Estimator.
 func (p *PhiAccrual) Suspect(now time.Time) bool {
 	if !p.hasLast {
-		if p.epoch.IsZero() {
-			return false
-		}
-		grace := p.FirstTimeout
-		if grace <= 0 {
-			grace = time.Second
-		}
-		return now.Sub(p.epoch) > grace
+		return !p.epoch.IsZero() && now.Sub(p.epoch) > p.firstGrace()
 	}
 	return p.Phi(now) >= p.Threshold
+}
+
+// LastArrival implements Estimator.
+func (p *PhiAccrual) LastArrival() time.Time { return p.last }
+
+// phiDeadlineSlack is how early φ's deadline may be: the crossing is
+// bracketed, not solved to the nanosecond.
+const phiDeadlineSlack = time.Microsecond
+
+// Deadline implements Estimator. φ crosses Threshold where the normal
+// tail falls to 10^-Threshold, at mean + z·std; float rounding keeps
+// that from being exact, so the crossing is bracketed with φ itself
+// and the bracket's lower end returned: Suspect is false there and
+// true phiDeadlineSlack later.
+func (p *PhiAccrual) Deadline() time.Time {
+	if !p.hasLast {
+		if p.epoch.IsZero() {
+			return time.Time{}
+		}
+		return p.epoch.Add(p.firstGrace())
+	}
+	if p.Threshold <= 0 {
+		return p.last // not a threshold: suspected from the first arrival on
+	}
+	mean, std, ok := p.stats()
+	if !ok {
+		return time.Time{} // one arrival, no interval: φ stays 0
+	}
+	suspectAfter := func(elapsed int64) bool {
+		return phiAt(float64(elapsed), mean, std) >= p.Threshold
+	}
+	// Erfc underflows to 0 (φ = +Inf) before z = 39, whatever Threshold.
+	z := math.Min(math.Sqrt2*math.Erfcinv(2*math.Pow(10, -p.Threshold)), 39)
+	lo := int64(math.Min(mean+z*std, math.MaxInt64/2)) - int64(phiDeadlineSlack)/2
+	hi := lo + int64(phiDeadlineSlack)
+	for step := int64(phiDeadlineSlack); suspectAfter(lo); step *= 2 {
+		hi, lo = lo, lo-step
+	}
+	for step := int64(phiDeadlineSlack); !suspectAfter(hi); step *= 2 {
+		if hi > math.MaxInt64/4 {
+			return time.Time{} // centuries away: never, as far as a Duration can tell
+		}
+		lo, hi = hi, hi+step
+	}
+	for hi-lo > int64(phiDeadlineSlack) {
+		if mid := lo + (hi-lo)/2; suspectAfter(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return p.last.Add(time.Duration(lo))
 }

@@ -2,6 +2,7 @@ package heartbeat
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -161,4 +162,152 @@ func TestEstimatorNames(t *testing.T) {
 		}
 		seen[n] = true
 	}
+}
+
+// checkDeadline holds est to the Deadline contract as it stands now:
+// the verdict is trust at the deadline and suspect just after — a
+// nanosecond after for fixed and Chen, phiDeadlineSlack after for φ,
+// whose deadline may be that early but never late — and a zero deadline
+// means silence never turns it.
+func checkDeadline(t *testing.T, est Estimator, arrivals int) {
+	t.Helper()
+	d := est.Deadline()
+	if d.IsZero() {
+		if est.Suspect(at(1000 * time.Hour)) {
+			t.Fatalf("%s after %d arrivals: no deadline, yet suspected after 1000h of silence", est.Name(), arrivals)
+		}
+		return
+	}
+	slack := time.Nanosecond
+	if _, ok := est.(*PhiAccrual); ok {
+		slack = phiDeadlineSlack
+	}
+	if est.Suspect(d) {
+		t.Fatalf("%s after %d arrivals: already suspected at its deadline %v", est.Name(), arrivals, d.Sub(base))
+	}
+	if !est.Suspect(d.Add(slack)) {
+		t.Fatalf("%s after %d arrivals: still trusted %v after its deadline %v", est.Name(), arrivals, slack, d.Sub(base))
+	}
+}
+
+// deadlineCase is one estimator and one arrival sequence, decoded from
+// bytes so that the property test and the fuzz target share it.
+type deadlineCase struct {
+	est    Estimator
+	deltas []time.Duration // arrival i is at the sum of the first i+1; ≤ 0 is a duplicate or stale
+}
+
+// decodeDeadlineCase maps arbitrary bytes to a case. Durations stay
+// between nanoseconds and hours: what a Duration cannot hold is not
+// what the estimators are for.
+func decodeDeadlineCase(kind uint8, param uint32, window uint8, epoch bool, data []byte) deadlineCase {
+	var c deadlineCase
+	scale := time.Duration(1) << (param >> 28) // 1 ns … 32 µs per unit
+	margin := time.Duration(param&0xfffffff) * scale
+	switch kind % 3 {
+	case 0:
+		c.est = &FixedTimeout{Timeout: margin}
+	case 1:
+		c.est = &Chen{Window: int(window % 40), Alpha: margin}
+	default:
+		c.est = &PhiAccrual{
+			Window:       int(window % 80),
+			Threshold:    0.05 + float64(param%4096)/128, // 0.05 … 32
+			MinStdDev:    time.Duration(param>>12&0xff) * time.Duration(window) * time.Microsecond,
+			FirstTimeout: margin,
+		}
+	}
+	if epoch {
+		c.est.(EpochSetter).SetEpoch(base)
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		raw := int32(uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24)
+		c.deltas = append(c.deltas, time.Duration(raw)*61) // ± 131 s, odd nanoseconds
+	}
+	return c
+}
+
+// run checks the contract before any arrival and after every one.
+func (c deadlineCase) run(t *testing.T) {
+	t.Helper()
+	checkDeadline(t, c.est, 0)
+	var now time.Duration
+	for i, d := range c.deltas {
+		now += d
+		c.est.Observe(at(now))
+		checkDeadline(t, c.est, i+1)
+	}
+}
+
+// TestEstimatorDeadline is the Deadline contract over named corners and
+// a few thousand random arrival sequences.
+func TestEstimatorDeadline(t *testing.T) {
+	le := func(ds ...time.Duration) []byte {
+		var out []byte
+		for _, d := range ds {
+			raw := uint32(int32(d / 61))
+			out = append(out, byte(raw), byte(raw>>8), byte(raw>>16), byte(raw>>24))
+		}
+		return out
+	}
+	ms := time.Millisecond
+	regular := le(50*ms, 50*ms, 50*ms, 50*ms, 50*ms, 50*ms)
+	corners := []struct {
+		name   string
+		kind   uint8
+		param  uint32
+		window uint8
+		epoch  bool
+		data   []byte
+	}{
+		{"fixed, nothing heard, no epoch", 0, 600_000_000, 0, false, nil},
+		{"fixed, nothing heard, epoch", 0, 600_000_000, 0, true, nil},
+		{"fixed, duplicate and stale arrivals", 0, 600_000_000, 0, true, le(50*ms, 0, -20*ms, 50*ms)},
+		{"chen, nothing heard, epoch", 1, 200_000_000, 16, true, nil},
+		{"chen, one sample", 1, 200_000_000, 16, false, le(50 * ms)},
+		{"chen, a burst pulls the deadline in", 1, 200_000_000, 3, true, le(100*ms, 100*ms, 100*ms, 61)},
+		{"chen, window wraps", 1, 200_000_000, 2, true, regular},
+		{"phi, nothing heard, no epoch", 2, 8 * 128, 64, false, nil},
+		{"phi, nothing heard, epoch", 2, 8 * 128, 64, true, nil},
+		{"phi, one arrival has no interval", 2, 8 * 128, 64, true, le(50 * ms)},
+		{"phi, regular stream at the MinStdDev floor", 2, 8*128 | 50<<12, 250, true, regular},
+		{"phi, regular stream with no floor", 2, 8 * 128, 0, true, regular},
+		{"phi, jitter and a stale arrival", 2, 12 * 128, 8, true, le(40*ms, 70*ms, -5*ms, 45*ms, 55*ms)},
+	}
+	for _, c := range corners {
+		t.Run(c.name, func(t *testing.T) {
+			decodeDeadlineCase(c.kind, c.param, c.window, c.epoch, c.data).run(t)
+		})
+	}
+
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 3000; i++ {
+		data := make([]byte, 4*rng.Intn(80))
+		rng.Read(data)
+		if rng.Intn(2) == 0 {
+			// Heartbeat-like: positive intervals around a period.
+			for j := 0; j+4 <= len(data); j += 4 {
+				copy(data[j:], le(time.Duration(rng.Intn(100)+1)*ms))
+			}
+		}
+		decodeDeadlineCase(uint8(i), rng.Uint32(), uint8(rng.Intn(256)), rng.Intn(2) == 0, data).run(t)
+	}
+}
+
+// FuzzEstimatorDeadline searches for an estimator state whose Deadline
+// and Suspect disagree.
+func FuzzEstimatorDeadline(f *testing.F) {
+	f.Add(uint8(0), uint32(600_000_000), uint8(0), true, []byte{})
+	f.Add(uint8(0), uint32(600_000_000), uint8(0), false, []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(1), uint32(200_000_000), uint8(16), false, []byte{0, 0, 0, 1})
+	f.Add(uint8(1), uint32(200_000_000), uint8(3), true, []byte{0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0})
+	f.Add(uint8(2), uint32(8*128|50<<12), uint8(250), true, []byte{0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1})
+	f.Add(uint8(2), uint32(8*128), uint8(64), false, []byte{0, 0, 0, 1})
+	f.Add(uint8(2), uint32(1), uint8(2), true, []byte{1, 0, 0, 0, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, kind uint8, param uint32, window uint8, epoch bool, data []byte) {
+		if len(data) > 4*256 {
+			data = data[:4*256]
+		}
+		decodeDeadlineCase(kind, param, window, epoch, data).run(t)
+	})
 }

@@ -108,13 +108,23 @@ type Gossiper struct {
 	rng       *rand.Rand
 	scratch   []int  // fanout sampling buffer
 	verdicts  []bool // round's verdict buffer
-	sentTo    map[int]bool
+	sentTo    []bool // by destination id; sentCount of them are set
+	sentCount int
 	rounds    uint64
 	muted     bool
 
+	// Suspicion is deadline-driven: suspected is the verdict the
+	// transitions so far imply for each node, and timer is armed at wake,
+	// an instant no later than the earliest deadline of the nodes still
+	// trusted (zero when there is none, or while muted).
+	suspected   []bool
+	timer       *time.Timer
+	wake        time.Time
+	transitions chan Transition // nil until Transitions is first called
+
 	rx Piggyback // receive's decode buffer, touched by no one else
 
-	badFrames, forwardDrops, sendErrors atomic.Uint64
+	badFrames, forwardDrops, sendErrors, transitionDrops atomic.Uint64
 
 	stop     chan struct{}
 	emitDone chan struct{}
@@ -139,8 +149,9 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 		present:   make([]bool, cfg.N),
 		peers:     append([]int(nil), cfg.Peers...),
 		verdicts:  make([]bool, cfg.N),
+		suspected: make([]bool, cfg.N),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		sentTo:    map[int]bool{},
+		sentTo:    make([]bool, cfg.N+1),
 		stop:      make(chan struct{}),
 		emitDone:  make(chan struct{}),
 		recvDone:  make(chan struct{}),
@@ -164,6 +175,9 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 		}
 		g.ests[q-1] = est
 	}
+	g.timer = time.AfterFunc(time.Hour, g.expire)
+	g.timer.Stop()
+	g.sweepLocked(epoch) // arms it; nobody else holds g yet
 	go g.emitLoop()
 	go g.recvLoop()
 	return g, nil
@@ -189,6 +203,19 @@ func (g *Gossiper) emitLoop() {
 	}
 }
 
+// expire is what the timer runs, on a goroutine of its own each time:
+// emitLoop can sit in a Send to a frozen peer's full socket, which is
+// exactly when a deadline is about to pass.
+func (g *Gossiper) expire() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.stop: // fired as Close stopped the timer: nothing to do, nothing to re-arm
+	default:
+		g.sweepLocked(time.Now())
+	}
+}
+
 // round advances the local counter and gossips the state snapshot to
 // this round's destinations: one frame, encoded once, whose body every
 // destination's envelope shares.
@@ -204,7 +231,10 @@ func (g *Gossiper) round(now time.Time) {
 	body, err := Piggyback{Origin: g.cfg.Self, Counters: g.counters, Suspects: g.verdicts}.Encode()
 	dests := g.pickDestsLocked()
 	for _, d := range dests {
-		g.sentTo[d] = true
+		if !g.sentTo[d] {
+			g.sentTo[d] = true
+			g.sentCount++
+		}
 	}
 	g.mu.Unlock()
 
@@ -264,22 +294,32 @@ func (g *Gossiper) receive(env transport.Envelope) {
 		g.badFrames.Add(1)
 		return
 	}
-	g.merge(g.rx, time.Now())
+	// The arrival is stamped under the lock, like every transition: see Now.
+	g.mu.Lock()
+	g.mergeLocked(g.rx, time.Now())
+	g.mu.Unlock()
 }
 
-// merge folds one received piggyback into local state: counters merge
-// by maximum, each increase is a heartbeat arrival for that node's
-// estimator, and accusations are remembered at their freshness.
+// merge is mergeLocked for callers that bring their own arrival time.
 func (g *Gossiper) merge(pb Piggyback, now time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.mergeLocked(pb, now)
+}
+
+// mergeLocked folds one received piggyback into local state: counters
+// merge by maximum, each increase is a heartbeat arrival for that
+// node's estimator — and, for a suspected node, the trust transition —
+// and accusations are remembered at their freshness.
+func (g *Gossiper) mergeLocked(pb Piggyback, now time.Time) {
 	if g.muted {
 		return // paused: a stopped process processes nothing
 	}
 	for i := range g.counters {
 		if pb.Counters[i] > g.counters[i] {
 			g.counters[i] = pb.Counters[i]
-			if !g.present[i] {
+			sighted := !g.present[i]
+			if sighted {
 				// First sighting of a deferred joiner: activate it with
 				// an estimator whose epoch is now, the same bootstrap
 				// grace a cluster start gets.
@@ -294,6 +334,22 @@ func (g *Gossiper) merge(pb Piggyback, now time.Time) {
 			}
 			if est := g.ests[i]; est != nil {
 				est.Observe(now)
+				switch {
+				case sighted:
+					g.record(i, false, CauseFirstSighting, now)
+					g.armLocked(est.Deadline())
+				case g.suspected[i]:
+					if !est.Suspect(now) { // a stale arrival changes nothing
+						g.suspected[i] = false
+						g.record(i, false, CauseFresherCounter, now)
+						g.armLocked(est.Deadline())
+					}
+				case g.wake.IsZero() || est.Suspect(g.wake):
+					// An arrival can pull an adaptive estimator's deadline
+					// in (a burst shrinks the mean) or give it its first:
+					// before the armed instant, here.
+					g.armLocked(est.Deadline())
+				}
 			}
 		}
 		if pb.Suspects[i] && g.present[i] && i+1 != g.cfg.Self && pb.Origin != i+1 {
@@ -303,6 +359,137 @@ func (g *Gossiper) merge(pb Piggyback, now time.Time) {
 			}
 		}
 	}
+}
+
+// Cause says what a Transition rests on.
+type Cause uint8
+
+const (
+	// CauseOwnDeadline: the node's own estimator deadline for the peer
+	// passed with no fresher counter.
+	CauseOwnDeadline Cause = iota
+	// CauseFresherCounter: a counter increase for a suspected peer
+	// arrived, directly or relayed.
+	CauseFresherCounter
+	// CauseFirstSighting: the first counter of a deferred joiner arrived;
+	// the peer is known (and trusted) from here on.
+	CauseFirstSighting
+)
+
+func (c Cause) String() string {
+	switch c {
+	case CauseOwnDeadline:
+		return "own-deadline"
+	case CauseFresherCounter:
+		return "fresher-counter"
+	case CauseFirstSighting:
+		return "first-sighting"
+	}
+	return fmt.Sprintf("cause(%d)", uint8(c))
+}
+
+// Transition is one change of what this node holds about a peer, with
+// the evidence it was judged on: suspect when the peer's deadline
+// expired, trust at the arrival that refuted a suspicion, and the first
+// sighting of a deferred joiner (trusted before and after; what changes
+// is that the peer is known).
+type Transition struct {
+	// Peer is the node the verdict is about.
+	Peer int
+	// Suspected is the verdict from At on.
+	Suspected bool
+	// Cause is what turned it.
+	Cause Cause
+	// Counter is the freshest counter known for Peer at At.
+	Counter uint64
+	// LastArrival is when that counter arrived — At itself unless the
+	// cause is the deadline; zero for a peer never heard from.
+	LastArrival time.Time
+	// At is when the transition happened: the instant the expiry code
+	// ran, or the arrival.
+	At time.Time
+}
+
+// Transitions returns the queue of this gossiper's transitions, in
+// order. Nothing is queued before the first call, so a consumer that
+// wants them all calls it before the first can happen, right after
+// NewGossiper. The queue is bounded and never blocks the gossiper: a
+// transition it has no room for is dropped and counted in
+// GossipStats.TransitionDrops. It is not closed.
+func (g *Gossiper) Transitions() <-chan Transition {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.transitions == nil {
+		// A resume suspects every peer in one sweep and trusts them all
+		// again within a round.
+		g.transitions = make(chan Transition, 4*g.cfg.N)
+	}
+	return g.transitions
+}
+
+// Now reads the clock under the gossiper's lock. Transitions are
+// stamped and queued under it too, so every transition stamped up to
+// the returned instant is already in the queue.
+func (g *Gossiper) Now() time.Time {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return time.Now()
+}
+
+// record queues the transition of node index i judged at time at; g.mu
+// is held.
+func (g *Gossiper) record(i int, suspected bool, cause Cause, at time.Time) {
+	if g.transitions == nil {
+		return
+	}
+	select {
+	case g.transitions <- Transition{Peer: i + 1, Suspected: suspected, Cause: cause, Counter: g.counters[i], LastArrival: g.ests[i].LastArrival(), At: at}:
+	default:
+		g.transitionDrops.Add(1)
+	}
+}
+
+// armLocked makes sure the timer fires no later than deadline d.
+func (g *Gossiper) armLocked(d time.Time) {
+	if d.IsZero() || !g.wake.IsZero() && !d.Before(g.wake) {
+		return
+	}
+	g.wake = d
+	g.timer.Reset(time.Until(d))
+}
+
+// sweepLocked turns every trusted node whose deadline has passed at now
+// to suspect — confirmed by the estimator's own Suspect — and re-arms
+// the timer at the earliest deadline left. Arrivals mostly push
+// deadlines out without telling the timer, so a sweep may find nothing
+// due; it costs one Deadline per trusted node about once per timeout.
+func (g *Gossiper) sweepLocked(now time.Time) {
+	g.wake = time.Time{}
+	if g.muted {
+		return // a stopped process suspects nobody; SetMuted sweeps on resume
+	}
+	var next time.Time
+	for i, est := range g.ests {
+		if est == nil || g.suspected[i] {
+			continue
+		}
+		d := est.Deadline()
+		if d.IsZero() {
+			continue
+		}
+		if now.After(d) {
+			if est.Suspect(now) {
+				g.suspected[i] = true
+				g.record(i, true, CauseOwnDeadline, now)
+				continue
+			}
+			d = now // a deadline may be a touch early (φ): look again at once
+		}
+		if next.IsZero() || d.Before(next) {
+			next = d
+		}
+	}
+	g.armLocked(next)
 }
 
 // verdictsInto evaluates every local estimator at time now into out,
@@ -335,12 +522,12 @@ func (g *Gossiper) Suspects() []int {
 	return out
 }
 
-// CommunitySuspects returns the IDs suspected either locally or by a
-// live (non-expired) accusation gossiped from elsewhere: an accusation
-// of q holds exactly while no counter for q fresher than the
-// accusation is known.
+// CommunitySuspects returns the IDs suspected either locally — by the
+// transitions so far, which costs no estimator call — or by a live
+// (non-expired) accusation gossiped from elsewhere: an accusation of q
+// holds exactly while no counter for q fresher than the accusation is
+// known.
 func (g *Gossiper) CommunitySuspects() []int {
-	now := time.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var out []int
@@ -348,9 +535,7 @@ func (g *Gossiper) CommunitySuspects() []int {
 		if i+1 == g.cfg.Self || !g.present[i] {
 			continue // an unseen joiner is absent, not suspect
 		}
-		local := g.ests[i] != nil && g.ests[i].Suspect(now)
-		remote := g.accused[i] && g.accusedAt[i] >= g.counters[i]
-		if local || remote {
+		if g.suspected[i] || g.accused[i] && g.accusedAt[i] >= g.counters[i] {
 			out = append(out, i+1)
 		}
 	}
@@ -359,7 +544,8 @@ func (g *Gossiper) CommunitySuspects() []int {
 
 // Known returns the IDs this node considers part of the group: every
 // initially-present node plus each deferred joiner whose counters have
-// been observed. The membership feed admits joiners from this view.
+// been observed. A joiner's first sighting is also a Transition, which
+// is what the membership feed admits on.
 func (g *Gossiper) Known() []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -405,7 +591,7 @@ func (g *Gossiper) Counter(q int) uint64 {
 func (g *Gossiper) DistinctDestinations() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.sentTo)
+	return g.sentCount
 }
 
 // GossipStats counts the work a Gossiper dropped without telling
@@ -421,14 +607,18 @@ type GossipStats struct {
 	// an unregistered peer); frames it lost after accepting them are
 	// its own to count.
 	SendErrors uint64
+	// TransitionDrops are transitions the Transitions queue had no room
+	// for: its consumer's picture of the verdicts is off by them.
+	TransitionDrops uint64
 }
 
 // Stats returns the gossiper's silent-drop counters so far.
 func (g *Gossiper) Stats() GossipStats {
 	return GossipStats{
-		BadFrames:    g.badFrames.Load(),
-		ForwardDrops: g.forwardDrops.Load(),
-		SendErrors:   g.sendErrors.Load(),
+		BadFrames:       g.badFrames.Load(),
+		ForwardDrops:    g.forwardDrops.Load(),
+		SendErrors:      g.sendErrors.Load(),
+		TransitionDrops: g.transitionDrops.Load(),
 	}
 }
 
@@ -440,20 +630,29 @@ func (g *Gossiper) Rounds() uint64 {
 }
 
 // SetMuted pauses or resumes the gossiper: while muted it emits
-// nothing and discards inbound gossip — the in-process emulation of
-// SIGSTOP for cluster runs that spawn goroutines instead of OS
-// processes.
+// nothing, discards inbound gossip and lets deadlines pass unnoticed —
+// the in-process emulation of SIGSTOP for cluster runs that spawn
+// goroutines instead of OS processes. On resume it looks at the clock
+// at once, as a continued process finds its timer long overdue.
 func (g *Gossiper) SetMuted(muted bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.muted == muted {
+		return
+	}
 	g.muted = muted
+	if !muted {
+		g.sweepLocked(time.Now())
+	}
 }
 
-// Close stops both loops (closing the underlying transport — the
-// gossiper owns the receiving end) and waits for them.
+// Close stops the timer and both loops (closing the underlying
+// transport — the gossiper owns the receiving end) and waits for the
+// loops.
 func (g *Gossiper) Close() {
 	g.once.Do(func() { close(g.stop) })
 	<-g.emitDone
+	g.timer.Stop()
 	_ = g.tr.Close()
 	<-g.recvDone
 }

@@ -88,3 +88,5 @@ type fakeEst struct{}
 func (fakeEst) Name() string           { return "fake" }
 func (fakeEst) Observe(time.Time)      {}
 func (fakeEst) Suspect(time.Time) bool { return false }
+func (fakeEst) Deadline() time.Time    { return time.Time{} }
+func (fakeEst) LastArrival() time.Time { return time.Time{} }

@@ -3,11 +3,11 @@ package qos
 import "time"
 
 // Flip is one suspicion verdict change-point reported by a live
-// cluster node about one monitored peer: the node samples its
-// estimator every sample period but ships only the flips, exactly the
-// compression Timeline uses internally — a control-channel report for
-// a multi-minute run is a handful of entries per peer instead of
-// thousands of samples.
+// cluster node about one monitored peer, stamped when the node's
+// timeout for the peer expired or the refuting heartbeat arrived: the
+// node ships only the flips, exactly the compression Timeline uses
+// internally — a control-channel report for a multi-minute run is a
+// handful of entries per peer instead of thousands of samples.
 type Flip struct {
 	// AtUnixNano is the wall-clock instant of the verdict change.
 	AtUnixNano int64 `json:"at"`
@@ -15,9 +15,10 @@ type Flip struct {
 	Suspected bool `json:"s"`
 }
 
-// FoldFlips reconstructs the Timeline a live observer sampled and
-// returns its metrics: the observer recorded a verdict every period
-// over [start, end], shipped the change-points, and the ground-truth
+// FoldFlips reconstructs the Timeline of an observer querying its
+// verdict every period over [start, end] — a flip counts from the first
+// point of that grid at or after it — and returns its metrics: the
+// observer shipped the change-points, and the ground-truth
 // crash instant (zero when the target never crashed) is known only
 // here — the orchestrator, not the observed cluster, knows when it
 // pulled the trigger. The reconstruction replays the periodic samples
