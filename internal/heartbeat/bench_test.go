@@ -3,6 +3,8 @@ package heartbeat
 import (
 	"testing"
 	"time"
+
+	"realisticfd/internal/transport"
 )
 
 func feed(est Estimator, n int) time.Time {
@@ -67,16 +69,40 @@ func BenchmarkPiggybackEncode(b *testing.B) {
 	}
 }
 
-func BenchmarkPiggybackDecodeInto(b *testing.B) {
+func BenchmarkParseFrame(b *testing.B) {
 	b.ReportAllocs()
 	data, err := steadyFrame(256, 3000, 40, 170).Encode()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var pb Piggyback
+	var escapes []uint64
 	for i := 0; i < b.N; i++ {
-		if err := pb.decodeInto(data, 256); err != nil {
+		f, err := parseFrame(data, 256, escapes)
+		if err != nil {
 			b.Fatal(err)
 		}
+		escapes = f.escapes
+	}
+}
+
+// BenchmarkGossipReceive is the receive path's ledger line: one steady
+// frame into a gossiper that already knows its counters — parse, merge
+// and the two accusations — per iteration. It allocates nothing.
+func BenchmarkGossipReceive(b *testing.B) {
+	const n = 256
+	g := quietGossiper(b, GossipConfig{Self: 2, N: n, Peers: []int{1}}, time.Now())
+	body, err := steadyFrame(n, 3000, 40, 170).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := transport.Envelope{From: 1, To: 2, Type: GossipEnvelopeType, Body: body}
+	g.receive(env)
+	if st := g.Stats(); st.BadFrames != 0 || g.Counter(n) != 3000-(n-1)%9 {
+		b.Fatalf("the frame was not taken: %+v, counter %d", st, g.Counter(n))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.receive(env)
 	}
 }

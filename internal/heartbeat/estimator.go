@@ -233,6 +233,10 @@ type PhiAccrual struct {
 	intervals []time.Duration
 	next      int
 	filled    bool
+	// mean and std are the window's, in nanoseconds, std not floored:
+	// computed once per interval taken, read by every Phi, Suspect and
+	// Deadline until the next.
+	mean, std float64
 }
 
 var (
@@ -267,40 +271,47 @@ func (p *PhiAccrual) Observe(arrival time.Time) {
 			p.next = 0
 			p.filled = true
 		}
+		window := p.intervals[:p.next]
+		if p.filled {
+			window = p.intervals
+		}
+		p.mean, p.std = windowStats(window)
 	}
 	p.last = arrival
 	p.hasLast = true
+}
+
+// windowStats returns the mean and the unfloored standard deviation of a
+// non-empty window of inter-arrival times, in nanoseconds.
+func windowStats(window []time.Duration) (mean, std float64) {
+	var sum float64
+	for _, d := range window {
+		sum += float64(d)
+	}
+	mean = sum / float64(len(window))
+	var varSum float64
+	for _, d := range window {
+		dev := float64(d) - mean
+		varSum += dev * dev
+	}
+	return mean, math.Sqrt(varSum / float64(len(window)))
 }
 
 // stats returns the mean and the floored standard deviation of the
 // inter-arrival window, in nanoseconds; ok is false while the window
 // is empty.
 func (p *PhiAccrual) stats() (mean, std float64, ok bool) {
-	n := p.next
-	if p.filled {
-		n = len(p.intervals)
-	}
-	if n == 0 {
+	if p.next == 0 && !p.filled {
 		return 0, 0, false
 	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(p.intervals[i])
-	}
-	mean = sum / float64(n)
-	var varSum float64
-	for i := 0; i < n; i++ {
-		d := float64(p.intervals[i]) - mean
-		varSum += d * d
-	}
-	std = math.Sqrt(varSum / float64(n))
+	std = p.std
 	if floor := float64(p.MinStdDev); std < floor {
 		std = floor
 	}
 	if std == 0 {
 		std = 1 // last-resort floor: nanoseconds
 	}
-	return mean, std, true
+	return p.mean, std, true
 }
 
 // phiAt is φ after elapsed nanoseconds of silence under N(mean, std²).

@@ -164,6 +164,74 @@ func TestEstimatorNames(t *testing.T) {
 	}
 }
 
+// TestPhiMemoMatchesRecompute: the window statistics Observe keeps give
+// φ bit for bit, and the deadline exactly, as summing the window afresh
+// at every call does — through window wraps, stale arrivals and floors.
+func TestPhiMemoMatchesRecompute(t *testing.T) {
+	// rawStats is the window sum every φ call made before the memo, floors
+	// left out.
+	rawStats := func(p *PhiAccrual) (mean, std float64, ok bool) {
+		n := p.next
+		if p.filled {
+			n = len(p.intervals)
+		}
+		if n == 0 {
+			return 0, 0, false
+		}
+		var sum float64
+		for i := 0; i < n; i++ {
+			sum += float64(p.intervals[i])
+		}
+		mean = sum / float64(n)
+		var varSum float64
+		for i := 0; i < n; i++ {
+			d := float64(p.intervals[i]) - mean
+			varSum += d * d
+		}
+		return mean, math.Sqrt(varSum / float64(n)), true
+	}
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 400; trial++ {
+		p := &PhiAccrual{
+			Window:    1 + rng.Intn(12),
+			Threshold: 0.5 + 12*rng.Float64(),
+			MinStdDev: time.Duration(rng.Intn(3)) * time.Duration(rng.Intn(40)) * time.Millisecond,
+		}
+		now := base
+		for k := 0; k < 40; k++ { // more arrivals than the window holds
+			switch rng.Intn(6) {
+			case 0: // stale or duplicate
+				now = now.Add(-time.Duration(rng.Intn(2)) * time.Millisecond)
+			case 1: // a steady beat: a zero deviation
+				now = now.Add(50 * time.Millisecond)
+			default:
+				now = now.Add(time.Duration(1 + rng.Int63n(int64(200*time.Millisecond))))
+			}
+			p.Observe(now)
+			mean, rawStd, ok := rawStats(p)
+			ref := *p
+			ref.mean, ref.std = mean, rawStd
+			if got, want := p.Deadline(), ref.Deadline(); !got.Equal(want) {
+				t.Fatalf("trial %d, arrival %d: Deadline %v, recomputed %v", trial, k, got.Sub(base), want.Sub(base))
+			}
+			std := math.Max(rawStd, float64(p.MinStdDev))
+			if std == 0 {
+				std = 1
+			}
+			for _, after := range []time.Duration{0, 10 * time.Millisecond, 60 * time.Millisecond, 400 * time.Millisecond, time.Minute} {
+				q := p.last.Add(after)
+				want := 0.0
+				if ok {
+					want = phiAt(float64(after), mean, std)
+				}
+				if got := p.Phi(q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d, arrival %d: Phi(last+%v) = %v, recomputed %v", trial, k, after, got, want)
+				}
+			}
+		}
+	}
+}
+
 // checkDeadline holds est to the Deadline contract as it stands now:
 // the verdict is trust at the deadline and suspect just after — a
 // nanosecond after for fixed and Chen, phiDeadlineSlack after for φ,

@@ -1,7 +1,9 @@
 package heartbeat
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -122,7 +124,7 @@ type Gossiper struct {
 	wake        time.Time
 	transitions chan Transition // nil until Transitions is first called
 
-	rx Piggyback // receive's decode buffer, touched by no one else
+	escapes []uint64 // receive's escape list, touched by no one else
 
 	badFrames, forwardDrops, sendErrors, transitionDrops atomic.Uint64
 
@@ -138,6 +140,15 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	g := newGossiper(tr, cfg)
+	go g.emitLoop()
+	go g.recvLoop()
+	return g, nil
+}
+
+// newGossiper builds the state of a gossiper for a valid cfg, with its
+// timer armed and neither loop started.
+func newGossiper(tr transport.Transport, cfg GossipConfig) *Gossiper {
 	g := &Gossiper{
 		cfg:       cfg,
 		tr:        tr,
@@ -178,9 +189,7 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 	g.timer = time.AfterFunc(time.Hour, g.expire)
 	g.timer.Stop()
 	g.sweepLocked(epoch) // arms it; nobody else holds g yet
-	go g.emitLoop()
-	go g.recvLoop()
-	return g, nil
+	return g
 }
 
 // Forward yields the non-gossip envelopes received on the shared
@@ -279,8 +288,9 @@ func (g *Gossiper) recvLoop() {
 }
 
 // receive handles one inbound envelope on recvLoop's goroutine: gossip
-// is decoded into the scratch piggyback and merged, anything else goes
-// to Forward. It reads env.Body and keeps no reference to it.
+// is parsed whole — a frame that fails any check changes nothing but
+// the BadFrames count — and then merged, anything else goes to Forward.
+// It reads env.Body and keeps no reference to it.
 func (g *Gossiper) receive(env transport.Envelope) {
 	if env.Type != GossipEnvelopeType {
 		select {
@@ -290,73 +300,105 @@ func (g *Gossiper) receive(env transport.Envelope) {
 		}
 		return
 	}
-	if g.rx.decodeInto(env.Body, g.cfg.N) != nil {
+	f, err := parseFrame(env.Body, g.cfg.N, g.escapes)
+	if err != nil {
 		g.badFrames.Add(1)
 		return
 	}
+	g.escapes = f.escapes
 	// The arrival is stamped under the lock, like every transition: see Now.
 	g.mu.Lock()
-	g.mergeLocked(g.rx, time.Now())
+	g.mergeLocked(&f, time.Now())
 	g.mu.Unlock()
 }
 
-// merge is mergeLocked for callers that bring their own arrival time.
-func (g *Gossiper) merge(pb Piggyback, now time.Time) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.mergeLocked(pb, now)
-}
-
-// mergeLocked folds one received piggyback into local state: counters
-// merge by maximum, each increase is a heartbeat arrival for that
-// node's estimator — and, for a suspected node, the trust transition —
-// and accusations are remembered at their freshness.
-func (g *Gossiper) mergeLocked(pb Piggyback, now time.Time) {
+// mergeLocked folds one parsed frame of g's node count into local
+// state: counters merge by maximum, each increase is a heartbeat arrival
+// (arriveLocked), and accusations are remembered at their freshness.
+func (g *Gossiper) mergeLocked(f *frameView, now time.Time) {
 	if g.muted {
 		return // paused: a stopped process processes nothing
 	}
-	for i := range g.counters {
-		if pb.Counters[i] > g.counters[i] {
-			g.counters[i] = pb.Counters[i]
-			sighted := !g.present[i]
-			if sighted {
-				// First sighting of a deferred joiner: activate it with
-				// an estimator whose epoch is now, the same bootstrap
-				// grace a cluster start gets.
-				g.present[i] = true
-				if i+1 != g.cfg.Self {
-					est := g.cfg.NewEstimator()
-					if es, ok := est.(EpochSetter); ok {
-						es.SetEpoch(now)
-					}
-					g.ests[i] = est
-				}
+	escapes := f.escapes
+	// Eight nodes at a time — a bitmap byte, four lag bytes — so that the
+	// loop over the group's counters makes no call: arrivals and
+	// accusations, rare, follow it, each in node order.
+	for j, accusing := range f.suspects {
+		first := 8 * j
+		group := g.counters[first:min(first+8, f.n)]
+		var lags uint32 // the group's nibbles, node first's lowest
+		if quad := f.lags[4*j:]; len(quad) >= 4 {
+			lags = binary.LittleEndian.Uint32(quad)
+		} else {
+			for p, b := range quad {
+				lags |= uint32(b) << (8 * p)
 			}
-			if est := g.ests[i]; est != nil {
-				est.Observe(now)
-				switch {
-				case sighted:
-					g.record(i, false, CauseFirstSighting, now)
-					g.armLocked(est.Deadline())
-				case g.suspected[i]:
-					if !est.Suspect(now) { // a stale arrival changes nothing
-						g.suspected[i] = false
-						g.record(i, false, CauseFresherCounter, now)
-						g.armLocked(est.Deadline())
-					}
-				case g.wake.IsZero() || est.Suspect(g.wake):
-					// An arrival can pull an adaptive estimator's deadline
-					// in (a burst shrinks the mean) or give it its first:
-					// before the armed instant, here.
-					g.armLocked(est.Deadline())
+		}
+		var sent [8]uint64 // the frame's counter of each node in the group
+		var news byte      // bit k set when node first+k's counter is fresher
+		for k := range sent[:len(group)] {
+			lag := uint64(lags & 0xf)
+			lags >>= 4
+			if lag == lagEscape {
+				lag, escapes = escapes[0], escapes[1:]
+			}
+			sent[k] = f.base - lag
+			if sent[k] > group[k] {
+				news |= 1 << k
+			}
+		}
+		for ; news != 0; news &= news - 1 {
+			k := bits.TrailingZeros8(news)
+			g.arriveLocked(first+k, sent[k], now)
+		}
+		for ; accusing != 0; accusing &= accusing - 1 {
+			k := bits.TrailingZeros8(accusing)
+			if i := first + k; g.present[i] && i+1 != g.cfg.Self && f.origin != i+1 {
+				if !g.accused[i] || sent[k] > g.accusedAt[i] {
+					g.accused[i] = true
+					g.accusedAt[i] = sent[k]
 				}
 			}
 		}
-		if pb.Suspects[i] && g.present[i] && i+1 != g.cfg.Self && pb.Origin != i+1 {
-			if !g.accused[i] || pb.Counters[i] > g.accusedAt[i] {
-				g.accused[i] = true
-				g.accusedAt[i] = pb.Counters[i]
+	}
+}
+
+// arriveLocked takes counter c of node index i, fresher than the one
+// known: a heartbeat arrival for that node's estimator — and, for a
+// suspected node, the trust transition.
+func (g *Gossiper) arriveLocked(i int, c uint64, now time.Time) {
+	g.counters[i] = c
+	sighted := !g.present[i]
+	if sighted {
+		// First sighting of a deferred joiner: activate it with an
+		// estimator whose epoch is now, the same bootstrap grace a
+		// cluster start gets.
+		g.present[i] = true
+		if i+1 != g.cfg.Self {
+			est := g.cfg.NewEstimator()
+			if es, ok := est.(EpochSetter); ok {
+				es.SetEpoch(now)
 			}
+			g.ests[i] = est
+		}
+	}
+	if est := g.ests[i]; est != nil {
+		est.Observe(now)
+		switch {
+		case sighted:
+			g.record(i, false, CauseFirstSighting, now)
+			g.armLocked(est.Deadline())
+		case g.suspected[i]:
+			if !est.Suspect(now) { // a stale arrival changes nothing
+				g.suspected[i] = false
+				g.record(i, false, CauseFresherCounter, now)
+				g.armLocked(est.Deadline())
+			}
+		case g.wake.IsZero() || est.Suspect(g.wake):
+			// An arrival can pull an adaptive estimator's deadline in (a
+			// burst shrinks the mean) or give it its first: before the
+			// armed instant, here.
+			g.armLocked(est.Deadline())
 		}
 	}
 }

@@ -116,85 +116,146 @@ func (pb Piggyback) Encode() ([]byte, error) {
 // mis-versioned and trailing-garbage inputs, set padding, and lags no
 // counter can have.
 func DecodePiggyback(data []byte) (Piggyback, error) {
-	var pb Piggyback
-	if err := pb.decodeInto(data, 0); err != nil {
+	f, err := parseFrame(data, 0, nil)
+	if err != nil {
 		return Piggyback{}, err
+	}
+	// The escape list has room for every node, and escape k is the lag of
+	// a node at index k or later: filled from the last node down, the
+	// counters overwrite only escapes already read.
+	counters := f.escapes[:0]
+	if cap(counters) < f.n {
+		counters = make([]uint64, f.n)
+	}
+	pb := Piggyback{Origin: f.origin, Counters: counters[:f.n], Suspects: make([]bool, f.n)}
+	k := len(f.escapes)
+	for i := f.n - 1; i >= 0; i-- {
+		lag := uint64(f.lags[i>>1] & 0xf)
+		if i&1 == 1 {
+			lag = uint64(f.lags[i>>1] >> 4)
+		}
+		if lag == lagEscape {
+			k--
+			lag = pb.Counters[k]
+		}
+		pb.Counters[i] = f.base - lag
+	}
+	for j, b := range f.suspects {
+		group := pb.Suspects[8*j : min(8*j+8, f.n)]
+		for q := range group {
+			group[q] = b>>q&1 != 0
+		}
 	}
 	return pb, nil
 }
 
-// decodeInto parses one frame into pb, reusing the capacity of its
-// slices, with every check DecodePiggyback promises. A non-zero wantN
-// is the only node count accepted, and a frame claiming another is
-// refused on its header, before pb is touched; after any other error
-// pb's contents are unspecified.
-func (pb *Piggyback) decodeInto(data []byte, wantN int) error {
-	if len(data) == 0 {
-		return fmt.Errorf("heartbeat: empty piggyback")
+// frameView is one received frame, checked whole and read in place: the
+// lag nibbles and the suspect bitmap are the body's own bytes, and only
+// the escaped lags are decoded — once, into a list.
+type frameView struct {
+	n, origin int
+	base      uint64
+	lags      []byte   // ⌈n/2⌉ bytes, one nibble per node
+	escapes   []uint64 // the lag of each node whose nibble is lagEscape, in node order
+	suspects  []byte   // ⌈n/8⌉ bytes, one bit per node
+}
+
+// parseFrame checks body with every check DecodePiggyback promises and
+// returns a view of it, which refers to body. A non-zero wantN is the
+// only node count accepted, and a frame claiming another is refused on
+// its header. The escape list reuses the capacity of escapes, or is
+// made with room for n.
+func parseFrame(body []byte, wantN int, escapes []uint64) (frameView, error) {
+	if len(body) == 0 {
+		return frameView{}, fmt.Errorf("heartbeat: empty piggyback")
 	}
-	if data[0] != piggybackVersion {
-		return fmt.Errorf("heartbeat: piggyback version %d, want %d", data[0], piggybackVersion)
+	if body[0] != piggybackVersion {
+		return frameView{}, fmt.Errorf("heartbeat: piggyback version %d, want %d", body[0], piggybackVersion)
 	}
-	rest := data[1:]
+	rest := body[1:]
 	var header [3]uint64 // n, origin, base
 	for i := range header {
 		v, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return fmt.Errorf("heartbeat: truncated piggyback header")
+			return frameView{}, fmt.Errorf("heartbeat: truncated piggyback header")
 		}
 		header[i], rest = v, rest[k:]
 	}
 	n64, origin, base := header[0], header[1], header[2]
 	if n64 == 0 || n64 > maxPiggybackNodes {
-		return fmt.Errorf("heartbeat: piggyback n = %d outside [1, %d]", n64, maxPiggybackNodes)
+		return frameView{}, fmt.Errorf("heartbeat: piggyback n = %d outside [1, %d]", n64, maxPiggybackNodes)
 	}
 	n := int(n64)
 	if wantN != 0 && n != wantN {
-		return fmt.Errorf("heartbeat: piggyback for %d nodes, want %d", n, wantN)
+		return frameView{}, fmt.Errorf("heartbeat: piggyback for %d nodes, want %d", n, wantN)
 	}
 	if origin < 1 || origin > n64 {
-		return fmt.Errorf("heartbeat: piggyback origin %d outside [1, %d]", origin, n)
+		return frameView{}, fmt.Errorf("heartbeat: piggyback origin %d outside [1, %d]", origin, n)
 	}
 	nibbles, bitmapLen := (n+1)/2, (n+7)/8
 	if len(rest) < nibbles+bitmapLen {
-		return fmt.Errorf("heartbeat: piggyback body is %d bytes, want at least %d", len(rest), nibbles+bitmapLen)
+		return frameView{}, fmt.Errorf("heartbeat: piggyback body is %d bytes, want at least %d", len(rest), nibbles+bitmapLen)
 	}
 	lags, rest := rest[:nibbles], rest[nibbles:]
 	if n%2 == 1 && lags[nibbles-1]>>4 != 0 {
-		return fmt.Errorf("heartbeat: piggyback padding nibble is set")
+		return frameView{}, fmt.Errorf("heartbeat: piggyback padding nibble is set")
+	}
+	if base < lagEscape-1 { // only then can a nibble's lag exceed base
+		for i, b := range lags {
+			if lo, hi := uint64(b&0xf), uint64(b>>4); lo != lagEscape && lo > base || hi != lagEscape && hi > base {
+				return frameView{}, fmt.Errorf("heartbeat: piggyback lag of node %d or %d exceeds base %d", 2*i+1, 2*i+2, base)
+			}
+		}
 	}
 
-	pb.Origin = int(origin)
-	if cap(pb.Counters) < n || cap(pb.Suspects) < n {
-		pb.Counters, pb.Suspects = make([]uint64, n), make([]bool, n)
+	count := countEscapes(lags)
+	if count > 0 && base < lagEscape {
+		return frameView{}, fmt.Errorf("heartbeat: piggyback escapes a lag with base %d", base)
 	}
-	pb.Counters, pb.Suspects = pb.Counters[:n], pb.Suspects[:n]
-	for i := range pb.Counters {
-		lag := uint64(lags[i/2] >> (4 * (i % 2)) & 0xf)
-		if lag == lagEscape {
-			v, k := binary.Uvarint(rest)
-			if k <= 0 {
-				return fmt.Errorf("heartbeat: truncated piggyback escape for node %d", i+1)
-			}
-			rest = rest[k:]
-			if base < lagEscape || v > base-lagEscape { // so lag + v cannot wrap
-				return fmt.Errorf("heartbeat: piggyback escaped lag of node %d exceeds base %d", i+1, base)
-			}
-			lag += v
+	if len(rest) < count+bitmapLen { // every escape takes a byte at least
+		return frameView{}, fmt.Errorf("heartbeat: piggyback has %d bytes for %d escapes and a %d-byte bitmap", len(rest), count, bitmapLen)
+	}
+	if cap(escapes) < count {
+		escapes = make([]uint64, 0, n) // room for every node: DecodePiggyback fills it
+	}
+	escapes = escapes[:0]
+	for range count {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return frameView{}, fmt.Errorf("heartbeat: truncated piggyback escape %d of %d", len(escapes)+1, count)
 		}
-		if lag > base {
-			return fmt.Errorf("heartbeat: piggyback lag %d of node %d exceeds base %d", lag, i+1, base)
+		rest = rest[k:]
+		if v > base-lagEscape { // so lagEscape + v cannot wrap
+			return frameView{}, fmt.Errorf("heartbeat: piggyback escaped lag %d+%d exceeds base %d", lagEscape, v, base)
 		}
-		pb.Counters[i] = base - lag
+		escapes = append(escapes, lagEscape+v)
 	}
 	if len(rest) != bitmapLen {
-		return fmt.Errorf("heartbeat: piggyback bitmap is %d bytes, want %d", len(rest), bitmapLen)
+		return frameView{}, fmt.Errorf("heartbeat: piggyback bitmap is %d bytes, want %d", len(rest), bitmapLen)
 	}
 	if n%8 != 0 && rest[bitmapLen-1]>>(n%8) != 0 {
-		return fmt.Errorf("heartbeat: piggyback padding bits are set")
+		return frameView{}, fmt.Errorf("heartbeat: piggyback padding bits are set")
 	}
-	for i := range pb.Suspects {
-		pb.Suspects[i] = rest[i/8]&(1<<(i%8)) != 0
+	return frameView{n: n, origin: int(origin), base: base, lags: lags, escapes: escapes, suspects: rest}, nil
+}
+
+// countEscapes counts the nibbles of lags that are lagEscape, a 64-bit
+// word at a time: bit 4k of the AND of a word with its shifts by 1, 2
+// and 3 is set exactly when all four bits of nibble k are.
+func countEscapes(lags []byte) int {
+	const nibbleLow = 0x1111111111111111
+	count := 0
+	for ; len(lags) >= 8; lags = lags[8:] {
+		w := binary.LittleEndian.Uint64(lags)
+		count += bits.OnesCount64(w & (w >> 1) & (w >> 2) & (w >> 3) & nibbleLow)
 	}
-	return nil
+	for _, b := range lags {
+		if b&0xf == lagEscape {
+			count++
+		}
+		if b>>4 == lagEscape {
+			count++
+		}
+	}
+	return count
 }

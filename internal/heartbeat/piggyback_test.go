@@ -80,6 +80,20 @@ func TestPiggybackDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// malformedFrames are frames that each break one rule of the wire
+// format, every one next to a valid rendering.
+var malformedFrames = map[string][]byte{
+	"padding nibble set on odd n":   {piggybackVersion, 3, 1, 7, 0x12, 0x10, 0x00},
+	"padding bits set in bitmap":    {piggybackVersion, 3, 1, 7, 0x12, 0x00, 0x08},
+	"nibble lag above base":         {piggybackVersion, 3, 1, 7, 0x82, 0x00, 0x00},
+	"escaped lag above base":        {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 6, 0x00},
+	"escaped lag wrapping uint64":   {piggybackVersion, 2, 1, 20, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00},
+	"escape varint missing":         {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 0x00},
+	"escape varint beyond the data": {piggybackVersion, 2, 1, 20, 0xff, 0x01},
+	"n of zero":                     {piggybackVersion, 0, 1, 7},
+	"origin beyond n":               {piggybackVersion, 3, 4, 7, 0x12, 0x00, 0x00},
+}
+
 // TestPiggybackDecodeRejectsMalformed holds the decoder to the one
 // rendering Encode gives each field: no old-format frame, no set
 // padding, no lag that would put a counter below zero, no escape
@@ -99,18 +113,7 @@ func TestPiggybackDecodeRejectsMalformed(t *testing.T) {
 	if re, _ := pb.Encode(); !bytes.Equal(re, good) {
 		t.Fatalf("hand-built frame % x re-encodes as % x", good, re)
 	}
-	cases := map[string][]byte{
-		"padding nibble set on odd n":   {piggybackVersion, 3, 1, 7, 0x12, 0x10, 0x00},
-		"padding bits set in bitmap":    {piggybackVersion, 3, 1, 7, 0x12, 0x00, 0x08},
-		"nibble lag above base":         {piggybackVersion, 3, 1, 7, 0x82, 0x00, 0x00},
-		"escaped lag above base":        {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 6, 0x00},
-		"escaped lag wrapping uint64":   {piggybackVersion, 2, 1, 20, 0x0f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00},
-		"escape varint missing":         {piggybackVersion, 3, 1, 20, 0x0f, 0x00, 0x00},
-		"escape varint beyond the data": {piggybackVersion, 2, 1, 20, 0xff, 0x01},
-		"n of zero":                     {piggybackVersion, 0, 1, 7},
-		"origin beyond n":               {piggybackVersion, 3, 4, 7, 0x12, 0x00, 0x00},
-	}
-	for name, data := range cases {
+	for name, data := range malformedFrames {
 		if pb, err := DecodePiggyback(data); err == nil {
 			t.Errorf("%s: decoded as %+v", name, pb)
 		}
@@ -127,25 +130,28 @@ func TestPiggybackDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoChecksNBeforeScratch pins recvLoop's use of the
-// decoder: a frame for another cluster size is refused on its header,
-// with the scratch piggyback as it was.
-func TestDecodeIntoChecksNBeforeScratch(t *testing.T) {
-	scratch := Piggyback{Origin: 3, Counters: []uint64{1, 2, 3, 4}, Suspects: []bool{true, false, true, false}}
-	before := Piggyback{Origin: 3, Counters: []uint64{1, 2, 3, 4}, Suspects: []bool{true, false, true, false}}
-	// A valid frame of the largest n there is.
-	huge, err := Piggyback{Origin: 1, Counters: make([]uint64, maxPiggybackNodes), Suspects: make([]bool, maxPiggybackNodes)}.Encode()
+// TestParseFrameChecksNFirst pins receive's use of the parser: a frame
+// for another cluster size is refused on its header, before the body is
+// looked at and with the escape list as it was.
+func TestParseFrameChecksNFirst(t *testing.T) {
+	// A valid frame of the largest n there is, every node but one escaped.
+	big := Piggyback{Origin: 1, Counters: make([]uint64, maxPiggybackNodes), Suspects: make([]bool, maxPiggybackNodes)}
+	big.Counters[0] = 1 << 20
+	huge, err := big.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodePiggyback(huge); err != nil {
 		t.Fatalf("the largest frame does not decode: %v", err)
 	}
-	if err := scratch.decodeInto(huge, 4); err == nil || !strings.Contains(err.Error(), "want 4") {
-		t.Fatalf("frame for %d nodes not refused on its node count: %v", maxPiggybackNodes, err)
+	escapes := []uint64{7, 8, 9}
+	for _, body := range [][]byte{huge, huge[:8]} {
+		if _, err := parseFrame(body, 4, escapes); err == nil || !strings.Contains(err.Error(), "want 4") {
+			t.Fatalf("frame for %d nodes (%d of %d bytes) not refused on its node count: %v", maxPiggybackNodes, len(body), len(huge), err)
+		}
 	}
-	if !reflect.DeepEqual(scratch, before) {
-		t.Fatalf("refused frame changed the scratch: %+v", scratch)
+	if !reflect.DeepEqual(escapes, []uint64{7, 8, 9}) {
+		t.Fatalf("refused frame changed the escape list: %v", escapes)
 	}
 }
 
