@@ -29,12 +29,10 @@ func main() {
 	fmt.Printf("pattern: %v\n", pattern)
 	fmt.Printf("running %d consensus instances with alive-tag piggybacking...\n\n", maxInst)
 
-	// Every instance runs the same automaton: a read-only value.
-	flooding := consensus.SFlooding{Proposals: consensus.DistinctProposals(n)}
 	trace, err := sim.Execute(sim.Config{
 		N: n,
 		Automaton: core.Reduction{
-			Factory:      func(int) sim.Automaton { return flooding },
+			Proposals:    consensus.DistinctProposals(n),
 			MaxInstances: maxInst,
 		},
 		Oracle:  fd.Perfect{Delay: 2},

@@ -119,15 +119,16 @@ func (a Atomic) Spawn(self model.ProcessID, n int) sim.Process {
 	if a.MaxInstances <= 0 {
 		panic("abcast: Atomic.MaxInstances must be positive")
 	}
-	return &abProc{
+	p := &abProc{
 		self:      self,
 		n:         n,
 		maxInst:   a.MaxInstances,
 		toSend:    append([]string(nil), a.ToBroadcast[self]...),
 		known:     map[MsgID]string{},
 		delivered: map[MsgID]bool{},
-		future:    map[int][]*sim.Message{},
 	}
+	p.mux.Init(p, &p.host, a.MaxInstances)
+	return p
 }
 
 // Payloads.
@@ -140,7 +141,7 @@ type (
 		Body string
 	}
 	// acEnv wraps embedded-consensus traffic for one instance. It
-	// travels by pointer, carved from the sender's slab.
+	// travels by pointer, carved by the sender's multiplexer.
 	acEnv struct {
 		Instance int
 		Inner    any
@@ -162,164 +163,107 @@ type abProc struct {
 	known     map[MsgID]string
 	delivered map[MsgID]bool
 
-	inst     int
-	inner    sim.Process
-	proposed bool
-	pending  []MsgID // decided batch awaiting full knowledge
-	future   map[int][]*sim.Message
+	inst    int     // current instance: running, or decided with pending set
+	pending []MsgID // decided batch awaiting full knowledge
 
-	envs  sim.Slab[acEnv]       // outgoing envelopes
-	views sim.Slab[sim.Message] // inner views of received messages
-	sends []sim.Send            // the step's Sends, reused from step to step
+	mux  sim.Mux[acEnv]
+	host consensus.Host
+	acts sim.Actions // the step's, reused from step to step
 }
 
 // Step implements sim.Process.
 func (p *abProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
-	acts := sim.Actions{Sends: p.sends[:0]}
+	acts := &p.acts
+	acts.Sends, acts.Events = acts.Sends[:0], acts.Events[:0]
 	if !p.started {
 		p.started = true
 		for i, body := range p.toSend {
 			id := MsgID{Sender: p.self, Seq: i}
 			p.known[id] = body
-			p.relay(id, body, &acts)
+			p.relay(id, body, acts)
 		}
 	}
 
-	var innerIn *sim.Message
+	stepped := false
 	if in != nil {
 		switch m := in.Payload.(type) {
 		case rbMsg:
 			if _, ok := p.known[m.ID]; !ok {
 				p.known[m.ID] = m.Body
-				p.relay(m.ID, m.Body, &acts)
+				p.relay(m.ID, m.Body, acts)
 			}
 		case *acEnv:
-			switch {
-			case m.Instance < p.inst:
-				// late traffic for a decided instance
-			case m.Instance > p.inst:
-				p.future[m.Instance] = append(p.future[m.Instance], in.View(&p.views, m.Inner))
-			default:
-				innerIn = in.View(&p.views, m.Inner)
-			}
+			stepped, _ = p.mux.Receive(in, susp, now, acts)
 		}
 	}
 
-	p.progress(innerIn, susp, now, &acts)
-	p.sends = acts.Sends
-	return acts
+	p.progress(stepped, susp, now, acts)
+	return *acts
 }
 
 // relay floods an rbMsg to everyone else (reliable broadcast).
 func (p *abProc) relay(id MsgID, body string, acts *sim.Actions) {
-	msg := rbMsg{ID: id, Body: body}
-	for q := 1; q <= p.n; q++ {
-		dst := model.ProcessID(q)
-		if dst != p.self {
-			acts.Sends = append(acts.Sends, sim.Send{To: dst, Payload: msg})
-		}
-	}
+	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rbMsg{ID: id, Body: body})
 }
 
-// progress drives the consensus sequence: propose pending messages,
-// feed the inner instance, deliver decided batches once fully known.
-func (p *abProc) progress(innerIn *sim.Message, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
-	for {
-		if p.inst >= p.maxInst {
-			return
-		}
-		// A decided batch blocks the sequence until every message in
-		// it is known locally (it then delivers and advances).
-		if p.pending != nil {
+// progress drives the consensus sequence: deliver a decided batch once
+// it is fully known, propose the pending messages to the next instance
+// (which replays the traffic buffered for it), and give a running
+// instance that the step's message did not reach a λ step, so
+// suspicion-driven guards re-evaluate.
+func (p *abProc) progress(stepped bool, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
+	for p.inst < p.maxInst {
+		var decided bool
+		switch {
+		case p.pending != nil:
 			if !p.knowsAll(p.pending) {
 				return
 			}
 			p.deliverBatch(p.pending, acts)
 			p.pending = nil
-			p.advance()
-			innerIn = nil
+			p.inst++
 			continue
+		case !p.mux.Running(p.inst):
+			proposal := encodeSet(p.undelivered())
+			decided = p.mux.Start(p.inst, p.host.Spawn(p.self, p.n, proposal), susp, now, acts)
+		case !stepped:
+			decided = p.mux.Step(p.inst, nil, susp, now, acts)
 		}
-		if !p.proposed {
-			p.proposed = true
-			p.inner = consensus.SFlooding{
-				Proposals: consensus.Proposals{p.self: encodeSet(p.undelivered())},
-			}.Spawn(p.self, p.n)
-			// λ kick, then drain buffered traffic for this instance,
-			// then the message that arrived this very step (if any).
-			decided := p.feed(nil, susp, now, acts)
-			buf := p.future[p.inst]
-			delete(p.future, p.inst)
-			for _, m := range buf {
-				if decided {
-					break
-				}
-				decided = p.feed(m, susp, now, acts)
-			}
-			if !decided && innerIn != nil {
-				m := innerIn
-				innerIn = nil
-				decided = p.feed(m, susp, now, acts)
-			}
-			if decided {
-				continue
-			}
+		if !decided {
 			return
 		}
-		if innerIn == nil {
-			// Nothing new for the live instance; give it a λ step so
-			// suspicion-driven guards re-evaluate.
-			if p.feed(nil, susp, now, acts) {
-				continue
-			}
-			return
-		}
-		m := innerIn
-		innerIn = nil
-		if p.feed(m, susp, now, acts) {
-			continue
-		}
-		return
 	}
 }
 
-// feed drives the inner consensus; returns whether it decided (the
-// decided batch is parked in p.pending).
-func (p *abProc) feed(in *sim.Message, susp model.ProcessSet, now model.Time, acts *sim.Actions) bool {
-	if p.inner == nil {
-		return false
+// Instance implements sim.Wrapper.
+func (p *abProc) Instance(env *acEnv) int { return env.Instance }
+
+// Open implements sim.Wrapper.
+func (p *abProc) Open(env *acEnv) any { return env.Inner }
+
+// Seal implements sim.Wrapper.
+func (p *abProc) Seal(env *acEnv, k int, inner any) { *env = acEnv{Instance: k, Inner: inner} }
+
+// Decided implements sim.Wrapper: the decided batch, less what was
+// already delivered, waits in pending until every body is known.
+func (p *abProc) Decided(_ int, ev sim.ProtocolEvent, _ *sim.Actions) {
+	v, _ := ev.Value.(consensus.Value)
+	ids, err := decodeSet(v)
+	if err != nil {
+		// A malformed decision indicates a protocol bug; deliver
+		// nothing for this instance rather than corrupt order.
+		ids = nil
 	}
-	innerActs := p.inner.Step(in, susp, now)
-	for _, s := range innerActs.Sends {
-		env := p.envs.New()
-		*env = acEnv{Instance: p.inst, Inner: s.Payload}
-		acts.Sends = append(acts.Sends, sim.Send{To: s.To, Payload: env})
+	batch := ids[:0]
+	for _, id := range ids {
+		if !p.delivered[id] {
+			batch = append(batch, id)
+		}
 	}
-	for _, ev := range innerActs.Events {
-		if ev.Kind != sim.KindDecide {
-			continue
-		}
-		v, _ := ev.Value.(consensus.Value)
-		ids, err := decodeSet(v)
-		if err != nil {
-			// A malformed decision indicates a protocol bug; deliver
-			// nothing for this instance rather than corrupt order.
-			ids = nil
-		}
-		batch := ids[:0]
-		for _, id := range ids {
-			if !p.delivered[id] {
-				batch = append(batch, id)
-			}
-		}
-		p.pending = batch
-		if p.pending == nil {
-			p.pending = []MsgID{}
-		}
-		p.inner = nil
-		return true
+	if batch == nil {
+		batch = []MsgID{}
 	}
-	return false
+	p.pending = batch
 }
 
 // knowsAll reports whether every message of the batch has a known
@@ -343,13 +287,6 @@ func (p *abProc) deliverBatch(batch []MsgID, acts *sim.Actions) {
 			Value:    Delivery{ID: id, Body: p.known[id]},
 		})
 	}
-}
-
-// advance moves to the next consensus instance.
-func (p *abProc) advance() {
-	p.inst++
-	p.proposed = false
-	p.inner = nil
 }
 
 // undelivered returns the known-but-undelivered message IDs.

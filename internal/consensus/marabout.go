@@ -70,12 +70,7 @@ func (p *mbProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 	if leader == p.self {
 		if !p.sent {
 			p.sent = true
-			for q := 1; q <= p.n; q++ {
-				id := model.ProcessID(q)
-				if id != p.self {
-					acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: mbValue{Val: p.own}})
-				}
-			}
+			acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, mbValue{Val: p.own})
 		}
 		p.done = true
 		acts.Events = append(acts.Events, sim.ProtocolEvent{

@@ -81,12 +81,7 @@ func (p *poProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 		}
 	}
 	p.done = true
-	for q := 1; q <= p.n; q++ {
-		id := model.ProcessID(q)
-		if id != p.self {
-			acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: poValue{Val: v}})
-		}
-	}
+	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, poValue{Val: v})
 	acts.Events = append(acts.Events, sim.ProtocolEvent{
 		Kind: sim.KindDecide, Instance: 0, Value: v,
 	})

@@ -294,17 +294,7 @@ func (p *rcProc) coordProgressRound(cs *coordState, acts *sim.Actions) {
 		}
 		cs.proposed = true
 		cs.propVal = bestVal
-		// One boxed payload shared by every destination: payloads are
-		// immutable once sent, so the broadcast needs one allocation,
-		// not n−1.
-		var prop any = rcPropose{Round: cs.round, Val: bestVal}
-		for q := 1; q <= p.n; q++ {
-			id := model.ProcessID(q)
-			if id == p.self {
-				continue
-			}
-			acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: prop})
-		}
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcPropose{Round: cs.round, Val: bestVal})
 		// Deliver the proposal to ourselves directly.
 		if p.waiting && p.round == cs.round {
 			p.adoptPropose(cs.round, bestVal, acts)
@@ -320,14 +310,7 @@ func (p *rcProc) coordProgressRound(cs *coordState, acts *sim.Actions) {
 	// Phase 4: a majority of acks decides; reliable broadcast.
 	if cs.proposed && cs.acks >= p.majority() {
 		cs.decided = true
-		var dec any = rcDecide{Val: cs.propVal}
-		for q := 1; q <= p.n; q++ {
-			id := model.ProcessID(q)
-			if id == p.self {
-				continue
-			}
-			acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: dec})
-		}
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcDecide{Val: cs.propVal})
 		local := p.decide(cs.propVal)
 		acts.Events = append(acts.Events, local.Events...)
 		acts.Sends = append(acts.Sends, local.Sends...)
@@ -346,14 +329,7 @@ func (p *rcProc) decide(v Value) sim.Actions {
 	}
 	if !p.relayed {
 		p.relayed = true
-		var relay any = rcDecide{Val: v}
-		for q := 1; q <= p.n; q++ {
-			id := model.ProcessID(q)
-			if id == p.self {
-				continue
-			}
-			acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: relay})
-		}
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcDecide{Val: v})
 	}
 	return acts
 }

@@ -2,6 +2,8 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"realisticfd/internal/model"
 	"realisticfd/internal/sim"
@@ -35,22 +37,59 @@ type SFlooding struct {
 
 var _ sim.Automaton = SFlooding{}
 
-// Spawn implements sim.Automaton.
+// Spawn implements sim.Automaton: one instance on a host of its own.
 func (a SFlooding) Spawn(self model.ProcessID, n int) sim.Process {
-	sets := make([]model.ProcessSet, 2*n+1) // one block for both tables
-	p := &sfProc{
+	return new(Host).Spawn(self, n, a.Proposals[self])
+}
+
+// Host runs the S-flooding instances of one process of a wrapper that
+// multiplexes them (sim.Mux). Retired instances return to its free list;
+// payloads and proposal vectors are carved from its slabs. Its instances
+// share one Sends and one Events buffer, which is safe because a wrapper
+// consumes an inner step's Actions before it steps another instance. A
+// proposal vector v is never recycled within a run: the payloads sent
+// share it, and the trace renders them when the run ends. The zero Host
+// is ready to use.
+type Host struct {
+	free    []*sfProc
+	vals    sim.Slab[Value]
+	floods  sim.Slab[sfFloodMsg]
+	vectors sim.Slab[sfVectorMsg]
+	sends   []sim.Send
+	events  [1]sim.ProtocolEvent
+	decided Value // the last decision; box holds it boxed, as instances mostly decide alike
+	box     any
+}
+
+var _ sim.Host = (*Host)(nil)
+
+// Spawn starts an instance at process self of n, proposing proposal.
+func (h *Host) Spawn(self model.ProcessID, n int, proposal Value) sim.Process {
+	var p *sfProc
+	if k := len(h.free); k > 0 {
+		p, h.free = h.free[k-1], h.free[:k-1]
+	} else {
+		p = new(sfProc)
+	}
+	sets := slices.Grow(p.received[:0], 2*n+1)[:2*n+1] // both tables
+	clear(sets)
+	*p = sfProc{
+		host:     h,
 		self:     self,
 		n:        n,
 		rounds:   n - 1,
 		round:    0, // bumped to 1 by the first step's progress loop
-		v:        make([]Value, n+1),
+		v:        h.vals.Carve(n + 1),
 		known:    model.NewProcessSet(self),
 		received: sets[:n], // rounds 1..n-1
 		vectors:  sets[n:], // processes 1..n
 	}
-	p.v[self] = a.Proposals[self]
+	p.v[self] = proposal
 	return p
 }
+
+// Retire implements sim.Host: p decided and is never stepped again.
+func (h *Host) Retire(p sim.Process) { h.free = append(h.free, p.(*sfProc)) }
 
 // sfPhase enumerates the S-flooding phases.
 type sfPhase int
@@ -73,10 +112,13 @@ type valueVec struct {
 // String renders the vector the way fmt renders the
 // map[model.ProcessID]Value it replaced — "map[p1:v1 p3:v3]", keys
 // ascending — which is the text the trace digests pin.
-func (v valueVec) String() string {
-	b := append(make([]byte, 0, 64), "map["...)
+func (v valueVec) String() string { return string(v.appendTo(make([]byte, 0, 64))) }
+
+func (v valueVec) appendTo(b []byte) []byte {
+	b = append(b, "map["...)
+	open := len(b)
 	v.keys.ForEach(func(q model.ProcessID) bool {
-		if len(b) > len("map[") {
+		if len(b) > open {
 			b = append(b, ' ')
 		}
 		b = append(b, q.String()...)
@@ -84,14 +126,21 @@ func (v valueVec) String() string {
 		b = append(b, v.vals[q]...)
 		return true
 	})
-	return string(append(b, ']'))
+	return append(b, ']')
 }
 
 // sfFloodMsg is the round-r flood message carrying newly learned
-// proposals (the Δ_p of Chandra-Toueg).
+// proposals (the Δ_p of Chandra-Toueg). Like sfVectorMsg, it travels by
+// pointer, carved from the sender's host, and renders as fmt renders
+// the struct value, which is the text the trace digests pin.
 type sfFloodMsg struct {
 	Round int
 	Delta valueVec
+}
+
+func (m *sfFloodMsg) String() string {
+	b := strconv.AppendInt(append(make([]byte, 0, 64), '{'), int64(m.Round), 10)
+	return string(append(m.Delta.appendTo(append(b, ' ')), '}'))
 }
 
 // sfVectorMsg carries the full estimate vector after the last round.
@@ -99,7 +148,12 @@ type sfVectorMsg struct {
 	Vector valueVec
 }
 
+func (m *sfVectorMsg) String() string {
+	return string(append(m.Vector.appendTo(append(make([]byte, 0, 64), '{')), '}'))
+}
+
 type sfProc struct {
+	host   *Host
 	self   model.ProcessID
 	n      int
 	rounds int
@@ -114,8 +168,6 @@ type sfProc struct {
 	received    []model.ProcessSet // received[r] = round-r flood senders
 	vectors     []model.ProcessSet // vectors[q] = key set of q's vector, q ∈ vecReceived
 	vecReceived model.ProcessSet
-
-	sends []sim.Send // the step's Sends, reused from step to step
 }
 
 // Step implements sim.Process.
@@ -123,12 +175,17 @@ func (p *sfProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 	if in != nil {
 		p.absorb(in)
 	}
-	p.sends = p.sends[:0]
+	h := p.host
+	h.sends = h.sends[:0]
 	var acts sim.Actions
 	if val, ok := p.progress(susp); ok {
-		acts.Events = []sim.ProtocolEvent{{Kind: sim.KindDecide, Instance: 0, Value: val}}
+		if h.box == nil || val != h.decided {
+			h.decided, h.box = val, val
+		}
+		h.events[0] = sim.ProtocolEvent{Kind: sim.KindDecide, Instance: 0, Value: h.box}
+		acts.Events = h.events[:]
 	}
-	acts.Sends = p.sends
+	acts.Sends = h.sends
 	return acts
 }
 
@@ -170,7 +227,7 @@ func (p *sfProc) absorb(in *sim.Message) {
 		return
 	}
 	switch m := in.Payload.(type) {
-	case sfFloodMsg:
+	case *sfFloodMsg:
 		if m.Round >= 1 && m.Round <= p.rounds {
 			p.received[m.Round] = p.received[m.Round].Add(in.From)
 		}
@@ -180,7 +237,7 @@ func (p *sfProc) absorb(in *sim.Message) {
 			return true
 		})
 		p.known = p.known.Union(fresh)
-	case sfVectorMsg:
+	case *sfVectorMsg:
 		if !p.vecReceived.Has(in.From) {
 			p.vectors[in.From] = m.Vector.keys.Intersect(model.AllProcesses(p.n))
 			p.vecReceived = p.vecReceived.Add(in.From)
@@ -194,28 +251,23 @@ func (p *sfProc) floodSends() {
 	delta := p.known.Diff(p.sent)
 	p.sent = p.known
 	p.received[p.round] = p.received[p.round].Add(p.self)
-	p.broadcast(sfFloodMsg{Round: p.round, Delta: valueVec{keys: delta, vals: p.v}})
+	m := p.host.floods.New()
+	*m = sfFloodMsg{Round: p.round, Delta: valueVec{keys: delta, vals: p.v}}
+	p.broadcast(m)
 }
 
 // vectorSends broadcasts the full vector and stores our own.
 func (p *sfProc) vectorSends() {
 	p.vectors[p.self] = p.known
 	p.vecReceived = p.vecReceived.Add(p.self)
-	p.broadcast(sfVectorMsg{Vector: valueVec{keys: p.known, vals: p.v}})
+	m := p.host.vectors.New()
+	*m = sfVectorMsg{Vector: valueVec{keys: p.known, vals: p.v}}
+	p.broadcast(m)
 }
 
-// broadcast queues msg for every other process. The payload is boxed
-// once and shared by every destination: payloads are immutable once
-// sent, so the broadcast costs one allocation.
+// broadcast queues msg for every other process.
 func (p *sfProc) broadcast(msg any) {
-	if p.sends == nil {
-		p.sends = make([]sim.Send, 0, p.n-1)
-	}
-	for q := 1; q <= p.n; q++ {
-		if model.ProcessID(q) != p.self {
-			p.sends = append(p.sends, sim.Send{To: model.ProcessID(q), Payload: msg})
-		}
-	}
+	p.host.sends = sim.AppendOthers(p.host.sends, p.n, p.self, msg)
 }
 
 // heardAll is the §4 wait condition shared by the flood rounds and the

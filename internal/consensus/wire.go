@@ -29,13 +29,13 @@ const (
 // EncodeWire serializes an SFlooding payload.
 func EncodeWire(payload any) ([]byte, error) {
 	switch m := payload.(type) {
-	case sfFloodMsg:
+	case *sfFloodMsg:
 		return json.Marshal(wireEnvelope{
 			Kind:  wireKindFlood,
 			Round: m.Round,
 			Vals:  valsToWire(m.Delta),
 		})
-	case sfVectorMsg:
+	case *sfVectorMsg:
 		return json.Marshal(wireEnvelope{
 			Kind: wireKindVector,
 			Vals: valsToWire(m.Vector),
@@ -57,9 +57,9 @@ func DecodeWire(b []byte) (any, error) {
 	}
 	switch env.Kind {
 	case wireKindFlood:
-		return sfFloodMsg{Round: env.Round, Delta: vals}, nil
+		return &sfFloodMsg{Round: env.Round, Delta: vals}, nil
 	case wireKindVector:
-		return sfVectorMsg{Vector: vals}, nil
+		return &sfVectorMsg{Vector: vals}, nil
 	default:
 		return nil, fmt.Errorf("consensus: unknown wire kind %q", env.Kind)
 	}

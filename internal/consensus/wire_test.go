@@ -36,7 +36,7 @@ func sameVec(a, b valueVec) bool {
 
 func TestWireFloodRoundTrip(t *testing.T) {
 	t.Parallel()
-	in := sfFloodMsg{Round: 3, Delta: vecOf(map[model.ProcessID]Value{1: "v1", 4: "v4", 12: "x y"})}
+	in := &sfFloodMsg{Round: 3, Delta: vecOf(map[model.ProcessID]Value{1: "v1", 4: "v4", 12: "x y"})}
 	b, err := EncodeWire(in)
 	if err != nil {
 		t.Fatal(err)
@@ -48,21 +48,21 @@ func TestWireFloodRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := out.(sfFloodMsg)
+	got, ok := out.(*sfFloodMsg)
 	if !ok {
 		t.Fatalf("decoded %T", out)
 	}
 	if got.Round != 3 || !sameVec(got.Delta, in.Delta) {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if b, _ := EncodeWire(sfFloodMsg{Round: 1}); string(b) != `{"kind":"flood","round":1}` {
+	if b, _ := EncodeWire(&sfFloodMsg{Round: 1}); string(b) != `{"kind":"flood","round":1}` {
 		t.Fatalf("empty delta encodes as %s", b)
 	}
 }
 
 func TestWireVectorRoundTrip(t *testing.T) {
 	t.Parallel()
-	in := sfVectorMsg{Vector: vecOf(map[model.ProcessID]Value{2: "x", 10: "⊥"})}
+	in := &sfVectorMsg{Vector: vecOf(map[model.ProcessID]Value{2: "x", 10: "⊥"})}
 	b, err := EncodeWire(in)
 	if err != nil {
 		t.Fatal(err)
@@ -74,14 +74,15 @@ func TestWireVectorRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := out.(sfVectorMsg)
+	got, ok := out.(*sfVectorMsg)
 	if !ok || !sameVec(got.Vector, in.Vector) {
 		t.Fatalf("round trip = %+v (%T)", out, out)
 	}
 }
 
 // TestPayloadsRenderLikeMaps pins the text the trace digest sees to
-// fmt's rendering of the map-based payloads the vectors replaced.
+// fmt's rendering of the map-based payload values the pointers to dense
+// vectors replaced.
 func TestPayloadsRenderLikeMaps(t *testing.T) {
 	t.Parallel()
 	entries := map[model.ProcessID]Value{1: "v1", 4: "v4", 12: "x y"}
@@ -91,9 +92,9 @@ func TestPayloadsRenderLikeMaps(t *testing.T) {
 	}
 	type mapVector struct{ Vector map[model.ProcessID]Value }
 	for _, tc := range []struct{ got, want any }{
-		{sfFloodMsg{Round: 3, Delta: vecOf(entries)}, mapFlood{3, entries}},
-		{sfFloodMsg{Round: 1}, mapFlood{Round: 1}},
-		{sfVectorMsg{Vector: vecOf(entries)}, mapVector{entries}},
+		{&sfFloodMsg{Round: 3, Delta: vecOf(entries)}, mapFlood{3, entries}},
+		{&sfFloodMsg{Round: 1}, mapFlood{Round: 1}},
+		{&sfVectorMsg{Vector: vecOf(entries)}, mapVector{entries}},
 	} {
 		if got, want := fmt.Sprint(tc.got), fmt.Sprint(tc.want); got != want {
 			t.Errorf("renders %q, the map form %q", got, want)
@@ -128,7 +129,7 @@ func TestWireRoundTripPreservesSimulatorBehaviour(t *testing.T) {
 	spawn := func() *sfProc {
 		return SFlooding{Proposals: Proposals{2: "v2"}}.Spawn(2, 5).(*sfProc)
 	}
-	orig := sfFloodMsg{Round: 1, Delta: vecOf(map[model.ProcessID]Value{1: "v1"})}
+	orig := &sfFloodMsg{Round: 1, Delta: vecOf(map[model.ProcessID]Value{1: "v1"})}
 	b, err := EncodeWire(orig)
 	if err != nil {
 		t.Fatal(err)

@@ -24,9 +24,7 @@ func BenchmarkReductionDepth(b *testing.B) {
 				tr, err := sim.Execute(sim.Config{
 					N: 5,
 					Automaton: Reduction{
-						Factory: func(int) sim.Automaton {
-							return consensus.SFlooding{Proposals: consensus.DistinctProposals(5)}
-						},
+						Proposals:    consensus.DistinctProposals(5),
 						MaxInstances: depth,
 					},
 					Oracle: fd.Perfect{Delay: 2}, Pattern: pat,

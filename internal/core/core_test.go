@@ -133,14 +133,6 @@ func TestAdversaryFailsAgainstAccurateDetector(t *testing.T) {
 
 // --- T(D⇒P) reduction (Lemma 4.2, experiment E3) ---
 
-// reductionFactory builds fresh flooding instances with distinct
-// proposals.
-func reductionFactory(n int) Factory {
-	return func(instance int) sim.Automaton {
-		return consensus.SFlooding{Proposals: consensus.DistinctProposals(n)}
-	}
-}
-
 // reductionDone stops once every correct process decided the final
 // instance.
 func reductionDone(maxInst int) func(*sim.Trace) bool {
@@ -183,7 +175,7 @@ func TestReductionEmulatesPerfect(t *testing.T) {
 				tr, err := sim.Execute(sim.Config{
 					N: 5,
 					Automaton: Reduction{
-						Factory:      reductionFactory(5),
+						Proposals:    consensus.DistinctProposals(5),
 						MaxInstances: maxInst,
 					},
 					Oracle:   fd.Perfect{Delay: 2},
@@ -222,7 +214,7 @@ func TestReductionProgress(t *testing.T) {
 	pat := model.MustPattern(5).MustCrash(2, 250)
 	tr, err := sim.Execute(sim.Config{
 		N:         5,
-		Automaton: Reduction{Factory: reductionFactory(5), MaxInstances: maxInst},
+		Automaton: Reduction{Proposals: consensus.DistinctProposals(5), MaxInstances: maxInst},
 		Oracle:    fd.Perfect{Delay: 2},
 		Pattern:   pat,
 		Horizon:   30000,
@@ -251,7 +243,7 @@ func TestReductionWithNoisyDetectorLosesAccuracy(t *testing.T) {
 	pat := model.MustPattern(5)
 	tr, err := sim.Execute(sim.Config{
 		N:         5,
-		Automaton: Reduction{Factory: reductionFactory(5), MaxInstances: maxInst},
+		Automaton: Reduction{Proposals: consensus.DistinctProposals(5), MaxInstances: maxInst},
 		Oracle:    fd.EventuallyStrong{GST: 100000, Delay: 2, Seed: 12, FalseRate: 35},
 		Pattern:   pat,
 		Horizon:   30000,

@@ -32,8 +32,9 @@ const (
 // 0–5, plus one abcast.Atomic scenario, all on one reused RunContext —
 // so S-flooding, rotating-coordinator, Marabout, P<, reduction
 // (taggedMsg), TRB (trbCons) and abcast (acEnv) payloads all reach the
-// hash, and stale arena state would too.
-func goldenProtocolTraces(t *testing.T) (textHashes, digests map[string]string) {
+// hash, and stale arena state would too. A non-nil wrap replaces every
+// scenario's automaton with wrap of it.
+func goldenProtocolTraces(t *testing.T, wrap func(sim.Automaton) sim.Automaton) (textHashes, digests map[string]string) {
 	t.Helper()
 	entries, err := scenarioFiles.ReadDir("testdata/scenarios")
 	if err != nil {
@@ -73,6 +74,9 @@ func goldenProtocolTraces(t *testing.T) (textHashes, digests map[string]string) 
 	textHashes, digests = make(map[string]string), make(map[string]string)
 	rc := sim.NewRunContext()
 	for _, c := range cases {
+		if wrap != nil {
+			c.sc.Automaton = wrap(c.sc.Automaton)
+		}
 		for seed := int64(0); seed < goldenProtocolSeeds; seed++ {
 			name := fmt.Sprintf("%s/seed%d", c.name, seed)
 			r := c.sc.RunIn(rc, seed)
@@ -98,7 +102,7 @@ func goldenProtocolTraces(t *testing.T) (textHashes, digests map[string]string) 
 // file pins text hashes, and over the whole grid digests must separate
 // exactly the runs those separate.
 func TestGoldenProtocolTraces(t *testing.T) {
-	got, digests := goldenProtocolTraces(t)
+	got, digests := goldenProtocolTraces(t, nil)
 	if err := tracetest.SamePartition(got, digests); err != nil {
 		t.Error(err)
 	}
@@ -120,6 +124,53 @@ func TestGoldenProtocolTraces(t *testing.T) {
 		}
 		if d != w {
 			t.Errorf("%s: text hash %s… != pinned %s… — a protocol payload or schedule changed", name, d[:16], w[:16])
+		}
+	}
+}
+
+// scribbler wraps an automaton so that, before each Step, its process
+// overwrites every element of the Sends and Events it returned at its
+// previous step. Actions are valid only until the next Step on the same
+// process (sim.Actions), so the run must not notice.
+type scribbler struct{ sim.Automaton }
+
+func (s scribbler) Spawn(self model.ProcessID, n int) sim.Process {
+	return &scribbleProc{inner: s.Automaton.Spawn(self, n)}
+}
+
+type scribbleProc struct {
+	inner sim.Process
+	prev  sim.Actions
+}
+
+func (p *scribbleProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
+	scribble(p.prev)
+	p.prev = p.inner.Step(in, susp, now)
+	return p.prev
+}
+
+func scribble(a sim.Actions) {
+	for i := range a.Sends {
+		a.Sends[i] = sim.Send{To: 1, Payload: "scribbled"}
+	}
+	for i := range a.Events {
+		a.Events[i] = sim.ProtocolEvent{Kind: sim.KindViewChange, Instance: -1, Value: "scribbled"}
+	}
+}
+
+// TestGoldenProtocolTracesSurviveScribbling replays the golden protocol
+// grid with every process wrapped in a scribbler, and every inner step
+// of a sim.Mux scribbled over once consumed, through sim.InnerStepHook:
+// each run must still hash to its pinned text. It fails if the engine, a
+// wrapper or an inner process reads a step's Actions after the next Step.
+func TestGoldenProtocolTracesSurviveScribbling(t *testing.T) {
+	sim.InnerStepHook = scribble
+	defer func() { sim.InnerStepHook = nil }()
+	got, _ := goldenProtocolTraces(t, func(a sim.Automaton) sim.Automaton { return scribbler{a} })
+	want := loadGolden(t, goldenProtocolPath)
+	for name, d := range got {
+		if d != want[name] {
+			t.Errorf("%s: text hash %s… != pinned %s… once Actions are scribbled over", name, d[:16], want[name][:min(16, len(want[name]))])
 		}
 	}
 }

@@ -106,9 +106,7 @@ func TestScenarioFilesMatchStructs(t *testing.T) {
 			ref: harness.Scenario{
 				Name: "E3", N: expN,
 				Automaton: core.Reduction{
-					Factory: func(int) sim.Automaton {
-						return consensus.SFlooding{Proposals: props}
-					},
+					Proposals:    props,
 					MaxInstances: 40,
 				},
 				Oracle: fd.Perfect{Delay: 2}, Horizon: 120000,

@@ -13,6 +13,7 @@
 package livecons
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -164,7 +165,9 @@ func (nd *Node) step(in *sim.Message, step *model.Time) {
 	for _, s := range acts.Sends {
 		body, err := consensus.EncodeWire(s.Payload)
 		if err != nil {
-			continue
+			// The automaton is ours, so a payload the codec misses is a
+			// bug, not a network condition: it must not send nothing.
+			panic(fmt.Sprintf("livecons: %T payload is not wire-encodable: %v", s.Payload, err))
 		}
 		env := transport.Envelope{To: s.To, Type: EnvelopeType, Body: body}
 		nd.sent = append(nd.sent, env)

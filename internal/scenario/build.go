@@ -94,11 +94,8 @@ func (s Spec) Build() (harness.Scenario, error) {
 	case ProtocolTRB:
 		sc.Automaton = trb.Broadcast{Waves: p.Waves}
 	case ProtocolReduction:
-		// Every instance runs the same automaton: a read-only value,
-		// built once, not once per instance per process.
-		flooding := consensus.SFlooding{Proposals: consensus.DistinctProposals(n)}
 		sc.Automaton = core.Reduction{
-			Factory:      func(int) sim.Automaton { return flooding },
+			Proposals:    consensus.DistinctProposals(n),
 			MaxInstances: p.MaxInstances,
 		}
 	case ProtocolBusy:

@@ -75,6 +75,7 @@ func BenchmarkContributors(b *testing.B) {
 		b.Fatal(err)
 	}
 	last := len(tr.Events) - 1
+	_ = tr.Contributors(last) // warm the trace's scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -40,15 +40,12 @@ type RunContext struct {
 	fdOut   []model.ProcessSet
 	fdUntil []model.Time
 
-	// Message arena: chunks are retained across runs and re-carved from
-	// the top. Chunk sizes start small and grow geometrically so short
-	// runs on a fresh context stay cheap.
-	msgChunks       [][]Message
-	msgCI, msgOff   int
-	msgChunkSize    int
-	sendChunks      [][]*Message
-	sendCI, sendOff int
-	sendChunkSize   int
+	// Arenas for the messages, each event's Sends and each event's
+	// protocol Events: chunks are retained across runs and re-carved
+	// from the top.
+	msgs   arena[Message]
+	sends  arena[*Message]
+	events arena[ProtocolEvent]
 
 	// The trace and its history are recycled in place.
 	trace   Trace
@@ -94,8 +91,9 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 		rc.dropped[p] = rc.dropped[p][:0]
 		rc.fdUntil[p] = -1
 	}
-	rc.msgCI, rc.msgOff = 0, 0
-	rc.sendCI, rc.sendOff = 0, 0
+	rc.msgs.rewind()
+	rc.sends.rewind()
+	rc.events.rewind()
 
 	if rc.history == nil {
 		rc.history = model.NewHistory(n)
@@ -141,54 +139,54 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 	return tr
 }
 
-// allocMsg carves one Message from the context's arena.
-func (rc *RunContext) allocMsg() *Message {
+// arena carves slices of T out of chunks that it keeps across runs.
+// Chunk sizes start at first and grow fourfold up to limit, so short
+// runs on a fresh context stay cheap; a request larger than the next
+// chunk gets a chunk of its own size.
+type arena[T any] struct {
+	chunks  [][]T
+	ci, off int
+	size    int
+}
+
+// rewind makes every chunk available again, from the first.
+func (a *arena[T]) rewind() { a.ci, a.off = 0, 0 }
+
+// carve returns a zero-length, capacity-n slice.
+func (a *arena[T]) carve(n, first, limit int) []T {
 	for {
-		if rc.msgCI < len(rc.msgChunks) {
-			c := rc.msgChunks[rc.msgCI]
-			if rc.msgOff < len(c) {
-				m := &c[rc.msgOff]
-				rc.msgOff++
-				return m
+		if a.ci < len(a.chunks) {
+			c := a.chunks[a.ci]
+			if a.off+n <= len(c) {
+				s := c[a.off : a.off : a.off+n]
+				a.off += n
+				return s
 			}
-			rc.msgCI++
-			rc.msgOff = 0
+			a.ci++
+			a.off = 0
 			continue
 		}
-		if rc.msgChunkSize == 0 {
-			rc.msgChunkSize = 32
-		} else if rc.msgChunkSize < 1024 {
-			rc.msgChunkSize *= 4
+		if a.size == 0 {
+			a.size = first
+		} else if a.size < limit {
+			a.size *= 4
 		}
-		rc.msgChunks = append(rc.msgChunks, make([]Message, rc.msgChunkSize))
+		a.size = max(a.size, n)
+		a.chunks = append(a.chunks, make([]T, a.size))
 	}
 }
 
-// allocSends carves a zero-length, capacity-n pointer slice from the
-// context's arena for one event's Sends.
-func (rc *RunContext) allocSends(n int) []*Message {
-	for {
-		if rc.sendCI < len(rc.sendChunks) {
-			c := rc.sendChunks[rc.sendCI]
-			if rc.sendOff+n <= len(c) {
-				s := c[rc.sendOff : rc.sendOff : rc.sendOff+n]
-				rc.sendOff += n
-				return s
-			}
-			rc.sendCI++
-			rc.sendOff = 0
-			continue
-		}
-		size := rc.sendChunkSize
-		if size == 0 {
-			size = 64
-		} else if size < 2048 {
-			size *= 4
-		}
-		if n > size {
-			size = n
-		}
-		rc.sendChunkSize = size
-		rc.sendChunks = append(rc.sendChunks, make([]*Message, size))
-	}
+// allocMsg carves one Message from the context's arena.
+func (rc *RunContext) allocMsg() *Message {
+	return &rc.msgs.carve(1, 32, 1024)[:1][0]
+}
+
+// allocSends carves a zero-length, capacity-n pointer slice for one
+// event's Sends.
+func (rc *RunContext) allocSends(n int) []*Message { return rc.sends.carve(n, 64, 2048) }
+
+// copyEvents copies one step's protocol events into the context's
+// arena, so that a process may reuse its Events buffer (see Actions).
+func (rc *RunContext) copyEvents(evs []ProtocolEvent) []ProtocolEvent {
+	return append(rc.events.carve(len(evs), 16, 1024), evs...)
 }

@@ -329,8 +329,10 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 			T:            t,
 			Msg:          msg,
 			FD:           susp,
-			Events:       actions.Events,
 			PrevSameProc: rc.lastEv[p],
+		}
+		if len(actions.Events) > 0 {
+			ev.Events = rc.copyEvents(actions.Events)
 		}
 		if len(actions.Sends) > 0 {
 			ev.Sends = rc.allocSends(len(actions.Sends))

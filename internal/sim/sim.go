@@ -17,6 +17,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"realisticfd/internal/model"
 )
@@ -56,6 +57,19 @@ func Broadcast(n int, payload any) []Send {
 		out = append(out, Send{To: model.ProcessID(p), Payload: payload})
 	}
 	return out
+}
+
+// AppendOthers appends a Send of payload to every process of 1..n but
+// self, the broadcast of protocols that need no message to themselves.
+// Every destination shares the one payload.
+func AppendOthers(sends []Send, n int, self model.ProcessID, payload any) []Send {
+	sends = slices.Grow(sends, n-1)
+	for q := model.ProcessID(1); int(q) <= n; q++ {
+		if q != self {
+			sends = append(sends, Send{To: q, Payload: payload})
+		}
+	}
+	return sends
 }
 
 // EventKind labels observable protocol events recorded in the trace.
@@ -105,14 +119,12 @@ type ProtocolEvent struct {
 // Actions is what a protocol step returns: messages to send and
 // observable events that occurred during the step.
 //
-// The two slices have different lifetimes. Sends is valid only until
-// the next Step on the same process: whoever called Step (the engine,
-// an envelope wrapper such as core.Reduction, trb.Broadcast or
-// abcast.Atomic, the live node loop) reads it before stepping that
-// process again and neither keeps nor changes it, so a process may
-// return the same backing array every step, or one shared read-only
-// slice. Events is kept by the trace for the whole run, so it must be
-// a fresh slice every step (or nil).
+// Both slices are valid only until the next Step on the same process.
+// Whoever called Step (the engine, which copies them into its
+// RunContext's arenas; a Mux, which seals an inner instance's sends into
+// envelopes; the live node loop) reads them before stepping that process
+// again and neither keeps nor changes them, so a process may return the
+// same backing arrays every step, or one shared read-only slice.
 type Actions struct {
 	Sends  []Send
 	Events []ProtocolEvent
@@ -123,8 +135,10 @@ type Actions struct {
 // susp the value seen from the failure-detector module, now the global
 // time (exposed for tracing only — protocol logic must not branch on
 // it in ways the paper's asynchronous model would forbid; protocols in
-// this repository use it only for logging). The returned Actions.Sends
-// may be reused by the process at its next Step; see Actions.
+// this repository use it only for logging). The returned Actions may be
+// reused by the process at its next Step; see Actions. Step must not
+// keep in: a Mux presents every inner message in one scratch Message,
+// rewritten for the next.
 type Process interface {
 	Step(in *Message, susp model.ProcessSet, now model.Time) Actions
 }

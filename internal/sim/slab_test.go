@@ -33,15 +33,13 @@ func TestSlabHandsOutDistinctZeroValues(t *testing.T) {
 	}); allocs != 8 {
 		t.Errorf("%d values cost %.0f allocations, want 8 chunks", count, allocs)
 	}
-}
-
-func TestMessageView(t *testing.T) {
-	var views Slab[Message]
-	in := &Message{ID: 7, From: 2, To: 3, SentAt: 11, SentBy: 4, Payload: "envelope"}
-	v := in.View(&views, "inner")
-	want := *in
-	want.Payload = "inner"
-	if *v != want || v == in || in.Payload != "envelope" {
-		t.Fatalf("View = %+v of %+v", *v, *in)
+	// A run larger than any chunk gets a chunk of its own, capped at its
+	// length so appending to it cannot reach a later value.
+	big := s.Carve(300)
+	if len(big) != 300 || cap(big) != 300 || big[299] != (Message{}) {
+		t.Fatalf("Carve(300) = len %d cap %d", len(big), cap(big))
+	}
+	if next := s.New(); next == &big[299] || *next != (Message{}) {
+		t.Fatal("the value after a large carve is shared or non-zero")
 	}
 }

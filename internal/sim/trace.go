@@ -64,8 +64,11 @@ type Trace struct {
 
 	// scratch holds the canonical encoding while Digest hashes it,
 	// retained so that a RunContext-reused trace digests without
-	// allocating.
+	// allocating; mark, gen and past are walkPast's.
 	scratch []byte
+	mark    []uint32
+	gen     uint32
+	past    []int
 }
 
 // appendEvent records ev and updates every incremental index. The
@@ -221,33 +224,17 @@ type LocatedEvent struct {
 }
 
 // CausalPast returns the set of event indices in the causal past of
-// event i, inclusive of i itself: the transitive closure over
-// program-order edges (previous step of the same process) and message
-// edges (receive ← send). This is the causal chain of §4.2 used by
-// the totality definition.
+// event i, inclusive of i itself, in increasing order: the transitive
+// closure over program-order edges (previous step of the same process)
+// and message edges (receive ← send). This is the causal chain of §4.2
+// used by the totality definition.
 func (tr *Trace) CausalPast(i int) []int {
 	if i < 0 || i >= len(tr.Events) {
 		return nil
 	}
-	seen := make([]bool, len(tr.Events))
-	stack := []int{i}
-	seen[i] = true
-	for len(stack) > 0 {
-		j := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		ev := &tr.Events[j]
-		if k := ev.PrevSameProc; k >= 0 && !seen[k] {
-			seen[k] = true
-			stack = append(stack, k)
-		}
-		if ev.Msg != nil && ev.Msg.SentBy >= 0 && !seen[ev.Msg.SentBy] {
-			seen[ev.Msg.SentBy] = true
-			stack = append(stack, ev.Msg.SentBy)
-		}
-	}
-	out := make([]int, 0, 64)
-	for j, ok := range seen {
-		if ok {
+	out := make([]int, 0, len(tr.walkPast(i)))
+	for j := range tr.Events {
+		if tr.mark[j] == tr.gen {
 			out = append(out, j)
 		}
 	}
@@ -258,17 +245,47 @@ func (tr *Trace) CausalPast(i int) []int {
 // causal chain of event i, plus the process of i itself: the set the
 // totality definition of §4.2 compares against the alive set. A
 // process q ≠ P(i) contributes iff some event in the causal past of i
-// received a message sent by q.
+// received a message sent by q. After the first call on a trace it
+// allocates nothing.
 func (tr *Trace) Contributors(i int) model.ProcessSet {
-	past := tr.CausalPast(i)
 	out := model.NewProcessSet(tr.Events[i].P)
-	for _, j := range past {
-		ev := &tr.Events[j]
-		if ev.Msg != nil {
-			out = out.Add(ev.Msg.From)
+	for _, j := range tr.walkPast(i) {
+		if m := tr.Events[j].Msg; m != nil {
+			out = out.Add(m.From)
 		}
 	}
 	return out
+}
+
+// walkPast returns the causal past of event i, in no particular order,
+// in scratch owned by the trace and valid until the next walk. An event
+// is marked visited by stamping it with the walk's generation, so no
+// walk clears the marks of the last.
+func (tr *Trace) walkPast(i int) []int {
+	if len(tr.mark) < len(tr.Events) {
+		tr.mark, tr.gen = make([]uint32, cap(tr.Events)), 0
+	}
+	if tr.gen++; tr.gen == 0 {
+		clear(tr.mark)
+		tr.gen = 1
+	}
+	past := append(tr.past[:0], i)
+	tr.mark[i] = tr.gen
+	for r := 0; r < len(past); r++ {
+		ev := &tr.Events[past[r]]
+		sent := -1
+		if ev.Msg != nil {
+			sent = ev.Msg.SentBy
+		}
+		for _, k := range [2]int{ev.PrevSameProc, sent} {
+			if k >= 0 && tr.mark[k] != tr.gen {
+				tr.mark[k] = tr.gen
+				past = append(past, k)
+			}
+		}
+	}
+	tr.past = past
+	return past
 }
 
 // MaxTime returns the time of the last event, or 0 for an empty trace.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,4 +198,56 @@ func (bp *badPickPolicy) NextProcess(alive []model.ProcessID, t model.Time, r *r
 
 func (bp *badPickPolicy) PickMessage(_ model.ProcessID, pending []*Message, _ model.Time, _ *rand.Rand) int {
 	return len(pending) + 3 // deliberately out of range
+}
+
+// TestCausalWalkMatchesReference checks CausalPast and Contributors on
+// every event of a busy run against a fresh depth-first search, so the
+// generation marks the walks share never leak from one walk into the
+// next, and holds Contributors to zero allocations once warm.
+func TestCausalWalkMatchesReference(t *testing.T) {
+	t.Parallel()
+	tr, err := Execute(Config{
+		N: 8, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
+		Horizon: 600, Seed: 5, Policy: &RandomFairPolicy{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Events {
+		seen := make([]bool, len(tr.Events))
+		stack := []int{i}
+		seen[i] = true
+		want := model.NewProcessSet(tr.Events[i].P)
+		for len(stack) > 0 {
+			ev := &tr.Events[stack[len(stack)-1]]
+			stack = stack[:len(stack)-1]
+			next := []int{ev.PrevSameProc, -1}
+			if ev.Msg != nil {
+				want = want.Add(ev.Msg.From)
+				next[1] = ev.Msg.SentBy
+			}
+			for _, k := range next {
+				if k >= 0 && !seen[k] {
+					seen[k] = true
+					stack = append(stack, k)
+				}
+			}
+		}
+		var past []int
+		for j, ok := range seen {
+			if ok {
+				past = append(past, j)
+			}
+		}
+		if got := tr.CausalPast(i); !slices.Equal(got, past) {
+			t.Fatalf("CausalPast(%d) = %v, want %v", i, got, past)
+		}
+		if got := tr.Contributors(i); !got.Equal(want) {
+			t.Fatalf("Contributors(%d) = %v, want %v", i, got, want)
+		}
+	}
+	last := len(tr.Events) - 1
+	if allocs := testing.AllocsPerRun(10, func() { tr.Contributors(last) }); allocs != 0 {
+		t.Errorf("Contributors allocates %.0f times per call", allocs)
+	}
 }

@@ -25,22 +25,57 @@ func (d Delivery) IsNil() bool { return d.Value == Nil }
 // instance then deliverer.
 func Deliveries(tr *sim.Trace) map[int]map[model.ProcessID]Delivery {
 	out := map[int]map[model.ProcessID]Delivery{}
-	for _, le := range tr.ProtocolEvents(sim.KindDeliver) {
-		v, ok := le.Event.Value.(consensus.Value)
-		if !ok {
-			continue
-		}
-		init, seq := SplitInstanceID(le.Event.Instance)
-		m := out[le.Event.Instance]
-		if m == nil {
-			m = map[model.ProcessID]Delivery{}
-			out[le.Event.Instance] = m
-		}
-		if _, dup := m[le.P]; !dup {
-			m[le.P] = Delivery{Initiator: init, Seq: seq, By: le.P, At: le.T, Value: v}
+	for _, x := range indexDeliveries(tr).at {
+		if id := InstanceID(x.Initiator, x.Seq); x.By != 0 {
+			if out[id] == nil {
+				out[id] = map[model.ProcessID]Delivery{}
+			}
+			out[id][x.By] = x
 		}
 	}
 	return out
+}
+
+// deliveries indexes a trace's TRB deliveries once for every check, in
+// instance order (by initiator, then wave): the first delivery of
+// instance (i, k) by p is at[((i−1)·waves+k)·n+p−1], and its By is 0
+// where p delivered nothing.
+type deliveries struct {
+	n, waves int
+	at       []Delivery
+}
+
+func indexDeliveries(tr *sim.Trace) deliveries {
+	d := deliveries{n: tr.N}
+	evs := tr.ProtocolEvents(sim.KindDeliver)
+	for _, le := range evs {
+		if _, ok := le.Event.Value.(consensus.Value); ok {
+			_, seq := SplitInstanceID(le.Event.Instance)
+			d.waves = max(d.waves, seq+1)
+		}
+	}
+	d.at = make([]Delivery, d.n*d.waves*d.n)
+	for _, le := range evs {
+		v, ok := le.Event.Value.(consensus.Value)
+		init, seq := SplitInstanceID(le.Event.Instance)
+		if !ok || init < 1 || int(init) > d.n || le.P < 1 || int(le.P) > d.n {
+			continue
+		}
+		if x := &d.instance(init, seq)[le.P-1]; x.By == 0 {
+			*x = Delivery{Initiator: init, Seq: seq, By: le.P, At: le.T, Value: v}
+		}
+	}
+	return d
+}
+
+// instance returns the deliveries of instance (init, k) by process,
+// p1 first; nil for a wave nobody delivered.
+func (d deliveries) instance(init model.ProcessID, k int) []Delivery {
+	if k >= d.waves {
+		return nil
+	}
+	i := ((int(init)-1)*d.waves + k) * d.n
+	return d.at[i : i+d.n]
 }
 
 // AllDelivered returns a per-run stop predicate: every correct
@@ -97,23 +132,21 @@ func AllDelivered(waves int) func(*sim.Trace) bool {
 }
 
 // CheckAgreement verifies that for every instance, all deliverers
-// delivered the same value (property 2 of §5).
-func CheckAgreement(tr *sim.Trace) error {
-	for id, m := range Deliveries(tr) {
-		var ref consensus.Value
-		var refBy model.ProcessID
-		first := true
-		for p := model.ProcessID(1); int(p) <= tr.N; p++ {
-			d, ok := m[p]
-			if !ok {
-				continue
-			}
-			if first {
-				ref, refBy, first = d.Value, p, false
-			} else if d.Value != ref {
-				init, seq := SplitInstanceID(id)
+// delivered the same value (property 2 of §5). Like every check here,
+// it names the first violation in instance order.
+func CheckAgreement(tr *sim.Trace) error { return indexDeliveries(tr).agreement() }
+
+func (d deliveries) agreement() error {
+	for i := 0; i < len(d.at); i += d.n {
+		var ref Delivery
+		for _, x := range d.at[i : i+d.n] {
+			switch {
+			case x.By == 0:
+			case ref.By == 0:
+				ref = x
+			case x.Value != ref.Value:
 				return fmt.Errorf("trb agreement violated for (%v,%d): %v delivered %q, %v delivered %q",
-					init, seq, refBy, ref, p, d.Value)
+					x.Initiator, x.Seq, ref.By, ref.Value, x.By, x.Value)
 			}
 		}
 	}
@@ -123,16 +156,16 @@ func CheckAgreement(tr *sim.Trace) error {
 // CheckTermination verifies every correct process delivered every
 // instance of every wave.
 func CheckTermination(tr *sim.Trace, waves int) error {
-	dels := Deliveries(tr)
-	correct := tr.Pattern.Correct()
-	for init := 1; init <= tr.N; init++ {
+	return indexDeliveries(tr).termination(tr.Pattern.Correct(), waves)
+}
+
+func (d deliveries) termination(correct model.ProcessSet, waves int) error {
+	for init := model.ProcessID(1); int(init) <= d.n; init++ {
 		for k := 0; k < waves; k++ {
-			id := InstanceID(model.ProcessID(init), k)
-			m := dels[id]
+			dels := d.instance(init, k)
 			for _, p := range correct.Slice() {
-				if _, ok := m[p]; !ok {
-					return fmt.Errorf("trb termination violated: correct %v never delivered (%v,%d)",
-						p, model.ProcessID(init), k)
+				if dels == nil || dels[p-1].By == 0 {
+					return fmt.Errorf("trb termination violated: correct %v never delivered (%v,%d)", p, init, k)
 				}
 			}
 		}
@@ -143,17 +176,20 @@ func CheckTermination(tr *sim.Trace, waves int) error {
 // CheckValidity verifies property 1 of §5: a correct initiator's
 // instances deliver its actual message, never nil.
 func CheckValidity(tr *sim.Trace, waves int, script func(model.ProcessID, int) consensus.Value) error {
+	return indexDeliveries(tr).validity(tr.Pattern.Correct(), waves, script)
+}
+
+func (d deliveries) validity(correct model.ProcessSet, waves int, script func(model.ProcessID, int) consensus.Value) error {
 	if script == nil {
 		script = DefaultScript
 	}
-	dels := Deliveries(tr)
-	for _, init := range tr.Pattern.Correct().Slice() {
+	for _, init := range correct.Slice() {
 		for k := 0; k < waves; k++ {
 			want := script(init, k)
-			for _, d := range dels[InstanceID(init, k)] {
-				if d.Value != want {
+			for _, x := range d.instance(init, k) {
+				if x.By != 0 && x.Value != want {
 					return fmt.Errorf("trb validity violated: (%v,%d) delivered %q at %v, want %q",
-						init, k, d.Value, d.By, want)
+						init, k, x.Value, x.By, want)
 				}
 			}
 		}
@@ -165,16 +201,20 @@ func CheckValidity(tr *sim.Trace, waves int, script func(model.ProcessID, int) c
 // every delivered non-nil value is exactly what the instance's
 // initiator broadcast.
 func CheckIntegrity(tr *sim.Trace, script func(model.ProcessID, int) consensus.Value) error {
+	return indexDeliveries(tr).integrity(script)
+}
+
+func (d deliveries) integrity(script func(model.ProcessID, int) consensus.Value) error {
 	if script == nil {
 		script = DefaultScript
 	}
-	for id, m := range Deliveries(tr) {
-		init, seq := SplitInstanceID(id)
-		want := script(init, seq)
-		for _, d := range m {
-			if !d.IsNil() && d.Value != want {
+	for i := 0; i < len(d.at); i += d.n {
+		init, k := model.ProcessID(i/d.n/d.waves+1), i/d.n%d.waves
+		want := script(init, k)
+		for _, x := range d.at[i : i+d.n] {
+			if x.By != 0 && !x.IsNil() && x.Value != want {
 				return fmt.Errorf("trb integrity violated: (%v,%d) delivered %q at %v, initiator broadcast %q",
-					init, seq, d.Value, d.By, want)
+					init, k, x.Value, x.By, want)
 			}
 		}
 	}
@@ -185,31 +225,28 @@ func CheckIntegrity(tr *sim.Trace, script func(model.ProcessID, int) consensus.V
 // necessary direction: whenever nil is delivered for an instance of
 // p_i at time t, p_i has crashed by t. This is exactly the step of
 // the proof that requires D to be realistic.
-func CheckNilAccuracy(tr *sim.Trace) error {
-	for _, m := range Deliveries(tr) {
-		for _, d := range m {
-			if d.IsNil() && tr.Pattern.Alive(d.Initiator, d.At) {
-				return fmt.Errorf("trb nil-accuracy violated: %v delivered nil for (%v,%d) at t=%d while %v was alive",
-					d.By, d.Initiator, d.Seq, d.At, d.Initiator)
-			}
+func CheckNilAccuracy(tr *sim.Trace) error { return indexDeliveries(tr).nilAccuracy(tr.Pattern) }
+
+func (d deliveries) nilAccuracy(pattern *model.FailurePattern) error {
+	for _, x := range d.at {
+		if x.By != 0 && x.IsNil() && pattern.Alive(x.Initiator, x.At) {
+			return fmt.Errorf("trb nil-accuracy violated: %v delivered nil for (%v,%d) at t=%d while %v was alive",
+				x.By, x.Initiator, x.Seq, x.At, x.Initiator)
 		}
 	}
 	return nil
 }
 
-// CheckAll runs every TRB property.
+// CheckAll runs every TRB property on one index of the deliveries.
 func CheckAll(tr *sim.Trace, waves int, script func(model.ProcessID, int) consensus.Value) error {
-	if err := CheckTermination(tr, waves); err != nil {
-		return err
+	d, correct := indexDeliveries(tr), tr.Pattern.Correct()
+	for _, err := range []error{
+		d.termination(correct, waves), d.agreement(), d.validity(correct, waves, script),
+		d.integrity(script), d.nilAccuracy(tr.Pattern),
+	} {
+		if err != nil {
+			return err
+		}
 	}
-	if err := CheckAgreement(tr); err != nil {
-		return err
-	}
-	if err := CheckValidity(tr, waves, script); err != nil {
-		return err
-	}
-	if err := CheckIntegrity(tr, script); err != nil {
-		return err
-	}
-	return CheckNilAccuracy(tr)
+	return nil
 }

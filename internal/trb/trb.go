@@ -78,17 +78,8 @@ func (b Broadcast) Spawn(self model.ProcessID, n int) sim.Process {
 	if waves <= 0 {
 		waves = 1
 	}
-	p := &trbProc{
-		self:      self,
-		n:         n,
-		waves:     waves,
-		script:    script,
-		instances: make([]trbInstance, waves*n),
-	}
-	for i := range p.instances {
-		seq, init := i/n, model.ProcessID(i%n+1)
-		p.instances[i] = trbInstance{id: InstanceID(init, seq), initiator: init, seq: seq}
-	}
+	p := &trbProc{self: self, n: n, waves: waves, script: script, instances: make([]trbInstance, waves*n)}
+	p.mux.Init(p, &p.host, len(p.instances))
 	return p
 }
 
@@ -100,7 +91,7 @@ type (
 		Val consensus.Value
 	}
 	// trbCons wraps embedded-consensus traffic for one instance. It
-	// travels by pointer, carved from the sender's slab.
+	// travels by pointer, carved by the sender's multiplexer.
 	trbCons struct {
 		Instance int // InstanceID
 		Inner    any
@@ -111,22 +102,13 @@ type (
 // is the text the trace digests pin.
 func (m *trbCons) String() string { return fmt.Sprintf("{%d %v}", m.Instance, m.Inner) }
 
-// trbInstance is the per-instance state machine.
+// trbInstance is the per-instance state machine: waiting (for the
+// value or a suspicion of the initiator), then proposed, while its
+// embedded consensus runs in the multiplexer until it delivers.
 type trbInstance struct {
-	id        int
-	initiator model.ProcessID
-	seq       int
-
-	// phase: waiting (for value or suspicion) → consensus → done.
-	proposed  bool
-	delivered bool
-
-	// got is the initiator's value, when received.
-	got    consensus.Value
-	gotSet bool
-
-	inner  sim.Process
-	buffer []*sim.Message // consensus traffic arriving before propose
+	proposed bool
+	got      consensus.Value // the initiator's value, when received
+	gotSet   bool
 }
 
 type trbProc struct {
@@ -139,57 +121,52 @@ type trbProc struct {
 	selfWave int // next wave this process will initiate
 
 	// instances holds instance (i, k) at index k·n + i−1: wave-major,
-	// the order Step drives them in.
+	// the order Step drives them in, and their number in mux.
 	instances []trbInstance
 
-	envs  sim.Slab[trbCons]     // outgoing envelopes
-	views sim.Slab[sim.Message] // inner views of received messages
-	sends []sim.Send            // the step's Sends, reused from step to step
+	mux  sim.Mux[trbCons]
+	host consensus.Host
+	acts sim.Actions // the step's, reused from step to step
 }
 
-// instance returns the state of instance (initiator, seq), or nil for
-// an instance outside this run's waves×n.
-func (p *trbProc) instance(initiator model.ProcessID, seq int) *trbInstance {
+// index returns the index of instance (initiator, seq), or −1 for an
+// instance outside this run's waves×n; split inverts it.
+func (p *trbProc) index(initiator model.ProcessID, seq int) int {
 	if initiator < 1 || int(initiator) > p.n || seq < 0 || seq >= p.waves {
-		return nil
+		return -1
 	}
-	return &p.instances[seq*p.n+int(initiator)-1]
+	return seq*p.n + int(initiator) - 1
 }
+
+func (p *trbProc) split(i int) (model.ProcessID, int) { return model.ProcessID(i%p.n + 1), i / p.n }
 
 // Step implements sim.Process.
 func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) sim.Actions {
-	acts := sim.Actions{Sends: p.sends[:0]}
+	acts := &p.acts
+	acts.Sends, acts.Events = acts.Sends[:0], acts.Events[:0]
 
 	if !p.started {
 		p.started = true
-		p.initiateWave(0, &acts)
+		p.initiateWave(0, acts)
 	}
 
 	if in != nil {
 		switch m := in.Payload.(type) {
 		case trbValue:
-			if inst := p.instance(in.From, m.Seq); inst != nil && !inst.gotSet {
-				inst.got = m.Val
-				inst.gotSet = true
+			if i := p.index(in.From, m.Seq); i >= 0 && !p.instances[i].gotSet {
+				p.instances[i].got = m.Val
+				p.instances[i].gotSet = true
 			}
 		case *trbCons:
-			if inst := p.instance(SplitInstanceID(m.Instance)); inst != nil && !inst.delivered {
-				inner := in.View(&p.views, m.Inner)
-				if inst.inner == nil {
-					inst.buffer = append(inst.buffer, inner)
-				} else {
-					p.feed(inst, inner, susp, now, &acts)
-				}
-			}
+			p.mux.Receive(in, susp, now, acts)
 		}
 	}
 
 	// Drive every live instance of every wave ≤ the frontier.
 	for i := range p.instances {
-		p.progress(&p.instances[i], susp, now, &acts)
+		p.progress(i, susp, now, acts)
 	}
-	p.sends = acts.Sends
-	return acts
+	return *acts
 }
 
 // initiateWave broadcasts this process's value for wave k.
@@ -199,79 +176,54 @@ func (p *trbProc) initiateWave(k int, acts *sim.Actions) {
 	}
 	p.selfWave = k + 1
 	val := p.script(p.self, k)
-	inst := p.instance(p.self, k)
+	inst := &p.instances[p.index(p.self, k)]
 	inst.got = val
 	inst.gotSet = true
-	msg := trbValue{Seq: k, Val: val}
-	for q := 1; q <= p.n; q++ {
-		id := model.ProcessID(q)
-		if id != p.self {
-			acts.Sends = append(acts.Sends, sim.Send{To: id, Payload: msg})
-		}
-	}
+	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, trbValue{Seq: k, Val: val})
 }
 
-// progress fires the instance's pending transitions.
-func (p *trbProc) progress(inst *trbInstance, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
-	if inst.delivered {
+// progress fires instance i's pending transitions: once its proposal is
+// known (the value, or Nil on suspicion of the initiator), the embedded
+// consensus starts and replays the traffic that arrived before; after
+// that it takes a λ step every step until it delivers.
+func (p *trbProc) progress(i int, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
+	inst := &p.instances[i]
+	if inst.proposed {
+		if p.mux.Running(i) {
+			p.mux.Step(i, nil, susp, now, acts)
+		}
 		return
 	}
-	if !inst.proposed {
-		var proposal consensus.Value
-		switch {
-		case inst.gotSet:
-			proposal = inst.got
-		case susp.Has(inst.initiator):
-			proposal = Nil
-		default:
-			return // keep waiting
-		}
-		inst.proposed = true
-		inst.inner = consensus.SFlooding{
-			Proposals: consensus.Proposals{p.self: proposal},
-		}.Spawn(p.self, p.n)
-		// λ kick emits the round-1 broadcast, then drain the buffer.
-		p.feed(inst, nil, susp, now, acts)
-		for _, m := range inst.buffer {
-			if inst.delivered {
-				break
-			}
-			p.feed(inst, m, susp, now, acts)
-		}
-		inst.buffer = nil
-		return
+	proposal := inst.got
+	switch initiator, _ := p.split(i); {
+	case inst.gotSet:
+	case susp.Has(initiator):
+		proposal = Nil
+	default:
+		return // keep waiting
 	}
-	if inst.inner != nil {
-		p.feed(inst, nil, susp, now, acts)
-	}
+	inst.proposed = true
+	p.mux.Start(i, p.host.Spawn(p.self, p.n, proposal), susp, now, acts)
 }
 
-// feed drives the embedded consensus of one instance with a message or
-// λ and translates its actions.
-func (p *trbProc) feed(inst *trbInstance, in *sim.Message, susp model.ProcessSet, now model.Time, acts *sim.Actions) {
-	innerActs := inst.inner.Step(in, susp, now)
-	for _, s := range innerActs.Sends {
-		env := p.envs.New()
-		*env = trbCons{Instance: inst.id, Inner: s.Payload}
-		acts.Sends = append(acts.Sends, sim.Send{To: s.To, Payload: env})
-	}
-	for _, ev := range innerActs.Events {
-		if ev.Kind != sim.KindDecide {
-			continue
-		}
-		inst.delivered = true
-		inst.inner = nil
-		inst.buffer = nil
-		v, _ := ev.Value.(consensus.Value)
-		acts.Events = append(acts.Events, sim.ProtocolEvent{
-			Kind:     sim.KindDeliver,
-			Instance: inst.id,
-			Value:    v,
-		})
-		// Rate-limit own stream: initiate wave k+1 once (self, k) is
-		// delivered.
-		if inst.initiator == p.self && inst.seq+1 == p.selfWave {
-			p.initiateWave(p.selfWave, acts)
-		}
+// Instance implements sim.Wrapper.
+func (p *trbProc) Instance(env *trbCons) int { return p.index(SplitInstanceID(env.Instance)) }
+
+// Open implements sim.Wrapper.
+func (p *trbProc) Open(env *trbCons) any { return env.Inner }
+
+// Seal implements sim.Wrapper.
+func (p *trbProc) Seal(env *trbCons, k int, inner any) {
+	*env = trbCons{Instance: InstanceID(p.split(k)), Inner: inner}
+}
+
+// Decided implements sim.Wrapper: the decision is delivered.
+func (p *trbProc) Decided(k int, ev sim.ProtocolEvent, acts *sim.Actions) {
+	initiator, seq := p.split(k)
+	acts.Events = append(acts.Events, sim.ProtocolEvent{Kind: sim.KindDeliver, Instance: InstanceID(initiator, seq), Value: ev.Value})
+	// Rate-limit own stream: initiate wave k+1 once (self, k) is
+	// delivered.
+	if initiator == p.self && seq+1 == p.selfWave {
+		p.initiateWave(p.selfWave, acts)
 	}
 }

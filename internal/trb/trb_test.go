@@ -2,6 +2,7 @@ package trb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"realisticfd/internal/consensus"
@@ -162,5 +163,62 @@ func TestTRBCustomScript(t *testing.T) {
 	d := Deliveries(tr)[InstanceID(2, 1)][3]
 	if d.Value != "order-1-from-p2" {
 		t.Fatalf("delivered %q", d.Value)
+	}
+}
+
+// deliverer is a test automaton: at its first step, each process emits
+// the TRB deliveries listed for it.
+type deliverer map[model.ProcessID][]sim.ProtocolEvent
+
+func (d deliverer) Spawn(self model.ProcessID, _ int) sim.Process {
+	return &deliverProc{evs: d[self]}
+}
+
+type deliverProc struct{ evs []sim.ProtocolEvent }
+
+func (p *deliverProc) Step(*sim.Message, model.ProcessSet, model.Time) sim.Actions {
+	evs := p.evs
+	p.evs = nil
+	return sim.Actions{Events: evs}
+}
+
+// TestChecksNameTheFirstViolationInInstanceOrder pins which violation a
+// check names on a trace with two: the first in instance order (by
+// initiator, then wave), however often it is asked.
+func TestChecksNameTheFirstViolationInInstanceOrder(t *testing.T) {
+	t.Parallel()
+	del := func(init model.ProcessID, seq int, v consensus.Value) sim.ProtocolEvent {
+		return sim.ProtocolEvent{Kind: sim.KindDeliver, Instance: InstanceID(init, seq), Value: v}
+	}
+	// (p2,0) and (p3,0) disagree, on values their initiators never
+	// broadcast; (p1,1) and (p4,0) deliver nil though nobody crashes.
+	tr, err := sim.Execute(sim.Config{
+		N: 4, Oracle: fd.Perfect{}, Horizon: 40, Seed: 1, Policy: &sim.RandomFairPolicy{},
+		Automaton: deliverer{
+			1: {del(3, 0, "m(3,0)"), del(2, 0, "m(2,0)"), del(4, 0, Nil)},
+			2: {del(3, 0, "y"), del(1, 1, Nil)},
+			3: {del(2, 0, "x")},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tr.ProtocolEvents(sim.KindDeliver)); got != 6 {
+		t.Fatalf("trace holds %d deliveries, want 6", got)
+	}
+	for i := 0; i < 20; i++ {
+		for _, tc := range []struct {
+			name string
+			err  error
+			want string
+		}{
+			{"agreement", CheckAgreement(tr), `trb agreement violated for (p2,0): p1 delivered "m(2,0)", p3 delivered "x"`},
+			{"integrity", CheckIntegrity(tr, nil), `trb integrity violated: (p2,0) delivered "x" at p3, initiator broadcast "m(2,0)"`},
+			{"nil-accuracy", CheckNilAccuracy(tr), "trb nil-accuracy violated: p2 delivered nil for (p1,1) at t="},
+		} {
+			if tc.err == nil || !strings.HasPrefix(tc.err.Error(), tc.want) {
+				t.Fatalf("%s names %v, want %s", tc.name, tc.err, tc.want)
+			}
+		}
 	}
 }
