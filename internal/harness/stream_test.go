@@ -219,15 +219,22 @@ func TestCheckpointConfigChangeRejected(t *testing.T) {
 // found and the digest version this build writes, rather than fall
 // through to a field-by-field mismatch — or, worse, resume. v1 has no
 // config digest to verify; v2 is well-formed in every field and would
-// resume cleanly, XOR-folding its text digests with binary ones.
+// resume cleanly, XOR-folding its text digests with binary ones; so
+// would v3 under fdtrace/2, folding digests of two encodings.
 func TestCheckpointV1Rejected(t *testing.T) {
 	t.Parallel()
 	sc := testScenario(nil)
 	for version, file := range map[string]string{
 		"v1": `{"schema":"realisticfd-sweep-checkpoint/v1","scenario":"sflooding","seed_from":0,"seed_to":8,"chunk_size":4,"complete":true,"next_chunk":2,"prefix":{}}`,
 		"v2": `{"schema":"realisticfd-sweep-checkpoint/v2","scenario":"sflooding","config_digest":"` + sc.identityDigest() + `","seed_from":0,"seed_to":8,"chunk_size":4,"complete":false,"next_chunk":1,"prefix":{"runs":4,"errors":0,"digest":"` + strings.Repeat("ab", 32) + `","decisions":0,"events":0,"undelivered":0}}`,
+		// The current layout under the previous digest encoding: its
+		// prefix XOR-folds fdtrace/2 digests.
+		"v3+fdtrace/2": `{"schema":"realisticfd-sweep-checkpoint/v3+fdtrace/2","scenario":"sflooding","config_digest":"` + sc.identityDigest() + `","seed_from":0,"seed_to":8,"chunk_size":4,"complete":false,"next_chunk":1,"prefix":{"runs":4,"errors":0,"digest":"` + strings.Repeat("ab", 32) + `","decisions":0,"events":0,"undelivered":0}}`,
 	} {
-		path := filepath.Join(t.TempDir(), version+".ckpt")
+		if version == "v3+"+sim.DigestVersion {
+			t.Fatalf("%s is this build's own schema", version)
+		}
+		path := filepath.Join(t.TempDir(), strings.ReplaceAll(version, "/", "-")+".ckpt")
 		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 			t.Fatal(err)
 		}

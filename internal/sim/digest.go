@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"slices"
 	"strconv"
 
@@ -13,7 +14,7 @@ import (
 
 // DigestVersion names the canonical encoding Digest hashes and opens it.
 // A changed encoding is a new version (and checkpoint schema: harness).
-const DigestVersion = "fdtrace/2"
+const DigestVersion = "fdtrace/3"
 
 // Digest returns a hex SHA-256 fingerprint of the full run — the hash
 // of AppendCanonical. It is how the replay tests and the parallel-sweep
@@ -21,25 +22,65 @@ const DigestVersion = "fdtrace/2"
 // property the Lemma 4.1 indistinguishability argument rests on.
 //
 // Version contract: equal digests ⇒ equal WriteText, on any two traces;
-// on traces the engine built the converse holds too. Values are
-// comparable only within one DigestVersion.
+// on traces the engine built from automata that share payloads alike
+// the converse holds too. Values are comparable only within one
+// DigestVersion.
 func (tr *Trace) Digest() string {
-	tr.scratch = tr.AppendCanonical(tr.scratch[:0])
-	sum := sha256.Sum256(tr.scratch)
+	s := tr.canon()
+	s.buf = tr.AppendCanonical(s.buf[:0])
+	sum := sha256.Sum256(s.buf)
 	var out [2 * sha256.Size]byte
 	hex.Encode(out[:], sum[:])
 	return string(out[:])
 }
 
+// canonScratch is AppendCanonical's working memory, retained on the
+// trace so that a RunContext-reused trace digests without allocating.
+type canonScratch struct {
+	buf []byte // the encoding Digest hashes
+	// spans[k] locates Events[k].Sends: the ID of its first send, and
+	// that send's position among all sends of the trace.
+	spans []sendSpan
+	// to[at] is the destination of the send at position at while no
+	// event has received it, else 0, and count[q] is how many such sends
+	// go to q. stray is set once a send's fields are not the ones its
+	// event and position give it.
+	to    []uint8
+	count [model.MaxProcesses + 1]int
+	stray bool
+}
+
+type sendSpan struct {
+	first int64
+	at    int
+}
+
+// canon returns the trace's encoder scratch, made on first use.
+func (tr *Trace) canon() *canonScratch {
+	if tr.scratch == nil {
+		tr.scratch = &canonScratch{}
+	}
+	return tr.scratch
+}
+
 // AppendCanonical appends the trace's canonical binary encoding to b:
 // DigestVersion, N, stop reason, pattern, every event (index, p, t, FD
-// word, prev, received message, sends, protocol events), the undelivered
-// buffer. Integers are uvarints (zigzag varints where −1 is ordinary),
-// payloads and event values a uvarint length and their %v rendering. It
-// is the streaming sweeps' per-run hot path and the only encoder on it.
-// DESIGN.md §6 has the layout, internal/sim/tracetest the decoder that
-// proves WriteText is a function of these bytes.
+// word, prev, received message, sends as runs, protocol events), the
+// undelivered buffer (one byte when it holds exactly the sends nobody
+// received). Integers are uvarints (zigzag varints where −1 is
+// ordinary), payloads and event values a uvarint length and their %v
+// rendering. It is the streaming sweeps' per-run hot path and the only
+// encoder on it; it works in the trace's scratch, so two goroutines
+// must not encode one trace at once. DESIGN.md §6 has the layout,
+// internal/sim/tracetest the decoder that proves WriteText is a
+// function of these bytes.
 func (tr *Trace) AppendCanonical(b []byte) []byte {
+	s := tr.canon()
+	s.spans, s.to = s.spans[:0], s.to[:0]
+	clear(s.count[:])
+	s.stray = false
+	limit := min(tr.N, model.MaxProcesses)
+
 	b = append(b, DigestVersion...)
 	b = binary.AppendUvarint(b, uint64(tr.N))
 	b = binary.AppendUvarint(b, uint64(tr.Stopped))
@@ -57,6 +98,7 @@ func (tr *Trace) AppendCanonical(b []byte) []byte {
 		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(tr.Events)))
+	next := int64(1) // the ID the engine gives its first send
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		b = binary.AppendUvarint(b, uint64(ev.Index))
@@ -67,14 +109,30 @@ func (tr *Trace) AppendCanonical(b []byte) []byte {
 		if ev.Msg == nil {
 			b = append(b, refNone)
 		} else {
-			b = tr.appendMessage(b, ev.Msg, i)
+			var at int
+			if b, at = s.appendMessage(b, tr, ev.Msg, i); at >= 0 && s.to[at] != 0 {
+				s.count[s.to[at]]--
+				s.to[at] = 0
+			}
 		}
+
+		span := sendSpan{at: len(s.to)}
+		if len(ev.Sends) > 0 {
+			span.first = ev.Sends[0].ID
+		}
+		s.spans = append(s.spans, span)
 		b = binary.AppendUvarint(b, uint64(len(ev.Sends)))
-		for _, m := range ev.Sends {
-			b = binary.AppendUvarint(b, uint64(m.ID))
+		for sends := ev.Sends; len(sends) > 0; {
+			n := s.run(sends, ev, i, limit)
+			m := sends[0]
+			b = binary.AppendVarint(b, m.ID-next)
 			b = binary.AppendUvarint(b, uint64(m.To))
+			b = binary.AppendUvarint(b, uint64(n))
 			b = appendValue(b, m.Payload)
+			next = m.ID + int64(n)
+			sends = sends[n:]
 		}
+
 		b = binary.AppendUvarint(b, uint64(len(ev.Events)))
 		for _, pe := range ev.Events {
 			b = binary.AppendVarint(b, int64(pe.Kind))
@@ -82,11 +140,58 @@ func (tr *Trace) AppendCanonical(b []byte) []byte {
 			b = appendValue(b, pe.Value)
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(tr.Undelivered)))
+	if s.isComplement(tr) {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(tr.Undelivered))+1)
 	for _, m := range tr.Undelivered {
-		b = tr.appendMessage(b, m, len(tr.Events))
+		b, _ = s.appendMessage(b, tr, m, len(tr.Events))
 	}
 	return b
+}
+
+// run returns the length of the run that opens sends, the sends of
+// Events[k]: the longest prefix with consecutive IDs, consecutive
+// destinations in 1…limit, and one payload — equal strings or one
+// pointer, so that rendering it once renders every send of the run.
+// sim.Broadcast is one run, sim.AppendOthers two; any other send is a
+// run of its own. It notes each send of the run for isComplement.
+func (s *canonScratch) run(sends []*Message, ev *EventRecord, k, limit int) int {
+	m, n := sends[0], 1
+	str, isStr := m.Payload.(string)
+	if m.To >= 1 && int(m.To) < limit && (isStr || reflect.ValueOf(m.Payload).Kind() == reflect.Pointer) {
+		for ; n < len(sends) && int(m.To)+n <= limit; n++ {
+			next := sends[n]
+			if next.ID != m.ID+int64(n) || next.To != m.To+model.ProcessID(n) {
+				break
+			}
+			if isStr {
+				if s, ok := next.Payload.(string); !ok || s != str {
+					break
+				}
+			} else if next.Payload != m.Payload { // pointers: compares addresses
+				break
+			}
+		}
+	}
+	for _, m := range sends[:n] {
+		s.note(m, ev, k, limit)
+	}
+	return n
+}
+
+// note records m, a send of Events[k], as not yet received. A send
+// whose To, From, SentAt or SentBy is not what a decoder would give it —
+// the destination in 1…limit, the rest from its event — is stray.
+func (s *canonScratch) note(m *Message, ev *EventRecord, k, limit int) {
+	q := uint8(0)
+	if m.To < 1 || int(m.To) > limit || m.SentBy != k || m.From != ev.P || m.SentAt != ev.T {
+		s.stray = true
+	} else {
+		q = uint8(m.To)
+		s.count[q]++
+	}
+	s.to = append(s.to, q)
 }
 
 // A received or undelivered message opens with refNone (λ), refFull and
@@ -98,20 +203,20 @@ const (
 )
 
 // appendMessage writes m as it stands after `written` events. Nearly
-// always m was already written in full as a send, and its position says
-// as much as the record would: m must be the very object at
-// Events[k].Sends[j] (k = SentBy < written; j found in O(1) from the
-// consecutive IDs the engine assigns) and carry that event's P and T,
-// which a send record leaves to its event. Anything else — hand-built
-// traces, SentBy = −1, injected messages — is written in full, so the
-// encoding is injective on every Trace.
-func (tr *Trace) appendMessage(b []byte, m *Message, written int) []byte {
+// always m was already written as a send, and its position says as much
+// as the record would: m must be the very object at Events[k].Sends[j]
+// (k = SentBy < written; j found in O(1) from the consecutive IDs the
+// engine assigns) and carry that event's P and T, which a send record
+// leaves to its event. That position among all sends is returned, else
+// −1. Anything else — hand-built traces, SentBy = −1, injected messages,
+// copies — is written in full, so the encoding is injective on every
+// Trace.
+func (s *canonScratch) appendMessage(b []byte, tr *Trace, m *Message, written int) ([]byte, int) {
 	if k := m.SentBy; k >= 0 && k < written {
 		ev := &tr.Events[k]
-		if len(ev.Sends) > 0 && m.From == ev.P && m.SentAt == ev.T {
-			if j := uint64(m.ID) - uint64(ev.Sends[0].ID); j < uint64(len(ev.Sends)) && ev.Sends[j] == m {
-				return binary.AppendUvarint(binary.AppendUvarint(b, refBack+j), uint64(k))
-			}
+		if j := uint64(m.ID) - uint64(s.spans[k].first); j < uint64(len(ev.Sends)) && ev.Sends[j] == m && m.From == ev.P && m.SentAt == ev.T {
+			b = binary.AppendUvarint(binary.AppendUvarint(b, refBack+j), uint64(k))
+			return b, s.spans[k].at + int(j)
 		}
 	}
 	b = append(b, refFull)
@@ -120,7 +225,40 @@ func (tr *Trace) appendMessage(b []byte, m *Message, written int) []byte {
 	b = binary.AppendUvarint(b, uint64(m.To))
 	b = binary.AppendUvarint(b, uint64(m.SentAt))
 	b = binary.AppendVarint(b, int64(m.SentBy))
-	return appendValue(b, m.Payload)
+	return appendValue(b, m.Payload), -1
+}
+
+// isComplement reports whether tr.Undelivered is, pointer for pointer,
+// the sends no event received by position, ordered by (To, send order)
+// — what an engine-built trace leaves, checked rather than assumed. It
+// needs every send to carry what a decoder would give it (note); a
+// trace with a stray send writes its buffer in full.
+func (s *canonScratch) isComplement(tr *Trace) bool {
+	if s.stray {
+		return false
+	}
+	u := tr.Undelivered
+	var slot [model.MaxProcesses + 1]int // where the next send to q belongs in u
+	total := 0
+	for q, c := range s.count {
+		slot[q] = total
+		total += c
+	}
+	if total != len(u) {
+		return false
+	}
+	for k := range tr.Events {
+		to := s.to[s.spans[k].at:]
+		for j, m := range tr.Events[k].Sends {
+			if q := to[j]; q != 0 {
+				if u[slot[q]] != m {
+					return false
+				}
+				slot[q]++
+			}
+		}
+	}
+	return true
 }
 
 // appendValue appends v's rendering behind its uvarint length; only a

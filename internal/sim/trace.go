@@ -62,10 +62,10 @@ type Trace struct {
 	alive      model.ProcessSet
 	aliveValid bool
 
-	// scratch holds the canonical encoding while Digest hashes it,
-	// retained so that a RunContext-reused trace digests without
-	// allocating; mark, gen and past are walkPast's.
-	scratch []byte
+	// scratch is AppendCanonical's, made on first use and retained so
+	// that a RunContext-reused trace digests without allocating; mark,
+	// gen and past are walkPast's.
+	scratch *canonScratch
 	mark    []uint32
 	gen     uint32
 	past    []int

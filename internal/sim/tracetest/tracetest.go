@@ -14,11 +14,13 @@ package tracetest
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	"realisticfd/internal/model"
 	"realisticfd/internal/sim"
@@ -77,6 +79,17 @@ func (r *reader) count(what string) int {
 	return int(v)
 }
 
+// sendCount reads an event's send count, bounded by what the bytes left
+// can hold: a run takes at least four bytes and covers at most 64 sends.
+func (r *reader) sendCount() int {
+	v := r.uvarint()
+	if v > 16*uint64(len(r.b)) {
+		r.fail("send count %d exceeds what the %d bytes left can hold", v, len(r.b))
+		return 0
+	}
+	return int(v)
+}
+
 // value reads a length-prefixed rendering. The payload comes back as
 // the string it rendered to, which renders to itself.
 func (r *reader) value() any {
@@ -125,16 +138,44 @@ func (r *reader) message(events []sim.EventRecord) *sim.Message {
 	return m
 }
 
+// rendered is a send's payload as Decode rebuilds it: the string it
+// rendered to, behind a pointer that every send of one run shares, so
+// that re-encoding finds the same runs and no longer ones.
+type rendered struct{ s string }
+
+func (r *rendered) String() string { return r.s }
+
+// Layout says how an encoding wrote what it may write in two forms:
+// how many runs its sends took, and whether the undelivered buffer is
+// the one-byte complement form.
+type Layout struct {
+	Runs       int
+	Complement bool
+}
+
 // Decode rebuilds a trace from its canonical encoding: every field
 // WriteText prints, payloads and event values as their rendered
-// strings, and a back-referenced message as the very object its sending
-// event holds, so the result re-encodes to b. The fields a send record
-// leaves to its event (From, SentAt, SentBy) are filled in from it.
-// Decode accepts exactly the encoder's image: anything else is an
-// error, never a panic.
+// strings (a send's behind one pointer shared by its run), and a
+// back-referenced message as the very object its sending event holds,
+// so the result re-encodes to b. The fields a send record leaves to its
+// event (From, SentAt, SentBy) are filled in from it. Decode accepts
+// exactly the encoder's image: anything else is an error, never a
+// panic.
 func Decode(b []byte) (*sim.Trace, error) {
+	tr, _, err := decode(b)
+	return tr, err
+}
+
+// LayoutOf decodes b and reports its Layout.
+func LayoutOf(b []byte) (Layout, error) {
+	_, l, err := decode(b)
+	return l, err
+}
+
+func decode(b []byte) (*sim.Trace, Layout, error) {
+	var l Layout
 	if !bytes.HasPrefix(b, []byte(sim.DigestVersion)) {
-		return nil, fmt.Errorf("tracetest: encoding does not open with %q", sim.DigestVersion)
+		return nil, l, fmt.Errorf("tracetest: encoding does not open with %q", sim.DigestVersion)
 	}
 	r := &reader{b: b[len(sim.DigestVersion):]}
 	tr := &sim.Trace{N: int(r.uvarint()), Stopped: sim.StopReason(r.uvarint())}
@@ -144,12 +185,12 @@ func Decode(b []byte) (*sim.Trace, error) {
 		// many processes rather than wrapped by the conversion to int.
 		f, err := model.NewFailurePattern(int(min(n-1, model.MaxProcesses+1)))
 		if err != nil {
-			return nil, fmt.Errorf("tracetest: %w", err)
+			return nil, l, fmt.Errorf("tracetest: %w", err)
 		}
 		for p := 1; p <= f.N(); p++ {
 			if t := r.uvarint(); t != 0 {
 				if err := f.Crash(model.ProcessID(p), model.Time(t-1)); err != nil {
-					return nil, fmt.Errorf("tracetest: %w", err)
+					return nil, l, fmt.Errorf("tracetest: %w", err)
 				}
 			}
 		}
@@ -158,6 +199,9 @@ func Decode(b []byte) (*sim.Trace, error) {
 
 	events := r.count("event count")
 	tr.Events = make([]sim.EventRecord, 0, events)
+	limit := min(tr.N, model.MaxProcesses) // a run's destinations lie in 1…limit
+	received := map[*sim.Message]bool{}    // sends received by position
+	next := int64(1)
 	for i := 0; i < events && r.err == nil; i++ {
 		ev := sim.EventRecord{
 			Index: int(r.uvarint()),
@@ -166,15 +210,34 @@ func Decode(b []byte) (*sim.Trace, error) {
 			FD:    setOf(r.uvarint()),
 		}
 		ev.PrevSameProc = int(r.varint())
-		ev.Msg = r.message(tr.Events)
-		if n := r.count("send count"); n > 0 {
-			ev.Sends = make([]*sim.Message, n)
+		if ev.Msg = r.message(tr.Events); ev.Msg != nil {
+			received[ev.Msg] = true // a message written in full is no send
 		}
-		for j := range ev.Sends {
-			m := &sim.Message{ID: int64(r.uvarint()), From: ev.P, SentAt: ev.T, SentBy: i}
-			m.To = model.ProcessID(r.uvarint())
-			m.Payload = r.value()
-			ev.Sends[j] = m
+		if n := r.sendCount(); n > 0 {
+			ev.Sends = make([]*sim.Message, 0, n)
+		}
+		for len(ev.Sends) < cap(ev.Sends) && r.err == nil {
+			id := next + r.varint()
+			to := model.ProcessID(r.uvarint())
+			n := r.uvarint()
+			v, _ := r.value().(string)
+			payload := &rendered{v}
+			left := uint64(cap(ev.Sends) - len(ev.Sends))
+			switch {
+			case r.err != nil:
+			case n == 0 || n > left:
+				r.fail("run of %d sends where %d are left", n, left)
+			case n > 1 && (to < 1 || int(to) >= limit || n-1 > uint64(limit-int(to))):
+				r.fail("run of %d sends to p%d… leaves 1…%d", n, to, limit)
+			}
+			for j := uint64(0); j < n && r.err == nil; j++ {
+				ev.Sends = append(ev.Sends, &sim.Message{
+					ID: id + int64(j), From: ev.P, To: to + model.ProcessID(j),
+					SentAt: ev.T, SentBy: i, Payload: payload,
+				})
+			}
+			next = id + int64(n)
+			l.Runs++
 		}
 		if n := r.count("protocol event count"); n > 0 {
 			ev.Events = make([]sim.ProtocolEvent, n)
@@ -188,21 +251,48 @@ func Decode(b []byte) (*sim.Trace, error) {
 		tr.Events = append(tr.Events, ev)
 	}
 
-	undelivered := r.count("undelivered count")
-	for i := 0; i < undelivered && r.err == nil; i++ {
-		m := r.message(tr.Events)
-		if m == nil && r.err == nil {
-			r.fail("undelivered message %d is the λ marker", i)
+	// The complement: every send not received by position, by (To, send
+	// order). It is a form of the buffer only if every send goes to
+	// 1…limit.
+	var complement []*sim.Message
+	stray := false
+	for _, ev := range tr.Events {
+		for _, m := range ev.Sends {
+			stray = stray || m.To < 1 || int(m.To) > limit
+			if !received[m] {
+				complement = append(complement, m)
+			}
 		}
-		tr.Undelivered = append(tr.Undelivered, m)
+	}
+	slices.SortStableFunc(complement, func(a, b *sim.Message) int { return cmp.Compare(a.To, b.To) })
+
+	if head := r.uvarint(); head == 0 && r.err == nil {
+		if stray {
+			r.fail("undelivered buffer is the complement, but a send goes outside 1…%d", limit)
+		}
+		tr.Undelivered, l.Complement = complement, true
+	} else if r.err == nil {
+		if head-1 > uint64(len(r.b)) {
+			r.fail("undelivered count %d exceeds the %d bytes left", head-1, len(r.b))
+		}
+		for i := uint64(0); i < head-1 && r.err == nil; i++ {
+			m := r.message(tr.Events)
+			if m == nil && r.err == nil {
+				r.fail("undelivered message %d is the λ marker", i)
+			}
+			tr.Undelivered = append(tr.Undelivered, m)
+		}
+		if r.err == nil && !stray && slices.Equal(tr.Undelivered, complement) {
+			r.fail("undelivered buffer written in full is the complement")
+		}
 	}
 	if r.err == nil && len(r.b) > 0 {
 		r.fail("%d bytes after the undelivered buffer", len(r.b))
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, l, r.err
 	}
-	return tr, nil
+	return tr, l, nil
 }
 
 // setOf rebuilds a process set from its word.

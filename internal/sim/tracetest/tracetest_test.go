@@ -40,9 +40,11 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("sample encoding rejected: %v", err)
 	}
 	head := len(sim.DigestVersion)
+	// An event by p1 at time 1, λ received, with the sends that follow.
+	const step = "\x00\x01\x01\x00\x01\x00"
 	for name, bad := range map[string][]byte{
 		"empty":           {},
-		"other version":   append([]byte("fdtrace/1"), good[head:]...),
+		"other version":   append([]byte("fdtrace/2"), good[head:]...),
 		"truncated":       good[:len(good)-1],
 		"trailing byte":   append(bytes.Clone(good), 0),
 		"padded N":        append(append(bytes.Clone(good[:head]), 0x85, 0x00), good[head+1:]...),
@@ -51,12 +53,22 @@ func TestDecodeRejects(t *testing.T) {
 		"crash time < 0":  []byte(sim.DigestVersion + "\x04\x01\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01\x00\x00\x00\x00"),
 		"huge count":      []byte(sim.DigestVersion + "\x04\x01\x00\xff\xff\xff\xff\x0f"),
 		// One λ event without sends, then a back-reference into it.
-		"reference to nothing": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + "\x00\x01\x01\x00\x01\x00\x00\x00" + "\x01\x02\x00"),
+		"reference to nothing": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x00\x00" + "\x02\x02\x00"),
 		// Event 0 receives Events[0].Sends[0]: its own send, not yet written.
-		"forward reference": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + "\x00\x01\x01\x00\x01\x02\x00\x01\x01\x02\x01m\x00" + "\x00"),
+		"forward reference": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + "\x00\x01\x01\x00\x01\x02\x00\x01\x00\x02\x01\x01m\x00" + "\x00"),
 		// IDs 1 and 3 in one event; Sends[1] is not where its ID says.
-		"reference the encoder would not write": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + "\x00\x01\x01\x00\x01\x00\x02\x01\x02\x01m\x03\x02\x01m\x00" + "\x01\x03\x00"),
-		"λ undelivered":                         []byte(sim.DigestVersion + "\x04\x01\x00\x00" + "\x01\x00"),
+		"reference the encoder would not write": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x02\x00\x02\x01\x01m\x02\x02\x01\x01m\x00" + "\x02\x03\x00"),
+		"λ undelivered":                         []byte(sim.DigestVersion + "\x04\x01\x00\x00" + "\x02\x00"),
+		// One send, in a run of none, or of two.
+		"zero-length run":         []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x01\x00\x02\x00\x01m\x00" + "\x00"),
+		"run longer than sends":   []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x01\x00\x02\x02\x01m\x00" + "\x00"),
+		"padded run length":       []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x01\x00\x02\x81\x00\x01m\x00" + "\x00"),
+		"run past N":              []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x02\x00\x04\x02\x01m\x00" + "\x00"),
+		"run from p0":             []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x02\x00\x00\x02\x01m\x00" + "\x00"),
+		"complement with a stray": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x01\x00\x05\x01\x01m\x00" + "\x00"),
+		// The one send, unreceived, listed in full form: the encoder
+		// writes the complement byte instead.
+		"complement written in full": []byte(sim.DigestVersion + "\x04\x01\x00\x01" + step + "\x01\x00\x02\x01\x01m\x00" + "\x02\x02\x00"),
 	} {
 		if tr, err := Decode(bad); err == nil {
 			t.Errorf("%s: decoded to %v", name, tr)
@@ -93,8 +105,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add((&sim.Trace{}).AppendCanonical(nil))
-	f.Add([]byte(sim.DigestVersion + "\x04\x01\x00\x01" + "\x00\x01\x01\x00\x01\x00\x02\x01\x02\x01m\x02\x02\x01m\x00" + "\x01\x03\x00"))
-	f.Add([]byte(sim.DigestVersion + "\x04\x01\x05\x00\x06\x00\x00\x00\x01\x01\xac\x02\x04\x03\x00\x01\x00"))
+	// A run of two sends and a run of one after a gap in the IDs: the
+	// first received and the other two left as the complement; or none
+	// received and two listed by position, the second first.
+	sends := "\x00\x01\x01\x00\x01\x00\x03\x00\x02\x02\x01m\x02\x04\x01\x01n\x00"
+	f.Add([]byte(sim.DigestVersion + "\x04\x01\x00\x02" + sends + "\x01\x02\x02\x00\x01\x02\x00\x00\x00" + "\x00"))
+	f.Add([]byte(sim.DigestVersion + "\x04\x01\x00\x01" + sends + "\x03\x03\x00\x02\x00"))
+	f.Add([]byte(sim.DigestVersion + "\x04\x01\x05\x00\x06\x00\x00\x00" + "\x02\x01\xac\x02\x04\x03\x00\x01\x00"))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		tr, err := Decode(b)
