@@ -7,7 +7,7 @@
 // simulator (T_D, λ_M, T_M, P_A), emitted as JSON.
 //
 // The faults come from a -plan file — a /v3 scenario whose fault plan
-// also runs under cmd/scenario's sim lowering (examples/scenarios/) —
+// also runs under fdsim's sim lowering (examples/scenarios/) —
 // or, without one, a built-in kill+pause+partition+heal sequence
 // scaled to -n. With -bound (or a plan's bound_ms) the run becomes an
 // assertion and the exit status a verdict: every survivor must suspect

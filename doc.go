@@ -30,7 +30,7 @@
 //     consensus over the live stack
 //   - experiments: the E1–E9 tables (see DESIGN.md and EXPERIMENTS.md)
 //
-// Entry points: cmd/fdsim, cmd/scenario, cmd/experiments, cmd/fdorch
+// Entry points: cmd/fdsim (run, sweep, validate), cmd/experiments, cmd/fdorch
 // (`fdorch -inproc` for an in-process live cluster), and the runnable
 // walkthroughs under examples/.
 package realisticfd

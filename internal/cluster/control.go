@@ -8,7 +8,7 @@
 // through internal/qos into the same Chen-Toueg-Aguilera vocabulary
 // as the simulator, so live runs and E-table rows are directly
 // comparable. A run is described by one /v3 scenario.Spec, the same
-// document cmd/scenario lowers onto the simulator.
+// document fdsim lowers onto the simulator.
 //
 // The control plane is one TCP connection per node to the
 // orchestrator, carrying length-prefixed JSON frames

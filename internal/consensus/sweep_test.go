@@ -87,13 +87,14 @@ func TestSFloodingFaultyLinkSweep(t *testing.T) {
 		Policy: func() sim.Policy { return &sim.RandomFairPolicy{} },
 		Faults: &sim.LinkFaults{
 			MaxExtraDelay: 8,
-			Partitions: []sim.Partition{
-				{Side: model.NewProcessSet(1, 3), From: 20, Until: 300},
-			},
+			// {p1, p3} severed from {p2, p4, p5}.
+			Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
+				{A: 1, B: 2}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 3, B: 4}, {A: 3, B: 5},
+			}, From: 20, Until: 300}},
 		},
 		StopWhen: func() func(*sim.Trace) bool { return sim.CorrectDecided(0) },
 	}
-	for _, r := range harness.Sweep(sc, harness.Seeds(40), 0) {
+	for _, r := range harness.SeedMap(harness.Seeds(40), 0, sc.Run) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -184,12 +185,13 @@ func TestRotatingLossyLinkSafetySweep(t *testing.T) {
 		Faults: &sim.LinkFaults{
 			DropPct:       25,
 			MaxExtraDelay: 10,
-			Partitions: []sim.Partition{
-				{Side: model.NewProcessSet(2, 5), From: 100, Until: 900},
-			},
+			// {p2, p5} severed from {p1, p3, p4}.
+			Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
+				{A: 1, B: 2}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 3, B: 5}, {A: 4, B: 5},
+			}, From: 100, Until: 900}},
 		},
 	}
-	for _, r := range harness.Sweep(sc, harness.Seeds(40), 0) {
+	for _, r := range harness.SeedMap(harness.Seeds(40), 0, sc.Run) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -230,7 +232,8 @@ func TestRotatingLivenessSweep(t *testing.T) {
 		Policy:   func() sim.Policy { return &sim.RandomFairPolicy{} },
 		StopWhen: func() func(*sim.Trace) bool { return sim.CorrectDecided(0) },
 	}
-	stalls := harness.Map(sc, harness.Seeds(4000), 0, func(r harness.Result) error {
+	stalls := harness.SeedMap(harness.Seeds(4000), 0, func(seed int64) error {
+		r := sc.Run(seed)
 		if r.Err != nil {
 			return fmt.Errorf("seed %d: %w", r.Seed, r.Err)
 		}

@@ -93,9 +93,10 @@ func TestScenarioFilesMatchStructs(t *testing.T) {
 				Policy:  rf,
 				Faults: &sim.LinkFaults{
 					MaxExtraDelay: 6,
-					Partitions: []sim.Partition{
-						{Side: model.NewProcessSet(1, 2), From: 40, Until: 400},
-					},
+					// {p1, p2} severed from {p3, p4, p5}.
+					Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
+						{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5},
+					}, From: 40, Until: 400}},
 				},
 				StopWhen: stopDecided,
 			},

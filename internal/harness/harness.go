@@ -1,7 +1,7 @@
 // Package harness is the parallel scenario-sweep engine behind the
 // experiment tables and the wide property sweeps: a Scenario describes
-// a family of runs that differ only by seed, and Sweep fans the seeded
-// sim.Execute calls across a worker pool sized to GOMAXPROCS.
+// a family of runs that differ only by seed, and Stream folds the
+// seeded runs across a worker pool sized to GOMAXPROCS.
 //
 // Determinism is the contract (DESIGN.md §5): every run builds its own
 // pattern, policy and hooks from the scenario's factories, each run is
@@ -13,8 +13,6 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -46,8 +44,8 @@ type Scenario struct {
 	// ConfigDigest). It is part of a streaming checkpoint's campaign
 	// identity, so two campaigns that share a Name but differ in any
 	// configured detail refuse to resume from each other's checkpoints.
-	// Programmatic scenarios may leave it empty; Stream then falls back
-	// to Fingerprint.
+	// Stream refuses to checkpoint a scenario without one; scenarios
+	// that are never checkpointed may leave it empty.
 	ConfigDigest string
 	// N is the system size |Ω|.
 	N int
@@ -128,47 +126,6 @@ func (sc Scenario) RunIn(rc *sim.RunContext, seed int64) Result {
 	return Result{Seed: seed, Trace: tr, Err: err}
 }
 
-// Fingerprint is the best-effort identity digest of a programmatic
-// scenario, used as the checkpoint campaign identity when ConfigDigest
-// is empty. It hashes every introspectable piece — name, size,
-// horizon, the fault plan, the oracle's self-description, one
-// instantiated failure pattern and the dynamic types of the automaton
-// and policy. Behavior hidden inside closures (StopWhen, AfterStep,
-// policy parameters) is beyond its reach, which is exactly why
-// declaratively built scenarios carry a real ConfigDigest instead.
-func (sc Scenario) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "name=%s\nn=%d\nhorizon=%d\n", sc.Name, sc.N, sc.Horizon)
-	fmt.Fprintf(h, "automaton=%T\n", sc.Automaton)
-	switch {
-	case sc.OracleFor != nil:
-		fmt.Fprintf(h, "oracle=per-seed:%s\n", sc.OracleFor(0).Name())
-	case sc.Oracle != nil:
-		fmt.Fprintf(h, "oracle=%s\n", sc.Oracle.Name())
-	}
-	if sc.Pattern != nil {
-		fmt.Fprintf(h, "pattern=%v\n", sc.Pattern())
-	}
-	if sc.Policy != nil {
-		fmt.Fprintf(h, "policy=%T\n", sc.Policy())
-	}
-	if sc.Faults != nil {
-		fmt.Fprintf(h, "faults=%s\n", sc.Faults.String())
-	}
-	fmt.Fprintf(h, "stop=%v\nafterstep=%v\n", sc.StopWhen != nil, sc.AfterStep != nil)
-	return "fp:" + hex.EncodeToString(h.Sum(nil))
-}
-
-// identityDigest is the campaign identity Stream records in its
-// checkpoints: the declarative config digest when the scenario has
-// one, the programmatic fingerprint otherwise.
-func (sc Scenario) identityDigest() string {
-	if sc.ConfigDigest != "" {
-		return sc.ConfigDigest
-	}
-	return sc.Fingerprint()
-}
-
 // Result is the outcome of one seeded run.
 type Result struct {
 	Seed  int64
@@ -188,8 +145,8 @@ func Seeds(n int) SeedRange { return SeedRange{From: 0, To: int64(n)} }
 // range (To < From — almost always a caller arithmetic bug; an empty
 // sweep is spelled To == From) and a range whose seed count does not
 // fit in int, which would otherwise be silently narrowed by Count and
-// misbehave downstream. Every sweep entry point (Sweep, Map, SeedMap,
-// Stream, Reduce) validates its range before running anything.
+// misbehave downstream. Every sweep entry point (SeedMap, Stream,
+// Reduce) validates its range before running anything.
 func (sr SeedRange) Validate() error {
 	if sr.To < sr.From {
 		return fmt.Errorf("harness: inverted seed range [%d, %d)", sr.From, sr.To)
@@ -212,33 +169,13 @@ func (sr SeedRange) Count() int {
 	return int(uint64(sr.To) - uint64(sr.From))
 }
 
-// Sweep runs the scenario at every seed in the range across a worker
-// pool and returns the results ordered by seed. workers ≤ 0 means
-// GOMAXPROCS. Beware of memory: every trace is retained; prefer Map
-// when only a per-run summary is needed, and Reduce/Stream when only
-// aggregates are — streaming mode recycles run contexts and holds
-// memory flat across arbitrarily many seeds.
-func Sweep(sc Scenario, seeds SeedRange, workers int) []Result {
-	return Map(sc, seeds, workers, func(r Result) Result { return r })
-}
-
-// Map runs the scenario at every seed and applies analyze to each
-// result inside the worker (so traces can be released as soon as they
-// are summarized), returning the analyses ordered by seed. The
-// analyze function must be safe for concurrent use; it receives runs
-// in arbitrary order but its return values are slotted by seed, so the
-// output — and anything folded over it — is independent of workers.
-func Map[T any](sc Scenario, seeds SeedRange, workers int, analyze func(Result) T) []T {
-	return SeedMap(seeds, workers, func(seed int64) T {
-		return analyze(sc.Run(seed))
-	})
-}
-
-// SeedMap is the generic seeded fan-out: job runs once per seed on the
-// worker pool and the return values come back ordered by seed. It is
-// the substrate for sweeps whose runs are not plain sim.Execute calls
-// (the Lemma 4.1 adversary, the §6.3 collapse witness, ...). job must
-// be safe for concurrent use and deterministic in its seed.
+// SeedMap is the one retained fan-out: job runs once per seed on the
+// worker pool (≤ 0 workers means GOMAXPROCS), and slot i of the result
+// belongs to seed From+i alone, whatever the worker count. It serves
+// runs that are not plain Scenario runs (the Lemma 4.1 adversary, the
+// §6.3 collapse witness, the QoS estimator grid); Scenario campaigns
+// fold through Stream/Reduce. job must be safe for concurrent use and
+// deterministic in its seed.
 func SeedMap[T any](seeds SeedRange, workers int, job func(seed int64) T) []T {
 	if err := seeds.Validate(); err != nil {
 		// No error return in the retained-sweep API; an invalid range is
@@ -250,31 +187,6 @@ func SeedMap[T any](seeds SeedRange, workers int, job func(seed int64) T) []T {
 		return nil
 	}
 	out := make([]T, count)
-	parDo(count, workers, func(i int) {
-		out[i] = job(seeds.From + int64(i))
-	})
-	return out
-}
-
-// ParMap applies fn to every item on the worker pool, returning the
-// results in input order. It is the non-seeded face of the harness,
-// used e.g. by the QoS sweep to replay estimator configurations in
-// parallel. fn must be safe for concurrent use.
-func ParMap[T, R any](items []T, workers int, fn func(int, T) R) []R {
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]R, len(items))
-	parDo(len(items), workers, func(i int) {
-		out[i] = fn(i, items[i])
-	})
-	return out
-}
-
-// parDo runs job(0..count-1) on min(workers, count) goroutines pulling
-// indices from a shared counter. Slot i of any output belongs to index
-// i alone, which is what makes the parallel results deterministic.
-func parDo(count, workers int, job func(int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -282,10 +194,10 @@ func parDo(count, workers int, job func(int)) {
 		workers = count
 	}
 	if workers <= 1 {
-		for i := 0; i < count; i++ {
-			job(i)
+		for i := range out {
+			out[i] = job(seeds.From + int64(i))
 		}
-		return
+		return out
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -298,9 +210,10 @@ func parDo(count, workers int, job func(int)) {
 				if i >= count {
 					return
 				}
-				job(i)
+				out[i] = job(seeds.From + int64(i))
 			}
 		}()
 	}
 	wg.Wait()
+	return out
 }

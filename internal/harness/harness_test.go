@@ -49,12 +49,15 @@ func TestSweepParallelEqualsSequential(t *testing.T) {
 	t.Parallel()
 	for _, faults := range []*sim.LinkFaults{
 		nil,
-		{DropPct: 15, MaxExtraDelay: 4,
-			Partitions: []sim.Partition{{Side: model.NewProcessSet(1, 3), From: 50, Until: 500}}},
+		// {p1, p3} cut off from the rest of Ω = {p1..p5}.
+		{DropPct: 15, MaxExtraDelay: 4, Cuts: []sim.EdgeCut{{
+			Edges: []sim.Edge{{A: 1, B: 2}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 3, B: 4}, {A: 3, B: 5}},
+			From:  50, Until: 500,
+		}}},
 	} {
 		sc := testScenario(faults)
-		seq := digests(t, Sweep(sc, Seeds(8), 1))
-		par := digests(t, Sweep(sc, Seeds(8), 2*runtime.GOMAXPROCS(0)))
+		seq := digests(t, SeedMap(Seeds(8), 1, sc.Run))
+		par := digests(t, SeedMap(Seeds(8), 2*runtime.GOMAXPROCS(0), sc.Run))
 		if len(seq) != len(par) {
 			t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 		}
@@ -70,7 +73,7 @@ func TestSweepParallelEqualsSequential(t *testing.T) {
 // an arbitrary range.
 func TestSweepOrderAndSeeds(t *testing.T) {
 	t.Parallel()
-	results := Sweep(testScenario(nil), SeedRange{From: 100, To: 108}, 0)
+	results := SeedMap(SeedRange{From: 100, To: 108}, 0, testScenario(nil).Run)
 	if len(results) != 8 {
 		t.Fatalf("got %d results, want 8", len(results))
 	}
@@ -81,15 +84,18 @@ func TestSweepOrderAndSeeds(t *testing.T) {
 	}
 }
 
-// TestMapSummarizesInWorkers checks Map's analyses line up with the
-// seeds and that the sweep actually decided consensus in every run.
+// TestMapSummarizesInWorkers checks that SeedMap's per-run summaries,
+// computed inside the workers, line up with the seeds and that the
+// sweep actually decided consensus in every run.
 func TestMapSummarizesInWorkers(t *testing.T) {
 	t.Parallel()
 	type summary struct {
 		seed    int64
 		decided bool
 	}
-	sums := Map(testScenario(nil), Seeds(10), 0, func(r Result) summary {
+	sc := testScenario(nil)
+	sums := SeedMap(Seeds(10), 0, func(seed int64) summary {
+		r := sc.Run(seed)
 		if r.Err != nil {
 			t.Errorf("seed %d: %v", r.Seed, r.Err)
 			return summary{seed: r.Seed}
@@ -127,7 +133,7 @@ func TestAfterStepFactoryIsolatesRuns(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range Sweep(sc, Seeds(8), 0) {
+	for _, r := range SeedMap(Seeds(8), 0, sc.Run) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -163,29 +169,23 @@ func TestScenarioFaultsWrapPolicy(t *testing.T) {
 	}
 }
 
-// TestSeedMapAndParMap pin the generic fan-outs: ordering, empty
-// inputs, and the worker count not leaking into results.
-func TestSeedMapAndParMap(t *testing.T) {
+// TestSeedMap pins the generic fan-out: ordering, empty ranges, and
+// the worker count not leaking into results.
+func TestSeedMap(t *testing.T) {
 	t.Parallel()
-	sq := SeedMap(SeedRange{From: 5, To: 15}, 3, func(seed int64) int64 { return seed * seed })
-	for i, v := range sq {
-		seed := int64(5 + i)
-		if v != seed*seed {
-			t.Fatalf("slot %d = %d, want %d", i, v, seed*seed)
+	for _, workers := range []int{1, 3, 0} {
+		sq := SeedMap(SeedRange{From: 5, To: 15}, workers, func(seed int64) int64 { return seed * seed })
+		if len(sq) != 10 {
+			t.Fatalf("workers=%d: %d results, want 10", workers, len(sq))
+		}
+		for i, v := range sq {
+			seed := int64(5 + i)
+			if v != seed*seed {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, seed*seed)
+			}
 		}
 	}
 	if got := SeedMap(SeedRange{From: 4, To: 4}, 8, func(int64) int { return 1 }); got != nil {
 		t.Fatalf("empty range returned %v", got)
-	}
-	items := []string{"a", "bb", "ccc"}
-	lens := ParMap(items, 0, func(i int, s string) int { return i*100 + len(s) })
-	want := []int{1, 102, 203}
-	for i := range want {
-		if lens[i] != want[i] {
-			t.Fatalf("ParMap[%d] = %d, want %d", i, lens[i], want[i])
-		}
-	}
-	if got := ParMap(nil, 4, func(int, struct{}) int { return 0 }); got != nil {
-		t.Fatalf("empty ParMap returned %v", got)
 	}
 }

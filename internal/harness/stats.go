@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+
+	"realisticfd/internal/sim"
 )
 
 // SweepStats is the standard streaming-sweep accumulator: everything
@@ -140,13 +142,62 @@ func (st SweepStats) merge(o SweepStats) SweepStats {
 }
 
 // SweepReducer returns the standard reducer over SweepStats: the
-// accumulator behind cmd/sweep, the bench sweep and any campaign that
-// wants digests + counters + latency histograms without retaining a
-// single trace.
+// accumulator behind the bench sweep, the experiment tables and any
+// campaign that wants digests + counters + latency histograms without
+// retaining a single trace.
 func SweepReducer() Reducer[SweepStats] {
 	return Reducer[SweepStats]{
 		New:   func() SweepStats { return SweepStats{} },
 		Fold:  func(st SweepStats, r Result) SweepStats { return st.fold(r) },
 		Merge: func(a, b SweepStats) SweepStats { return a.merge(b) },
+	}
+}
+
+// AuditStats is SweepStats plus the verdicts of a per-run safety
+// audit: the accumulator of fdsim's sweeps. Embedding keeps the
+// SweepStats fields at the top level of the JSON encoding.
+type AuditStats struct {
+	SweepStats
+	// AuditFailures counts the runs the audit rejected (runs that failed
+	// to execute count as Errors and are not audited).
+	AuditFailures int64 `json:"audit_failures"`
+	// FirstFailure is the lowest-seeded rejected run, if any.
+	FirstFailure *AuditFailure `json:"first_failure,omitempty"`
+}
+
+// AuditFailure names one run the audit rejected.
+type AuditFailure struct {
+	Seed  int64  `json:"seed"`
+	Error string `json:"error"`
+}
+
+// AuditReducer folds every run into SweepStats and checks its trace
+// with audit (nil audits nothing). Runs fold in seed order within a
+// chunk and chunks merge prefix-first, so the first failure kept is the
+// lowest failing seed at any chunk size or worker count.
+func AuditReducer(audit func(*sim.Trace) error) Reducer[AuditStats] {
+	return Reducer[AuditStats]{
+		New: func() AuditStats { return AuditStats{} },
+		Fold: func(st AuditStats, r Result) AuditStats {
+			st.SweepStats = st.SweepStats.fold(r)
+			if r.Err != nil || audit == nil {
+				return st
+			}
+			if err := audit(r.Trace); err != nil {
+				st.AuditFailures++
+				if st.FirstFailure == nil {
+					st.FirstFailure = &AuditFailure{Seed: r.Seed, Error: err.Error()}
+				}
+			}
+			return st
+		},
+		Merge: func(a, b AuditStats) AuditStats {
+			a.SweepStats = a.SweepStats.merge(b.SweepStats)
+			a.AuditFailures += b.AuditFailures
+			if a.FirstFailure == nil {
+				a.FirstFailure = b.FirstFailure
+			}
+			return a
+		},
 	}
 }

@@ -57,7 +57,7 @@ func BenchmarkSweepRetained(b *testing.B) {
 	sc := benchScenario()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs := Sweep(sc, Seeds(32), 0)
+		rs := SeedMap(Seeds(32), 0, sc.Run)
 		if len(rs) != 32 {
 			b.Fatalf("%d results", len(rs))
 		}

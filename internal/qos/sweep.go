@@ -129,7 +129,8 @@ type Config struct {
 // GOMAXPROCS); results keep input order, so the sweep is deterministic
 // at any parallelism. Make must build estimators without shared state.
 func Sweep(base ArrivalModel, configs []Config, workers int) []SweepPoint {
-	return harness.ParMap(configs, workers, func(_ int, cfg Config) SweepPoint {
+	return harness.SeedMap(harness.Seeds(len(configs)), workers, func(i int64) SweepPoint {
+		cfg := configs[i]
 		crashModel := base
 		if crashModel.CrashAfter <= 0 {
 			crashModel.CrashAfter = base.Duration / 2

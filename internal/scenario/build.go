@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"realisticfd/internal/abcast"
 	"realisticfd/internal/consensus"
 	"realisticfd/internal/core"
 	"realisticfd/internal/fd"
@@ -76,13 +77,17 @@ func (s Spec) Build() (harness.Scenario, error) {
 		sc.Oracle = fd.PartiallyPerfect{Delay: model.Time(o.Delay)}
 	case OracleRealisticStrong:
 		sc.Oracle = fd.RealisticStrong{BaseDelay: model.Time(o.BaseDelay), Seed: o.Seed, JitterMax: model.Time(o.JitterMax)}
-	case OracleEventuallyStrong:
-		if o.PerSeed {
-			sc.OracleFor = func(seed int64) fd.Oracle {
-				return fd.EventuallyStrong{GST: model.Time(o.GST), Delay: model.Time(o.Delay), Seed: uint64(seed), FalseRate: o.FalseRate}
+	case OracleEventuallyStrong, OracleEventuallyPerfect:
+		eventually := func(seed uint64) fd.Oracle {
+			if o.Kind == OracleEventuallyPerfect {
+				return fd.EventuallyPerfect{GST: model.Time(o.GST), Delay: model.Time(o.Delay), Seed: seed, FalseRate: o.FalseRate}
 			}
+			return fd.EventuallyStrong{GST: model.Time(o.GST), Delay: model.Time(o.Delay), Seed: seed, FalseRate: o.FalseRate}
+		}
+		if o.PerSeed {
+			sc.OracleFor = func(seed int64) fd.Oracle { return eventually(uint64(seed)) }
 		} else {
-			sc.Oracle = fd.EventuallyStrong{GST: model.Time(o.GST), Delay: model.Time(o.Delay), Seed: o.Seed, FalseRate: o.FalseRate}
+			sc.Oracle = eventually(o.Seed)
 		}
 	}
 
@@ -102,6 +107,8 @@ func (s Spec) Build() (harness.Scenario, error) {
 			Proposals:    consensus.DistinctProposals(n),
 			MaxInstances: p.MaxInstances,
 		}
+	case ProtocolAbcast:
+		sc.Automaton = abcast.Atomic{ToBroadcast: AbcastScript(n), MaxInstances: p.MaxInstances}
 	case ProtocolBusy:
 		sc.Automaton = BusyAutomaton{}
 	}
@@ -156,6 +163,20 @@ func (s Spec) Build() (harness.Scenario, error) {
 		}
 	}
 	return sc, nil
+}
+
+// AbcastScript is the broadcast load of the "abcast" protocol: every
+// process broadcasts two updates.
+func AbcastScript(n int) map[model.ProcessID][]string {
+	script := make(map[model.ProcessID][]string, n)
+	for p := 1; p <= n; p++ {
+		id := model.ProcessID(p)
+		script[id] = []string{
+			fmt.Sprintf("%v/update-0", id),
+			fmt.Sprintf("%v/update-1", id),
+		}
+	}
+	return script
 }
 
 // MustBuild is Build for specs known statically valid (embedded

@@ -8,7 +8,7 @@ import (
 )
 
 // BusyAutomaton is the load-shaped broadcast workload behind the
-// "busy" protocol kind (and the cmd/sweep default): every process
+// "busy" protocol kind (and the n=64 sweep benchmarks): every process
 // seeds one broadcast and re-broadcasts on every 8th received message,
 // keeping the message buffer full for the whole horizon. It decides
 // nothing — its job is to exercise the transport and fault layers at

@@ -413,7 +413,7 @@ func TestPlanConstantRateMatchesV2(t *testing.T) {
 	digests := func(s Spec) []string {
 		sc := MustBuild(s)
 		var out []string
-		for _, r := range harness.Sweep(sc, harness.Seeds(6), 1) {
+		for _, r := range harness.SeedMap(harness.Seeds(6), 1, sc.Run) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
@@ -503,7 +503,7 @@ func TestPlanLowering(t *testing.T) {
 func TestPlanChurnRunCompletes(t *testing.T) {
 	t.Parallel()
 	sc := MustBuild(v3Spec())
-	for _, r := range harness.Sweep(sc, harness.Seeds(4), 1) {
+	for _, r := range harness.SeedMap(harness.Seeds(4), 1, sc.Run) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"realisticfd/internal/abcast"
+	"realisticfd/internal/fd"
 	"realisticfd/internal/harness"
 	"realisticfd/internal/sim"
 )
@@ -71,6 +73,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"trb without waves", func(s Spec) Spec { s.Protocol = ProtocolSpec{Kind: ProtocolTRB}; s.Stop = StopSpec{}; return s }, "waves"},
 		{"all-delivered without trb", func(s Spec) Spec { s.Stop = StopSpec{Kind: StopAllDelivered}; return s }, "requires the trb protocol"},
 		{"per_seed on perfect", func(s Spec) Spec { s.Oracle.PerSeed = true; return s }, "per_seed"},
+		{"abcast without max_instances", func(s Spec) Spec { s.Protocol = ProtocolSpec{Kind: ProtocolAbcast}; return s }, "max_instances"},
+		{"eventually-perfect false_rate", func(s Spec) Spec {
+			s.Oracle = OracleSpec{Kind: OracleEventuallyPerfect, FalseRate: 101}
+			return s
+		}, "false_rate"},
 		{"bad hook", func(s Spec) Spec { s.AfterStep = &HookSpec{Kind: "explode"}; return s }, `unknown kind "explode"`},
 		{"hook victim out of range", func(s Spec) Spec { s.AfterStep = &HookSpec{Kind: HookCrashOnDecide, Process: 0}; return s }, "process 0"},
 		{"delay policy without target", func(s Spec) Spec { s.Policy = PolicySpec{Kind: PolicyDelay, Until: 50}; return s }, "target is required"},
@@ -281,7 +288,7 @@ func TestBuildRunsDeterministically(t *testing.T) {
 	digests := func() []string {
 		sc := MustBuild(s)
 		var out []string
-		for _, r := range harness.Sweep(sc, harness.Seeds(4), 1) {
+		for _, r := range harness.SeedMap(harness.Seeds(4), 1, sc.Run) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}
@@ -329,5 +336,35 @@ func TestBuildSparseTopologyBlocksNonEdges(t *testing.T) {
 		if !ringEdges[canonEdge(int(ev.Msg.From), int(ev.Msg.To))] {
 			t.Fatalf("message delivered across non-edge %v→%v", ev.Msg.From, ev.Msg.To)
 		}
+	}
+}
+
+// TestBuildAbcastAndEventuallyPerfect: the abcast protocol broadcasts
+// AbcastScript, and a per_seed eventually-perfect oracle keys its
+// noise on the run's seed.
+func TestBuildAbcastAndEventuallyPerfect(t *testing.T) {
+	t.Parallel()
+	s := validSpec()
+	s.Faults = nil
+	s.Stop = StopSpec{}
+	s.Protocol = ProtocolSpec{Kind: ProtocolAbcast, MaxInstances: 30}
+	s.Oracle = OracleSpec{Kind: OracleEventuallyPerfect, GST: 100, Delay: 3, FalseRate: 10, PerSeed: true}
+	sc := MustBuild(s)
+	atomic, ok := sc.Automaton.(abcast.Atomic)
+	if !ok || atomic.MaxInstances != 30 || len(atomic.ToBroadcast) != s.N || len(atomic.ToBroadcast[1]) != 2 {
+		t.Fatalf("automaton = %#v", sc.Automaton)
+	}
+	if sc.Oracle != nil || sc.OracleFor == nil {
+		t.Fatal("per_seed oracle is not built per seed")
+	}
+	if got, want := sc.OracleFor(9), (fd.EventuallyPerfect{GST: 100, Delay: 3, Seed: 9, FalseRate: 10}); got != want {
+		t.Fatalf("OracleFor(9) = %#v, want %#v", got, want)
+	}
+	r := sc.Run(9)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if err := abcast.CheckTotalOrder(r.Trace); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -99,12 +99,15 @@ type CrashSpec struct {
 //   - "trb": terminating reliable broadcast, Waves waves
 //   - "reduction": the T(D⇒P) consensus-sequence emulation over
 //     sflooding instances, MaxInstances instances
-//   - "busy": the load-shaped broadcast workload of cmd/sweep
+//   - "abcast": atomic broadcast over a consensus sequence of at most
+//     MaxInstances instances; every process broadcasts AbcastScript(n)
+//   - "busy": the load-shaped broadcast workload of a sweep benchmark
 type ProtocolSpec struct {
 	Kind string `json:"kind"`
 	// Waves is the wave count for "trb".
 	Waves int `json:"waves,omitempty"`
-	// MaxInstances bounds the consensus sequence for "reduction".
+	// MaxInstances bounds the consensus sequence for "reduction" and
+	// "abcast".
 	MaxInstances int `json:"max_instances,omitempty"`
 }
 
@@ -119,6 +122,8 @@ type ProtocolSpec struct {
 //   - "eventually-strong": ◇S with stabilization time GST, latency
 //     Delay and pre-GST false-suspicion rate FalseRate%; PerSeed keys
 //     the noise stream on the sweep seed (Seed is then ignored)
+//   - "eventually-perfect": ◇P, with the parameters of
+//     "eventually-strong"
 type OracleSpec struct {
 	Kind      string `json:"kind"`
 	Delay     int64  `json:"delay,omitempty"`

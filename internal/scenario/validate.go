@@ -11,14 +11,16 @@ const (
 	ProtocolPartialOrder = "partial-order"
 	ProtocolTRB          = "trb"
 	ProtocolReduction    = "reduction"
+	ProtocolAbcast       = "abcast"
 	ProtocolBusy         = "busy"
 
-	OraclePerfect          = "perfect"
-	OracleScribe           = "scribe"
-	OracleMarabout         = "marabout"
-	OraclePartiallyPerfect = "partially-perfect"
-	OracleRealisticStrong  = "realistic-strong"
-	OracleEventuallyStrong = "eventually-strong"
+	OraclePerfect           = "perfect"
+	OracleScribe            = "scribe"
+	OracleMarabout          = "marabout"
+	OraclePartiallyPerfect  = "partially-perfect"
+	OracleRealisticStrong   = "realistic-strong"
+	OracleEventuallyStrong  = "eventually-strong"
+	OracleEventuallyPerfect = "eventually-perfect"
 
 	TopologyComplete = "complete"
 	TopologyRing     = "ring"
@@ -81,9 +83,9 @@ func (s Spec) Validate() error {
 		if s.Protocol.Waves < 1 {
 			return fail("protocol trb: waves = %d must be ≥ 1", s.Protocol.Waves)
 		}
-	case ProtocolReduction:
+	case ProtocolReduction, ProtocolAbcast:
 		if s.Protocol.MaxInstances < 1 {
-			return fail("protocol reduction: max_instances = %d must be ≥ 1", s.Protocol.MaxInstances)
+			return fail("protocol %s: max_instances = %d must be ≥ 1", s.Protocol.Kind, s.Protocol.MaxInstances)
 		}
 	case "":
 		return fail("protocol: kind is required")
@@ -94,11 +96,11 @@ func (s Spec) Validate() error {
 	switch s.Oracle.Kind {
 	case OraclePerfect, OracleScribe, OracleMarabout, OraclePartiallyPerfect, OracleRealisticStrong:
 		if s.Oracle.PerSeed {
-			return fail("oracle %s: per_seed applies only to eventually-strong", s.Oracle.Kind)
+			return fail("oracle %s: per_seed applies only to the eventually-* oracles", s.Oracle.Kind)
 		}
-	case OracleEventuallyStrong:
+	case OracleEventuallyStrong, OracleEventuallyPerfect:
 		if s.Oracle.FalseRate < 0 || s.Oracle.FalseRate > 100 {
-			return fail("oracle eventually-strong: false_rate = %d%% outside [0, 100]", s.Oracle.FalseRate)
+			return fail("oracle %s: false_rate = %d%% outside [0, 100]", s.Oracle.Kind, s.Oracle.FalseRate)
 		}
 	case "":
 		return fail("oracle: kind is required")

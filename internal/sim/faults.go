@@ -8,32 +8,6 @@ import (
 	"realisticfd/internal/model"
 )
 
-// Partition is one scripted network partition: while From ≤ t < Until,
-// no message crosses between Side and its complement Ω \ Side. At time
-// Until the partition heals and the withheld traffic becomes
-// deliverable again (the messages waited in the buffer, as §2.3's
-// model prescribes — a partition delays, it does not destroy).
-type Partition struct {
-	// Side is one side of the cut; the other side is Ω \ Side.
-	Side model.ProcessSet
-	// From is the first partitioned instant.
-	From model.Time
-	// Until is the heal time: the first instant at which cross-cut
-	// traffic flows again. Until ≤ From makes the partition inert.
-	Until model.Time
-}
-
-// Blocks reports whether the partition forbids delivering a message
-// from p to q at time t.
-func (pt Partition) Blocks(p, q model.ProcessID, t model.Time) bool {
-	return t >= pt.From && t < pt.Until && pt.Side.Has(p) != pt.Side.Has(q)
-}
-
-// String renders the partition compactly.
-func (pt Partition) String() string {
-	return fmt.Sprintf("%v|rest@%d..%d", pt.Side, pt.From, pt.Until)
-}
-
 // Edge is one undirected link {A, B} of a communication graph. The
 // scenario DSL generates topologies as edge sets and expresses
 // partitions as cuts of those sets (DESIGN.md §8).
@@ -55,12 +29,13 @@ func (e Edge) String() string {
 	return fmt.Sprintf("%v-%v", e.A, e.B)
 }
 
-// EdgeCut is a topology-aware partition: while From ≤ t < Until no
+// EdgeCut is a scripted network partition: while From ≤ t < Until no
 // message crosses any edge of Edges, in either direction. At Until the
-// cut heals and the withheld traffic becomes deliverable again. Unlike
-// Partition, which severs a ProcessSet from its complement, an EdgeCut
-// severs an explicit edge set — typically a cut of a generated graph —
-// so arbitrary, non-bipartition link failures are expressible.
+// cut heals and the withheld traffic becomes deliverable again (the
+// messages waited in the buffer, as §2.3's model prescribes — a
+// partition delays, it does not destroy). A bipartition of Ω is the
+// cut of its crossing edges (the scenario DSL computes them from a
+// side); any other edge set expresses a non-bipartition link failure.
 type EdgeCut struct {
 	// Edges are the severed links (direction-insensitive).
 	Edges []Edge
@@ -103,8 +78,8 @@ func (ec EdgeCut) String() string {
 // Liveness caveat: DropPct > 0 models a lossy link without
 // retransmission, so condition (5) of §2.4 (every message to a correct
 // process is eventually received) no longer holds and only safety
-// properties should be asserted. MaxExtraDelay and healed Partitions
-// and Cuts preserve eventual delivery within a sufficient horizon; a
+// properties should be asserted. MaxExtraDelay and healed Cuts
+// preserve eventual delivery within a sufficient horizon; a
 // cut whose Until lies at or beyond the horizon permanently severs its
 // links (how the scenario DSL embeds sparse topologies).
 type LinkFaults struct {
@@ -114,10 +89,8 @@ type LinkFaults struct {
 	// from [0, MaxExtraDelay] ticks: the message is invisible to its
 	// destination until SentAt + extra.
 	MaxExtraDelay model.Time
-	// Partitions are scripted cuts, each healing at its Until time.
-	Partitions []Partition
-	// Cuts are topology-aware partitions: scripted severings of
-	// explicit edge sets.
+	// Cuts are scripted partitions: severings of explicit edge sets,
+	// each healing at its Until time.
 	Cuts []EdgeCut
 	// DropSteps, when non-empty, makes the loss rate piecewise-constant
 	// in send time: a message sent at t is dropped with the Pct of the
@@ -185,7 +158,7 @@ func (lf LinkFaults) lossy() bool {
 
 // Active reports whether the fault plan perturbs anything at all.
 func (lf LinkFaults) Active() bool {
-	return lf.DropPct > 0 || lf.MaxExtraDelay > 0 || len(lf.Partitions) > 0 || len(lf.Cuts) > 0 ||
+	return lf.DropPct > 0 || lf.MaxExtraDelay > 0 || len(lf.Cuts) > 0 ||
 		len(lf.DropSteps) > 0 || len(lf.DelaySteps) > 0
 }
 
@@ -196,7 +169,7 @@ func (lf LinkFaults) LossFree() bool {
 	return !lf.lossy()
 }
 
-// String renders the plan, e.g. "faults{drop=10%,delay≤4,part=[{p1,p2}|rest@40..400]}".
+// String renders the plan, e.g. "faults{drop=10%,delay≤4,cuts=[cut{p1-p3}@40..400]}".
 func (lf LinkFaults) String() string {
 	if !lf.Active() {
 		return "faults{none}"
@@ -207,13 +180,6 @@ func (lf LinkFaults) String() string {
 	}
 	if lf.MaxExtraDelay > 0 {
 		parts = append(parts, fmt.Sprintf("delay≤%d", lf.MaxExtraDelay))
-	}
-	if len(lf.Partitions) > 0 {
-		ps := make([]string, len(lf.Partitions))
-		for i, p := range lf.Partitions {
-			ps[i] = p.String()
-		}
-		parts = append(parts, "part=["+strings.Join(ps, " ")+"]")
 	}
 	if len(lf.Cuts) > 0 {
 		cs := make([]string, len(lf.Cuts))
@@ -380,11 +346,6 @@ func (fp *FaultyPolicy) cutSet(i int) map[Edge]struct{} {
 func (fp *FaultyPolicy) Deliverable(m *Message, t model.Time) bool {
 	if v := fp.verdict(m); v.dropped || t < v.ready {
 		return false
-	}
-	for _, pt := range fp.Faults.Partitions {
-		if pt.Blocks(m.From, m.To, t) {
-			return false
-		}
 	}
 	for i, ec := range fp.Faults.Cuts {
 		if t < ec.From || t >= ec.Until {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -55,11 +57,12 @@ func TestFaultyPolicyDelayBounded(t *testing.T) {
 	}
 }
 
-// TestPartitionBlocksOnlyCrossCut checks the partition predicate: only
-// cross-cut traffic inside the window is blocked, and the cut heals.
+// TestPartitionBlocksOnlyCrossCut checks a bipartition written as the
+// cut of its crossing edges ({p1, p2} against {p3, p4}): only cross-cut
+// traffic inside the window is blocked, and the cut heals.
 func TestPartitionBlocksOnlyCrossCut(t *testing.T) {
 	t.Parallel()
-	pt := Partition{Side: model.NewProcessSet(1, 2), From: 10, Until: 20}
+	pt := EdgeCut{Edges: []Edge{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 3}, {A: 2, B: 4}}, From: 10, Until: 20}
 	cases := []struct {
 		from, to model.ProcessID
 		t        model.Time
@@ -81,16 +84,17 @@ func TestPartitionBlocksOnlyCrossCut(t *testing.T) {
 }
 
 // TestFaultyPolicyPartitionDelivery runs the broadcast automaton under
-// a healing partition: messages across the cut are withheld during the
-// window and delivered after the heal, so every correct process still
-// delivers by the horizon.
+// a healing partition that isolates p1 (the cut of its four edges):
+// messages across the cut are withheld during the window and delivered
+// after the heal, so every correct process still delivers by the
+// horizon.
 func TestFaultyPolicyPartitionDelivery(t *testing.T) {
 	t.Parallel()
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 400, Seed: 11,
 		Policy: &FaultyPolicy{Faults: LinkFaults{
-			Partitions: []Partition{{Side: model.NewProcessSet(1), From: 1, Until: 100}},
+			Cuts: []EdgeCut{{Edges: []Edge{{A: 1, B: 2}, {A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}}, From: 1, Until: 100}},
 		}},
 	})
 	if err != nil {
@@ -242,36 +246,28 @@ func TestEdgeCutBlocksOnlyCutEdges(t *testing.T) {
 	}
 }
 
-// TestEdgeCutEquivalentToPartition checks that a cut listing exactly
-// the cross-cut edges of a bipartition replays byte-identically to the
-// classic ProcessSet partition: the two encodings must be two spellings
-// of the same fault plan.
+// TestEdgeCutEquivalentToPartition pins the run of the cut that severs
+// {p1, p2} from {p3, p4, p5} to the text hash the same bipartition
+// produced when it was a ProcessSet partition type of its own: the cut
+// of the crossing edges is that partition, not an approximation of it.
 func TestEdgeCutEquivalentToPartition(t *testing.T) {
 	t.Parallel()
-	side := model.NewProcessSet(1, 2)
-	var crossing []Edge
-	for a := model.ProcessID(1); a <= 5; a++ {
-		for b := a + 1; b <= 5; b++ {
-			if side.Has(a) != side.Has(b) {
-				crossing = append(crossing, Edge{A: a, B: b})
-			}
-		}
+	crossing := []Edge{{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5}}
+	tr, err := Execute(Config{
+		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
+		Horizon: 400, Seed: 11,
+		Policy: &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{{Edges: crossing, From: 1, Until: 100}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(lf LinkFaults) string {
-		tr, err := Execute(Config{
-			N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
-			Horizon: 400, Seed: 11,
-			Policy: &FaultyPolicy{Faults: lf},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.Digest()
+	h := sha256.New()
+	if err := tr.WriteText(h); err != nil {
+		t.Fatal(err)
 	}
-	classic := run(LinkFaults{Partitions: []Partition{{Side: side, From: 1, Until: 100}}})
-	cut := run(LinkFaults{Cuts: []EdgeCut{{Edges: crossing, From: 1, Until: 100}}})
-	if classic != cut {
-		t.Fatalf("edge-cut run diverged from equivalent partition run:\n cut     %s\n classic %s", cut, classic)
+	const want = "3e42a11aa27e4362243343474c304e080f32323f47bd9c0a4e02de5e6d903e25"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("edge-cut run hashes to %s, the partition run to %s", got, want)
 	}
 }
 
@@ -314,10 +310,9 @@ func TestLinkFaultsString(t *testing.T) {
 		t.Errorf("empty plan renders %q", got)
 	}
 	lf := LinkFaults{DropPct: 10, MaxExtraDelay: 4,
-		Partitions: []Partition{{Side: model.NewProcessSet(1, 2), From: 40, Until: 400}},
-		Cuts:       []EdgeCut{{Edges: []Edge{{A: 1, B: 3}}, From: 5, Until: 15}}}
+		Cuts: []EdgeCut{{Edges: []Edge{{A: 1, B: 3}}, From: 5, Until: 15}}}
 	got := lf.String()
-	for _, want := range []string{"drop=10%", "delay≤4", "@40..400", "cut{p1-p3}@5..15"} {
+	for _, want := range []string{"drop=10%", "delay≤4", "cut{p1-p3}@5..15"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("plan rendering %q missing %q", got, want)
 		}

@@ -81,9 +81,12 @@ func fuzzPolicy(kind uint8, dropPct, extraDelay uint8) Policy {
 		return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
 			DropPct:       int(dropPct % 40),
 			MaxExtraDelay: model.Time(extraDelay % 8),
-			Partitions: []Partition{
-				{Side: model.NewProcessSet(1, 2), From: 20, Until: model.Time(20 + extraDelay)},
-			},
+			// {p1, p2} severed from the rest: the fuzzed n is at most 11,
+			// and edges to absent processes carry nothing.
+			Cuts: []EdgeCut{{Edges: []Edge{
+				{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6}, {A: 1, B: 7}, {A: 1, B: 8}, {A: 1, B: 9}, {A: 1, B: 10}, {A: 1, B: 11},
+				{A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6}, {A: 2, B: 7}, {A: 2, B: 8}, {A: 2, B: 9}, {A: 2, B: 10}, {A: 2, B: 11},
+			}, From: 20, Until: model.Time(20 + extraDelay)}},
 		}}
 	}
 }

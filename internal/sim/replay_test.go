@@ -36,7 +36,12 @@ func replayCases() []struct {
 		{"faulty-partition", func() Policy {
 			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
 				DropPct: 5, MaxExtraDelay: 3,
-				Partitions: []Partition{{Side: model.NewProcessSet(1, 2, 3), From: 30, Until: 150}},
+				// {p1, p2, p3} severed from {p4, p5, p6}.
+				Cuts: []EdgeCut{{Edges: []Edge{
+					{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},
+					{A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6},
+					{A: 3, B: 4}, {A: 3, B: 5}, {A: 3, B: 6},
+				}, From: 30, Until: 150}},
 			}}
 		}},
 	}
