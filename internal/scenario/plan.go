@@ -72,14 +72,11 @@ type FaultPlan struct {
 }
 
 // Empty reports whether the plan perturbs nothing.
-func (p *FaultPlan) Empty() bool { return p == nil || len(p.Actions) == 0 }
+func (p *FaultPlan) Empty() bool { return len(p.Actions) == 0 }
 
 // Joiner reports whether node id joins mid-run rather than being
 // present from the start.
 func (p *FaultPlan) Joiner(id int) bool {
-	if p == nil {
-		return false
-	}
 	_, ok := p.Joins[id]
 	return ok
 }
@@ -352,11 +349,12 @@ func resolveActionEdges(a ActionSpec, all []edgeKey) ([][2]int, error) {
 
 // CompilePlan compiles the spec's declarative plan into the FaultPlan
 // IR: edges resolved against the generated overlay, actions sorted by
-// time, churn indexed. It returns (nil, nil) when the spec declares no
-// plan. The spec must already be valid (Parse/Load guarantee it).
+// time, churn indexed. A spec that declares no plan compiles to an
+// empty one, never nil. The spec must already be valid (Parse/Load
+// guarantee it).
 func (s Spec) CompilePlan() (*FaultPlan, error) {
 	if len(s.Plan) == 0 {
-		return nil, nil
+		return &FaultPlan{N: s.N, Horizon: s.Horizon}, nil
 	}
 	edgeSet, err := s.Topology.edgeSet(s.N)
 	if err != nil {
