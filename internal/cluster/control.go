@@ -29,7 +29,7 @@ const (
 	ctlHello    = "hello"    // node → orch: I'm up, data plane at Addr
 	ctlTopology = "topology" // orch → node: your overlay peers; start gossiping
 	ctlCut      = "cut"      // orch → node: drop frames to/from Targets
-	ctlHeal     = "heal"     // orch → node: undo cuts (All or Targets)
+	ctlHeal     = "heal"     // orch → node: undo the cuts to/from Targets
 	ctlDrop     = "drop"     // orch → node: set the fault-hook loss rate to Pct
 	ctlDelay    = "delay"    // orch → node: set the fault-hook delay bound to BoundMs
 	ctlJoin     = "join"     // orch → node: Joiner came up at JoinerAddr; adopt it
@@ -56,7 +56,6 @@ type ctlMsg struct {
 
 	// cut / heal
 	Targets []int `json:"targets,omitempty"`
-	All     bool  `json:"all,omitempty"`
 
 	// drop / delay
 	Pct     int   `json:"pct,omitempty"`

@@ -390,19 +390,9 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 			log.apply(tr)
 		case m := <-ctlIn:
 			switch m.Kind {
-			case ctlCut:
+			case ctlCut, ctlHeal:
 				for _, t := range m.Targets {
-					tr.SetCut(model.ProcessID(t), true)
-				}
-			case ctlHeal:
-				if m.All {
-					for _, p := range tr.Cuts() {
-						tr.SetCut(p, false)
-					}
-				} else {
-					for _, t := range m.Targets {
-						tr.SetCut(model.ProcessID(t), false)
-					}
+					tr.SetCut(model.ProcessID(t), m.Kind == ctlCut)
 				}
 			case ctlDrop:
 				if hook != nil {

@@ -125,17 +125,6 @@ func (n *TCPNode) SetCut(p model.ProcessID, cut bool) {
 	}
 }
 
-// Cuts returns the currently cut peers.
-func (n *TCPNode) Cuts() []model.ProcessID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]model.ProcessID, 0, len(n.cut))
-	for p := range n.cut {
-		out = append(out, p)
-	}
-	return out
-}
-
 // SetFaultHook installs (or, with nil, removes) the seeded drop/delay
 // lottery applied to every outbound envelope — the live lowering of the
 // fault plan's loss axes. Install it before traffic starts so frame
@@ -144,13 +133,6 @@ func (n *TCPNode) SetFaultHook(h *FaultHook) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.hook = h
-}
-
-// FaultHook returns the installed hook, or nil.
-func (n *TCPNode) FaultHook() *FaultHook {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.hook
 }
 
 // Self implements Transport.
