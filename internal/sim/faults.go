@@ -45,21 +45,6 @@ type EdgeCut struct {
 	Until model.Time
 }
 
-// Blocks reports whether the cut forbids delivering a message from p
-// to q at time t.
-func (ec EdgeCut) Blocks(p, q model.ProcessID, t model.Time) bool {
-	if t < ec.From || t >= ec.Until {
-		return false
-	}
-	want := Edge{A: p, B: q}.Canon()
-	for _, e := range ec.Edges {
-		if e.Canon() == want {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the cut compactly.
 func (ec EdgeCut) String() string {
 	es := make([]string, len(ec.Edges))
@@ -160,13 +145,6 @@ func (lf LinkFaults) lossy() bool {
 func (lf LinkFaults) Active() bool {
 	return lf.DropPct > 0 || lf.MaxExtraDelay > 0 || len(lf.Cuts) > 0 ||
 		len(lf.DropSteps) > 0 || len(lf.DelaySteps) > 0
-}
-
-// LossFree reports whether every message is eventually deliverable
-// (no drops and every partition heals), i.e. whether liveness claims
-// survive the fault plan.
-func (lf LinkFaults) LossFree() bool {
-	return !lf.lossy()
 }
 
 // String renders the plan, e.g. "faults{drop=10%,delay≤4,cuts=[cut{p1-p3}@40..400]}".

@@ -57,12 +57,20 @@ func TestFaultyPolicyDelayBounded(t *testing.T) {
 	}
 }
 
+// cutBlocks reports whether the policy's cuts withhold a message from
+// p to q at time t; the plan has no loss or delay, so only a cut can.
+func cutBlocks(fp *FaultyPolicy, id int64, p, q model.ProcessID, t model.Time) bool {
+	return !fp.Deliverable(&Message{ID: id, From: p, To: q}, t)
+}
+
 // TestPartitionBlocksOnlyCrossCut checks a bipartition written as the
 // cut of its crossing edges ({p1, p2} against {p3, p4}): only cross-cut
 // traffic inside the window is blocked, and the cut heals.
 func TestPartitionBlocksOnlyCrossCut(t *testing.T) {
 	t.Parallel()
-	pt := EdgeCut{Edges: []Edge{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 3}, {A: 2, B: 4}}, From: 10, Until: 20}
+	fp := &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{
+		{Edges: []Edge{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 3}, {A: 2, B: 4}}, From: 10, Until: 20},
+	}}}
 	cases := []struct {
 		from, to model.ProcessID
 		t        model.Time
@@ -76,9 +84,9 @@ func TestPartitionBlocksOnlyCrossCut(t *testing.T) {
 		{1, 3, 20, false},  // healed
 		{1, 3, 500, false}, // long healed
 	}
-	for _, c := range cases {
-		if got := pt.Blocks(c.from, c.to, c.t); got != c.blocked {
-			t.Errorf("Blocks(%v→%v @%d) = %v, want %v", c.from, c.to, c.t, got, c.blocked)
+	for i, c := range cases {
+		if got := cutBlocks(fp, int64(i+1), c.from, c.to, c.t); got != c.blocked {
+			t.Errorf("blocked(%v→%v @%d) = %v, want %v", c.from, c.to, c.t, got, c.blocked)
 		}
 	}
 }
@@ -220,12 +228,14 @@ func TestFaultyPolicyComposesWithInner(t *testing.T) {
 	}
 }
 
-// TestEdgeCutBlocksOnlyCutEdges checks the edge-cut predicate: only
-// the listed edges are severed, in both directions, only inside the
-// window.
+// TestEdgeCutBlocksOnlyCutEdges checks the edge cut as the engine
+// applies it: only the listed edges are severed, in both directions,
+// only inside the window.
 func TestEdgeCutBlocksOnlyCutEdges(t *testing.T) {
 	t.Parallel()
-	ec := EdgeCut{Edges: []Edge{{A: 1, B: 3}, {A: 4, B: 2}}, From: 10, Until: 20}
+	fp := &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{
+		{Edges: []Edge{{A: 1, B: 3}, {A: 4, B: 2}}, From: 10, Until: 20},
+	}}}
 	cases := []struct {
 		from, to model.ProcessID
 		t        model.Time
@@ -239,9 +249,9 @@ func TestEdgeCutBlocksOnlyCutEdges(t *testing.T) {
 		{1, 3, 9, false},  // before the cut
 		{1, 3, 20, false}, // healed
 	}
-	for _, c := range cases {
-		if got := ec.Blocks(c.from, c.to, c.t); got != c.blocked {
-			t.Errorf("Blocks(%v→%v @%d) = %v, want %v", c.from, c.to, c.t, got, c.blocked)
+	for i, c := range cases {
+		if got := cutBlocks(fp, int64(i+1), c.from, c.to, c.t); got != c.blocked {
+			t.Errorf("blocked(%v→%v @%d) = %v, want %v", c.from, c.to, c.t, got, c.blocked)
 		}
 	}
 }
@@ -317,10 +327,10 @@ func TestLinkFaultsString(t *testing.T) {
 			t.Errorf("plan rendering %q missing %q", got, want)
 		}
 	}
-	if lf.LossFree() {
+	if !lf.lossy() {
 		t.Error("plan with drops claims loss-free")
 	}
-	if !(LinkFaults{MaxExtraDelay: 3}).LossFree() {
+	if (LinkFaults{MaxExtraDelay: 3}).lossy() {
 		t.Error("delay-only plan must be loss-free")
 	}
 }
@@ -354,10 +364,10 @@ func TestFaultyPolicyStepTimelines(t *testing.T) {
 			t.Fatalf("delay %d outside [0, 5]", d)
 		}
 	}
-	if steps.Faults.LossFree() {
-		t.Fatal("timeline with a lossy segment claims LossFree")
+	if !steps.Faults.lossy() {
+		t.Fatal("timeline with a lossy segment claims loss-free")
 	}
-	if !(LinkFaults{DropSteps: []RateStep{{From: 0, Pct: 0}}}).LossFree() {
+	if (LinkFaults{DropSteps: []RateStep{{From: 0, Pct: 0}}}).lossy() {
 		t.Fatal("all-zero drop timeline is loss-free")
 	}
 
