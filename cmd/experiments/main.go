@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,32 +27,47 @@ import (
 )
 
 func main() {
-	seeds := flag.Int("seeds", 5, "seeds per experiment scenario")
-	only := flag.String("only", "", "run a single experiment (E1..E9)")
-	parallel := flag.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
-	flag.Parse()
-	experiments.SetWorkers(*parallel)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	gens := map[string]func(int) *experiments.Table{
-		"E1": experiments.E1Totality,
-		"E2": experiments.E2Adversary,
-		"E3": experiments.E3Reduction,
-		"E4": experiments.E4TRB,
-		"E5": experiments.E5Marabout,
-		"E6": experiments.E6PartialPerfect,
-		"E7": experiments.E7Collapse,
-		"E8": experiments.E8MajorityCrossover,
-		"E9": func(int) *experiments.Table { return experiments.E9QoS() },
-	}
-
-	if *only != "" {
-		gen, ok := gens[strings.ToUpper(*only)]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (want E1..E9)\n", *only)
-			os.Exit(2)
+// run prints the tables args ask for to stdout and returns the exit
+// code; a bad command line is one line on stderr and code 2.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seeds := fs.Int("seeds", 5, "seeds per experiment scenario (≥ 1)")
+	only := fs.String("only", "", "run a single experiment (E1..E9)")
+	parallel := fs.Int("parallel", 0, "sweep worker-pool size (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		gen(*seeds).Fprint(os.Stdout)
-		return
+		return 2
 	}
-	experiments.RunAll(os.Stdout, *seeds)
+	var gens []func(int) *experiments.Table
+	for _, g := range experiments.Generators {
+		if *only == "" || strings.EqualFold(g.ID, *only) {
+			gens = append(gens, g.Gen)
+		}
+	}
+	var bad string
+	switch {
+	case fs.NArg() > 0:
+		bad = fmt.Sprintf("unexpected argument %q: experiments takes flags only", fs.Arg(0))
+	case *seeds < 1:
+		bad = fmt.Sprintf("-seeds %d: want ≥ 1", *seeds)
+	case *parallel < 0:
+		bad = fmt.Sprintf("-parallel %d: want ≥ 0 (0 = GOMAXPROCS)", *parallel)
+	case len(gens) == 0:
+		bad = fmt.Sprintf("unknown experiment %q (want E1..E9)", *only)
+	}
+	if bad != "" {
+		fmt.Fprintln(stderr, "experiments:", bad)
+		return 2
+	}
+	experiments.SetWorkers(*parallel)
+	for _, gen := range gens {
+		gen(*seeds).Fprint(stdout)
+	}
+	return 0
 }

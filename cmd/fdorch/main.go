@@ -9,11 +9,13 @@
 // The faults come from a -plan file — a /v3 scenario whose fault plan
 // also runs under fdsim's sim lowering (examples/scenarios/) —
 // or, without one, a built-in kill+pause+partition+heal sequence
-// scaled to -n. With -bound (or a plan's bound_ms) the run becomes an
-// assertion and the exit status a verdict: every survivor must suspect
-// every killed node within the bound, no resumed node may stay
-// suspected at collection, and every mid-run joiner must be adopted
-// cluster-wide.
+// scaled to -n. The flags that shape the built-in schedule (-n -est
+// -timeout -interval -fanout -warmup -settle -bound) are refused
+// beside -plan, whose file carries them. With -bound (or a plan's
+// bound_ms) the run becomes an assertion and the exit status a
+// verdict: every survivor must suspect every killed node within the
+// bound, no resumed node may stay suspected at collection, and every
+// mid-run joiner must be adopted cluster-wide.
 //
 // The result JSON carries the spec's sha256 config digest
 // (plan_digest), which is the run's identity: -validate parses and
@@ -35,105 +37,100 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"realisticfd/internal/cluster"
 	"realisticfd/internal/scenario"
 )
 
-func main() {
-	var (
-		plan      = flag.String("plan", "", "fdspec/v3 scenario file (default: built-in schedule)")
-		n         = flag.Int("n", 16, "cluster size for the built-in schedule (≥ 6)")
-		est       = flag.String("est", "phi", "estimator: fixed|chen|phi")
-		timeout   = flag.Duration("timeout", 0, "fixed estimator timeout (default 12×interval)")
-		interval  = flag.Duration("interval", 50*time.Millisecond, "gossip round period")
-		fanout    = flag.Int("fanout", 0, "gossip destinations per round (0 = all overlay neighbors)")
-		warmup    = flag.Duration("warmup", time.Second, "dissemination warmup before the schedule")
-		settle    = flag.Duration("settle", 2*time.Second, "observation tail after the last event")
-		bound     = flag.Duration("bound", 0, "detection bound to assert (0 = report only)")
-		nodeBin   = flag.String("node-bin", "", "fdnode binary (default: next to fdorch, then $PATH)")
-		inproc    = flag.Bool("inproc", false, "run nodes as goroutines instead of processes")
-		pairs     = flag.Bool("pairs", false, "include the full observer×target metric matrix")
-		out       = flag.String("out", "", "write the JSON result here instead of stdout")
-		seed      = flag.Int64("seed", 1, "fanout sampling and fault-lottery seed")
-		runFor    = flag.Duration("max-run", 10*time.Minute, "hard deadline for the whole run")
-		quiet     = flag.Bool("q", false, "suppress progress logging")
-		validate  = flag.Bool("validate", false, "parse and semantically check the plan, print its digest, spawn nothing")
-		ifChanged = flag.Bool("if-changed", false, "with -out: skip the run when the existing result carries the same plan_digest")
-	)
-	flag.Parse()
+// options holds fdorch's parsed command line.
+type options struct {
+	plan, est, nodeBin, out                          string
+	n, fanout                                        int
+	seed                                             int64
+	timeout, interval, warmup, settle, bound, runFor time.Duration
+	inproc, pairs, quiet, validate, ifChanged        bool
+}
 
-	spec, err := buildSpec(*plan, *n, *est, *timeout, *interval, *fanout, *warmup, *settle, *bound)
+// builtinFlags shape the built-in schedule; a -plan file carries its
+// own values for all of them.
+var builtinFlags = []string{"n", "est", "timeout", "interval", "fanout", "warmup", "settle", "bound"}
+
+func main() {
+	os.Exit(fdorch(os.Args[1:]))
+}
+
+// fdorch runs one invocation and returns its exit code: 2 for a bad
+// command line or plan, 1 for a failed run or assertion.
+func fdorch(args []string) int {
+	o, spec, err := prepare(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdorch:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	digest, err := spec.ConfigDigest()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdorch:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
-	if *validate {
+	if o.validate {
 		// Compiling the plan checks it against the generated overlay.
 		if _, err := spec.CompilePlan(); err != nil {
-			fmt.Fprintln(os.Stderr, "fdorch:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		fmt.Printf("%s: ok %s\n", spec.Name, digest)
-		return
+		return 0
 	}
-	if *ifChanged && *out != "" {
-		if prior, err := priorDigest(*out); err == nil && prior == digest {
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "fdorch: %s unchanged (%s), skipping rerun\n", *out, digest)
+	if o.ifChanged && o.out != "" {
+		if prior, err := priorDigest(o.out); err == nil && prior == digest {
+			if !o.quiet {
+				fmt.Fprintf(os.Stderr, "fdorch: %s unchanged (%s), skipping rerun\n", o.out, digest)
 			}
-			return
+			return 0
 		}
 	}
 
 	cfg := cluster.Config{
 		Scenario:     spec,
-		Seed:         *seed,
-		IncludePairs: *pairs,
+		Seed:         o.seed,
+		IncludePairs: o.pairs,
 	}
-	if !*quiet {
+	if !o.quiet {
 		cfg.Log = os.Stderr
 	}
-	if *inproc {
+	if o.inproc {
 		cfg.Spawner = cluster.InProcSpawner{}
 	} else {
-		bin, err := resolveNodeBin(*nodeBin)
+		bin, err := resolveNodeBin(o.nodeBin)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fdorch:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 		cfg.Spawner = &cluster.ProcSpawner{Command: []string{bin}, Stderr: os.Stderr}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *runFor)
+	ctx, cancel := context.WithTimeout(context.Background(), o.runFor)
 	defer cancel()
 	res, err := cluster.Run(ctx, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdorch:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
 	enc, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fdorch:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 	enc = append(enc, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "fdorch:", err)
-			os.Exit(1)
+	if o.out != "" {
+		if err := os.WriteFile(o.out, enc, 0o644); err != nil {
+			return fail(1, err)
 		}
 	} else {
 		os.Stdout.Write(enc)
@@ -144,12 +141,63 @@ func main() {
 		for _, f := range res.Failures {
 			fmt.Fprintln(os.Stderr, "  -", f)
 		}
-		os.Exit(1)
+		return 1
 	}
-	if !*quiet {
+	if !o.quiet {
 		fmt.Fprintf(os.Stderr, "fdorch: %s ok — %d/%d reports, %d kill(s) detected, %d join(s), fan-out ≤ %d\n",
 			res.Name, res.Reports, res.Expected, len(res.Kills), len(res.Joins), res.MaxDistinctDestinations)
 	}
+	return 0
+}
+
+// fail reports err and returns code.
+func fail(code int, err error) int {
+	fmt.Fprintln(os.Stderr, "fdorch:", err)
+	return code
+}
+
+// prepare parses the command line and builds the spec it names. It
+// refuses a stray argument, which would end flag parsing and drop the
+// flags after it, and a built-in-schedule flag given with -plan, which
+// the plan would silently override.
+func prepare(args []string) (options, *scenario.Spec, error) {
+	var o options
+	fs := flag.NewFlagSet("fdorch", flag.ContinueOnError)
+	fs.StringVar(&o.plan, "plan", "", "fdspec/v3 scenario file (default: built-in schedule)")
+	fs.IntVar(&o.n, "n", 16, "cluster size for the built-in schedule (≥ 6)")
+	fs.StringVar(&o.est, "est", "phi", "estimator: fixed|chen|phi")
+	fs.DurationVar(&o.timeout, "timeout", 0, "fixed estimator timeout (default 12×interval)")
+	fs.DurationVar(&o.interval, "interval", 50*time.Millisecond, "gossip round period")
+	fs.IntVar(&o.fanout, "fanout", 0, "gossip destinations per round (0 = all overlay neighbors)")
+	fs.DurationVar(&o.warmup, "warmup", time.Second, "dissemination warmup before the schedule")
+	fs.DurationVar(&o.settle, "settle", 2*time.Second, "observation tail after the last event")
+	fs.DurationVar(&o.bound, "bound", 0, "detection bound to assert (0 = report only)")
+	fs.StringVar(&o.nodeBin, "node-bin", "", "fdnode binary (default: next to fdorch, then $PATH)")
+	fs.BoolVar(&o.inproc, "inproc", false, "run nodes as goroutines instead of processes")
+	fs.BoolVar(&o.pairs, "pairs", false, "include the full observer×target metric matrix")
+	fs.StringVar(&o.out, "out", "", "write the JSON result here instead of stdout")
+	fs.Int64Var(&o.seed, "seed", 1, "fanout sampling and fault-lottery seed")
+	fs.DurationVar(&o.runFor, "max-run", 10*time.Minute, "hard deadline for the whole run")
+	fs.BoolVar(&o.quiet, "q", false, "suppress progress logging")
+	fs.BoolVar(&o.validate, "validate", false, "parse and semantically check the plan, print its digest, spawn nothing")
+	fs.BoolVar(&o.ifChanged, "if-changed", false, "with -out: skip the run when the existing result carries the same plan_digest")
+	if err := fs.Parse(args); err != nil {
+		return o, nil, err
+	}
+	if fs.NArg() > 0 {
+		return o, nil, fmt.Errorf("unexpected argument %q: fdorch takes flags only", fs.Arg(0))
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if o.plan != "" && slices.Contains(builtinFlags, f.Name) {
+			err = fmt.Errorf("-%s shapes the built-in schedule, and -plan was given too; set it in the plan file", f.Name)
+		}
+	})
+	if err != nil {
+		return o, nil, err
+	}
+	spec, err := o.spec()
+	return o, spec, err
 }
 
 // priorDigest reads the plan_digest of an existing result file.
@@ -170,53 +218,56 @@ func priorDigest(path string) (string, error) {
 	return res.PlanDigest, nil
 }
 
-// buildSpec loads the plan file or synthesizes the built-in schedule:
+// spec loads the plan file or synthesizes the built-in schedule:
 // kill two nodes at t0, pause one across a partition window, cut one
 // node's entire boundary, heal and resume, observe.
-func buildSpec(plan string, n int, est string, timeout, interval time.Duration, fanout int, warmup, settle, bound time.Duration) (*scenario.Spec, error) {
-	if plan != "" {
-		spec, err := scenario.Load(plan)
+func (o options) spec() (*scenario.Spec, error) {
+	if o.plan != "" {
+		spec, err := scenario.Load(o.plan)
 		return &spec, err
 	}
-	if n < 6 {
-		return nil, fmt.Errorf("built-in schedule needs n ≥ 6 (got %d); use -plan for smaller clusters", n)
+	if o.n < 6 {
+		return nil, fmt.Errorf("built-in schedule needs n ≥ 6 (got %d); use -plan for smaller clusters", o.n)
+	}
+	if o.timeout != 0 && o.est != "fixed" {
+		return nil, fmt.Errorf("-timeout applies to -est fixed only (got -est %s)", o.est)
 	}
 	estSpec := scenario.LiveEstimatorSpec{}
-	switch est {
+	switch o.est {
 	case "fixed":
-		if timeout <= 0 {
-			timeout = 12 * interval
+		if o.timeout <= 0 {
+			o.timeout = 12 * o.interval
 		}
-		estSpec = scenario.LiveEstimatorSpec{Kind: scenario.LiveEstFixed, TimeoutMs: int(timeout.Milliseconds())}
+		estSpec = scenario.LiveEstimatorSpec{Kind: scenario.LiveEstFixed, TimeoutMs: int(o.timeout.Milliseconds())}
 	case "chen":
 		estSpec.Kind = scenario.LiveEstChen
 	case "phi":
 		estSpec.Kind = scenario.LiveEstPhi
 	default:
-		return nil, fmt.Errorf("unknown estimator %q", est)
+		return nil, fmt.Errorf("unknown estimator %q", o.est)
 	}
 	spec := &scenario.Spec{
 		Schema:   scenario.SchemaV3,
-		Name:     fmt.Sprintf("builtin-%d", n),
-		N:        n,
+		Name:     fmt.Sprintf("builtin-%d", o.n),
+		N:        o.n,
 		Horizon:  1100, // the last action
 		Protocol: scenario.ProtocolSpec{Kind: scenario.ProtocolBusy},
 		Oracle:   scenario.OracleSpec{Kind: scenario.OraclePerfect},
 		Topology: scenario.TopologySpec{Kind: scenario.TopologyChord},
 		Plan: []scenario.ActionSpec{
-			{At: 0, Action: "kill", Nodes: []int{2, n/2 + 1}},
-			{At: 200, Action: "pause", Nodes: []int{n}},
+			{At: 0, Action: "kill", Nodes: []int{2, o.n/2 + 1}},
+			{At: 200, Action: "pause", Nodes: []int{o.n}},
 			{At: 400, Action: "cut", Side: []int{1}},
 			{At: 1100, Action: "heal"},
-			{At: 1100, Action: "resume", Nodes: []int{n}},
+			{At: 1100, Action: "resume", Nodes: []int{o.n}},
 		},
 		Live: &scenario.LiveParams{
-			IntervalMs: int(interval.Milliseconds()),
-			Fanout:     fanout,
+			IntervalMs: int(o.interval.Milliseconds()),
+			Fanout:     o.fanout,
 			Estimator:  estSpec,
-			WarmupMs:   int(warmup.Milliseconds()),
-			SettleMs:   int(settle.Milliseconds()),
-			BoundMs:    int(bound.Milliseconds()),
+			WarmupMs:   int(o.warmup.Milliseconds()),
+			SettleMs:   int(o.settle.Milliseconds()),
+			BoundMs:    int(o.bound.Milliseconds()),
 		},
 	}
 	if err := spec.Validate(); err != nil {

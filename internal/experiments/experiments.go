@@ -3,7 +3,8 @@
 // no numeric tables of its own; each experiment is the executable
 // form of one lemma/proposition/remark, evaluated over seeded
 // adversarial runs. cmd/experiments prints the tables; EXPERIMENTS.md
-// records expected-vs-measured; bench_test.go times each generator.
+// records expected-vs-measured; the sim-tables workload of the
+// repository benchmark (go run ./benchmark) times each generator.
 package experiments
 
 import (
@@ -87,15 +88,23 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "verdict: %s\n\n", t.Verdict)
 }
 
+// Generators lists every table's generator in table order. Each takes
+// the seeds per scenario; E9's frontier is seedless.
+var Generators = []struct {
+	ID  string
+	Gen func(seeds int) *Table
+}{
+	{"E1", E1Totality}, {"E2", E2Adversary}, {"E3", E3Reduction},
+	{"E4", E4TRB}, {"E5", E5Marabout}, {"E6", E6PartialPerfect},
+	{"E7", E7Collapse}, {"E8", E8MajorityCrossover},
+	{"E9", func(int) *Table { return E9QoS() }},
+}
+
 // RunAll executes every experiment and prints its table.
 func RunAll(w io.Writer, seeds int) {
-	for _, gen := range []func(int) *Table{
-		E1Totality, E2Adversary, E3Reduction, E4TRB, E5Marabout,
-		E6PartialPerfect, E7Collapse, E8MajorityCrossover,
-	} {
-		gen(seeds).Fprint(w)
+	for _, g := range Generators {
+		g.Gen(seeds).Fprint(w)
 	}
-	E9QoS().Fprint(w)
 }
 
 // mark renders booleans as table-friendly glyphs.

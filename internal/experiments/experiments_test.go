@@ -12,24 +12,12 @@ import (
 // simulator, algorithm, checker — surfaces here as a ✗ verdict.
 func TestEveryExperimentConfirms(t *testing.T) {
 	t.Parallel()
-	gens := map[string]func(int) *Table{
-		"E1": E1Totality,
-		"E2": E2Adversary,
-		"E3": E3Reduction,
-		"E4": E4TRB,
-		"E5": E5Marabout,
-		"E6": E6PartialPerfect,
-		"E7": E7Collapse,
-		"E8": E8MajorityCrossover,
-		"E9": func(int) *Table { return E9QoS() },
-	}
-	for id, gen := range gens {
-		id, gen := id, gen
-		t.Run(id, func(t *testing.T) {
+	for _, g := range Generators {
+		t.Run(g.ID, func(t *testing.T) {
 			t.Parallel()
-			tbl := gen(1)
-			if tbl.ID != id {
-				t.Errorf("table ID = %q, want %q", tbl.ID, id)
+			tbl := g.Gen(1)
+			if tbl.ID != g.ID {
+				t.Errorf("table ID = %q, want %q", tbl.ID, g.ID)
 			}
 			if len(tbl.Rows) == 0 {
 				t.Fatal("empty table")

@@ -23,23 +23,12 @@ const goldenTableSeeds = 2
 // engine hot-path rewrite, so they hold the rewrite to byte-identical
 // experiment output.
 func goldenTables() map[string]string {
-	gens := map[string]func(int) *Table{
-		"E1": E1Totality,
-		"E2": E2Adversary,
-		"E3": E3Reduction,
-		"E4": E4TRB,
-		"E5": E5Marabout,
-		"E6": E6PartialPerfect,
-		"E7": E7Collapse,
-		"E8": E8MajorityCrossover,
-		"E9": func(int) *Table { return E9QoS() },
-	}
-	out := make(map[string]string, len(gens))
-	for id, gen := range gens {
+	out := make(map[string]string, len(Generators))
+	for _, g := range Generators {
 		var buf bytes.Buffer
-		gen(goldenTableSeeds).Fprint(&buf)
+		g.Gen(goldenTableSeeds).Fprint(&buf)
 		sum := sha256.Sum256(buf.Bytes())
-		out[id] = hex.EncodeToString(sum[:])
+		out[g.ID] = hex.EncodeToString(sum[:])
 	}
 	return out
 }

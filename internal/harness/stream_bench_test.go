@@ -9,8 +9,10 @@ import (
 	"realisticfd/internal/sim"
 )
 
-// benchAutomaton mirrors cmd/bench's busy workload: one seed
-// broadcast per process, an echo broadcast every 8th receipt.
+// benchAutomaton is scenario.BusyAutomaton's workload, which the
+// sim-sweep-n64 benchmark runs (scenario imports harness, so the
+// test keeps its own copy): one seed broadcast per process, an echo
+// broadcast every 8th receipt.
 type benchAutomaton struct{}
 
 type benchProc struct {
