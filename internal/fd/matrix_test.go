@@ -81,3 +81,39 @@ func TestMaraboutIncomparableWithP(t *testing.T) {
 		t.Fatal("Perfect suspected a process before its crash")
 	}
 }
+
+// TestImplicationsHoldEmpirically: a history in a class is in every
+// class the containment order puts above it (P ⊆ S ⊆ ◇S, P ⊆ ◇P ⊆ ◇S,
+// P ⊆ P<) — the order made executable over Classify.
+func TestImplicationsHoldEmpirically(t *testing.T) {
+	t.Parallel()
+	f := model.MustPattern(5).MustCrash(3, 30)
+	oracles := []Oracle{
+		Perfect{},
+		Perfect{Delay: 4},
+		Scribe{},
+		RealisticStrong{BaseDelay: 1, Seed: 2, JitterMax: 3},
+		EventuallyStrong{GST: 50, Delay: 2, Seed: 5, FalseRate: 20},
+		EventuallyPerfect{GST: 50, Delay: 2, Seed: 6, FalseRate: 20},
+		PartiallyPerfect{Delay: 1},
+	}
+	for _, o := range oracles {
+		r := Classify(RecordHistory(o, f, 300, 1), f)
+		implications := []struct {
+			name        string
+			in, implied bool
+		}{
+			{"P ⇒ S", r.InP(), r.InS()},
+			{"P ⇒ ◇P", r.InP(), r.InDiamondP()},
+			{"P ⇒ ◇S", r.InP(), r.InDiamondS()},
+			{"P ⇒ P<", r.InP(), r.InPLess()},
+			{"S ⇒ ◇S", r.InS(), r.InDiamondS()},
+			{"◇P ⇒ ◇S", r.InDiamondP(), r.InDiamondS()},
+		}
+		for _, c := range implications {
+			if c.in && !c.implied {
+				t.Errorf("%s breaks %s: %v", o.Name(), c.name, r)
+			}
+		}
+	}
+}

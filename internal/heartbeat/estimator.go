@@ -223,9 +223,10 @@ type PhiAccrual struct {
 	// a perfectly regular stream from making φ explode on the first
 	// late packet.
 	MinStdDev time.Duration
-	// FirstTimeout bounds the grace for peers that never send a
-	// single heartbeat once an epoch is set (φ cannot be computed
-	// without inter-arrival data). Zero defaults to one second.
+	// FirstTimeout bounds the grace while φ cannot be computed for
+	// want of inter-arrival data: after the epoch until a peer's first
+	// heartbeat, and after that one until its second. Zero defaults to
+	// one second.
 	FirstTimeout time.Duration
 
 	epoch     time.Time
@@ -339,7 +340,8 @@ func (p *PhiAccrual) Phi(now time.Time) float64 {
 	return phiAt(float64(now.Sub(p.last)), mean, std)
 }
 
-// firstGrace is the bounded grace of a peer that has sent nothing yet.
+// firstGrace is the bounded grace of a peer that has sent fewer than
+// two heartbeats.
 func (p *PhiAccrual) firstGrace() time.Duration {
 	if p.FirstTimeout <= 0 {
 		return time.Second
@@ -352,7 +354,13 @@ func (p *PhiAccrual) Suspect(now time.Time) bool {
 	if !p.hasLast {
 		return !p.epoch.IsZero() && now.Sub(p.epoch) > p.firstGrace()
 	}
-	return p.Phi(now) >= p.Threshold
+	mean, std, ok := p.stats()
+	if !ok {
+		// One arrival, no interval yet: fall back to the grace, as Chen
+		// falls back to its margin.
+		return now.Sub(p.last) > p.firstGrace()
+	}
+	return phiAt(float64(now.Sub(p.last)), mean, std) >= p.Threshold
 }
 
 // LastArrival implements Estimator.
@@ -374,12 +382,12 @@ func (p *PhiAccrual) Deadline() time.Time {
 		}
 		return p.epoch.Add(p.firstGrace())
 	}
-	if p.Threshold <= 0 {
-		return p.last // not a threshold: suspected from the first arrival on
-	}
 	mean, std, ok := p.stats()
 	if !ok {
-		return time.Time{} // one arrival, no interval: φ stays 0
+		return p.last.Add(p.firstGrace()) // one arrival, no interval: the grace
+	}
+	if p.Threshold <= 0 {
+		return p.last // not a threshold: suspected from the second arrival on
 	}
 	suspectAfter := func(elapsed int64) bool {
 		return phiAt(float64(elapsed), mean, std) >= p.Threshold

@@ -347,6 +347,19 @@ func TestEstimatorDeadline(t *testing.T) {
 			decodeDeadlineCase(c.kind, c.param, c.window, c.epoch, c.data).run(t)
 		})
 	}
+	// The contract holds for an estimator that never suspects; this one
+	// must. φ has no interval after one arrival and falls back to its
+	// grace, as Chen falls back to its margin: a peer that goes silent
+	// after its first heartbeat is suspected.
+	t.Run("phi, silent after one arrival", func(t *testing.T) {
+		p := &PhiAccrual{Threshold: 8, FirstTimeout: 600 * ms}
+		p.SetEpoch(base)
+		p.Observe(at(50 * ms))
+		if got, want := p.Deadline(), at(650*ms); !got.Equal(want) {
+			t.Fatalf("deadline %v, want %v: the grace after the one arrival", got.Sub(base), want.Sub(base))
+		}
+		checkDeadline(t, p, 1)
+	})
 
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 3000; i++ {

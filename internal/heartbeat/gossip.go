@@ -109,7 +109,6 @@ type Gossiper struct {
 	peers     []int       // overlay neighbors; grows via AddPeer
 	rng       *rand.Rand
 	scratch   []int  // fanout sampling buffer
-	verdicts  []bool // round's verdict buffer
 	sentTo    []bool // by destination id; sentCount of them are set
 	sentCount int
 	rounds    uint64
@@ -159,7 +158,6 @@ func newGossiper(tr transport.Transport, cfg GossipConfig) *Gossiper {
 		ests:      make([]Estimator, cfg.N),
 		present:   make([]bool, cfg.N),
 		peers:     append([]int(nil), cfg.Peers...),
-		verdicts:  make([]bool, cfg.N),
 		suspected: make([]bool, cfg.N),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		sentTo:    make([]bool, cfg.N+1),
@@ -227,7 +225,8 @@ func (g *Gossiper) expire() {
 
 // round advances the local counter and gossips the state snapshot to
 // this round's destinations: one frame, encoded once, whose body every
-// destination's envelope shares.
+// destination's envelope shares. Its suspect bits are the tracked
+// verdicts, so round reads no estimator and does not read now.
 func (g *Gossiper) round(now time.Time) {
 	g.mu.Lock()
 	if g.muted {
@@ -236,8 +235,7 @@ func (g *Gossiper) round(now time.Time) {
 	}
 	g.rounds++
 	g.counters[g.cfg.Self-1]++
-	g.verdictsInto(g.verdicts, now)
-	body, err := Piggyback{Origin: g.cfg.Self, Counters: g.counters, Suspects: g.verdicts}.Encode()
+	body, err := Piggyback{Origin: g.cfg.Self, Counters: g.counters, Suspects: g.suspected}.Encode()
 	dests := g.pickDestsLocked()
 	for _, d := range dests {
 		if !g.sentTo[d] {
@@ -534,29 +532,23 @@ func (g *Gossiper) sweepLocked(now time.Time) {
 	g.armLocked(next)
 }
 
-// verdictsInto evaluates every local estimator at time now into out,
-// which has one entry per node; g.mu is held.
-func (g *Gossiper) verdictsInto(out []bool, now time.Time) {
-	for i, est := range g.ests {
-		out[i] = est != nil && est.Suspect(now)
-	}
-}
-
-// Verdicts returns the local estimator verdict for every node
-// (index id-1; always false at self).
+// Verdicts returns the verdict the transitions so far imply for every
+// node (index id-1; always false at self): suspected from the node's
+// CauseOwnDeadline transition until the arrival that refutes it. It
+// evaluates no estimator and does not read now.
 func (g *Gossiper) Verdicts(now time.Time) []bool {
-	out := make([]bool, g.cfg.N)
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.verdictsInto(out, now)
-	return out
+	return append([]bool(nil), g.suspected...)
 }
 
-// Suspects returns the IDs this node currently suspects locally.
+// Suspects returns the IDs this node currently suspects locally, as
+// Verdicts does.
 func (g *Gossiper) Suspects() []int {
-	verdicts := g.Verdicts(time.Now())
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	var out []int
-	for i, s := range verdicts {
+	for i, s := range g.suspected {
 		if s {
 			out = append(out, i+1)
 		}
@@ -564,11 +556,11 @@ func (g *Gossiper) Suspects() []int {
 	return out
 }
 
-// CommunitySuspects returns the IDs suspected either locally — by the
-// transitions so far, which costs no estimator call — or by a live
-// (non-expired) accusation gossiped from elsewhere: an accusation of q
-// holds exactly while no counter for q fresher than the accusation is
-// known.
+// CommunitySuspects returns the IDs suspected either locally — the
+// tracked verdicts, which Verdicts and Suspects read too, at no
+// estimator call — or by a live (non-expired) accusation gossiped from
+// elsewhere: an accusation of q holds exactly while no counter for q
+// fresher than the accusation is known.
 func (g *Gossiper) CommunitySuspects() []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -175,24 +175,33 @@ func TestTransitionMutedResume(t *testing.T) {
 }
 
 // TestTransitionFirstSighting: a deferred joiner's first counter is a
-// transition of its own, and the joiner is watched from then on.
+// transition of its own, and the joiner is watched from then on — by φ
+// too, which has no interval to judge by after one arrival.
 func TestTransitionFirstSighting(t *testing.T) {
 	const timeout = 40 * time.Millisecond
-	g := handDriven(t, newSinkTransport(1), GossipConfig{N: 3, Peers: []int{2}, Deferred: []int{3},
-		NewEstimator: func() Estimator { return &FixedTimeout{Timeout: time.Hour} }})
-	in := g.Transitions()
-	g.mu.Lock()
-	g.cfg.NewEstimator = func() Estimator { return &FixedTimeout{Timeout: timeout} }
-	g.mu.Unlock()
-
-	now := time.Now()
-	g.merge(frame(3, 2, map[int]uint64{2: 4, 3: 1}), now)
-	want := Transition{Peer: 3, Cause: CauseFirstSighting, Counter: 1, LastArrival: now, At: now}
-	if got := queued(in); len(got) != 1 || got[0] != want {
-		t.Fatalf("first sighting queued %+v, want exactly %+v", got, want)
+	estimators := map[string]func() Estimator{
+		"fixed": func() Estimator { return &FixedTimeout{Timeout: timeout} },
+		"phi":   func() Estimator { return &PhiAccrual{Threshold: 8, FirstTimeout: timeout} },
 	}
-	if tr := await(t, in, timeout+timerSlack); tr.Peer != 3 || !tr.Suspected || tr.Cause != CauseOwnDeadline {
-		t.Fatalf("the sighted joiner going silent produced %+v", tr)
+	for name, mk := range estimators {
+		t.Run(name, func(t *testing.T) {
+			g := handDriven(t, newSinkTransport(1), GossipConfig{N: 3, Peers: []int{2}, Deferred: []int{3},
+				NewEstimator: func() Estimator { return &FixedTimeout{Timeout: time.Hour} }})
+			in := g.Transitions()
+			g.mu.Lock()
+			g.cfg.NewEstimator = mk
+			g.mu.Unlock()
+
+			now := time.Now()
+			g.merge(frame(3, 2, map[int]uint64{2: 4, 3: 1}), now)
+			want := Transition{Peer: 3, Cause: CauseFirstSighting, Counter: 1, LastArrival: now, At: now}
+			if got := queued(in); len(got) != 1 || got[0] != want {
+				t.Fatalf("first sighting queued %+v, want exactly %+v", got, want)
+			}
+			if tr := await(t, in, timeout+timerSlack); tr.Peer != 3 || !tr.Suspected || tr.Cause != CauseOwnDeadline {
+				t.Fatalf("the sighted joiner going silent produced %+v", tr)
+			}
+		})
 	}
 }
 
@@ -219,13 +228,27 @@ func TestTransitionQueueOverflowIsCounted(t *testing.T) {
 	}
 }
 
+// referenceVerdicts is how the gossiper judged its peers before the
+// tracked verdicts became the only ones: every estimator evaluated at now.
+func referenceVerdicts(g *Gossiper, now time.Time) []bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	out := make([]bool, len(g.ests))
+	for i, est := range g.ests {
+		out[i] = est != nil && est.Suspect(now)
+	}
+	return out
+}
+
 // TestTransitionVerdictsAgree drives a gossiper along a made-up
 // timeline — arrivals for random peers at random instants, bursts
 // included, the timer's firings emulated from the instants it was armed
 // at — and checks at every step that the verdicts the transitions imply
-// are the ones Verdicts computes: the armed instant is never later than
-// a trusted peer's deadline, for adaptive estimators too. Timeouts are
-// minutes so the real timer, armed by the real clock, stays out of it.
+// are the ones Verdicts returns, the ones the round's frame carries and
+// the ones referenceVerdicts computes from the estimators: the armed
+// instant is never later than a trusted peer's deadline, for adaptive
+// estimators too. Timeouts are minutes so the real timer, armed by the
+// real clock, stays out of it.
 func TestTransitionVerdictsAgree(t *testing.T) {
 	const n = 12
 	estimators := map[string]func() Estimator{
@@ -237,7 +260,11 @@ func TestTransitionVerdictsAgree(t *testing.T) {
 	}
 	for name, mk := range estimators {
 		t.Run(name, func(t *testing.T) {
-			g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: []int{2}, Deferred: []int{n}, NewEstimator: mk})
+			sink := newSinkTransport(1)
+			g := handDriven(t, sink, GossipConfig{N: n, Peers: []int{2}, Deferred: []int{n}, NewEstimator: mk})
+			sink.mu.Lock()
+			sink.keep = true
+			sink.mu.Unlock()
 			in := g.Transitions()
 			rng := rand.New(rand.NewSource(7))
 			implied := make([]bool, n)
@@ -276,9 +303,31 @@ func TestTransitionVerdictsAgree(t *testing.T) {
 					implied[tr.Peer-1] = tr.Suspected
 					flips++
 				}
-				for i, s := range g.Verdicts(now) {
-					if s != implied[i] {
-						t.Fatalf("step %d: node %d is suspected=%v by Verdicts and %v by the transitions", step, i+1, s, implied[i])
+				g.round(now)
+				sink.mu.Lock()
+				sent := sink.sent
+				sink.sent = nil
+				sink.mu.Unlock()
+				if len(sent) != 1 {
+					t.Fatalf("step %d: a round to one peer sent %d frames", step, len(sent))
+				}
+				pb, err := DecodePiggyback(sent[0].Body)
+				if err != nil {
+					t.Fatalf("step %d: the round's frame: %v", step, err)
+				}
+				sources := []struct {
+					name     string
+					verdicts []bool
+				}{
+					{"Verdicts", g.Verdicts(now)},
+					{"the round's frame", pb.Suspects},
+					{"the reference", referenceVerdicts(g, now)},
+				}
+				for _, src := range sources {
+					for i, s := range src.verdicts {
+						if s != implied[i] {
+							t.Fatalf("step %d: node %d is suspected=%v by %s and %v by the transitions", step, i+1, s, src.name, implied[i])
+						}
 					}
 				}
 			}
