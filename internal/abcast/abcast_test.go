@@ -149,3 +149,40 @@ func TestAtomicBroadcastCrashedSenderPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// spuriousDeliverer delivers, at every process's first step, a message
+// nobody broadcast: every process violates integrity.
+type spuriousDeliverer struct{}
+
+type spuriousProc struct{ done bool }
+
+func (spuriousDeliverer) Spawn(model.ProcessID, int) sim.Process { return &spuriousProc{} }
+
+func (p *spuriousProc) Step(*sim.Message, model.ProcessSet, model.Time) sim.Actions {
+	if p.done {
+		return sim.Actions{}
+	}
+	p.done = true
+	d := Delivery{ID: MsgID{Sender: 1, Seq: 99}, Body: "forged"}
+	return sim.Actions{Events: []sim.ProtocolEvent{{Kind: sim.KindDeliver, Value: d}}}
+}
+
+// TestCheckIntegrityNamesLowestProcess: with every process a violator,
+// CheckIntegrity names p1, whichever process delivered first and
+// whatever order the per-process sequences iterate in.
+func TestCheckIntegrityNamesLowestProcess(t *testing.T) {
+	t.Parallel()
+	for seed := int64(0); seed < 20; seed++ {
+		tr, err := sim.Execute(sim.Config{
+			N: 8, Automaton: spuriousDeliverer{}, Oracle: fd.Perfect{},
+			Horizon: 200, Seed: seed, Policy: &sim.RandomFairPolicy{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = CheckIntegrity(tr, script(8, 1))
+		if want := "integrity violated: p1 delivered unknown message 1.99"; err == nil || err.Error() != want {
+			t.Fatalf("seed %d: CheckIntegrity = %v, want %s", seed, err, want)
+		}
+	}
+}

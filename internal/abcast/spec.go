@@ -95,11 +95,13 @@ func CheckValidity(tr *sim.Trace, script map[model.ProcessID][]string) error {
 
 // CheckIntegrity verifies no duplicates and no spurious messages:
 // every delivery corresponds to a scripted broadcast and happens at
-// most once per process, with the right body.
+// most once per process, with the right body. Processes are checked in
+// ID order, so a violation names the lowest violating process.
 func CheckIntegrity(tr *sim.Trace, script map[model.ProcessID][]string) error {
-	for p, seq := range Sequences(tr) {
+	seqs := Sequences(tr)
+	for p := model.ProcessID(1); int(p) <= tr.N; p++ {
 		seen := map[MsgID]bool{}
-		for _, d := range seq {
+		for _, d := range seqs[p] {
 			if seen[d.ID] {
 				return fmt.Errorf("integrity violated: %v delivered %v twice", p, d.ID)
 			}

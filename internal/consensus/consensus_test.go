@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"fmt"
 	"testing"
 
 	"realisticfd/internal/fd"
@@ -360,4 +361,26 @@ func (p *ddProc) Step(*sim.Message, model.ProcessSet, model.Time) sim.Actions {
 		return sim.Actions{Events: []sim.ProtocolEvent{{Kind: sim.KindDecide, Instance: 0, Value: Value("x")}}}
 	}
 	return sim.Actions{}
+}
+
+// TestOutcomeNamesLowestProcess: with several violators, CheckValidity
+// names the lowest one and DecidedValue returns the lowest decider's
+// value, whatever order the Decided map iterates in. Each round builds
+// a new map, so an order-dependent answer shows within a few rounds.
+func TestOutcomeNamesLowestProcess(t *testing.T) {
+	t.Parallel()
+	props := DistinctProposals(8)
+	for round := 0; round < 20; round++ {
+		o := &Outcome{Decided: map[model.ProcessID]Value{}}
+		for p := model.ProcessID(8); p >= 3; p-- {
+			o.Decided[p] = Value(fmt.Sprintf("bogus%d", p))
+		}
+		err := o.CheckValidity(props)
+		if want := `validity violated: p3 decided "bogus3", which nobody proposed`; err == nil || err.Error() != want {
+			t.Fatalf("round %d: CheckValidity = %v, want %s", round, err, want)
+		}
+		if v, ok := o.DecidedValue(); !ok || v != "bogus3" {
+			t.Fatalf("round %d: DecidedValue = %q, %v; want the lowest decider p3's \"bogus3\"", round, v, ok)
+		}
+	}
 }

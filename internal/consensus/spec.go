@@ -92,14 +92,15 @@ func (o *Outcome) CheckAgreementAmongCorrect(f *model.FailurePattern) error {
 }
 
 // CheckValidity verifies every decided value was proposed by some
-// process.
+// process. Processes are checked in ID order, so a violation names the
+// lowest violating process.
 func (o *Outcome) CheckValidity(props Proposals) error {
 	proposed := make(map[Value]bool, len(props))
 	for _, v := range props {
 		proposed[v] = true
 	}
-	for p, v := range o.Decided {
-		if !proposed[v] {
+	for p := model.ProcessID(1); int(p) <= model.MaxProcesses; p++ {
+		if v, ok := o.Decided[p]; ok && !proposed[v] {
 			return fmt.Errorf("validity violated: %v decided %q, which nobody proposed", p, v)
 		}
 	}
@@ -119,10 +120,13 @@ func (o *Outcome) CheckUniformSpec(f *model.FailurePattern, props Proposals) err
 }
 
 // DecidedValue returns the common decided value when uniform agreement
-// holds and at least one process decided.
+// holds and at least one process decided: the value of the lowest
+// deciding process.
 func (o *Outcome) DecidedValue() (Value, bool) {
-	for _, v := range o.Decided {
-		return v, true
+	for p := model.ProcessID(1); int(p) <= model.MaxProcesses; p++ {
+		if v, ok := o.Decided[p]; ok {
+			return v, true
+		}
 	}
 	return NoValue, false
 }

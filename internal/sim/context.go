@@ -176,14 +176,13 @@ func (a *arena[T]) carve(n, first, limit int) []T {
 	}
 }
 
-// allocMsg carves one Message from the context's arena.
-func (rc *RunContext) allocMsg() *Message {
-	return &rc.msgs.carve(1, 32, 1024)[:1][0]
-}
+// allocMsgs carves a block of n Messages from the context's arena.
+// The block is not cleared: on a reused context it holds the previous
+// run's messages.
+func (rc *RunContext) allocMsgs(n int) []Message { return rc.msgs.carve(n, 32, 1024)[:n] }
 
-// allocSends carves a zero-length, capacity-n pointer slice for one
-// event's Sends.
-func (rc *RunContext) allocSends(n int) []*Message { return rc.sends.carve(n, 64, 2048) }
+// allocSends carves a length-n pointer slice for one event's Sends.
+func (rc *RunContext) allocSends(n int) []*Message { return rc.sends.carve(n, 64, 2048)[:n] }
 
 // copyEvents copies one step's protocol events into the context's
 // arena, so that a process may reuse its Events buffer (see Actions).

@@ -111,7 +111,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 		n := 4 + int(nRaw%8)                       // 4..11
 		horizon := model.Time(1 + horizonRaw%2000) // 1..2000
 
-		build := func() Config {
+		build := func(n int, seed int64) Config {
 			pat := model.MustPattern(n)
 			for i := 0; i < int(crashes%uint8(n+1)); i++ { // up to n: all-crashed runs included
 				// Deterministic crash script derived from the fuzz input
@@ -137,11 +137,11 @@ func FuzzEngineDeterminism(f *testing.F) {
 			return cfg
 		}
 
-		tr1, err := Execute(build())
+		tr1, err := Execute(build(n, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr2, err := Execute(build())
+		tr2, err := Execute(build(n, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,20 +149,23 @@ func FuzzEngineDeterminism(f *testing.F) {
 			t.Fatalf("replay diverged: %s vs %s", d1[:16], d2[:16])
 		}
 
-		// Streaming-vs-retained equivalence: the same config executed
-		// twice back to back on one reused RunContext — the second run
-		// on deliberately dirty arenas — must reproduce the fresh-context
-		// digest byte for byte.
+		// Streaming-vs-retained equivalence: on one reused RunContext,
+		// first a different config (another n and seed), so that the
+		// recycled arena and trace slots hold values the fresh run never
+		// had, then the config itself, which must reproduce the
+		// fresh-context digest byte for byte. Running the same config
+		// twice would leave stale values equal to fresh ones and hide a
+		// field the engine forgot to write.
 		rc := NewRunContext()
-		for i := 0; i < 2; i++ {
-			trS, err := rc.Execute(build())
-			if err != nil {
-				t.Fatalf("reused context run %d: %v", i, err)
-			}
-			if dS := trS.Digest(); dS != tr1.Digest() {
-				t.Fatalf("reused context run %d diverged from fresh context: %s vs %s",
-					i, dS[:16], tr1.Digest()[:16])
-			}
+		if _, err := rc.Execute(build(4+(n-3)%8, seed+1)); err != nil {
+			t.Fatalf("dirtying run: %v", err)
+		}
+		trS, err := rc.Execute(build(n, seed))
+		if err != nil {
+			t.Fatalf("reused context run: %v", err)
+		}
+		if dS := trS.Digest(); dS != tr1.Digest() {
+			t.Fatalf("reused context diverged from fresh context: %s vs %s", dS[:16], tr1.Digest()[:16])
 		}
 
 		// Index soundness against the naive rescan.

@@ -45,7 +45,7 @@ type Trace struct {
 	// process (slot 0 unused), empty for hand-built traces.
 	byProc [][]int
 
-	// Incremental indexes, maintained by appendEvent as the engine
+	// Incremental indexes, maintained by indexEvent as the engine
 	// records steps so that the query API below never rescans the
 	// schedule. They are what makes per-step cost O(1) amortized even
 	// under StopWhen predicates that query the trace after every step
@@ -71,10 +71,23 @@ type Trace struct {
 	past    []int
 }
 
-// appendEvent records ev and updates every incremental index. The
-// engine is the only writer; ev.Index must equal len(tr.Events).
-func (tr *Trace) appendEvent(ev EventRecord) *EventRecord {
-	tr.Events = append(tr.Events, ev)
+// nextEvent extends the schedule by one slot and returns it for the
+// engine to fill. The slot is not cleared: within the capacity a
+// recycled trace keeps, it still holds the previous run's record, so
+// the engine writes every field before calling indexEvent.
+func (tr *Trace) nextEvent() *EventRecord {
+	i := len(tr.Events)
+	if i < cap(tr.Events) {
+		tr.Events = tr.Events[:i+1]
+	} else {
+		tr.Events = append(tr.Events, EventRecord{})
+	}
+	return &tr.Events[i]
+}
+
+// indexEvent updates every incremental index with ev, the filled
+// record nextEvent returned last. The engine is the only writer.
+func (tr *Trace) indexEvent(ev *EventRecord) {
 	tr.byProc[ev.P] = append(tr.byProc[ev.P], ev.Index)
 	for _, pe := range ev.Events {
 		if tr.evByKind == nil {
@@ -96,7 +109,6 @@ func (tr *Trace) appendEvent(ev EventRecord) *EventRecord {
 			tr.decidedAny = tr.decidedAny.Add(ev.P)
 		}
 	}
-	return &tr.Events[len(tr.Events)-1]
 }
 
 // setAlive records the engine's current alive set Ω \ F(now).
