@@ -11,6 +11,14 @@
 // timeouts detect crashes faster but mistake more often — a realistic
 // detector cannot be both instantly complete and always accurate.
 //
+// Every estimator measures a peer's silence from one anchor — its last
+// arrival, else the epoch SetEpoch marks, else none and no suspicion —
+// and decides only the margin that silence may reach: Timeout for the
+// fixed one, the mean interval plus Alpha for Chen, and for φ the
+// silence at which φ reaches Threshold, which Deadline finds to the
+// nanosecond. Suspect is false at Deadline and true a nanosecond later,
+// so the Gossiper's timer, armed at the deadline, is the verdict.
+//
 // Estimator logic is pure (explicit time arguments, no goroutines or
 // wall-clock reads), so tests and QoS sweeps drive it with synthetic
 // arrival sequences deterministically.
@@ -28,6 +36,10 @@ import (
 type Estimator interface {
 	// Name identifies the estimator and its parameters.
 	Name() string
+	// SetEpoch marks when monitoring began: a peer never heard from is
+	// judged on its silence since then, so one that is dead on arrival
+	// is eventually suspected. Without an epoch it is never suspected.
+	SetEpoch(start time.Time)
 	// Observe records a heartbeat arrival.
 	Observe(arrival time.Time)
 	// Suspect reports whether the peer should be suspected at time
@@ -45,12 +57,91 @@ type Estimator interface {
 	LastArrival() time.Time
 }
 
-// EpochSetter is implemented by estimators that bound the initial
-// grace period: SetEpoch marks when monitoring began, after which a
-// peer that never sends a single heartbeat (dead on arrival) is
-// eventually suspected. The Gossiper calls it automatically.
-type EpochSetter interface {
-	SetEpoch(start time.Time)
+// arrivals is the record every estimator judges on: the epoch and the
+// latest arrival. Silence is measured from the anchor — the last
+// arrival, else the epoch, else there is none and nothing is suspected
+// — and a peer is suspected once the silence exceeds the estimator's
+// margin, so suspect and deadline agree to the nanosecond by
+// construction.
+type arrivals struct {
+	epoch   time.Time
+	last    time.Time
+	hasLast bool
+}
+
+// SetEpoch implements Estimator.
+func (a *arrivals) SetEpoch(start time.Time) { a.epoch = start }
+
+// LastArrival implements Estimator.
+func (a *arrivals) LastArrival() time.Time { return a.last }
+
+// observe takes arrival as the latest and reports true, or reports
+// false for a stale or duplicate one, which changes nothing.
+func (a *arrivals) observe(arrival time.Time) bool {
+	if a.hasLast && !arrival.After(a.last) {
+		return false
+	}
+	a.last, a.hasLast = arrival, true
+	return true
+}
+
+// anchor returns the instant silence is measured from; ok is false when
+// nothing was heard and no epoch is set.
+func (a *arrivals) anchor() (t time.Time, ok bool) {
+	if a.hasLast {
+		return a.last, true
+	}
+	return a.epoch, !a.epoch.IsZero()
+}
+
+// suspect is the verdict at now for a silence margin.
+func (a *arrivals) suspect(now time.Time, margin time.Duration) bool {
+	t, ok := a.anchor()
+	return ok && now.Sub(t) > margin
+}
+
+// deadline is the last instant suspect(·, margin) is false, or zero
+// when it never turns.
+func (a *arrivals) deadline(margin time.Duration) time.Time {
+	t, ok := a.anchor()
+	if !ok {
+		return time.Time{}
+	}
+	return t.Add(margin)
+}
+
+// ring is the window of the latest inter-arrival times the adaptive
+// estimators learn from.
+type ring struct {
+	intervals []time.Duration
+	next      int
+	filled    bool
+}
+
+// push adds interval d to a window of the latest size intervals (def
+// when size ≤ 0) and returns the window.
+func (r *ring) push(d time.Duration, size, def int) []time.Duration {
+	if r.intervals == nil {
+		if size <= 0 {
+			size = def
+		}
+		r.intervals = make([]time.Duration, size)
+	}
+	r.intervals[r.next] = d
+	r.next++
+	if r.next == len(r.intervals) {
+		r.next = 0
+		r.filled = true
+	}
+	return r.window()
+}
+
+// window returns the intervals held, none before the first push.
+func (r *ring) window() []time.Duration {
+	if r.filled {
+		return r.intervals
+	}
+	return r.intervals[:r.next]
 }
 
 // FixedTimeout suspects a peer when no heartbeat arrived for Timeout.
@@ -60,53 +151,22 @@ type FixedTimeout struct {
 	// Timeout is the silence threshold.
 	Timeout time.Duration
 
-	epoch   time.Time
-	last    time.Time
-	hasLast bool
+	arrivals
 }
 
-var (
-	_ Estimator   = (*FixedTimeout)(nil)
-	_ EpochSetter = (*FixedTimeout)(nil)
-)
+var _ Estimator = (*FixedTimeout)(nil)
 
 // Name implements Estimator.
 func (f *FixedTimeout) Name() string { return fmt.Sprintf("fixed(%v)", f.Timeout) }
 
-// SetEpoch implements EpochSetter.
-func (f *FixedTimeout) SetEpoch(start time.Time) { f.epoch = start }
-
 // Observe implements Estimator.
-func (f *FixedTimeout) Observe(arrival time.Time) {
-	if !f.hasLast || arrival.After(f.last) {
-		f.last = arrival
-		f.hasLast = true
-	}
-}
+func (f *FixedTimeout) Observe(arrival time.Time) { f.observe(arrival) }
 
 // Suspect implements Estimator.
-func (f *FixedTimeout) Suspect(now time.Time) bool {
-	if !f.hasLast {
-		// Nothing heard yet: unlimited grace without an epoch,
-		// bounded grace with one (dead-on-arrival peers).
-		return !f.epoch.IsZero() && now.Sub(f.epoch) > f.Timeout
-	}
-	return now.Sub(f.last) > f.Timeout
-}
-
-// LastArrival implements Estimator.
-func (f *FixedTimeout) LastArrival() time.Time { return f.last }
+func (f *FixedTimeout) Suspect(now time.Time) bool { return f.suspect(now, f.Timeout) }
 
 // Deadline implements Estimator.
-func (f *FixedTimeout) Deadline() time.Time {
-	if !f.hasLast {
-		if f.epoch.IsZero() {
-			return time.Time{}
-		}
-		return f.epoch.Add(f.Timeout)
-	}
-	return f.last.Add(f.Timeout)
-}
+func (f *FixedTimeout) Deadline() time.Time { return f.deadline(f.Timeout) }
 
 // Chen is the adaptive estimator of Chen, Toueg and Aguilera ("On the
 // Quality of Service of Failure Detectors"): it predicts the next
@@ -119,94 +179,41 @@ type Chen struct {
 	// Alpha is the safety margin added to the predicted arrival.
 	Alpha time.Duration
 
-	epoch     time.Time
-	last      time.Time
-	hasLast   bool
-	intervals []time.Duration
-	next      int
-	filled    bool
+	arrivals
+	ring
 }
 
-var (
-	_ Estimator   = (*Chen)(nil)
-	_ EpochSetter = (*Chen)(nil)
-)
+var _ Estimator = (*Chen)(nil)
 
 // Name implements Estimator.
 func (c *Chen) Name() string { return fmt.Sprintf("chen(w=%d,α=%v)", c.Window, c.Alpha) }
 
-// SetEpoch implements EpochSetter.
-func (c *Chen) SetEpoch(start time.Time) { c.epoch = start }
-
 // Observe implements Estimator.
 func (c *Chen) Observe(arrival time.Time) {
-	if c.intervals == nil {
-		w := c.Window
-		if w <= 0 {
-			w = 16
-		}
-		c.intervals = make([]time.Duration, w)
+	if last, had := c.last, c.hasLast; c.observe(arrival) && had {
+		c.push(arrival.Sub(last), c.Window, 16)
 	}
-	if c.hasLast {
-		if !arrival.After(c.last) {
-			return // stale or duplicated arrival
-		}
-		c.intervals[c.next] = arrival.Sub(c.last)
-		c.next++
-		if c.next == len(c.intervals) {
-			c.next = 0
-			c.filled = true
-		}
-	}
-	c.last = arrival
-	c.hasLast = true
 }
 
-// mean returns the average observed inter-arrival, or 0 with no
-// samples yet.
-func (c *Chen) mean() time.Duration {
-	n := c.next
-	if c.filled {
-		n = len(c.intervals)
-	}
-	if n == 0 {
-		return 0
+// margin is the predicted inter-arrival plus Alpha, or Alpha alone
+// before the first interval.
+func (c *Chen) margin() time.Duration {
+	window := c.window()
+	if len(window) == 0 {
+		return c.Alpha
 	}
 	var sum time.Duration
-	for i := 0; i < n; i++ {
-		sum += c.intervals[i]
+	for _, d := range window {
+		sum += d
 	}
-	return sum / time.Duration(n)
+	return sum/time.Duration(len(window)) + c.Alpha
 }
 
 // Suspect implements Estimator.
-func (c *Chen) Suspect(now time.Time) bool {
-	if !c.hasLast {
-		// Bounded initial grace once an epoch is known.
-		return !c.epoch.IsZero() && now.Sub(c.epoch) > c.Alpha
-	}
-	mean := c.mean()
-	if mean == 0 {
-		// One arrival, no interval yet: fall back to the margin only.
-		return now.Sub(c.last) > c.Alpha
-	}
-	deadline := c.last.Add(mean + c.Alpha)
-	return now.After(deadline)
-}
-
-// LastArrival implements Estimator.
-func (c *Chen) LastArrival() time.Time { return c.last }
+func (c *Chen) Suspect(now time.Time) bool { return c.suspect(now, c.margin()) }
 
 // Deadline implements Estimator.
-func (c *Chen) Deadline() time.Time {
-	if !c.hasLast {
-		if c.epoch.IsZero() {
-			return time.Time{}
-		}
-		return c.epoch.Add(c.Alpha)
-	}
-	return c.last.Add(c.mean() + c.Alpha)
-}
+func (c *Chen) Deadline() time.Time { return c.deadline(c.margin()) }
 
 // PhiAccrual is the φ-accrual estimator of Hayashibara et al. (the
 // design popularized by Cassandra and Akka): instead of a binary
@@ -229,58 +236,26 @@ type PhiAccrual struct {
 	// one second.
 	FirstTimeout time.Duration
 
-	epoch     time.Time
-	last      time.Time
-	hasLast   bool
-	intervals []time.Duration
-	next      int
-	filled    bool
+	arrivals
+	ring
 	// mean and std are the window's, in nanoseconds, std not floored:
 	// computed once per interval taken, read by every Phi, Suspect and
 	// Deadline until the next.
 	mean, std float64
 }
 
-var (
-	_ Estimator   = (*PhiAccrual)(nil)
-	_ EpochSetter = (*PhiAccrual)(nil)
-)
+var _ Estimator = (*PhiAccrual)(nil)
 
 // Name implements Estimator.
 func (p *PhiAccrual) Name() string {
 	return fmt.Sprintf("phi(w=%d,Φ=%.1f)", p.Window, p.Threshold)
 }
 
-// SetEpoch implements EpochSetter.
-func (p *PhiAccrual) SetEpoch(start time.Time) { p.epoch = start }
-
 // Observe implements Estimator.
 func (p *PhiAccrual) Observe(arrival time.Time) {
-	if p.intervals == nil {
-		w := p.Window
-		if w <= 0 {
-			w = 64
-		}
-		p.intervals = make([]time.Duration, w)
+	if last, had := p.last, p.hasLast; p.observe(arrival) && had {
+		p.mean, p.std = windowStats(p.push(arrival.Sub(last), p.Window, 64))
 	}
-	if p.hasLast {
-		if !arrival.After(p.last) {
-			return
-		}
-		p.intervals[p.next] = arrival.Sub(p.last)
-		p.next++
-		if p.next == len(p.intervals) {
-			p.next = 0
-			p.filled = true
-		}
-		window := p.intervals[:p.next]
-		if p.filled {
-			window = p.intervals
-		}
-		p.mean, p.std = windowStats(window)
-	}
-	p.last = arrival
-	p.hasLast = true
 }
 
 // windowStats returns the mean and the unfloored standard deviation of a
@@ -303,7 +278,7 @@ func windowStats(window []time.Duration) (mean, std float64) {
 // inter-arrival window, in nanoseconds; ok is false while the window
 // is empty.
 func (p *PhiAccrual) stats() (mean, std float64, ok bool) {
-	if p.next == 0 && !p.filled {
+	if len(p.window()) == 0 {
 		return 0, 0, false
 	}
 	std = p.std
@@ -330,9 +305,6 @@ func phiAt(elapsed, mean, std float64) float64 {
 // Phi returns the current suspicion level at time now: 0 means "just
 // heard", +Inf means "statistically dead".
 func (p *PhiAccrual) Phi(now time.Time) float64 {
-	if !p.hasLast {
-		return 0
-	}
 	mean, std, ok := p.stats()
 	if !ok {
 		return 0
@@ -349,42 +321,26 @@ func (p *PhiAccrual) firstGrace() time.Duration {
 	return p.FirstTimeout
 }
 
-// Suspect implements Estimator.
+// Suspect implements Estimator: φ has reached Threshold, or, with no
+// interval to compute it from yet, the silence exceeds the first grace.
 func (p *PhiAccrual) Suspect(now time.Time) bool {
-	if !p.hasLast {
-		return !p.epoch.IsZero() && now.Sub(p.epoch) > p.firstGrace()
-	}
 	mean, std, ok := p.stats()
 	if !ok {
-		// One arrival, no interval yet: fall back to the grace, as Chen
-		// falls back to its margin.
-		return now.Sub(p.last) > p.firstGrace()
+		return p.suspect(now, p.firstGrace())
 	}
 	return phiAt(float64(now.Sub(p.last)), mean, std) >= p.Threshold
 }
 
-// LastArrival implements Estimator.
-func (p *PhiAccrual) LastArrival() time.Time { return p.last }
-
-// phiDeadlineSlack is how early φ's deadline may be: the crossing is
-// bracketed, not solved to the nanosecond.
-const phiDeadlineSlack = time.Microsecond
-
 // Deadline implements Estimator. φ crosses Threshold where the normal
 // tail falls to 10^-Threshold, at mean + z·std; float rounding keeps
-// that from being exact, so the crossing is bracketed with φ itself
-// and the bracket's lower end returned: Suspect is false there and
-// true phiDeadlineSlack later.
+// that estimate from being exact, so the crossing is found with phiAt
+// itself, which never falls as the silence grows: a gallop from the
+// estimate, in steps doubling from one nanosecond, brackets it, and a
+// bisection narrows the bracket to the last trusted nanosecond.
 func (p *PhiAccrual) Deadline() time.Time {
-	if !p.hasLast {
-		if p.epoch.IsZero() {
-			return time.Time{}
-		}
-		return p.epoch.Add(p.firstGrace())
-	}
 	mean, std, ok := p.stats()
 	if !ok {
-		return p.last.Add(p.firstGrace()) // one arrival, no interval: the grace
+		return p.deadline(p.firstGrace())
 	}
 	if p.Threshold <= 0 {
 		return p.last // not a threshold: suspected from the second arrival on
@@ -394,23 +350,23 @@ func (p *PhiAccrual) Deadline() time.Time {
 	}
 	// Erfc underflows to 0 (φ = +Inf) before z = 39, whatever Threshold.
 	z := math.Min(math.Sqrt2*math.Erfcinv(2*math.Pow(10, -p.Threshold)), 39)
-	lo := int64(math.Min(mean+z*std, math.MaxInt64/2)) - int64(phiDeadlineSlack)/2
-	hi := lo + int64(phiDeadlineSlack)
-	for step := int64(phiDeadlineSlack); suspectAfter(lo); step *= 2 {
+	lo := int64(math.Min(mean+z*std, math.MaxInt64/2))
+	hi := lo + 1
+	for step := int64(1); suspectAfter(lo); step *= 2 {
 		hi, lo = lo, lo-step
 	}
-	for step := int64(phiDeadlineSlack); !suspectAfter(hi); step *= 2 {
+	for step := int64(1); !suspectAfter(hi); step *= 2 {
 		if hi > math.MaxInt64/4 {
 			return time.Time{} // centuries away: never, as far as a Duration can tell
 		}
 		lo, hi = hi, hi+step
 	}
-	for hi-lo > int64(phiDeadlineSlack) {
+	for hi-lo > 1 {
 		if mid := lo + (hi-lo)/2; suspectAfter(mid) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	return p.last.Add(time.Duration(lo))
+	return p.deadline(time.Duration(lo))
 }

@@ -178,11 +178,8 @@ func newGossiper(tr transport.Transport, cfg GossipConfig) *Gossiper {
 		if q == cfg.Self || !g.present[q-1] {
 			continue
 		}
-		est := cfg.NewEstimator()
-		if es, ok := est.(EpochSetter); ok {
-			es.SetEpoch(epoch)
-		}
-		g.ests[q-1] = est
+		g.ests[q-1] = cfg.NewEstimator()
+		g.ests[q-1].SetEpoch(epoch)
 	}
 	g.timer = time.AfterFunc(time.Hour, g.expire)
 	g.timer.Stop()
@@ -199,11 +196,11 @@ func (g *Gossiper) emitLoop() {
 	defer close(g.emitDone)
 	ticker := time.NewTicker(g.cfg.Interval)
 	defer ticker.Stop()
-	g.round(time.Now()) // first round immediately, not one interval in
+	g.round() // first round immediately, not one interval in
 	for {
 		select {
 		case <-ticker.C:
-			g.round(time.Now())
+			g.round()
 		case <-g.stop:
 			return
 		}
@@ -226,8 +223,8 @@ func (g *Gossiper) expire() {
 // round advances the local counter and gossips the state snapshot to
 // this round's destinations: one frame, encoded once, whose body every
 // destination's envelope shares. Its suspect bits are the tracked
-// verdicts, so round reads no estimator and does not read now.
-func (g *Gossiper) round(now time.Time) {
+// verdicts, so round reads no estimator and no clock.
+func (g *Gossiper) round() {
 	g.mu.Lock()
 	if g.muted {
 		g.mu.Unlock()
@@ -373,11 +370,8 @@ func (g *Gossiper) arriveLocked(i int, c uint64, now time.Time) {
 		// cluster start gets.
 		g.present[i] = true
 		if i+1 != g.cfg.Self {
-			est := g.cfg.NewEstimator()
-			if es, ok := est.(EpochSetter); ok {
-				es.SetEpoch(now)
-			}
-			g.ests[i] = est
+			g.ests[i] = g.cfg.NewEstimator()
+			g.ests[i].SetEpoch(now)
 		}
 	}
 	if est := g.ests[i]; est != nil {
@@ -499,8 +493,8 @@ func (g *Gossiper) armLocked(d time.Time) {
 }
 
 // sweepLocked turns every trusted node whose deadline has passed at now
-// to suspect — confirmed by the estimator's own Suspect — and re-arms
-// the timer at the earliest deadline left. Arrivals mostly push
+// to suspect — the deadline is exact, so that is its Suspect(now) — and
+// re-arms the timer at the earliest deadline left. Arrivals mostly push
 // deadlines out without telling the timer, so a sweep may find nothing
 // due; it costs one Deadline per trusted node about once per timeout.
 func (g *Gossiper) sweepLocked(now time.Time) {
@@ -518,12 +512,9 @@ func (g *Gossiper) sweepLocked(now time.Time) {
 			continue
 		}
 		if now.After(d) {
-			if est.Suspect(now) {
-				g.suspected[i] = true
-				g.record(i, true, CauseOwnDeadline, now)
-				continue
-			}
-			d = now // a deadline may be a touch early (φ): look again at once
+			g.suspected[i] = true
+			g.record(i, true, CauseOwnDeadline, now)
+			continue
 		}
 		if next.IsZero() || d.Before(next) {
 			next = d

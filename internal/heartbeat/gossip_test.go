@@ -62,9 +62,8 @@ func chordPeers(self, n int) []int {
 func TestGossipFanoutIsLogN(t *testing.T) {
 	const n = 200
 	g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: chordPeers(1, n)})
-	now := time.Now()
 	for i := 0; i < 50; i++ {
-		g.round(now.Add(time.Duration(i) * time.Millisecond))
+		g.round()
 	}
 	bound := 2 * int(math.Ceil(math.Log2(n)))
 	if got := g.DistinctDestinations(); got > bound {
@@ -82,9 +81,8 @@ func TestGossipFanoutSubsetSampling(t *testing.T) {
 	tr := newSinkTransport(1)
 	g := handDriven(t, tr, GossipConfig{N: n, Peers: chordPeers(1, n), Fanout: k, Seed: 11})
 	before := int(g.Rounds()) // emitLoop's immediate first round
-	now := time.Now()
 	for i := 0; i < 30; i++ {
-		g.round(now)
+		g.round()
 	}
 	rounds := int(g.Rounds())
 	tr.mu.Lock()
@@ -547,8 +545,7 @@ func TestGossipRoundSharesOneBody(t *testing.T) {
 	tr.keep = true
 	tr.mu.Unlock()
 
-	now := time.Now()
-	g.round(now) // the gossiper's second round: its counter reaches 2
+	g.round() // the gossiper's second round: its counter reaches 2
 	tr.mu.Lock()
 	first := append([]transport.Envelope(nil), tr.sent...)
 	tr.mu.Unlock()
@@ -559,7 +556,7 @@ func TestGossipRoundSharesOneBody(t *testing.T) {
 		t.Fatal("the two destinations of one round got different body slices")
 	}
 	for i := 0; i < 3; i++ {
-		g.round(now)
+		g.round()
 	}
 	for _, env := range first {
 		pb, err := DecodePiggyback(env.Body)
@@ -611,11 +608,10 @@ func TestGossipAllocBudgets(t *testing.T) {
 		t.Fatalf("the frames were dropped, not merged: %+v", st)
 	}
 
-	now := time.Now()
 	perRound := func(peers []int) float64 {
 		g := handDriven(t, newSinkTransport(1), GossipConfig{N: n, Peers: peers})
-		g.round(now)
-		return testing.AllocsPerRun(runs, func() { g.round(now) })
+		g.round()
+		return testing.AllocsPerRun(runs, func() { g.round() })
 	}
 	one, fifteen := perRound(peers15[:1]), perRound(peers15)
 	// The frame; a race-detector build adds one of its own.

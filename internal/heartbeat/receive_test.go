@@ -32,8 +32,8 @@ func quietGossiper(tb testing.TB, cfg GossipConfig, epoch time.Time) *Gossiper {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, est := range g.ests {
-		if es, ok := est.(EpochSetter); ok {
-			es.SetEpoch(epoch)
+		if est != nil {
+			est.SetEpoch(epoch)
 		}
 	}
 	g.sweepLocked(epoch)
@@ -147,11 +147,8 @@ func (g *Gossiper) referenceMergeLocked(pb Piggyback, now time.Time) {
 			if sighted {
 				g.present[i] = true
 				if i+1 != g.cfg.Self {
-					est := g.cfg.NewEstimator()
-					if es, ok := est.(EpochSetter); ok {
-						es.SetEpoch(now)
-					}
-					g.ests[i] = est
+					g.ests[i] = g.cfg.NewEstimator()
+					g.ests[i].SetEpoch(now)
 				}
 			}
 			if est := g.ests[i]; est != nil {

@@ -303,7 +303,7 @@ func TestTransitionVerdictsAgree(t *testing.T) {
 					implied[tr.Peer-1] = tr.Suspected
 					flips++
 				}
-				g.round(now)
+				g.round()
 				sink.mu.Lock()
 				sent := sink.sent
 				sink.sent = nil

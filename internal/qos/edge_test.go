@@ -86,6 +86,7 @@ func TestReplayWithoutCrashNeverDetects(t *testing.T) {
 type fakeEst struct{}
 
 func (fakeEst) Name() string           { return "fake" }
+func (fakeEst) SetEpoch(time.Time)     {}
 func (fakeEst) Observe(time.Time)      {}
 func (fakeEst) Suspect(time.Time) bool { return false }
 func (fakeEst) Deadline() time.Time    { return time.Time{} }

@@ -26,7 +26,7 @@ type Flip struct {
 // Chen-Toueg-Aguilera vocabulary (T_D, λ_M, T_M, P_A) as the
 // simulator's E-table rows, directly comparable cell for cell.
 func FoldFlips(start, end time.Time, crashAt time.Time, flips []Flip, period time.Duration) Metrics {
-	if period <= 0 || end.Before(start) {
+	if end.Before(start) {
 		return Metrics{}
 	}
 	tl := NewTimeline(start)
@@ -35,23 +35,12 @@ func FoldFlips(start, end time.Time, crashAt time.Time, flips []Flip, period tim
 	}
 	verdict := false
 	idx := 0
-	record := func(q time.Time) {
+	tl.sampleEvery(period, end, func(q time.Time) bool {
 		for idx < len(flips) && !time.Unix(0, flips[idx].AtUnixNano).After(q) {
 			verdict = flips[idx].Suspected
 			idx++
 		}
-		tl.Record(q, verdict)
-	}
-	var lastQ time.Time
-	for q := start.Add(period); !q.After(end); q = q.Add(period) {
-		record(q)
-		lastQ = q
-	}
-	// Close the window with one final sample at exactly end when the
-	// period does not divide the window (the same tail rule as
-	// ArrivalModel.Replay).
-	if !lastQ.Equal(end) {
-		record(end)
-	}
+		return verdict
+	})
 	return tl.Compute()
 }

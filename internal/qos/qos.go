@@ -81,6 +81,25 @@ func (tl *Timeline) Record(at time.Time, suspected bool) {
 	tl.end = at
 }
 
+// sampleEvery records the verdicts of a monitor queried every period
+// over the window from tl's start to end: at each grid point, and at end
+// itself when the period does not divide the window, so that the tail
+// is observed and FinalSuspected is the verdict at end. verdictAt is
+// called once per sample, in time order. A period ≤ 0 records nothing.
+func (tl *Timeline) sampleEvery(period time.Duration, end time.Time, verdictAt func(q time.Time) bool) {
+	if period <= 0 {
+		return
+	}
+	var lastQ time.Time
+	for q := tl.start.Add(period); !q.After(end); q = q.Add(period) {
+		tl.Record(q, verdictAt(q))
+		lastQ = q
+	}
+	if !lastQ.Equal(end) {
+		tl.Record(end, verdictAt(end))
+	}
+}
+
 // SampleCount returns the number of verdicts recorded.
 func (tl *Timeline) SampleCount() int { return tl.count }
 

@@ -79,27 +79,13 @@ func (am ArrivalModel) Replay(est heartbeat.Estimator) *Timeline {
 
 	// Interleave arrivals and query samples in time order.
 	ai := 0
-	end := start.Add(am.Duration)
-	var lastQ time.Time
-	for q := start.Add(am.SamplePeriod); !q.After(end); q = q.Add(am.SamplePeriod) {
+	tl.sampleEvery(am.SamplePeriod, start.Add(am.Duration), func(q time.Time) bool {
 		for ai < len(arrivals) && !arrivals[ai].After(q) {
 			est.Observe(arrivals[ai])
 			ai++
 		}
-		tl.Record(q, est.Suspect(q))
-		lastQ = q
-	}
-	// When SamplePeriod does not divide Duration the loop stops short
-	// of the window's end, leaving the tail unobserved — and
-	// FinalSuspected/OutageRecovered reporting a stale instant. Close
-	// the window with one final sample at exactly start+Duration.
-	if !lastQ.Equal(end) {
-		for ai < len(arrivals) && !arrivals[ai].After(end) {
-			est.Observe(arrivals[ai])
-			ai++
-		}
-		tl.Record(end, est.Suspect(end))
-	}
+		return est.Suspect(q)
+	})
 	return tl
 }
 
