@@ -114,6 +114,7 @@ type Run struct {
 	trace   *Trace
 	nextMsg int64
 	sifter  DropSifter // policy's drop reporter, nil if none
+	inSet   setPolicy  // policy's set-reading scheduler, nil if none
 	steady  fd.Steady  // oracle's stability declaration, nil if none
 
 	// Alive-set cache: rebuilt only when a crash takes effect, never
@@ -239,6 +240,7 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 		aliveList: aliveList[:0],
 	}
 	r.sifter, _ = policy.(DropSifter)
+	r.inSet, _ = policy.(setPolicy)
 	r.steady, _ = cfg.Oracle.(fd.Steady)
 	for p := 1; p <= cfg.N; p++ {
 		rc.procs[p] = cfg.Automaton.Spawn(model.ProcessID(p), cfg.N)
@@ -275,7 +277,12 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 			return r.trace, nil
 		}
 
-		p := policy.NextProcess(r.aliveList, t, r.rng)
+		var p model.ProcessID
+		if r.inSet != nil {
+			p = r.inSet.nextIn(r.aliveList, r.aliveSet, t, r.rng)
+		} else {
+			p = policy.NextProcess(r.aliveList, t, r.rng)
+		}
 		if !pattern.Alive(p, t) {
 			return nil, fmt.Errorf("sim: policy scheduled crashed process %v at t=%d", p, t)
 		}

@@ -392,7 +392,9 @@ func (fp *FaultyPolicy) PickMessage(p model.ProcessID, pending []*Message, t mod
 		return -1
 	}
 	if idx >= len(fp.origIdx) {
-		return -1
+		// Out of range for pending too, so the engine rejects the
+		// inner policy's bad pick as it would unwrapped.
+		return len(pending)
 	}
 	// The picked message leaves the buffer; its verdict is dead weight.
 	delete(fp.verdicts, fp.visible[idx].ID)

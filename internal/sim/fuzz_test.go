@@ -91,6 +91,12 @@ func fuzzPolicy(kind uint8, dropPct, extraDelay uint8) Policy {
 	}
 }
 
+// listOnlyPolicy embeds only Policy, so it hides every optional engine
+// interface of the policy it wraps (setPolicy, DropSifter), as a
+// wrapper from outside the package does: the engine then schedules
+// through NextProcess and never purges dropped messages.
+type listOnlyPolicy struct{ Policy }
+
 // FuzzEngineDeterminism fuzzes (seed, faults, horizon, policy,
 // automaton, crash script) configurations and asserts the two
 // invariants the whole reproduction rests on:
@@ -100,6 +106,8 @@ func fuzzPolicy(kind uint8, dropPct, extraDelay uint8) Policy {
 //  2. Index soundness: every incremental trace index agrees with a
 //     naive full-trace rescan, and the engine's cached alive set
 //     agrees with a fresh pattern scan.
+//  3. Optional interfaces change no run: the same config with its
+//     policy behind listOnlyPolicy yields the same digest.
 func FuzzEngineDeterminism(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(1), uint8(10), uint8(4), uint16(300), uint8(0), uint8(0), false)
 	f.Add(int64(42), uint8(8), uint8(3), uint8(0), uint8(0), uint16(800), uint8(1), uint8(1), true)
@@ -147,6 +155,17 @@ func FuzzEngineDeterminism(f *testing.F) {
 		}
 		if d1, d2 := tr1.Digest(), tr2.Digest(); d1 != d2 {
 			t.Fatalf("replay diverged: %s vs %s", d1[:16], d2[:16])
+		}
+
+		// The list-only leg: no set path, no purge of sealed drops.
+		hidden := build(n, seed)
+		hidden.Policy = listOnlyPolicy{hidden.Policy}
+		trH, err := Execute(hidden)
+		if err != nil {
+			t.Fatalf("list-only run: %v", err)
+		}
+		if dH := trH.Digest(); dH != tr1.Digest() {
+			t.Fatalf("list-only policy diverged: %s vs %s", dH[:16], tr1.Digest()[:16])
 		}
 
 		// Streaming-vs-retained equivalence: on one reused RunContext,

@@ -27,6 +27,17 @@ type Policy interface {
 	PickMessage(p model.ProcessID, pending []*Message, t model.Time, r *rand.Rand) int
 }
 
+// setPolicy is implemented by policies that can read the alive
+// processes as a set. nextIn is NextProcess with word holding exactly
+// the members of alive; the engine passes the set it already keeps
+// (Ω∖F(t), rebuilt only at crashes), so the policy need not rebuild it
+// from the list on every step. The wrappers (FaultyPolicy,
+// MuzzlePolicy) do not implement it: they reach their inner policy
+// through NextProcess.
+type setPolicy interface {
+	nextIn(alive []model.ProcessID, word model.ProcessSet, t model.Time, r *rand.Rand) model.ProcessID
+}
+
 // FairPolicy is the deterministic baseline: round-robin over alive
 // processes and oldest-first delivery. Every correct process steps
 // every ≤ n ticks and every message is delivered as soon as its
@@ -80,23 +91,32 @@ type RandomFairPolicy struct {
 	rem   model.ProcessSet
 }
 
-var _ Policy = (*RandomFairPolicy)(nil)
+var (
+	_ Policy    = (*RandomFairPolicy)(nil)
+	_ setPolicy = (*RandomFairPolicy)(nil)
+)
 
-// NextProcess implements Policy with shuffled rounds.
-func (rp *RandomFairPolicy) NextProcess(alive []model.ProcessID, _ model.Time, r *rand.Rand) model.ProcessID {
-	// The alive set is rebuilt every step (n ORs): the engine's list
-	// shrinks at crashes and a MuzzlePolicy's filtered list grows when
-	// the muzzle lifts, so nothing carries over from the last call.
-	av := model.NewProcessSet(alive...)
+// NextProcess implements Policy with shuffled rounds. It builds the
+// alive set from the list (n ORs) for callers that hold only the list;
+// the engine calls nextIn with the set it keeps.
+func (rp *RandomFairPolicy) NextProcess(alive []model.ProcessID, t model.Time, r *rand.Rand) model.ProcessID {
+	return rp.nextIn(alive, model.NewProcessSet(alive...), t, r)
+}
+
+// nextIn implements setPolicy. word is read afresh on every call: the
+// engine's set shrinks at crashes and a MuzzlePolicy's filtered list
+// grows when the muzzle lifts, so nothing carries over from the last
+// call.
+func (rp *RandomFairPolicy) nextIn(alive []model.ProcessID, word model.ProcessSet, _ model.Time, r *rand.Rand) model.ProcessID {
 	// Rebuild the round order when exhausted or when a process still
 	// to step this round is gone (crashes shrink the alive set).
-	if rp.pos >= len(rp.order) || !rp.rem.SubsetOf(av) {
+	if rp.pos >= len(rp.order) || !rp.rem.SubsetOf(word) {
 		rp.order = append(rp.order[:0], alive...)
 		r.Shuffle(len(rp.order), func(i, j int) {
 			rp.order[i], rp.order[j] = rp.order[j], rp.order[i]
 		})
 		rp.pos = 0
-		rp.rem = av
+		rp.rem = word
 	}
 	p := rp.order[rp.pos]
 	rp.pos++

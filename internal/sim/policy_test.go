@@ -209,11 +209,12 @@ func subsetOfAlive(order []model.ProcessID, alive []model.ProcessID) bool {
 }
 
 // TestRandomFairPolicyMatchesReference drives the set-based fairness
-// check and the rescanning reference from the same rand seed over
-// alive lists that shrink (crashes), grow (a muzzle lifting) and swap
-// members at equal length, with no promise from one step to the next.
-// Every pick, every reshuffle point (pos returns to 1) and every round
-// order must agree.
+// check — through the list adapter NextProcess and through nextIn with
+// the set built beside the list, as the engine keeps it — and the
+// rescanning reference from the same rand seed over alive lists that
+// shrink (crashes), grow (a muzzle lifting) and swap members at equal
+// length, with no promise from one step to the next. Every pick, every
+// reshuffle point (pos returns to 1) and every round order must agree.
 func TestRandomFairPolicyMatchesReference(t *testing.T) {
 	t.Parallel()
 	for seed := int64(1); seed <= 200; seed++ {
@@ -233,8 +234,8 @@ func TestRandomFairPolicyMatchesReference(t *testing.T) {
 			}
 			return false
 		}
-		rp, ref := &RandomFairPolicy{}, &refRandomFair{}
-		r1, r2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		rp, rs, ref := &RandomFairPolicy{}, &RandomFairPolicy{}, &refRandomFair{}
+		r1, r2, r3 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 		alive := make([]model.ProcessID, 0, n)
 		for step := 0; step < 600; step++ {
 			switch gen.Intn(12) {
@@ -274,6 +275,14 @@ func TestRandomFairPolicyMatchesReference(t *testing.T) {
 			if rem := model.NewProcessSet(rp.order[rp.pos:]...); !rem.Equal(rp.rem) {
 				t.Fatalf("seed %d step %d: remainder set %v, order[pos:] is %v", seed, step, rp.rem, rem)
 			}
+			word := model.NewProcessSet(alive...)
+			if got := rs.nextIn(alive, word, model.Time(step), r3); got != want || rs.pos != ref.pos {
+				t.Fatalf("seed %d step %d alive %v: nextIn picked %v at pos %d, reference %v at pos %d",
+					seed, step, alive, got, rs.pos, want, ref.pos)
+			}
+			if !slices.Equal(rs.order, ref.order) {
+				t.Fatalf("seed %d step %d: nextIn round order %v, reference %v", seed, step, rs.order, ref.order)
+			}
 		}
 	}
 }
@@ -303,26 +312,36 @@ func TestRandomFairPolicyUnderMuzzleMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRandomFairPolicyNextProcessAllocs: the round order is the
-// policy's only allocation; once the first round has sized it, picks
-// and reshuffles — including after a crash — allocate nothing.
-func TestRandomFairPolicyNextProcessAllocs(t *testing.T) {
-	rp := &RandomFairPolicy{}
-	r := rand.New(rand.NewSource(1))
-	alive := make([]model.ProcessID, 64)
-	for i := range alive {
-		alive[i] = model.ProcessID(i + 1)
+// TestPolicyAllocBudgets: the round order is RandomFairPolicy's only
+// allocation; once the first round has sized it, picks and reshuffles
+// — including after a crash — allocate nothing, through the list
+// adapter and through the engine's set path.
+func TestPolicyAllocBudgets(t *testing.T) {
+	full := make([]model.ProcessID, 64)
+	for i := range full {
+		full[i] = model.ProcessID(i + 1)
 	}
-	for range alive {
-		rp.NextProcess(alive, 0, r)
-	}
-	step := 0
-	if avg := testing.AllocsPerRun(1000, func() {
-		if step++; step == 500 {
-			alive = alive[:60] // p61..p64 crash mid-round
+	for _, set := range []bool{false, true} { // set: through nextIn, as the engine picks
+		rp, r := &RandomFairPolicy{}, rand.New(rand.NewSource(1))
+		alive := full
+		pick := func(t model.Time) {
+			if set {
+				rp.nextIn(alive, model.NewProcessSet(alive...), t, r)
+			} else {
+				rp.NextProcess(alive, t, r)
+			}
 		}
-		rp.NextProcess(alive, model.Time(step), r)
-	}); avg != 0 {
-		t.Fatalf("NextProcess allocates %.2f times per call after the first round, want 0", avg)
+		for range alive {
+			pick(0)
+		}
+		step := 0
+		if avg := testing.AllocsPerRun(1000, func() {
+			if step++; step == 500 {
+				alive = alive[:60] // p61..p64 crash mid-round
+			}
+			pick(model.Time(step))
+		}); avg != 0 {
+			t.Errorf("set path %v: %.2f allocations per call after the first round, want 0", set, avg)
+		}
 	}
 }

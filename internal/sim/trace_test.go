@@ -177,14 +177,21 @@ func (p *midProc) Step(*Message, model.ProcessSet, model.Time) Actions {
 	}}
 }
 
+// TestEngineRejectsBadPolicyPick: an out-of-range message pick is an
+// error, also when a lossy FaultyPolicy maps the pick back to pending.
 func TestEngineRejectsBadPolicyPick(t *testing.T) {
 	t.Parallel()
-	_, err := Execute(Config{
-		N: 4, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
-		Horizon: 50, Policy: &badPickPolicy{},
-	})
-	if err == nil {
-		t.Fatal("out-of-range message pick accepted")
+	for _, policy := range []Policy{
+		&badPickPolicy{},
+		&FaultyPolicy{Inner: &badPickPolicy{}, Faults: LinkFaults{DropPct: 30}},
+	} {
+		_, err := Execute(Config{
+			N: 4, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
+			Horizon: 50, Policy: policy,
+		})
+		if err == nil {
+			t.Fatalf("out-of-range message pick accepted under %T", policy)
+		}
 	}
 }
 
