@@ -292,6 +292,8 @@ func (p *abProc) deliverBatch(batch []MsgID, acts *sim.Actions) {
 // undelivered returns the known-but-undelivered message IDs.
 func (p *abProc) undelivered() []MsgID {
 	var out []MsgID
+	// order-free: the one caller hands the result straight to encodeSet,
+	// whose sort.Slice by MsgID.Less fixes the order.
 	for id := range p.known {
 		if !p.delivered[id] {
 			out = append(out, id)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"realisticfd/internal/model"
 )
@@ -122,15 +123,17 @@ func (tr *Trace) AppendCanonical(b []byte) []byte {
 		}
 		s.spans = append(s.spans, span)
 		b = binary.AppendUvarint(b, uint64(len(ev.Sends)))
+		s.to = slices.Grow(s.to, len(ev.Sends))[:span.at+len(ev.Sends)]
+		to := s.to[span.at:]
 		for sends := ev.Sends; len(sends) > 0; {
-			n := s.run(sends, ev, i, limit)
+			n := s.run(sends, to, ev, i, limit)
 			m := sends[0]
 			b = binary.AppendVarint(b, m.ID-next)
 			b = binary.AppendUvarint(b, uint64(m.To))
 			b = binary.AppendUvarint(b, uint64(n))
 			b = appendValue(b, m.Payload)
 			next = m.ID + int64(n)
-			sends = sends[n:]
+			sends, to = sends[n:], to[n:]
 		}
 
 		b = binary.AppendUvarint(b, uint64(len(ev.Events)))
@@ -155,43 +158,58 @@ func (tr *Trace) AppendCanonical(b []byte) []byte {
 // destinations in 1…limit, and one payload — equal strings or one
 // pointer, so that rendering it once renders every send of the run.
 // sim.Broadcast is one run, sim.AppendOthers two; any other send is a
-// run of its own. It notes each send of the run for isComplement.
-func (s *canonScratch) run(sends []*Message, ev *EventRecord, k, limit int) int {
-	m, n := sends[0], 1
+// run of its own. The same pass notes each send of the run in to, for
+// isComplement: one walk over the run, and one byte written per send.
+func (s *canonScratch) run(sends []*Message, to []uint8, ev *EventRecord, k, limit int) int {
+	m := sends[0]
+	to[0] = s.note(m, ev, k, limit)
 	str, isStr := m.Payload.(string)
-	if m.To >= 1 && int(m.To) < limit && (isStr || reflect.ValueOf(m.Payload).Kind() == reflect.Pointer) {
-		for ; n < len(sends) && int(m.To)+n <= limit; n++ {
-			next := sends[n]
-			if next.ID != m.ID+int64(n) || next.To != m.To+model.ProcessID(n) {
-				break
-			}
-			if isStr {
-				if s, ok := next.Payload.(string); !ok || s != str {
-					break
-				}
-			} else if next.Payload != m.Payload { // pointers: compares addresses
+	if m.To < 1 || int(m.To) >= limit || !isStr && reflect.ValueOf(m.Payload).Kind() != reflect.Pointer {
+		return 1
+	}
+	n := 1
+	for end := min(len(sends), limit-int(m.To)+1); n < end; n++ {
+		next := sends[n]
+		if next.ID != m.ID+int64(n) || next.To != m.To+model.ProcessID(n) {
+			break
+		}
+		// One box is one payload. Failing that, equal strings in two
+		// boxes still are; two pointer boxes are two pointers.
+		if !sameBox(next.Payload, m.Payload) {
+			if s, ok := next.Payload.(string); !isStr || !ok || s != str {
 				break
 			}
 		}
-	}
-	for _, m := range sends[:n] {
-		s.note(m, ev, k, limit)
+		to[n] = s.note(next, ev, k, limit)
 	}
 	return n
 }
 
-// note records m, a send of Events[k], as not yet received. A send
-// whose To, From, SentAt or SentBy is not what a decoder would give it —
-// the destination in 1…limit, the rest from its event — is stray.
-func (s *canonScratch) note(m *Message, ev *EventRecord, k, limit int) {
-	q := uint8(0)
+// note counts m, a send of Events[k], as not yet received and returns
+// its destination. A send whose To, From, SentAt or SentBy is not what
+// a decoder would give it — the destination in 1…limit, the rest from
+// its event — is stray, and note returns 0.
+func (s *canonScratch) note(m *Message, ev *EventRecord, k, limit int) uint8 {
 	if m.To < 1 || int(m.To) > limit || m.SentBy != k || m.From != ev.P || m.SentAt != ev.T {
 		s.stray = true
-	} else {
-		q = uint8(m.To)
-		s.count[q]++
+		return 0
 	}
-	s.to = append(s.to, q)
+	s.count[m.To]++
+	return uint8(m.To)
+}
+
+// sameBox reports whether a and b are one box: the same dynamic type
+// word and the same data word. That implies a == b for the payloads
+// that form runs. A pointer type's data word is the pointer itself, and
+// a string's points at one boxed header, which Go never writes after
+// boxing. sim.Broadcast and shared fan-outs give every send of a
+// broadcast one box, so a run's payload test is two word compares. The
+// converse fails — equal strings boxed twice — so run falls back to ==.
+// It is the package's one use of unsafe: the words are not reachable
+// otherwise.
+func sameBox(a, b any) bool {
+	type eface struct{ typ, data unsafe.Pointer }
+	return *(*eface)(unsafe.Pointer(&a)) == *(*eface)(unsafe.Pointer(&b))
 }
 
 // A received or undelivered message opens with refNone (λ), refFull and
@@ -248,8 +266,13 @@ func (s *canonScratch) isComplement(tr *Trace) bool {
 		return false
 	}
 	for k := range tr.Events {
-		to := s.to[s.spans[k].at:]
-		for j, m := range tr.Events[k].Sends {
+		sends := tr.Events[k].Sends
+		if len(sends) == 0 {
+			continue
+		}
+		at := s.spans[k].at
+		to := s.to[at : at+len(sends)]
+		for j, m := range sends {
 			if q := to[j]; q != 0 {
 				if u[slot[q]] != m {
 					return false

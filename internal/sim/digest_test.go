@@ -217,7 +217,8 @@ func TestCanonicalVectors(t *testing.T) {
 // fmt fallback, under loss (a long undelivered tail) and crashes, and at
 // the benchmark's own size; and on hand-built traces the engine would
 // never produce, where back-references must give way to full records.
-// The two golden grids make the same check on every pinned run.
+// The two golden grids make the same check on every pinned run. Each
+// trace must also encode byte for byte as the reference encoder does.
 func TestEncodeMatchesReference(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range map[string]sim.Config{
@@ -249,12 +250,24 @@ func TestEncodeMatchesReference(t *testing.T) {
 		if err := tracetest.RoundTrip(tr); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		matchesReference(t, name, tr)
 	}
 
 	for name, tr := range handBuiltTraces() {
 		if err := tracetest.RoundTrip(tr); err != nil {
 			t.Errorf("hand-built, %s: %v", name, err)
 		}
+		matchesReference(t, "hand-built, "+name, tr)
+	}
+}
+
+// matchesReference requires the encoder to write tr exactly as the
+// pre-fusion encoder, sim.RefAppendCanonical, does: a round trip proves
+// that the bytes decode, this that the one-pass encoder kept them.
+func matchesReference(t *testing.T, name string, tr *sim.Trace) {
+	t.Helper()
+	if got, want := tr.AppendCanonical(nil), sim.RefAppendCanonical(tr, nil); !bytes.Equal(got, want) {
+		t.Errorf("%s: encoding differs from the reference encoder's\n got %x\nwant %x", name, got, want)
 	}
 }
 
@@ -329,6 +342,9 @@ func TestCanonicalBudgetN64(t *testing.T) {
 	}
 }
 
+// tag is a string type of its own: "m" and tag("m") render alike.
+type tag string
+
 // labelled is a payload that renders as its label; two of them with one
 // label render alike but are different objects.
 type labelled struct{ label string }
@@ -344,6 +360,7 @@ func (l *labelled) String() string { return l.label }
 func TestCompactFormsFallBack(t *testing.T) {
 	t.Parallel()
 	shared := &labelled{"m"}
+	var boxedStruct, boxedString any = structPayload{1, "v"}, "m"
 	sends := func(ids []int64, tos []model.ProcessID, payloads ...any) []*sim.Message {
 		out := make([]*sim.Message, len(ids))
 		for i := range ids {
@@ -384,6 +401,12 @@ func TestCompactFormsFallBack(t *testing.T) {
 		{"payloads alike, objects not", trace(sends(ids, tos, shared, &labelled{"m"}), nil), 3, true},
 		{"struct payloads", trace(sends(ids, tos, structPayload{1, "v"}), nil), 3, true},
 		{"payload types differ", trace(sends(ids, tos, "m", shared), nil), 3, true},
+		// One box shared by every send: identity alone must not make a
+		// struct a run, and it does make a string one.
+		{"one boxed struct", trace(sends(ids, tos, boxedStruct), nil), 3, true},
+		{"one boxed string", trace(sends(ids, tos, boxedString), nil), 1, true},
+		// Renderings agree, payload types do not.
+		{"string, tag, string", trace(sends(ids, tos, "m", tag("m")), nil), 3, true},
 		{"complement reordered", trace(sends(ids, tos, "m"), func(ss []*sim.Message) []*sim.Message {
 			return []*sim.Message{ss[1], ss[0], ss[2]}
 		}), 1, false},
@@ -428,14 +451,16 @@ func TestCompactFormsFallBack(t *testing.T) {
 	checkForms(t, "AppendOthers", trace(ss, nil), 2, true)
 }
 
-// checkForms requires tr to round-trip and to be written in the given
-// number of runs, with or without the complement byte.
+// checkForms requires tr to round-trip, to encode as the reference
+// encoder does, and to be written in the given number of runs, with or
+// without the complement byte.
 func checkForms(t *testing.T, name string, tr *sim.Trace, runs int, complement bool) {
 	t.Helper()
 	if err := tracetest.RoundTrip(tr); err != nil {
 		t.Errorf("%s: %v", name, err)
 		return
 	}
+	matchesReference(t, name, tr)
 	l, err := tracetest.LayoutOf(tr.AppendCanonical(nil))
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -551,21 +576,27 @@ func TestBackReferenceSoundness(t *testing.T) {
 		if err := tracetest.RoundTrip(tr); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+		matchesReference(t, name, tr)
 	}
 }
 
-// TestDigestAllocs pins the sweep's per-seed cost: on a warmed run
-// context a digest allocates the string it returns and nothing else
-// (no hasher, no Sum, no pattern rendering).
-func TestDigestAllocs(t *testing.T) {
+// TestDigestAllocBudgets pins the sweep's per-seed cost: on a warmed
+// run context a digest allocates the string it returns and nothing else
+// (no hasher, no Sum, no pattern rendering), and the encoding into a
+// reused buffer allocates nothing.
+func TestDigestAllocBudgets(t *testing.T) {
 	rc := sim.NewRunContext()
 	tr, err := rc.Execute(benchShape(1_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = tr.Digest() // grows the retained scratch buffer
-	if got := testing.AllocsPerRun(5, func() { _ = tr.Digest() }); got > 2 {
-		t.Errorf("Digest() on a warmed context: %.0f allocations, want ≤ 2", got)
+	if got := testing.AllocsPerRun(5, func() { _ = tr.Digest() }); got != 1 {
+		t.Errorf("Digest() on a warmed context: %.0f allocations, want 1", got)
+	}
+	buf := tr.AppendCanonical(nil)
+	if got := testing.AllocsPerRun(5, func() { buf = tr.AppendCanonical(buf[:0]) }); got != 0 {
+		t.Errorf("AppendCanonical into a reused buffer: %.0f allocations, want 0", got)
 	}
 }
 
@@ -638,6 +669,7 @@ func FuzzDigestRoundTrip(f *testing.F) {
 		if err := tracetest.RoundTrip(tr); err != nil {
 			t.Fatal(err)
 		}
+		matchesReference(t, "fuzzed run", tr)
 	})
 }
 

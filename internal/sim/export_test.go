@@ -34,3 +34,6 @@ func ScribbleRecycled(rc *RunContext) {
 		}
 	}
 }
+
+// RefAppendCanonical is the pre-fusion encoder, refAppendCanonical.
+var RefAppendCanonical = refAppendCanonical
