@@ -111,6 +111,10 @@ type rcProc struct {
 	coordRounds []int
 	// roundScratch is the reusable snapshot buffer of coordProgress.
 	roundScratch []int
+	// news is set when a coordinated round is created or takes a new
+	// estimate or reply, and cleared by coordProgress: its guards read
+	// only coordState, so without news a scan would fire nothing.
+	news bool
 
 	done    bool
 	relayed bool
@@ -232,6 +236,7 @@ func (p *rcProc) coordRound(r int) *coordState {
 		p.coordRounds = append(p.coordRounds, 0)
 		copy(p.coordRounds[i+1:], p.coordRounds[i:])
 		p.coordRounds[i] = r
+		p.news = true
 	}
 	return cs
 }
@@ -243,6 +248,7 @@ func (p *rcProc) coordAbsorbEstimate(from model.ProcessID, m rcEstimate) {
 	}
 	if _, ok := cs.estimates[from]; !ok {
 		cs.estimates[from] = estEntry{val: m.Val, ts: m.TS}
+		p.news = true
 	}
 }
 
@@ -252,6 +258,7 @@ func (p *rcProc) coordAbsorbAck(from model.ProcessID, m rcAck) {
 		return
 	}
 	cs.replied = cs.replied.Add(from)
+	p.news = true
 	if m.Ack {
 		cs.acks++
 	} else {
@@ -263,8 +270,15 @@ func (p *rcProc) coordAbsorbAck(from model.ProcessID, m rcAck) {
 // transitions whose guards hold (rounds iterated in increasing order
 // for determinism). It iterates a snapshot: a round created while a
 // transition fires is not visited until the next step, exactly as
-// when the keys were collected up front.
+// when the keys were collected up front. A scan fires every guard it
+// finds true, so one with no news since the last scan would fire
+// nothing and is skipped; news during a scan (a round created, or a
+// self-addressed estimate or ack) brings the next one.
 func (p *rcProc) coordProgress(acts *sim.Actions) {
+	if !p.news {
+		return
+	}
+	p.news = false
 	rounds := append(p.roundScratch[:0], p.coordRounds...)
 	p.roundScratch = rounds
 	for _, r := range rounds {

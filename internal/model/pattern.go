@@ -17,6 +17,10 @@ import (
 type FailurePattern struct {
 	n     int
 	crash [MaxProcesses + 1]Time // crash[p] = crash time, NoCrash if correct
+	// correct is correct(F), the p with crash[p] = NoCrash, kept by every
+	// write to crash so that Correct, which the simulator's stop
+	// predicates read every step, is a load.
+	correct ProcessSet
 	// onCrash, when non-nil, observes every successful Crash call. The
 	// simulator registers a hook here so it can keep its cached alive
 	// set current without rescanning the pattern every tick; the hook
@@ -29,7 +33,7 @@ func NewFailurePattern(n int) (*FailurePattern, error) {
 	if err := ValidateN(n); err != nil {
 		return nil, err
 	}
-	f := &FailurePattern{n: n}
+	f := &FailurePattern{n: n, correct: AllProcesses(n)}
 	for p := 1; p <= n; p++ {
 		f.crash[p] = NoCrash
 	}
@@ -63,6 +67,7 @@ func (f *FailurePattern) Crash(p ProcessID, t Time) error {
 		return fmt.Errorf("model: %v already crashed at %d (crash-stop: no recovery)", p, f.crash[p])
 	}
 	f.crash[p] = t
+	f.correct = f.correct.Remove(p)
 	if f.onCrash != nil {
 		f.onCrash(p, t)
 	}
@@ -124,15 +129,7 @@ func (f *FailurePattern) Alive(p ProcessID, t Time) bool {
 }
 
 // Correct returns correct(F), the set of processes that never crash.
-func (f *FailurePattern) Correct() ProcessSet {
-	var s ProcessSet
-	for p := 1; p <= f.n; p++ {
-		if f.crash[p] == NoCrash {
-			s = s.Add(ProcessID(p))
-		}
-	}
-	return s
-}
+func (f *FailurePattern) Correct() ProcessSet { return f.correct }
 
 // Faulty returns faulty(F) = Ω \ correct(F): the processes that crash
 // at some time. This is the (future-reading) output of the Marabout
@@ -159,6 +156,7 @@ func (f *FailurePattern) PrefixClone(t Time) *FailurePattern {
 	for p := 1; p <= f.n; p++ {
 		if cp.crash[p] > t {
 			cp.crash[p] = NoCrash
+			cp.correct = cp.correct.Add(ProcessID(p))
 		}
 	}
 	return &cp

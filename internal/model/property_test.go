@@ -210,3 +210,67 @@ func TestFailurePatternProperties(t *testing.T) {
 		return true
 	})
 }
+
+// patternScript is a testing/quick generator for a random sequence of
+// Crash, PrefixClone and Clone calls over a random system size. A
+// Crash may name a crashed process or one outside Ω, which Crash
+// refuses and must leave the pattern as it was.
+type patternScript struct {
+	n   int
+	ops []patternOp
+}
+
+type patternOp struct {
+	kind int // 0 Crash(p, at), 1 PrefixClone(at), 2 Clone
+	p    ProcessID
+	at   Time
+}
+
+// Generate implements quick.Generator.
+func (patternScript) Generate(r *rand.Rand, size int) reflect.Value {
+	ps := patternScript{n: MinProcesses + r.Intn(MaxProcesses-MinProcesses+1)}
+	for range 1 + r.Intn(2*size+1) {
+		op := patternOp{kind: r.Intn(6) / 4, p: ProcessID(r.Intn(ps.n + 2)), at: Time(r.Intn(1000))}
+		if r.Intn(8) == 0 {
+			op.kind = 2
+		}
+		ps.ops = append(ps.ops, op)
+	}
+	return reflect.ValueOf(ps)
+}
+
+// scanCorrect is correct(F) read off the crash table, the reference
+// the set that Correct returns is held to.
+func scanCorrect(f *FailurePattern) ProcessSet {
+	var s ProcessSet
+	for p := 1; p <= f.n; p++ {
+		if f.crash[p] == NoCrash {
+			s = s.Add(ProcessID(p))
+		}
+	}
+	return s
+}
+
+// TestCorrectMatchesScan holds the correct(F) that Crash, PrefixClone
+// and Clone keep to a scan of the crash table after every call of a
+// random sequence.
+func TestCorrectMatchesScan(t *testing.T) {
+	t.Parallel()
+	quickCheck(t, "correct-is-the-scan", func(ps patternScript) bool {
+		f := MustPattern(ps.n)
+		for _, op := range ps.ops {
+			switch op.kind {
+			case 0:
+				_ = f.Crash(op.p, op.at)
+			case 1:
+				f = f.PrefixClone(op.at)
+			default:
+				f = f.Clone()
+			}
+			if !f.Correct().Equal(scanCorrect(f)) {
+				return false
+			}
+		}
+		return true
+	})
+}

@@ -216,19 +216,6 @@ type FaultyPolicy struct {
 	// entry, built lazily so membership tests stay O(1) per message
 	// even for the large cuts sparse topologies compile into.
 	cutSets []map[Edge]struct{}
-	// verdicts caches the (drop, ready-time) lottery per message ID so
-	// a delay-blocked message is hashed once, not once per step. The
-	// cache stays bounded by the in-flight message count: the engine
-	// purges a message from pending at its first dropped verdict (via
-	// SiftDropped, which evicts the entry), and PickMessage evicts the
-	// entry of the message it delivers.
-	verdicts map[int64]faultVerdict
-}
-
-// faultVerdict is the cached per-message lottery outcome.
-type faultVerdict struct {
-	dropped bool
-	ready   model.Time // SentAt + extra delay
 }
 
 var _ Policy = (*FaultyPolicy)(nil)
@@ -288,20 +275,6 @@ func (fp *FaultyPolicy) ExtraDelay(m *Message) model.Time {
 	return model.Time(mix64(fp.seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
 }
 
-// verdict returns m's cached fault-lottery outcome, computing it on
-// first sight.
-func (fp *FaultyPolicy) verdict(m *Message) faultVerdict {
-	if v, ok := fp.verdicts[m.ID]; ok {
-		return v
-	}
-	if fp.verdicts == nil {
-		fp.verdicts = make(map[int64]faultVerdict)
-	}
-	v := faultVerdict{dropped: fp.Dropped(m), ready: m.SentAt + fp.ExtraDelay(m)}
-	fp.verdicts[m.ID] = v
-	return v
-}
-
 // cutSet returns the canonical edge set of cut i, building it on
 // first use.
 func (fp *FaultyPolicy) cutSet(i int) map[Edge]struct{} {
@@ -322,7 +295,7 @@ func (fp *FaultyPolicy) cutSet(i int) map[Edge]struct{} {
 // Deliverable reports whether m may reach its destination at time t
 // under the fault plan (assuming the fault seed is fixed).
 func (fp *FaultyPolicy) Deliverable(m *Message, t model.Time) bool {
-	if v := fp.verdict(m); v.dropped || t < v.ready {
+	if fp.Dropped(m) || t < m.SentAt+fp.ExtraDelay(m) {
 		return false
 	}
 	for i, ec := range fp.Faults.Cuts {
@@ -353,16 +326,14 @@ type DropSifter interface {
 var _ DropSifter = (*FaultyPolicy)(nil)
 
 // SiftDropped implements DropSifter: every pending message whose drop
-// lottery says "lost forever" is reported for purging, and its cached
-// verdict is evicted — it will never be queried again.
+// lottery says "lost forever" is reported for purging.
 func (fp *FaultyPolicy) SiftDropped(pending []*Message, dst []*Message) []*Message {
 	if !fp.seeded || !fp.Faults.lossy() {
 		return dst
 	}
 	for _, m := range pending {
-		if fp.verdict(m).dropped {
+		if fp.Dropped(m) {
 			dst = append(dst, m)
-			delete(fp.verdicts, m.ID)
 		}
 	}
 	return dst
@@ -396,7 +367,5 @@ func (fp *FaultyPolicy) PickMessage(p model.ProcessID, pending []*Message, t mod
 		// inner policy's bad pick as it would unwrapped.
 		return len(pending)
 	}
-	// The picked message leaves the buffer; its verdict is dead weight.
-	delete(fp.verdicts, fp.visible[idx].ID)
 	return fp.origIdx[idx]
 }

@@ -15,6 +15,14 @@ import "realisticfd/internal/model"
 // consumed before any instance steps again, so a Host may give all its
 // instances one Sends and one Events buffer. Inner messages are shown in
 // one scratch Message, so an inner process must not keep in (Process).
+//
+// One contract makes an idle instance free: every step of an inner
+// process fires all the transitions its state, its received messages
+// and the detector output enable, and none reads now. A λ step under
+// the output of the instance's last step then can change nothing, and
+// Step returns at once without reaching the instance or InnerStepHook.
+// consensus.Host's S-flooding meets it: its progress loop runs until no
+// guard holds, and its guards read only messages and suspicions.
 type Mux[E any] struct {
 	w     Wrapper[E]
 	host  Host
@@ -25,8 +33,10 @@ type Mux[E any] struct {
 }
 
 type muxSlot struct {
-	proc Process // nil until spawned, and again once retired
-	done bool    // retired: the instance decided
+	proc    Process          // nil until spawned, and again once retired
+	last    model.ProcessSet // the detector output of proc's last step
+	stepped bool             // proc has stepped, so last is its output
+	done    bool             // retired: the instance decided
 }
 
 // Wrapper is the protocol a Mux serves: what its envelopes say, and what
@@ -61,7 +71,7 @@ func (m *Mux[E]) Init(w Wrapper[E], host Host, instances int) {
 func (m *Mux[E]) Running(k int) bool { return m.slots[k].proc != nil }
 
 // Spawn installs proc as instance k without stepping it.
-func (m *Mux[E]) Spawn(k int, proc Process) { m.slots[k].proc = proc }
+func (m *Mux[E]) Spawn(k int, proc Process) { m.slots[k] = muxSlot{proc: proc} }
 
 // Start spawns proc as instance k, steps it with λ for its opening
 // sends, then presents the traffic buffered for k until it decides. It
@@ -111,9 +121,14 @@ func (m *Mux[E]) present(k int, in *Message, env *E, susp model.ProcessSet, now 
 // Step steps running instance k with in (nil for λ). Its sends are
 // sealed into acts.Sends, its events stamped with k and appended to
 // acts.Events, except a decide, which goes to the wrapper and retires
-// the instance. It reports whether the instance decided.
+// the instance. It reports whether the instance decided. A λ step under
+// the output of k's last step is skipped (see Mux).
 func (m *Mux[E]) Step(k int, in *Message, susp model.ProcessSet, now model.Time, acts *Actions) bool {
 	s := &m.slots[k]
+	if in == nil && s.stepped && s.last == susp {
+		return false
+	}
+	s.last, s.stepped = susp, true
 	a := s.proc.Step(in, susp, now)
 	for _, snd := range a.Sends {
 		env := m.envs.New()

@@ -1,6 +1,7 @@
 package trb
 
 import (
+	"fmt"
 	"testing"
 
 	"realisticfd/internal/fd"
@@ -9,20 +10,24 @@ import (
 )
 
 func BenchmarkTRBWave(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pat := model.MustPattern(5).MustCrash(2, 30)
-		tr, err := sim.Execute(sim.Config{
-			N: 5, Automaton: Broadcast{Waves: 1}, Oracle: fd.Perfect{Delay: 2},
-			Pattern: pat, Horizon: 60000, Seed: int64(i),
-			StopWhen: AllDelivered(1),
+	for _, waves := range []int{1, 4} {
+		b.Run(fmt.Sprintf("Waves=%d", waves), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pat := model.MustPattern(5).MustCrash(2, 30)
+				tr, err := sim.Execute(sim.Config{
+					N: 5, Automaton: Broadcast{Waves: waves}, Oracle: fd.Perfect{Delay: 2},
+					Pattern: pat, Horizon: 60000, Seed: int64(i),
+					StopWhen: AllDelivered(waves),
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if tr.Stopped != sim.StopCondition {
+					b.Fatal("wave incomplete")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if tr.Stopped != sim.StopCondition {
-			b.Fatal("wave incomplete")
-		}
 	}
 }
 
