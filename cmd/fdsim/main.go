@@ -40,6 +40,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -223,7 +224,7 @@ func (o options) sources() ([]source, error) {
 // only syntax; ranges and kinds are Spec.Validate's to judge.
 func (o options) flagSpec() (scenario.Spec, error) {
 	crashes, err := parseCrashes(o.crash)
-	faults, err2 := parseFaults(o.faults)
+	plan, err2 := parseFaults(o.faults, o.horizon)
 	if err := cmp.Or(err, err2); err != nil {
 		return scenario.Spec{}, err
 	}
@@ -237,7 +238,10 @@ func (o options) flagSpec() (scenario.Spec, error) {
 		Protocol: scenario.ProtocolSpec{Kind: o.algo},
 		Oracle:   oracle,
 		Crashes:  crashes,
-		Faults:   faults,
+		Plan:     plan,
+	}
+	if len(plan) > 0 {
+		s.Schema = scenario.SchemaV3
 	}
 	switch o.algo {
 	case scenario.ProtocolTRB:
@@ -273,25 +277,32 @@ func parseCrashes(list string) ([]scenario.CrashSpec, error) {
 	return out, nil
 }
 
-// parseFaults reads -faults: comma-separated drop=<pct>,
-// delay=<ticks> and part=<id>+<id>...@<from>-<until> (repeatable).
-func parseFaults(list string) (*scenario.FaultSpec, error) {
+// parseFaults reads -faults, comma-separated drop=<pct>,
+// delay=<ticks> and part=<id>+<id>...@<from>-<until> (repeatable), into
+// plan actions. drop and delay set their rate from tick 0; the last one
+// given wins, and a zero rate adds nothing. Each part cuts its side's
+// boundary at from and heals it at until, or never when until lies past
+// the horizon. Windows must not overlap: a heal ends every cut of the
+// edges it names, where overlapping windows would mean their union.
+func parseFaults(list string, horizon int64) ([]scenario.ActionSpec, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, nil
 	}
-	var f scenario.FaultSpec
+	var drop int
+	var delay int64
+	var parts []partition
 	for _, item := range strings.Split(list, ",") {
 		key, val, _ := strings.Cut(strings.TrimSpace(item), "=")
 		var err error
 		switch key {
 		case "drop":
-			f.DropPct, err = strconv.Atoi(val)
+			drop, err = strconv.Atoi(val)
 		case "delay":
-			f.MaxExtraDelay, err = strconv.ParseInt(val, 10, 64)
+			delay, err = strconv.ParseInt(val, 10, 64)
 		case "part":
-			var p scenario.PartitionSpec
+			var p partition
 			p, err = parsePartition(val)
-			f.Partitions = append(f.Partitions, p)
+			parts = append(parts, p)
 		default:
 			return nil, fmt.Errorf("-faults: unknown fault %q (want drop|delay|part)", key)
 		}
@@ -299,12 +310,41 @@ func parseFaults(list string) (*scenario.FaultSpec, error) {
 			return nil, fmt.Errorf("-faults: bad %s %q (want e.g. drop=10,delay=5,part=1+2@40-400)", key, val)
 		}
 	}
-	return &f, nil
+	var plan []scenario.ActionSpec
+	if drop != 0 {
+		plan = append(plan, scenario.ActionSpec{Action: "drop", Pct: drop})
+	}
+	if delay != 0 {
+		plan = append(plan, scenario.ActionSpec{Action: "delay", Bound: delay})
+	}
+	slices.SortStableFunc(parts, func(a, b partition) int { return cmp.Compare(a.from, b.from) })
+	for i, p := range parts {
+		if p.from >= p.until {
+			return nil, fmt.Errorf("-faults: part=%s heals at %d, not after it starts at %d", p.text, p.until, p.from)
+		}
+		if i > 0 && p.from < parts[i-1].until {
+			return nil, fmt.Errorf("-faults: part=%s and part=%s overlap in time", parts[i-1].text, p.text)
+		}
+		plan = append(plan, scenario.ActionSpec{At: p.from, Action: "cut", Side: p.side})
+		if p.until <= horizon {
+			plan = append(plan, scenario.ActionSpec{At: p.until, Action: "heal", Side: p.side})
+		}
+	}
+	return plan, nil
+}
+
+// partition is one part= window: side splits off from the rest at
+// from and heals at until.
+type partition struct {
+	text        string
+	side        []int
+	from, until int64
 }
 
 // parsePartition reads "1+2@40-400": processes 1 and 2 split off from
 // the rest from time 40 until the heal at 400.
-func parsePartition(val string) (p scenario.PartitionSpec, err error) {
+func parsePartition(val string) (p partition, err error) {
+	p.text = val
 	side, window, found := strings.Cut(val, "@")
 	from, until, found2 := strings.Cut(window, "-")
 	if !found || !found2 {
@@ -315,12 +355,12 @@ func parsePartition(val string) (p scenario.PartitionSpec, err error) {
 		if err != nil {
 			return p, err
 		}
-		p.Side = append(p.Side, id)
+		p.side = append(p.side, id)
 	}
-	if p.From, err = strconv.ParseInt(from, 10, 64); err != nil {
+	if p.from, err = strconv.ParseInt(from, 10, 64); err != nil {
 		return p, err
 	}
-	p.Until, err = strconv.ParseInt(until, 10, 64)
+	p.until, err = strconv.ParseInt(until, 10, 64)
 	return p, err
 }
 

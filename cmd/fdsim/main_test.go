@@ -34,13 +34,15 @@ func TestValidateFlags(t *testing.T) {
 		{"one seed", []string{"-seeds", "1"}, ""},
 		{"spaced crash list", []string{"-crash", "p2@40, p5@120"}, ""},
 		{"spaced fault list", []string{"-faults", "drop=10, delay=5, part=1+2@40-400"}, ""},
+		{"back-to-back partitions", []string{"-faults", "part=3@400-900,part=1+2@40-400"}, ""},
+		{"partition healing past the horizon", []string{"-faults", "part=1+2@40-5000"}, ""},
 
 		{"unknown algo", []string{"-algo", "paxos"}, `protocol: unknown kind "paxos"`},
 		{"empty algo", []string{"-algo", ""}, "protocol: kind is required"},
 		{"unknown fd", []string{"-fd", "psychic"}, `oracle: unknown kind "psychic"`},
-		{"drop above 100", []string{"-faults", "drop=150"}, "drop_pct = 150%"},
-		{"negative drop", []string{"-faults", "drop=-5"}, "drop_pct = -5%"},
-		{"negative delay", []string{"-faults", "delay=-1"}, "max_extra_delay = -1"},
+		{"drop above 100", []string{"-faults", "drop=150"}, "drop pct = 150%"},
+		{"negative drop", []string{"-faults", "drop=-5"}, "drop pct = -5%"},
+		{"negative delay", []string{"-faults", "delay=-1"}, "delay bound = -1"},
 		{"zero seeds", []string{"-seeds", "0"}, "-seeds"},
 		{"negative seeds", []string{"-seeds", "-100"}, "-seeds"},
 		{"negative chunk", []string{"-chunk", "-1"}, "-chunk"},
@@ -51,7 +53,11 @@ func TestValidateFlags(t *testing.T) {
 		{"negative horizon", []string{"-horizon", "-7"}, "horizon = -7"},
 		{"unknown fault", []string{"-faults", "wibble=3"}, `unknown fault "wibble"`},
 		{"partition without heal", []string{"-faults", "part=1+2@40"}, "bad part"},
-		{"partition side out of range", []string{"-faults", "part=1+17@40-400"}, "side process 17"},
+		{"partition side out of range", []string{"-faults", "part=1+17@40-400"}, "side node 17"},
+		{"partition healing before it starts", []string{"-faults", "part=1+2@400-40"}, "not after it starts"},
+		{"partition healing as it starts", []string{"-faults", "part=1+2@40-40"}, "not after it starts"},
+		{"overlapping partitions", []string{"-faults", "part=3@300-900,part=1+2@40-400"}, "overlap in time"},
+		{"partition starting past the horizon", []string{"-faults", "part=1+2@2500-3000"}, "beyond the horizon"},
 		{"crash without time", []string{"-crash", "p2"}, "-crash"},
 		{"crash out of range", []string{"-crash", "p17@40"}, "process 17 outside"},
 		{"crash twice", []string{"-crash", "p2@40,p2@50"}, "crashes twice"},
@@ -76,6 +82,43 @@ func TestValidateFlags(t *testing.T) {
 				t.Errorf("error %q is not one line", err)
 			}
 		})
+	}
+}
+
+// TestFaultsFlagLowering pins the plan -faults lowers to: rates from
+// tick 0 (none for a zero rate), partitions in time order, each cut
+// healed at its until unless that lies past the horizon.
+func TestFaultsFlagLowering(t *testing.T) {
+	for _, tc := range []struct {
+		faults string
+		want   []scenario.ActionSpec
+	}{
+		{"drop=0,delay=0", nil},
+		{"delay=5,drop=3,drop=10", []scenario.ActionSpec{
+			{Action: "drop", Pct: 10},
+			{Action: "delay", Bound: 5},
+		}},
+		{"part=3@400-2500,part=1+2@40-400", []scenario.ActionSpec{
+			{At: 40, Action: "cut", Side: []int{1, 2}},
+			{At: 400, Action: "heal", Side: []int{1, 2}},
+			{At: 400, Action: "cut", Side: []int{3}},
+		}},
+	} {
+		_, _, srcs, err := prepare([]string{"validate", "-horizon", "2000", "-faults", tc.faults})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.faults, err)
+		}
+		spec := srcs[0].spec
+		if fmt.Sprint(spec.Plan) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: plan %+v, want %+v", tc.faults, spec.Plan, tc.want)
+		}
+		wantSchema := ""
+		if tc.want != nil {
+			wantSchema = scenario.SchemaV3
+		}
+		if spec.Schema != wantSchema {
+			t.Errorf("%s: schema %q, want %q", tc.faults, spec.Schema, wantSchema)
+		}
 	}
 }
 
@@ -199,7 +242,7 @@ func legacySweepScenario(algo, oracle string, n int, horizon int64, crashes [][2
 		sc.StopWhen = func() func(*sim.Trace) bool { return sim.CorrectDecided(0) }
 	}
 	if drop > 0 || delay > 0 {
-		sc.Faults = &sim.LinkFaults{DropPct: drop, MaxExtraDelay: model.Time(delay)}
+		sc.Faults = &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: drop}}, DelaySteps: []sim.DelayStep{{Max: model.Time(delay)}}}
 	}
 	return sc
 }

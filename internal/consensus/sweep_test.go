@@ -86,7 +86,7 @@ func TestSFloodingFaultyLinkSweep(t *testing.T) {
 		},
 		Policy: func() sim.Policy { return &sim.RandomFairPolicy{} },
 		Faults: &sim.LinkFaults{
-			MaxExtraDelay: 8,
+			DelaySteps: []sim.DelayStep{{Max: 8}},
 			// {p1, p3} severed from {p2, p4, p5}.
 			Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
 				{A: 1, B: 2}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 3, B: 4}, {A: 3, B: 5},
@@ -183,8 +183,8 @@ func TestRotatingLossyLinkSafetySweep(t *testing.T) {
 		},
 		Policy: func() sim.Policy { return &sim.RandomFairPolicy{} },
 		Faults: &sim.LinkFaults{
-			DropPct:       25,
-			MaxExtraDelay: 10,
+			DropSteps:  []sim.RateStep{{Pct: 25}},
+			DelaySteps: []sim.DelayStep{{Max: 10}},
 			// {p2, p5} severed from {p1, p3, p4}.
 			Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
 				{A: 1, B: 2}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 3, B: 5}, {A: 4, B: 5},

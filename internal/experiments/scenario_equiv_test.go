@@ -82,7 +82,7 @@ func TestScenarioFilesMatchStructs(t *testing.T) {
 			file:  "E1",
 			override: func(s *scenario.Spec) {
 				s.Oracle = scenario.OracleSpec{Kind: scenario.OracleRealisticStrong, BaseDelay: 1, Seed: 3, JitterMax: 4}
-				s.Faults = healingNetSpec()
+				s.Schema, s.Plan = scenario.SchemaV3, healingNetSpec()
 				s.Crashes = crashSpecs(2, 30, 90, 150, 210)
 			},
 			ref: harness.Scenario{
@@ -92,7 +92,7 @@ func TestScenarioFilesMatchStructs(t *testing.T) {
 				Pattern: crashPat(2, 30, 90, 150, 210),
 				Policy:  rf,
 				Faults: &sim.LinkFaults{
-					MaxExtraDelay: 6,
+					DelaySteps: []sim.DelayStep{{Max: 6}},
 					// {p1, p2} severed from {p3, p4, p5}.
 					Cuts: []sim.EdgeCut{{Edges: []sim.Edge{
 						{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5},
@@ -222,7 +222,7 @@ func TestScenarioFilesMatchStructs(t *testing.T) {
 				Automaton: consensus.Rotating{Proposals: props},
 				OracleFor: esOracleFor, Horizon: 6000,
 				Pattern: noCrash, Policy: rf,
-				Faults: &sim.LinkFaults{DropPct: 15, MaxExtraDelay: 4},
+				Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 15}}, DelaySteps: []sim.DelayStep{{Max: 4}}},
 			},
 		},
 	}

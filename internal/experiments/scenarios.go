@@ -47,12 +47,11 @@ func crashSpecs(crashes int, times ...int64) []scenario.CrashSpec {
 // healingNetSpec is the loss-free faulty-link plan used where liveness
 // is still asserted: bounded extra delay plus a partition that heals,
 // so every message is eventually delivered (condition (5) of §2.4
-// holds within the horizon).
-func healingNetSpec() *scenario.FaultSpec {
-	return &scenario.FaultSpec{
-		MaxExtraDelay: 6,
-		Partitions: []scenario.PartitionSpec{
-			{Side: []int{1, 2}, From: 40, Until: 400},
-		},
+// holds within the horizon). It needs schema scenario.SchemaV3.
+func healingNetSpec() []scenario.ActionSpec {
+	return []scenario.ActionSpec{
+		{At: 0, Action: "delay", Bound: 6},
+		{At: 40, Action: "cut", Side: []int{1, 2}},
+		{At: 400, Action: "heal"},
 	}
 }

@@ -57,8 +57,8 @@ func E1Totality(seeds int) *Table {
 		{Kind: scenario.OracleRealisticStrong, BaseDelay: 1, Seed: 3, JitterMax: 4},
 	}
 	networks := []struct {
-		label  string
-		faults *scenario.FaultSpec
+		label string
+		plan  []scenario.ActionSpec
 	}{
 		{"fair", nil},
 		{"delay+partition", healingNetSpec()},
@@ -74,7 +74,9 @@ func E1Totality(seeds int) *Table {
 			for _, crashes := range []int{0, 1, 2, 4} {
 				s := base
 				s.Oracle = o
-				s.Faults = net.faults
+				if net.plan != nil {
+					s.Schema, s.Plan = scenario.SchemaV3, net.plan
+				}
 				s.Crashes = crashSpecs(crashes, 30, 90, 150, 210)
 				sc := scenario.MustBuild(s)
 				agg := streamAgg(sc, seeds, func(r harness.Result) e1Agg {

@@ -50,7 +50,7 @@ func TestSweepParallelEqualsSequential(t *testing.T) {
 	for _, faults := range []*sim.LinkFaults{
 		nil,
 		// {p1, p3} cut off from the rest of Ω = {p1..p5}.
-		{DropPct: 15, MaxExtraDelay: 4, Cuts: []sim.EdgeCut{{
+		{DropSteps: []sim.RateStep{{Pct: 15}}, DelaySteps: []sim.DelayStep{{Max: 4}}, Cuts: []sim.EdgeCut{{
 			Edges: []sim.Edge{{A: 1, B: 2}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 2, B: 3}, {A: 3, B: 4}, {A: 3, B: 5}},
 			From:  50, Until: 500,
 		}}},
@@ -150,7 +150,7 @@ func TestAfterStepFactoryIsolatesRuns(t *testing.T) {
 // as a FaultyPolicy around the scenario policy.
 func TestScenarioFaultsWrapPolicy(t *testing.T) {
 	t.Parallel()
-	sc := testScenario(&sim.LinkFaults{DropPct: 10})
+	sc := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 10}}})
 	cfg := sc.Config(3)
 	fp, ok := cfg.Policy.(*sim.FaultyPolicy)
 	if !ok {

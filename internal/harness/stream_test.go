@@ -46,7 +46,7 @@ func TestStreamMatchesRetained(t *testing.T) {
 	t.Parallel()
 	for _, faults := range []*sim.LinkFaults{
 		nil,
-		{DropPct: 20, MaxExtraDelay: 3},
+		{DropSteps: []sim.RateStep{{Pct: 20}}, DelaySteps: []sim.DelayStep{{Max: 3}}},
 	} {
 		sc := testScenario(faults)
 		want := refStats(t, sc, Seeds(24))
@@ -73,7 +73,7 @@ func TestStreamMatchesRetained(t *testing.T) {
 // maximum contention; its value is running under -race in CI.
 func TestStreamMergeRace(t *testing.T) {
 	t.Parallel()
-	sc := testScenario(&sim.LinkFaults{DropPct: 10})
+	sc := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 10}}})
 	sc.ConfigDigest = "sha256:race"
 	path := filepath.Join(t.TempDir(), "race.ckpt")
 	got, err := Stream(sc, Seeds(32), SweepReducer(), StreamOptions{
@@ -108,7 +108,7 @@ func interruptAfter(red Reducer[SweepStats], n int64, cancel context.CancelFunc)
 // checkpoint without executing anything.
 func TestCheckpointResume(t *testing.T) {
 	t.Parallel()
-	sc := testScenario(&sim.LinkFaults{DropPct: 15, MaxExtraDelay: 2})
+	sc := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 15}}, DelaySteps: []sim.DelayStep{{Max: 2}}})
 	sc.ConfigDigest = "sha256:resume"
 	seeds := Seeds(30)
 	want := refStats(t, sc, seeds)
@@ -188,13 +188,13 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 func TestCheckpointConfigChangeRejected(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "config.ckpt")
-	sc := testScenario(&sim.LinkFaults{DropPct: 10})
+	sc := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 10}}})
 	sc.ConfigDigest = "sha256:drop10"
 	if _, err := Stream(sc, Seeds(8), SweepReducer(), StreamOptions{ChunkSize: 4, Checkpoint: path}); err != nil {
 		t.Fatal(err)
 	}
 
-	changed := testScenario(&sim.LinkFaults{DropPct: 30}) // same Name, different faults
+	changed := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}}) // same Name, different faults
 	changed.ConfigDigest = "sha256:drop30"
 	if changed.Name != sc.Name {
 		t.Fatalf("test scenarios must share a name: %q vs %q", changed.Name, sc.Name)
@@ -323,7 +323,7 @@ func TestSeedRangeValidation(t *testing.T) {
 // lossless, including the histogram and stop counters.
 func TestSweepStatsJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	st := refStats(t, testScenario(&sim.LinkFaults{DropPct: 25}), Seeds(6))
+	st := refStats(t, testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 25}}}), Seeds(6))
 	data, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestStreamEmptyRange(t *testing.T) {
 // under -race, where a shared context is also a reported data race.
 func TestStreamRecyclesRunContexts(t *testing.T) {
 	t.Parallel()
-	sc := testScenario(&sim.LinkFaults{MaxExtraDelay: 3})
+	sc := testScenario(&sim.LinkFaults{DelaySteps: []sim.DelayStep{{Max: 3}}})
 	seeds := Seeds(8)
 	want := refStats(t, sc, seeds)
 

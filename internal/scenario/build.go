@@ -189,69 +189,36 @@ func MustBuild(s Spec) harness.Scenario {
 	return sc
 }
 
-// buildFaults compiles the fault plan against the generated topology:
-// side partitions become cuts of the crossing edges, explicit cuts are
-// taken as given (Validate already checked they exist), and a sparse
-// topology contributes one permanent cut of every non-edge. A /v3
-// FaultPlan lowers onto the same machinery: timed drop/delay actions
-// become piecewise-constant RateStep/DelayStep timelines, cut/heal
-// pairs become EdgeCuts, pause/resume isolate a node's incident edges
-// for the window, and a joiner is link-isolated from tick 0 until its
-// join instant. Returns nil when nothing perturbs the network.
+// buildFaults compiles the link faults against the generated
+// topology: a sparse topology contributes one permanent cut of every
+// non-edge, and the FaultPlan lowers onto the same machinery. Returns
+// nil when nothing perturbs the network.
 func (s Spec) buildFaults(plan *FaultPlan) (*sim.LinkFaults, error) {
 	edges, err := s.Topology.Edges(s.N)
 	if err != nil {
 		return nil, err
 	}
 	var lf sim.LinkFaults
-	if s.Faults != nil {
-		lf.DropPct = s.Faults.DropPct
-		lf.MaxExtraDelay = model.Time(s.Faults.MaxExtraDelay)
-		for i, p := range s.Faults.Partitions {
-			cut := sim.EdgeCut{From: model.Time(p.From), Until: model.Time(p.Until)}
-			switch {
-			case len(p.Side) > 0:
-				side := model.NewProcessSet()
-				for _, id := range p.Side {
-					side = side.Add(model.ProcessID(id))
-				}
-				for _, e := range edges {
-					if side.Has(e.A) != side.Has(e.B) {
-						cut.Edges = append(cut.Edges, e)
-					}
-				}
-			default:
-				for _, e := range p.Cut {
-					k := canonEdge(e[0], e[1])
-					cut.Edges = append(cut.Edges, sim.Edge{A: model.ProcessID(k.a), B: model.ProcessID(k.b)})
-				}
-			}
-			if len(cut.Edges) == 0 {
-				return nil, fmt.Errorf("scenario %q: faults: partition %d severs no topology edge", s.Name, i)
-			}
-			lf.Cuts = append(lf.Cuts, cut)
-		}
-	}
 	if missing := s.missingEdges(edges); len(missing) > 0 {
 		// A sparse topology is a permanent severing of its non-links;
 		// Until reaches past the horizon so the cut never heals.
 		lf.Cuts = append(lf.Cuts, sim.EdgeCut{Edges: missing, From: 0, Until: model.Time(s.Horizon) + 1})
 	}
-	if !plan.Empty() {
-		s.lowerPlan(plan, edges, &lf)
-	}
+	s.lowerPlan(plan, edges, &lf)
 	if !lf.Active() {
 		return nil, nil
 	}
 	return &lf, nil
 }
 
-// lowerPlan folds a compiled FaultPlan into the link-fault set. The
-// churn approximations are deliberate: a paused node is modeled as
-// total link isolation for the window (its local steps continue, but
-// the detector-visible silence is what QoS measures), and a joiner
-// exists from tick 0 but is isolated until its join instant —
-// "partitioned from birth, healing at the join".
+// lowerPlan folds a compiled FaultPlan into the link-fault set: timed
+// drop/delay actions become piecewise-constant RateStep/DelayStep
+// timelines and cut/heal pairs become EdgeCuts. The churn
+// approximations are deliberate: a paused node is modeled as total
+// link isolation for the window (its local steps continue, but the
+// detector-visible silence is what QoS measures), and a joiner exists
+// from tick 0 but is isolated until its join instant — "partitioned
+// from birth, healing at the join".
 func (s Spec) lowerPlan(plan *FaultPlan, edges []sim.Edge, lf *sim.LinkFaults) {
 	never := model.Time(s.Horizon) + 1
 	type interval struct {

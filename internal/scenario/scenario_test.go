@@ -16,6 +16,7 @@ import (
 // most tests below.
 func validSpec() Spec {
 	return Spec{
+		Schema:   SchemaV3,
 		Name:     "test",
 		N:        5,
 		Horizon:  2000,
@@ -23,15 +24,17 @@ func validSpec() Spec {
 		Protocol: ProtocolSpec{Kind: ProtocolSFlooding},
 		Oracle:   OracleSpec{Kind: OraclePerfect, Delay: 2},
 		Crashes:  []CrashSpec{{Process: 2, At: 40}},
-		Faults: &FaultSpec{
-			MaxExtraDelay: 3,
-			Partitions:    []PartitionSpec{{Side: []int{1, 2}, From: 40, Until: 400}},
+		Plan: []ActionSpec{
+			{At: 0, Action: "delay", Bound: 3},
+			{At: 40, Action: "cut", Side: []int{1, 2}},
+			{At: 400, Action: "heal"},
 		},
 		Stop: StopSpec{Kind: StopDecided},
 	}
 }
 
 const validJSON = `{
+  "schema": "fdspec/v3",
   "name": "test",
   "n": 5,
   "horizon": 2000,
@@ -39,10 +42,11 @@ const validJSON = `{
   "protocol": {"kind": "sflooding"},
   "oracle": {"kind": "perfect", "delay": 2},
   "crashes": [{"process": 2, "at": 40}],
-  "faults": {
-    "max_extra_delay": 3,
-    "partitions": [{"side": [1, 2], "from": 40, "until": 400}]
-  },
+  "plan": [
+    {"at": 0, "action": "delay", "bound": 3},
+    {"at": 40, "action": "cut", "side": [1, 2]},
+    {"at": 400, "action": "heal"}
+  ],
   "stop": {"kind": "decided"}
 }`
 
@@ -57,8 +61,6 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		wantErr string
 	}{
 		{"bad topology kind", func(s Spec) Spec { s.Topology.Kind = "torus"; return s }, `unknown kind "torus"`},
-		{"drop over 100", func(s Spec) Spec { s.Faults.DropPct = 150; return s }, "drop_pct = 150%"},
-		{"negative drop", func(s Spec) Spec { s.Faults.DropPct = -3; return s }, "drop_pct = -3%"},
 		{"unknown oracle", func(s Spec) Spec { s.Oracle.Kind = "psychic"; return s }, `unknown kind "psychic"`},
 		{"unknown protocol", func(s Spec) Spec { s.Protocol.Kind = "paxos"; return s }, `unknown kind "paxos"`},
 		{"crash out of range", func(s Spec) Spec { s.Crashes[0].Process = 9; return s }, "process 9 outside [1, 5]"},
@@ -66,10 +68,6 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"inverted seeds", func(s Spec) Spec { s.Seeds = SeedSpec{From: 10, To: 3}; return s }, "inverted range"},
 		{"no horizon", func(s Spec) Spec { s.Horizon = 0; return s }, "horizon"},
 		{"n zero", func(s Spec) Spec { s.N = 0; return s }, "n = 0"},
-		{"side and cut", func(s Spec) Spec {
-			s.Faults.Partitions[0].Cut = [][2]int{{1, 2}}
-			return s
-		}, "exactly one of side and cut"},
 		{"trb without waves", func(s Spec) Spec { s.Protocol = ProtocolSpec{Kind: ProtocolTRB}; s.Stop = StopSpec{}; return s }, "waves"},
 		{"all-delivered without trb", func(s Spec) Spec { s.Stop = StopSpec{Kind: StopAllDelivered}; return s }, "requires the trb protocol"},
 		{"per_seed on perfect", func(s Spec) Spec { s.Oracle.PerSeed = true; return s }, "per_seed"},
@@ -96,17 +94,22 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 }
 
 // TestParseRejectsUnknownFields pins strict decoding: a typo anywhere
-// in the document — top level or nested — is an error.
+// in the document — top level or nested — is an error, and so is the
+// retired v2 "faults" block, so an old file cannot run with no faults.
 func TestParseRejectsUnknownFields(t *testing.T) {
 	t.Parallel()
-	for _, doc := range []string{
-		strings.Replace(validJSON, `"name"`, `"nmae"`, 1),
-		strings.Replace(validJSON, `"delay": 2`, `"delay": 2, "jitter": 5`, 1),
-		strings.Replace(validJSON, `"from": 40`, `"frm": 40`, 1),
-		validJSON + `{"second": "document"}`,
+	for _, c := range []struct{ doc, wantErr string }{
+		{strings.Replace(validJSON, `"name"`, `"nmae"`, 1), `unknown field "nmae"`},
+		{strings.Replace(validJSON, `"delay": 2`, `"delay": 2, "jitter": 5`, 1), `unknown field "jitter"`},
+		{strings.Replace(validJSON, `"bound": 3`, `"bnd": 3`, 1), `unknown field "bnd"`},
+		{strings.Replace(validJSON, `"stop"`, `"faults": {"drop_pct": 10}, "stop"`, 1), `unknown field "faults"`},
+		{validJSON + `{"second": "document"}`, "trailing data"},
 	} {
-		if _, err := Parse([]byte(doc)); err == nil {
-			t.Errorf("malformed document accepted:\n%s", doc)
+		_, err := Parse([]byte(c.doc))
+		if err == nil {
+			t.Errorf("malformed document accepted:\n%s", c.doc)
+		} else if !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("error %q does not mention %q", err, c.wantErr)
 		}
 	}
 	if _, err := Parse([]byte(validJSON)); err != nil {
@@ -121,7 +124,7 @@ func TestPartitionCutMustExistInTopology(t *testing.T) {
 	t.Parallel()
 	s := validSpec()
 	s.Topology = TopologySpec{Kind: TopologyRing}
-	s.Faults.Partitions[0] = PartitionSpec{Cut: [][2]int{{1, 3}}, From: 10, Until: 20}
+	s.Plan[1] = ActionSpec{At: 10, Action: "cut", Cut: [][2]int{{1, 3}}}
 	err := s.Validate()
 	if err == nil {
 		t.Fatal("cut of a nonexistent ring edge validated")
@@ -130,7 +133,7 @@ func TestPartitionCutMustExistInTopology(t *testing.T) {
 		t.Fatalf("error %q does not name the missing edge", err)
 	}
 	// The same cut is fine where the edge exists.
-	s.Faults.Partitions[0].Cut = [][2]int{{1, 2}}
+	s.Plan[1].Cut = [][2]int{{1, 2}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("ring-edge cut rejected: %v", err)
 	}
@@ -183,7 +186,7 @@ func TestConfigDigestRoundTrip(t *testing.T) {
 	}
 
 	changed := validSpec()
-	changed.Faults.MaxExtraDelay = 4
+	changed.Plan[0].Bound = 4
 	d4, err := changed.ConfigDigest()
 	if err != nil {
 		t.Fatal(err)
@@ -284,7 +287,8 @@ func TestBuildRunsDeterministically(t *testing.T) {
 	t.Parallel()
 	s := validSpec()
 	s.Topology = TopologySpec{Kind: TopologyRing}
-	s.Faults.Partitions[0] = PartitionSpec{Cut: [][2]int{{2, 3}}, From: 10, Until: 200}
+	s.Plan[1] = ActionSpec{At: 10, Action: "cut", Cut: [][2]int{{2, 3}}}
+	s.Plan[2].At = 200
 	digests := func() []string {
 		sc := MustBuild(s)
 		var out []string
@@ -345,7 +349,7 @@ func TestBuildSparseTopologyBlocksNonEdges(t *testing.T) {
 func TestBuildAbcastAndEventuallyPerfect(t *testing.T) {
 	t.Parallel()
 	s := validSpec()
-	s.Faults = nil
+	s.Plan = nil
 	s.Stop = StopSpec{}
 	s.Protocol = ProtocolSpec{Kind: ProtocolAbcast, MaxInstances: 30}
 	s.Oracle = OracleSpec{Kind: OracleEventuallyPerfect, GST: 100, Delay: 3, FalseRate: 10, PerSeed: true}

@@ -33,8 +33,9 @@ import (
 type Spec struct {
 	// Schema versions the spec format: empty for the original (v2)
 	// schema, SchemaV3 for specs that use the fault-plan IR fields
-	// (Plan, Live). v3 is a strict superset of v2 — every v2 document
-	// is a valid v3 document with no plan.
+	// (Plan, Live), the one spelling of link faults. v2's own "faults"
+	// block is retired: it is an unknown field, so an old file fails to
+	// parse instead of running with no faults.
 	Schema string `json:"schema,omitempty"`
 	// Name labels the scenario; the scenario runner also derives
 	// checkpoint file names from it.
@@ -55,8 +56,6 @@ type Spec struct {
 	// Topology is the generated communication graph; the zero value
 	// means complete.
 	Topology TopologySpec `json:"topology,omitzero"`
-	// Faults is the link-fault plan, expressed against the topology.
-	Faults *FaultSpec `json:"faults,omitempty"`
 	// Plan is the /v3 fault-plan timeline: typed actions (cut, heal,
 	// drop, delay, kill, pause, resume, leave, join) compiled to the
 	// FaultPlan IR that both the simulator and the live cluster
@@ -158,29 +157,6 @@ type TopologySpec struct {
 	EdgeProb int `json:"edge_prob,omitempty"`
 	// Degree is the arity of "tree" topologies; default 2.
 	Degree int `json:"degree,omitempty"`
-}
-
-// FaultSpec is the link-fault plan.
-type FaultSpec struct {
-	// DropPct is the percentage (0..100) of messages lost forever.
-	DropPct int `json:"drop_pct,omitempty"`
-	// MaxExtraDelay bounds the per-message uniform extra latency.
-	MaxExtraDelay int64 `json:"max_extra_delay,omitempty"`
-	// Partitions are scripted topology cuts.
-	Partitions []PartitionSpec `json:"partitions,omitempty"`
-}
-
-// PartitionSpec is one scripted, topology-aware partition: exactly one
-// of Side and Cut must be given. Side lists the processes on one side
-// of a boundary; every topology edge crossing the boundary is severed.
-// Cut lists explicit [a, b] edges, each of which must exist in the
-// generated topology. Either way the severed edges compile to one
-// sim.EdgeCut active while From ≤ t < Until.
-type PartitionSpec struct {
-	Side  []int    `json:"side,omitempty"`
-	Cut   [][2]int `json:"cut,omitempty"`
-	From  int64    `json:"from"`
-	Until int64    `json:"until"`
 }
 
 // PolicySpec selects the scheduling policy. Kinds: "random-fair"

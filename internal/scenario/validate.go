@@ -40,8 +40,8 @@ const (
 )
 
 // SchemaV3 is the spec schema that adds the fault-plan IR fields (Plan,
-// Live). The empty schema is the original v2 format; v3 is a strict
-// superset, so every v2 document parses unchanged.
+// Live). The empty schema is the original v2 format without link
+// faults; every such document is a valid v3 document with no plan.
 const SchemaV3 = "fdspec/v3"
 
 // Validate checks every constraint a well-formed spec must satisfy; it
@@ -128,34 +128,6 @@ func (s Spec) Validate() error {
 	edges, err := s.Topology.edgeSet(s.N)
 	if err != nil {
 		return fail("%v", err)
-	}
-
-	if f := s.Faults; f != nil {
-		if f.DropPct < 0 || f.DropPct > 100 {
-			return fail("faults: drop_pct = %d%% outside [0, 100]", f.DropPct)
-		}
-		if f.MaxExtraDelay < 0 {
-			return fail("faults: max_extra_delay = %d must be non-negative", f.MaxExtraDelay)
-		}
-		for i, p := range f.Partitions {
-			if (len(p.Side) > 0) == (len(p.Cut) > 0) {
-				return fail("faults: partition %d must give exactly one of side and cut", i)
-			}
-			for _, id := range p.Side {
-				if id < 1 || id > s.N {
-					return fail("faults: partition %d: side process %d outside [1, %d]", i, id, s.N)
-				}
-			}
-			for _, e := range p.Cut {
-				a, b := e[0], e[1]
-				if a < 1 || a > s.N || b < 1 || b > s.N || a == b {
-					return fail("faults: partition %d: bad edge [%d, %d]", i, a, b)
-				}
-				if !edges[canonEdge(a, b)] {
-					return fail("faults: partition %d: edge [%d, %d] does not exist in the %s topology", i, a, b, s.Topology.Kind)
-				}
-			}
-		}
 	}
 
 	if len(s.Plan) > 0 {

@@ -226,7 +226,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 			N: 8, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(8).MustCrash(3, 20),
 			Horizon: 300, Seed: 5,
-			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 30}},
+			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}}},
 		},
 		"busy n=6": {
 			N: 6, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{},
@@ -237,7 +237,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 			N: 64, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(64).MustCrash(7, 300),
 			Horizon: 1500, Seed: 11,
-			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 35}},
+			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 35}}}},
 		},
 	} {
 		tr, err := sim.Execute(cfg)
@@ -500,7 +500,7 @@ func TestBackReferenceSoundness(t *testing.T) {
 	base, err := sim.Execute(sim.Config{
 		N: 6, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 		Horizon: 200, Seed: 3,
-		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 30}},
+		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -655,7 +655,7 @@ func FuzzDigestRoundTrip(f *testing.F) {
 		}
 		var policy sim.Policy = &sim.RandomFairPolicy{}
 		if drop := int(dropRaw % 60); drop > 0 {
-			policy = &sim.FaultyPolicy{Inner: policy, Faults: sim.LinkFaults{DropPct: drop}}
+			policy = &sim.FaultyPolicy{Inner: policy, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: drop}}}}
 		}
 		victim := model.ProcessID(1 + uint64(seed)%uint64(n))
 		tr, err := sim.Execute(sim.Config{

@@ -15,15 +15,6 @@ type Edge struct {
 	A, B model.ProcessID
 }
 
-// Canon returns the edge with its endpoints ordered A ≤ B, the
-// canonical form used for set membership.
-func (e Edge) Canon() Edge {
-	if e.B < e.A {
-		return Edge{A: e.B, B: e.A}
-	}
-	return e
-}
-
 // String renders the edge, e.g. "p1-p4".
 func (e Edge) String() string {
 	return fmt.Sprintf("%v-%v", e.A, e.B)
@@ -60,31 +51,28 @@ func (ec EdgeCut) String() string {
 // replayed with the same sim.Config (and therefore the same engine RNG
 // stream) reproduces the exact same losses, delays and partitions.
 //
-// Liveness caveat: DropPct > 0 models a lossy link without
-// retransmission, so condition (5) of §2.4 (every message to a correct
-// process is eventually received) no longer holds and only safety
-// properties should be asserted. MaxExtraDelay and healed Cuts
-// preserve eventual delivery within a sufficient horizon; a
-// cut whose Until lies at or beyond the horizon permanently severs its
-// links (how the scenario DSL embeds sparse topologies).
+// Loss and extra delay are piecewise-constant in send time: a constant
+// rate is one step at From 0, and no step means no loss (no delay).
+//
+// Liveness caveat: a DropSteps segment with Pct > 0 models a lossy link
+// without retransmission, so condition (5) of §2.4 (every message to a
+// correct process is eventually received) no longer holds and only
+// safety properties should be asserted. Extra delay and healed Cuts
+// preserve eventual delivery within a sufficient horizon; a cut whose
+// Until lies at or beyond the horizon permanently severs its links (how
+// the scenario DSL embeds sparse topologies).
 type LinkFaults struct {
-	// DropPct is the percentage (0..100) of messages lost forever.
-	DropPct int
-	// MaxExtraDelay adds a per-message extra latency drawn uniformly
-	// from [0, MaxExtraDelay] ticks: the message is invisible to its
-	// destination until SentAt + extra.
-	MaxExtraDelay model.Time
 	// Cuts are scripted partitions: severings of explicit edge sets,
 	// each healing at its Until time.
 	Cuts []EdgeCut
-	// DropSteps, when non-empty, makes the loss rate piecewise-constant
-	// in send time: a message sent at t is dropped with the Pct of the
-	// last step whose From ≤ t (DropPct applies before the first step).
-	// Steps must be sorted by From. This is the lowering target of the
-	// fault-plan IR's timed drop actions.
+	// DropSteps makes the loss rate piecewise-constant in send time: a
+	// message sent at t is dropped with the Pct of the last step whose
+	// From ≤ t (none before the first step). Steps must be sorted by
+	// From. The scenario DSL lowers its timed drop actions here.
 	DropSteps []RateStep
-	// DelaySteps likewise schedules the extra-delay bound by send time
-	// (MaxExtraDelay applies before the first step).
+	// DelaySteps likewise schedules the extra-delay bound by send time:
+	// a message draws its extra latency uniformly from [0, Max] ticks
+	// and is invisible to its destination until SentAt + extra.
 	DelaySteps []DelayStep
 }
 
@@ -106,7 +94,7 @@ type DelayStep struct {
 
 // dropPctAt returns the loss rate for a message sent at t.
 func (lf LinkFaults) dropPctAt(t model.Time) int {
-	pct := lf.DropPct
+	pct := 0
 	for _, s := range lf.DropSteps {
 		if s.From > t {
 			break
@@ -118,7 +106,7 @@ func (lf LinkFaults) dropPctAt(t model.Time) int {
 
 // delayBoundAt returns the extra-delay bound for a message sent at t.
 func (lf LinkFaults) delayBoundAt(t model.Time) model.Time {
-	d := lf.MaxExtraDelay
+	var d model.Time
 	for _, s := range lf.DelaySteps {
 		if s.From > t {
 			break
@@ -130,9 +118,6 @@ func (lf LinkFaults) delayBoundAt(t model.Time) model.Time {
 
 // lossy reports whether any segment of the plan loses messages.
 func (lf LinkFaults) lossy() bool {
-	if lf.DropPct > 0 {
-		return true
-	}
 	for _, s := range lf.DropSteps {
 		if s.Pct > 0 {
 			return true
@@ -143,22 +128,16 @@ func (lf LinkFaults) lossy() bool {
 
 // Active reports whether the fault plan perturbs anything at all.
 func (lf LinkFaults) Active() bool {
-	return lf.DropPct > 0 || lf.MaxExtraDelay > 0 || len(lf.Cuts) > 0 ||
-		len(lf.DropSteps) > 0 || len(lf.DelaySteps) > 0
+	return len(lf.Cuts) > 0 || len(lf.DropSteps) > 0 || len(lf.DelaySteps) > 0
 }
 
-// String renders the plan, e.g. "faults{drop=10%,delay≤4,cuts=[cut{p1-p3}@40..400]}".
+// String renders the plan, e.g.
+// "faults{cuts=[cut{p1-p3}@40..400],drops=[10%@0],delays=[≤4@0]}".
 func (lf LinkFaults) String() string {
 	if !lf.Active() {
 		return "faults{none}"
 	}
 	var parts []string
-	if lf.DropPct > 0 {
-		parts = append(parts, fmt.Sprintf("drop=%d%%", lf.DropPct))
-	}
-	if lf.MaxExtraDelay > 0 {
-		parts = append(parts, fmt.Sprintf("delay≤%d", lf.MaxExtraDelay))
-	}
 	if len(lf.Cuts) > 0 {
 		cs := make([]string, len(lf.Cuts))
 		for i, c := range lf.Cuts {
@@ -212,10 +191,11 @@ type FaultyPolicy struct {
 	seeded  bool
 	visible []*Message // scratch: reused per PickMessage call
 	origIdx []int      // scratch: visible[i] = pending[origIdx[i]]
-	// cutSets holds the canonicalized edge set of each Faults.Cuts
-	// entry, built lazily so membership tests stay O(1) per message
-	// even for the large cuts sparse topologies compile into.
-	cutSets []map[Edge]struct{}
+	// cutAdjs holds one adjacency word per process for each
+	// Faults.Cuts entry, built lazily, so a membership test is one bit
+	// test per message even for the large cuts sparse topologies
+	// compile into.
+	cutAdjs [][]model.ProcessSet
 }
 
 var _ Policy = (*FaultyPolicy)(nil)
@@ -247,15 +227,12 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Dropped reports whether the plan loses message m forever. With
-// DropSteps the rate is the one in force at m.SentAt; the lottery hash
-// itself never depends on the rate, so two plans that agree on the rate
-// at m.SentAt agree on m's fate.
+// Dropped reports whether the plan loses message m forever, at the
+// rate in force at m.SentAt. The lottery hash itself never depends on
+// the rate, so two plans that agree on the rate at m.SentAt agree on
+// m's fate.
 func (fp *FaultyPolicy) Dropped(m *Message) bool {
-	pct := fp.Faults.DropPct
-	if len(fp.Faults.DropSteps) > 0 {
-		pct = fp.Faults.dropPctAt(m.SentAt)
-	}
+	pct := fp.Faults.dropPctAt(m.SentAt)
 	if pct <= 0 {
 		return false
 	}
@@ -265,31 +242,34 @@ func (fp *FaultyPolicy) Dropped(m *Message) bool {
 // ExtraDelay returns the extra latency the plan imposes on m, drawn
 // from the delay bound in force at m.SentAt.
 func (fp *FaultyPolicy) ExtraDelay(m *Message) model.Time {
-	d := fp.Faults.MaxExtraDelay
-	if len(fp.Faults.DelaySteps) > 0 {
-		d = fp.Faults.delayBoundAt(m.SentAt)
-	}
+	d := fp.Faults.delayBoundAt(m.SentAt)
 	if d <= 0 {
 		return 0
 	}
 	return model.Time(mix64(fp.seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
 }
 
-// cutSet returns the canonical edge set of cut i, building it on
-// first use.
-func (fp *FaultyPolicy) cutSet(i int) map[Edge]struct{} {
-	if fp.cutSets == nil {
-		fp.cutSets = make([]map[Edge]struct{}, len(fp.Faults.Cuts))
+// cutAdj returns the adjacency of cut i, indexed by process ID up to
+// the cut's highest endpoint: q is in adj[p] exactly when the cut
+// severs {p, q}. It is built on first use.
+func (fp *FaultyPolicy) cutAdj(i int) []model.ProcessSet {
+	if fp.cutAdjs == nil {
+		fp.cutAdjs = make([][]model.ProcessSet, len(fp.Faults.Cuts))
 	}
-	if fp.cutSets[i] == nil {
+	if fp.cutAdjs[i] == nil {
 		edges := fp.Faults.Cuts[i].Edges
-		set := make(map[Edge]struct{}, len(edges))
+		var top model.ProcessID
 		for _, e := range edges {
-			set[e.Canon()] = struct{}{}
+			top = max(top, e.A, e.B)
 		}
-		fp.cutSets[i] = set
+		adj := make([]model.ProcessSet, top+1)
+		for _, e := range edges {
+			adj[e.A] = adj[e.A].Add(e.B)
+			adj[e.B] = adj[e.B].Add(e.A)
+		}
+		fp.cutAdjs[i] = adj
 	}
-	return fp.cutSets[i]
+	return fp.cutAdjs[i]
 }
 
 // Deliverable reports whether m may reach its destination at time t
@@ -302,7 +282,7 @@ func (fp *FaultyPolicy) Deliverable(m *Message, t model.Time) bool {
 		if t < ec.From || t >= ec.Until {
 			continue
 		}
-		if _, cut := fp.cutSet(i)[Edge{A: m.From, B: m.To}.Canon()]; cut {
+		if adj := fp.cutAdj(i); int(m.From) < len(adj) && adj[m.From].Has(m.To) {
 			return false
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // depend on when or how often the policy looks at the buffer.
 func TestFaultyPolicyDropIsPerMessage(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{DropPct: 40}, Seed: 99}
+	fp := &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 40}}}, Seed: 99}
 	fp.seeded, fp.seed = true, fp.Seed
 	m := &Message{ID: 7, From: 1, To: 2, SentAt: 3}
 	first := fp.Dropped(m)
@@ -37,10 +37,10 @@ func TestFaultyPolicyDropIsPerMessage(t *testing.T) {
 	}
 }
 
-// TestFaultyPolicyDelayBounded checks 0 ≤ extra delay ≤ MaxExtraDelay.
+// TestFaultyPolicyDelayBounded checks 0 ≤ extra delay ≤ the delay bound.
 func TestFaultyPolicyDelayBounded(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{MaxExtraDelay: 5}, Seed: 4}
+	fp := &FaultyPolicy{Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 5}}}, Seed: 4}
 	fp.seeded, fp.seed = true, fp.Seed
 	seen := make(map[model.Time]bool)
 	for id := int64(1); id <= 500; id++ {
@@ -132,12 +132,12 @@ func TestFaultyPolicyDropLosesTraffic(t *testing.T) {
 	tr, err := Execute(Config{
 		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 300, Seed: 5,
-		Policy: &FaultyPolicy{Faults: LinkFaults{DropPct: 60}},
+		Policy: &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 60}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := &FaultyPolicy{Faults: LinkFaults{DropPct: 60}}
+	fp := &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 60}}}}
 	// Recover the lottery seed the run drew: replay the engine's RNG.
 	tr2, err := Execute(Config{
 		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
@@ -170,7 +170,7 @@ func TestFaultyPolicyDropLosesTraffic(t *testing.T) {
 // byte-identity).
 func TestLossyBacklogPurged(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropPct: 50}}
+	fp := &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropSteps: []RateStep{{Pct: 50}}}}
 	tr, err := Execute(Config{
 		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 4000, Seed: 9,
@@ -201,7 +201,7 @@ func TestLossyBacklogPurged(t *testing.T) {
 func TestFaultyPolicyComposesWithInner(t *testing.T) {
 	t.Parallel()
 	inner := &DelayPolicy{Target: model.NewProcessSet(2), Until: 50}
-	fp := &FaultyPolicy{Inner: inner, Faults: LinkFaults{MaxExtraDelay: 2}, Seed: 8}
+	fp := &FaultyPolicy{Inner: inner, Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 2}}}, Seed: 8}
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 200, Seed: 3, Policy: fp,
@@ -236,6 +236,8 @@ func TestEdgeCutBlocksOnlyCutEdges(t *testing.T) {
 		{2, 4, 15, true},  // listed in non-canonical order
 		{1, 2, 15, false}, // edge not in the cut
 		{3, 4, 15, false}, // edge not in the cut
+		{5, 1, 15, false}, // sender beyond every endpoint of the cut
+		{1, 5, 15, false}, // receiver beyond every endpoint of the cut
 		{1, 3, 9, false},  // before the cut
 		{1, 3, 20, false}, // healed
 	}
@@ -309,10 +311,10 @@ func TestLinkFaultsString(t *testing.T) {
 	if got := (LinkFaults{}).String(); got != "faults{none}" {
 		t.Errorf("empty plan renders %q", got)
 	}
-	lf := LinkFaults{DropPct: 10, MaxExtraDelay: 4,
+	lf := LinkFaults{DropSteps: []RateStep{{Pct: 10}}, DelaySteps: []DelayStep{{Max: 4}},
 		Cuts: []EdgeCut{{Edges: []Edge{{A: 1, B: 3}}, From: 5, Until: 15}}}
 	got := lf.String()
-	for _, want := range []string{"drop=10%", "delay≤4", "cut{p1-p3}@5..15"} {
+	for _, want := range []string{"drops=[10%@0]", "delays=[≤4@0]", "cut{p1-p3}@5..15"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("plan rendering %q missing %q", got, want)
 		}
@@ -320,16 +322,14 @@ func TestLinkFaultsString(t *testing.T) {
 	if !lf.lossy() {
 		t.Error("plan with drops claims loss-free")
 	}
-	if (LinkFaults{MaxExtraDelay: 3}).lossy() {
+	if (LinkFaults{DelaySteps: []DelayStep{{Max: 3}}}).lossy() {
 		t.Error("delay-only plan must be loss-free")
 	}
 }
 
 // TestFaultyPolicyStepTimelines pins the piecewise drop/delay
 // machinery: the rate in force at a message's send time decides its
-// fate, a timeline that matches the constant fields agrees with them
-// message for message, and empty timelines leave the classic path
-// untouched.
+// fate, and before the first step nothing is lost or delayed.
 func TestFaultyPolicyStepTimelines(t *testing.T) {
 	t.Parallel()
 	steps := &FaultyPolicy{Faults: LinkFaults{
@@ -359,22 +359,5 @@ func TestFaultyPolicyStepTimelines(t *testing.T) {
 	}
 	if (LinkFaults{DropSteps: []RateStep{{From: 0, Pct: 0}}}).lossy() {
 		t.Fatal("all-zero drop timeline is loss-free")
-	}
-
-	constant := &FaultyPolicy{Faults: LinkFaults{DropPct: 30, MaxExtraDelay: 4}, Seed: 17}
-	constant.seeded, constant.seed = true, constant.Seed
-	flat := &FaultyPolicy{Faults: LinkFaults{
-		DropSteps:  []RateStep{{From: 0, Pct: 30}},
-		DelaySteps: []DelayStep{{From: 0, Max: 4}},
-	}, Seed: 17}
-	flat.seeded, flat.seed = true, flat.Seed
-	for id := int64(1); id <= 500; id++ {
-		m := &Message{ID: id, SentAt: model.Time(id % 97)}
-		if constant.Dropped(m) != flat.Dropped(m) {
-			t.Fatalf("message %d: constant and flat-timeline drop verdicts differ", id)
-		}
-		if constant.ExtraDelay(m) != flat.ExtraDelay(m) {
-			t.Fatalf("message %d: constant and flat-timeline delays differ", id)
-		}
 	}
 }

@@ -79,8 +79,8 @@ func fuzzPolicy(kind uint8, dropPct, extraDelay uint8) Policy {
 		return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(1, 3), Until: 60}
 	default:
 		return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-			DropPct:       int(dropPct % 40),
-			MaxExtraDelay: model.Time(extraDelay % 8),
+			DropSteps:  []RateStep{{Pct: int(dropPct % 40)}},
+			DelaySteps: []DelayStep{{Max: model.Time(extraDelay % 8)}},
 			// {p1, p2} severed from the rest: the fuzzed n is at most 11,
 			// and edges to absent processes carry nothing.
 			Cuts: []EdgeCut{{Edges: []Edge{

@@ -28,14 +28,14 @@ func replayCases() []struct {
 			return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(3, 4), Until: 80}
 		}},
 		{"faulty-drop", func() Policy {
-			return &FaultyPolicy{Faults: LinkFaults{DropPct: 20}}
+			return &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 20}}}}
 		}},
 		{"faulty-delay", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{MaxExtraDelay: 6}}
+			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 6}}}}
 		}},
 		{"faulty-partition", func() Policy {
 			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-				DropPct: 5, MaxExtraDelay: 3,
+				DropSteps: []RateStep{{Pct: 5}}, DelaySteps: []DelayStep{{Max: 3}},
 				// {p1, p2, p3} severed from {p4, p5, p6}.
 				Cuts: []EdgeCut{{Edges: []Edge{
 					{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},

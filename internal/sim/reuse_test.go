@@ -44,7 +44,7 @@ func churnShape(n int, horizon model.Time, seed int64) sim.Config {
 		Pattern: model.MustPattern(n).MustCrash(2, horizon/2),
 		Horizon: horizon, Seed: seed,
 		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{},
-			Faults: sim.LinkFaults{DropPct: 20, MaxExtraDelay: 3}},
+			Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 20}}, DelaySteps: []sim.DelayStep{{Max: 3}}}},
 	}
 }
 
@@ -67,12 +67,12 @@ func sentCount(tr *sim.Trace) int {
 // fresh run has a zero.
 func TestReusedContextMatchesFresh(t *testing.T) {
 	consensus, err := scenario.Parse([]byte(`{
-		"name": "reuse-consensus", "n": 8, "horizon": 4000,
+		"schema": "fdspec/v3", "name": "reuse-consensus", "n": 8, "horizon": 4000,
 		"seeds": {"from": 0, "to": 1},
 		"protocol": {"kind": "sflooding"},
 		"oracle": {"kind": "perfect", "delay": 2},
 		"crashes": [{"process": 2, "at": 60}],
-		"faults": {"max_extra_delay": 4},
+		"plan": [{"at": 0, "action": "delay", "bound": 4}],
 		"stop": {"kind": "decided"}
 	}`))
 	if err != nil {

@@ -183,7 +183,7 @@ func TestEngineRejectsBadPolicyPick(t *testing.T) {
 	t.Parallel()
 	for _, policy := range []Policy{
 		&badPickPolicy{},
-		&FaultyPolicy{Inner: &badPickPolicy{}, Faults: LinkFaults{DropPct: 30}},
+		&FaultyPolicy{Inner: &badPickPolicy{}, Faults: LinkFaults{DropSteps: []RateStep{{Pct: 30}}}},
 	} {
 		_, err := Execute(Config{
 			N: 4, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
@@ -207,12 +207,9 @@ func (bp *badPickPolicy) PickMessage(_ model.ProcessID, pending []*Message, _ mo
 	return len(pending) + 3 // deliberately out of range
 }
 
-// TestCausalWalkMatchesReference checks CausalPast and Contributors on
-// every event of a busy run against a fresh depth-first search, so the
-// generation marks the walks share never leak from one walk into the
-// next, and holds Contributors to zero allocations once warm.
-func TestCausalWalkMatchesReference(t *testing.T) {
-	t.Parallel()
+// causalWalkRun is the busy run the causal-walk tests walk.
+func causalWalkRun(t *testing.T) *Trace {
+	t.Helper()
 	tr, err := Execute(Config{
 		N: 8, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 600, Seed: 5, Policy: &RandomFairPolicy{},
@@ -220,6 +217,16 @@ func TestCausalWalkMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tr
+}
+
+// TestCausalWalkMatchesReference checks CausalPast and Contributors on
+// every event of a busy run against a fresh depth-first search, so the
+// generation marks the walks share never leak from one walk into the
+// next.
+func TestCausalWalkMatchesReference(t *testing.T) {
+	t.Parallel()
+	tr := causalWalkRun(t)
 	for i := range tr.Events {
 		seen := make([]bool, len(tr.Events))
 		stack := []int{i}
@@ -253,6 +260,16 @@ func TestCausalWalkMatchesReference(t *testing.T) {
 			t.Fatalf("Contributors(%d) = %v, want %v", i, got, want)
 		}
 	}
+}
+
+// TestContributorsAllocBudgets holds Contributors to zero allocations
+// once its walk marks are warm. It is not parallel: AllocsPerRun counts
+// every allocation in the process, the other tests' included.
+func TestContributorsAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the budget holds for the build the benchmark measures")
+	}
+	tr := causalWalkRun(t)
 	last := len(tr.Events) - 1
 	if allocs := testing.AllocsPerRun(10, func() { tr.Contributors(last) }); allocs != 0 {
 		t.Errorf("Contributors allocates %.0f times per call", allocs)

@@ -19,7 +19,7 @@ func sample(t testing.TB) *sim.Trace {
 		N: 5, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 		Pattern: model.MustPattern(5).MustCrash(2, 9),
 		Horizon: 40, Seed: 4,
-		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropPct: 25}},
+		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 25}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
