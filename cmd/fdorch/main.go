@@ -82,10 +82,7 @@ func fdorch(args []string) int {
 		return fail(2, err)
 	}
 	if o.validate {
-		// Compiling the plan checks it against the generated overlay.
-		if _, err := spec.CompilePlan(); err != nil {
-			return fail(1, err)
-		}
+		// prepare has compiled the plan: Load and Validate both do.
 		fmt.Printf("%s: ok %s\n", spec.Name, digest)
 		return 0
 	}

@@ -221,10 +221,11 @@ func (o options) sources() ([]source, error) {
 }
 
 // flagSpec assembles the spec the config flags describe. It checks
-// only syntax; ranges and kinds are Spec.Validate's to judge.
+// the syntax and the -faults values (see parseFaults); the other
+// ranges and kinds are Spec.Build's to judge.
 func (o options) flagSpec() (scenario.Spec, error) {
 	crashes, err := parseCrashes(o.crash)
-	plan, err2 := parseFaults(o.faults, o.horizon)
+	plan, err2 := parseFaults(o.faults, o.n, o.horizon)
 	if err := cmp.Or(err, err2); err != nil {
 		return scenario.Spec{}, err
 	}
@@ -284,7 +285,9 @@ func parseCrashes(list string) ([]scenario.CrashSpec, error) {
 // boundary at from and heals it at until, or never when until lies past
 // the horizon. Windows must not overlap: a heal ends every cut of the
 // edges it names, where overlapping windows would mean their union.
-func parseFaults(list string, horizon int64) ([]scenario.ActionSpec, error) {
+// Rates and sides are checked here, against n and the horizon, since
+// an error from the plan would point into a plan the user never wrote.
+func parseFaults(list string, n int, horizon int64) ([]scenario.ActionSpec, error) {
 	if strings.TrimSpace(list) == "" {
 		return nil, nil
 	}
@@ -309,6 +312,12 @@ func parseFaults(list string, horizon int64) ([]scenario.ActionSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-faults: bad %s %q (want e.g. drop=10,delay=5,part=1+2@40-400)", key, val)
 		}
+		if drop < 0 || drop > 100 {
+			return nil, fmt.Errorf("-faults: drop=%d outside [0, 100]", drop)
+		}
+		if delay < 0 {
+			return nil, fmt.Errorf("-faults: delay=%d must be non-negative", delay)
+		}
 	}
 	var plan []scenario.ActionSpec
 	if drop != 0 {
@@ -319,8 +328,19 @@ func parseFaults(list string, horizon int64) ([]scenario.ActionSpec, error) {
 	}
 	slices.SortStableFunc(parts, func(a, b partition) int { return cmp.Compare(a.from, b.from) })
 	for i, p := range parts {
+		for _, id := range p.side {
+			if id < 1 || id > n {
+				return nil, fmt.Errorf("-faults: part=%s names process %d outside [1, %d]", p.text, id, n)
+			}
+		}
+		if len(slices.Compact(slices.Sorted(slices.Values(p.side)))) == n {
+			return nil, fmt.Errorf("-faults: part=%s names every process, so it splits nothing off", p.text)
+		}
 		if p.from >= p.until {
 			return nil, fmt.Errorf("-faults: part=%s heals at %d, not after it starts at %d", p.text, p.until, p.from)
+		}
+		if p.from > horizon {
+			return nil, fmt.Errorf("-faults: part=%s starts at %d, beyond the horizon %d", p.text, p.from, horizon)
 		}
 		if i > 0 && p.from < parts[i-1].until {
 			return nil, fmt.Errorf("-faults: part=%s and part=%s overlap in time", parts[i-1].text, p.text)

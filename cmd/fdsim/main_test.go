@@ -17,8 +17,8 @@ import (
 
 // TestValidateFlags is the flag table: every bad value must fail in
 // prepare — before the first seed — with a one-line error. Range and
-// kind errors come from Spec.Validate/Build, -seeds and -chunk errors
-// from fdsim itself.
+// kind errors come from Spec.Build; -faults, -seeds and -chunk errors
+// from fdsim itself, which never names an action of the lowered plan.
 func TestValidateFlags(t *testing.T) {
 	base := []string{"sweep", "-algo", "busy", "-n", "16", "-horizon", "2000"}
 	cases := []struct {
@@ -40,9 +40,9 @@ func TestValidateFlags(t *testing.T) {
 		{"unknown algo", []string{"-algo", "paxos"}, `protocol: unknown kind "paxos"`},
 		{"empty algo", []string{"-algo", ""}, "protocol: kind is required"},
 		{"unknown fd", []string{"-fd", "psychic"}, `oracle: unknown kind "psychic"`},
-		{"drop above 100", []string{"-faults", "drop=150"}, "drop pct = 150%"},
-		{"negative drop", []string{"-faults", "drop=-5"}, "drop pct = -5%"},
-		{"negative delay", []string{"-faults", "delay=-1"}, "delay bound = -1"},
+		{"drop above 100", []string{"-faults", "drop=150"}, "-faults: drop=150 outside [0, 100]"},
+		{"negative drop", []string{"-faults", "drop=-5"}, "-faults: drop=-5 outside [0, 100]"},
+		{"negative delay", []string{"-faults", "delay=-1"}, "-faults: delay=-1 must be non-negative"},
 		{"zero seeds", []string{"-seeds", "0"}, "-seeds"},
 		{"negative seeds", []string{"-seeds", "-100"}, "-seeds"},
 		{"negative chunk", []string{"-chunk", "-1"}, "-chunk"},
@@ -53,11 +53,12 @@ func TestValidateFlags(t *testing.T) {
 		{"negative horizon", []string{"-horizon", "-7"}, "horizon = -7"},
 		{"unknown fault", []string{"-faults", "wibble=3"}, `unknown fault "wibble"`},
 		{"partition without heal", []string{"-faults", "part=1+2@40"}, "bad part"},
-		{"partition side out of range", []string{"-faults", "part=1+17@40-400"}, "side node 17"},
+		{"partition side out of range", []string{"-faults", "part=1+17@40-400"}, "-faults: part=1+17@40-400 names process 17 outside [1, 16]"},
+		{"partition of every process", []string{"-n", "3", "-faults", "part=3+1+2+1@40-400"}, "-faults: part=3+1+2+1@40-400 names every process"},
 		{"partition healing before it starts", []string{"-faults", "part=1+2@400-40"}, "not after it starts"},
 		{"partition healing as it starts", []string{"-faults", "part=1+2@40-40"}, "not after it starts"},
 		{"overlapping partitions", []string{"-faults", "part=3@300-900,part=1+2@40-400"}, "overlap in time"},
-		{"partition starting past the horizon", []string{"-faults", "part=1+2@2500-3000"}, "beyond the horizon"},
+		{"partition starting past the horizon", []string{"-faults", "part=1+2@2500-3000"}, "-faults: part=1+2@2500-3000 starts at 2500, beyond the horizon 2000"},
 		{"crash without time", []string{"-crash", "p2"}, "-crash"},
 		{"crash out of range", []string{"-crash", "p17@40"}, "process 17 outside"},
 		{"crash twice", []string{"-crash", "p2@40,p2@50"}, "crashes twice"},
@@ -77,6 +78,9 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			}
+			if strings.Contains(err.Error(), "action[") {
+				t.Errorf("error %q names an action of a plan the flags lower to", err)
 			}
 			if strings.Contains(err.Error(), "\n") {
 				t.Errorf("error %q is not one line", err)

@@ -245,16 +245,13 @@ type run struct {
 	joined map[int]time.Time
 }
 
-// newRun resolves the Config's spec, builds the overlay and opens the
-// control listener. Nothing is spawned yet.
+// newRun compiles the Config's spec, wires the overlay it carries and
+// opens the control listener. Nothing is spawned yet.
 func newRun(cfg Config) (*run, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("cluster: config has no scenario")
 	}
 	s := *cfg.Scenario
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	plan, err := s.CompilePlan()
 	if err != nil {
 		return nil, err
@@ -272,12 +269,6 @@ func newRun(cfg Config) (*run, error) {
 	}
 	live.Normalize()
 
-	// Overlay first: if the topology is unbuildable there is nothing
-	// to spawn.
-	edges, err := s.Topology.Edges(s.N)
-	if err != nil {
-		return nil, err
-	}
 	r := &run{
 		cfg: cfg, spec: s, live: live, plan: plan, digest: digest,
 		neighbors: make(map[int][]int, s.N),
@@ -287,14 +278,12 @@ func newRun(cfg Config) (*run, error) {
 		cuts:      map[[2]int]bool{},
 		joined:    map[int]time.Time{},
 	}
-	for _, e := range edges {
+	// The overlay is sorted, so each neighbour list comes out sorted.
+	for _, e := range plan.Overlay {
 		a, b := int(e.A), int(e.B)
 		r.neighbors[a] = append(r.neighbors[a], b)
 		r.neighbors[b] = append(r.neighbors[b], a)
-	}
-	for _, ns := range r.neighbors {
-		slices.Sort(ns)
-		r.degree = max(r.degree, len(ns))
+		r.degree = max(r.degree, len(r.neighbors[a]), len(r.neighbors[b]))
 	}
 	// The initial fleet preloads the instant-0 rates. A rate change over
 	// the control channel lands at a wall-clock-dependent frame index, so

@@ -14,14 +14,16 @@ import (
 )
 
 // Build compiles the spec into a runnable harness.Scenario: factories
-// for the stateful per-run pieces, the generated topology folded into
-// the fault plan, and the spec's ConfigDigest attached so streaming
-// checkpoints key on the full configuration. The spec is validated
-// first; a spec that came through Parse/Load fails here only if it is
-// larger than the simulator's process set.
+// for the stateful per-run pieces, the compiled plan and its overlay
+// lowered onto link faults, and the spec's ConfigDigest attached so
+// streaming checkpoints key on the full configuration. The spec is
+// compiled once, which validates it; a spec that came through
+// Parse/Load fails here only if it is larger than the simulator's
+// process set.
 func (s Spec) Build() (harness.Scenario, error) {
 	s.normalize()
-	if err := s.Validate(); err != nil {
+	plan, err := s.compile()
+	if err != nil {
 		return harness.Scenario{}, err
 	}
 	if s.N > model.MaxProcesses {
@@ -36,11 +38,6 @@ func (s Spec) Build() (harness.Scenario, error) {
 		ConfigDigest: digest,
 		N:            s.N,
 		Horizon:      model.Time(s.Horizon),
-	}
-
-	plan, err := s.CompilePlan()
-	if err != nil {
-		return harness.Scenario{}, err
 	}
 
 	crashes := s.Crashes
@@ -129,11 +126,7 @@ func (s Spec) Build() (harness.Scenario, error) {
 		}
 	}
 
-	faults, err := s.buildFaults(plan)
-	if err != nil {
-		return harness.Scenario{}, err
-	}
-	sc.Faults = faults
+	sc.Faults = s.buildFaults(plan)
 
 	switch st := s.Stop; st.Kind {
 	case StopNone:
@@ -189,26 +182,22 @@ func MustBuild(s Spec) harness.Scenario {
 	return sc
 }
 
-// buildFaults compiles the link faults against the generated
-// topology: a sparse topology contributes one permanent cut of every
-// non-edge, and the FaultPlan lowers onto the same machinery. Returns
-// nil when nothing perturbs the network.
-func (s Spec) buildFaults(plan *FaultPlan) (*sim.LinkFaults, error) {
-	edges, err := s.Topology.Edges(s.N)
-	if err != nil {
-		return nil, err
-	}
+// buildFaults lowers the compiled plan onto link faults: a sparse
+// overlay contributes one permanent cut of every non-edge, and the
+// plan's actions lower onto the same machinery. Returns nil when
+// nothing perturbs the network.
+func (s Spec) buildFaults(plan *FaultPlan) *sim.LinkFaults {
 	var lf sim.LinkFaults
-	if missing := s.missingEdges(edges); len(missing) > 0 {
+	if missing := missingEdges(s.N, plan.Overlay); len(missing) > 0 {
 		// A sparse topology is a permanent severing of its non-links;
 		// Until reaches past the horizon so the cut never heals.
 		lf.Cuts = append(lf.Cuts, sim.EdgeCut{Edges: missing, From: 0, Until: model.Time(s.Horizon) + 1})
 	}
-	s.lowerPlan(plan, edges, &lf)
+	s.lowerPlan(plan, &lf)
 	if !lf.Active() {
-		return nil, nil
+		return nil
 	}
-	return &lf, nil
+	return &lf
 }
 
 // lowerPlan folds a compiled FaultPlan into the link-fault set: timed
@@ -219,7 +208,7 @@ func (s Spec) buildFaults(plan *FaultPlan) (*sim.LinkFaults, error) {
 // detector-visible silence is what QoS measures), and a joiner exists
 // from tick 0 but is isolated until its join instant — "partitioned
 // from birth, healing at the join".
-func (s Spec) lowerPlan(plan *FaultPlan, edges []sim.Edge, lf *sim.LinkFaults) {
+func (s Spec) lowerPlan(plan *FaultPlan, lf *sim.LinkFaults) {
 	never := model.Time(s.Horizon) + 1
 	type interval struct {
 		edge  sim.Edge
@@ -279,7 +268,7 @@ func (s Spec) lowerPlan(plan *FaultPlan, edges []sim.Edge, lf *sim.LinkFaults) {
 	incident := func(id int) []sim.Edge {
 		var out []sim.Edge
 		p := model.ProcessID(id)
-		for _, e := range edges {
+		for _, e := range plan.Overlay {
 			if e.A == p || e.B == p {
 				out = append(out, e)
 			}
@@ -355,19 +344,18 @@ func (s Spec) lowerPlan(plan *FaultPlan, edges []sim.Edge, lf *sim.LinkFaults) {
 	}
 }
 
-// missingEdges returns the complement of the topology's edge set: the
-// pairs of processes with no link between them.
-func (s Spec) missingEdges(edges []sim.Edge) []sim.Edge {
-	have := make(map[edgeKey]bool, len(edges))
-	for _, e := range edges {
-		have[canonEdge(int(e.A), int(e.B))] = true
-	}
-	var missing []sim.Edge
-	for a := 1; a <= s.N; a++ {
-		for b := a + 1; b <= s.N; b++ {
-			if !have[edgeKey{a: a, b: b}] {
-				missing = append(missing, sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)})
+// missingEdges returns the complement of the sorted overlay: the
+// pairs of processes with no link between them, in the same order.
+func missingEdges(n int, overlay []sim.Edge) []sim.Edge {
+	missing := make([]sim.Edge, 0, n*(n-1)/2-len(overlay))
+	for a := 1; a <= n; a++ {
+		for b := a + 1; b <= n; b++ {
+			e := sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)}
+			if len(overlay) > 0 && overlay[0] == e {
+				overlay = overlay[1:]
+				continue
 			}
+			missing = append(missing, e)
 		}
 	}
 	return missing

@@ -1,8 +1,12 @@
 package scenario
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+
+	"realisticfd/internal/sim"
 )
 
 // ActionKind names one verb of the fault-plan IR. The same nine verbs
@@ -69,6 +73,9 @@ type FaultPlan struct {
 	Leaves map[int]int64
 	// Kills maps each killed node to its kill instant.
 	Kills map[int]int64
+	// Overlay is the generated topology the edges were resolved
+	// against: every link, A < B, sorted lexicographically.
+	Overlay []sim.Edge
 }
 
 // Empty reports whether the plan perturbs nothing.
@@ -151,13 +158,34 @@ func (lp *LiveParams) Normalize() {
 	}
 }
 
-// validatePlan checks every constraint of the declarative plan: field
-// shape per kind, node and edge ranges against the topology, and the
-// time-ordered semantics (no double kill, resume pairs with pause, a
-// joiner is inert before its join, ...). Crashes from the v2 fields
-// are folded into the semantic walk so a spec cannot crash a node
-// twice across the two vocabularies.
-func (s Spec) validatePlan(edges map[edgeKey]bool) error {
+// Kind returns the action's kind as the IR vocabulary.
+func (a ActionSpec) Kind() ActionKind { return ActionKind(a.Action) }
+
+// CompilePlan compiles the spec into the FaultPlan IR: the spec is
+// checked, the overlay generated, and the plan's edges resolved against
+// it, actions sorted by time and churn indexed. A spec that declares no
+// plan compiles to an empty one, never nil.
+func (s Spec) CompilePlan() (*FaultPlan, error) { return s.compile() }
+
+// compile is the one pass from a spec to its FaultPlan that Validate,
+// CompilePlan and Build share. It checks the fields, generates the
+// overlay once, and walks the plan once in stable time order: each
+// action is checked, its cut/heal edges resolved and its churn indexed
+// in the same step. The time-ordered checks are the plan's semantics:
+// no double kill, resume pairs with pause, a joiner is inert before
+// its join, and a crash from the crashes field counts as a kill.
+func (s Spec) compile() (*FaultPlan, error) {
+	if err := s.checkFields(); err != nil {
+		return nil, err
+	}
+	overlay, err := s.Topology.Edges(s.N)
+	if err != nil {
+		return nil, fmt.Errorf("scenario %q: %v", s.Name, err)
+	}
+	plan := &FaultPlan{N: s.N, Horizon: s.Horizon, Overlay: overlay}
+	if len(s.Plan) == 0 {
+		return plan, nil
+	}
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: plan: %s", s.Name, fmt.Sprintf(format, args...))
 	}
@@ -165,7 +193,7 @@ func (s Spec) validatePlan(edges map[edgeKey]bool) error {
 	for i := range ordered {
 		ordered[i] = i
 	}
-	sort.SliceStable(ordered, func(a, b int) bool { return s.Plan[ordered[a]].At < s.Plan[ordered[b]].At })
+	slices.SortStableFunc(ordered, func(x, y int) int { return cmp.Compare(s.Plan[x].At, s.Plan[y].At) })
 
 	joinAt := map[int]int64{}
 	for _, i := range ordered {
@@ -173,7 +201,7 @@ func (s Spec) validatePlan(edges map[edgeKey]bool) error {
 		if a.Kind() == ActJoin {
 			for _, id := range a.Nodes {
 				if _, dup := joinAt[id]; dup {
-					return fail("action[%d]: node %d joins twice", i, id)
+					return nil, fail("action[%d]: node %d joins twice", i, id)
 				}
 				joinAt[id] = a.At
 			}
@@ -182,99 +210,109 @@ func (s Spec) validatePlan(edges map[edgeKey]bool) error {
 
 	dead := map[int]bool{} // killed or left
 	paused := map[int]bool{}
-	joined := map[int]bool{}
 	for _, c := range s.Crashes {
-		// v2 crashes and plan kills share the crash budget; the walk
+		// Crashes and plan kills share the crash budget; the walk
 		// below rejects a plan kill of an already-crashing process.
 		dead[c.Process] = true
 		if at, ok := joinAt[c.Process]; ok {
-			return fail("node %d both joins at %d and crashes via the crashes field", c.Process, at)
+			return nil, fail("node %d both joins at %d and crashes via the crashes field", c.Process, at)
 		}
 	}
 
+	plan.Actions = make([]PlanAction, 0, len(s.Plan))
+	plan.Joins, plan.Leaves, plan.Kills = map[int]int64{}, map[int]int64{}, map[int]int64{}
 	for _, i := range ordered {
 		a := s.Plan[i]
 		if a.At < 0 {
-			return fail("action[%d]: at = %d must be non-negative", i, a.At)
+			return nil, fail("action[%d]: at = %d must be non-negative", i, a.At)
 		}
 		if a.At > s.Horizon {
-			return fail("action[%d]: at = %d beyond the horizon %d", i, a.At, s.Horizon)
+			return nil, fail("action[%d]: at = %d beyond the horizon %d", i, a.At, s.Horizon)
 		}
-		kind := a.Kind()
-		switch kind {
+		act := PlanAction{
+			At:    a.At,
+			Kind:  a.Kind(),
+			Nodes: append([]int(nil), a.Nodes...),
+			Pct:   a.Pct,
+			Bound: a.Bound,
+		}
+		switch kind := act.Kind; kind {
 		case ActKill, ActPause, ActResume, ActLeave, ActJoin:
 			if len(a.Nodes) == 0 {
-				return fail("action[%d]: %s needs nodes", i, kind)
+				return nil, fail("action[%d]: %s needs nodes", i, kind)
 			}
 			if len(a.Side) > 0 || len(a.Cut) > 0 || a.Pct != 0 || a.Bound != 0 {
-				return fail("action[%d]: %s takes nodes only", i, kind)
+				return nil, fail("action[%d]: %s takes nodes only", i, kind)
 			}
 			for _, id := range a.Nodes {
 				if id < 1 || id > s.N {
-					return fail("action[%d]: node %d outside [1, %d]", i, id, s.N)
+					return nil, fail("action[%d]: node %d outside [1, %d]", i, id, s.N)
 				}
 				if at, joiner := joinAt[id]; joiner && kind != ActJoin && a.At < at {
-					return fail("action[%d]: node %d acted on at %d before its join at %d", i, id, a.At, at)
+					return nil, fail("action[%d]: node %d acted on at %d before its join at %d", i, id, a.At, at)
 				}
 				switch kind {
 				case ActKill, ActLeave:
 					if dead[id] {
-						return fail("action[%d]: node %d is already gone", i, id)
+						return nil, fail("action[%d]: node %d is already gone", i, id)
 					}
 					dead[id] = true
+					if kind == ActKill {
+						plan.Kills[id] = a.At
+					} else {
+						plan.Leaves[id] = a.At
+					}
 				case ActPause:
 					if dead[id] {
-						return fail("action[%d]: node %d paused after its departure", i, id)
+						return nil, fail("action[%d]: node %d paused after its departure", i, id)
 					}
 					paused[id] = true
 				case ActResume:
 					if !paused[id] {
-						return fail("action[%d]: node %d resumed without a pause", i, id)
+						return nil, fail("action[%d]: node %d resumed without a pause", i, id)
 					}
 					delete(paused, id)
 				case ActJoin:
-					if joined[id] {
-						return fail("action[%d]: node %d joins twice", i, id)
-					}
-					joined[id] = true
+					plan.Joins[id] = a.At
 				}
 			}
 		case ActCut:
 			if (len(a.Side) > 0) == (len(a.Cut) > 0) {
-				return fail("action[%d]: cut needs exactly one of side and cut", i)
+				return nil, fail("action[%d]: cut needs exactly one of side and cut", i)
 			}
 			if len(a.Nodes) > 0 || a.Pct != 0 || a.Bound != 0 {
-				return fail("action[%d]: cut takes side/cut only", i)
+				return nil, fail("action[%d]: cut takes side/cut only", i)
 			}
-			if err := s.checkPlanEdges(a, edges); err != nil {
-				return fail("action[%d]: %v", i, err)
+			if act.Edges, err = s.resolveEdges(a, overlay); err != nil {
+				return nil, fail("action[%d]: %v", i, err)
 			}
 		case ActHeal:
 			if len(a.Nodes) > 0 || a.Pct != 0 || a.Bound != 0 {
-				return fail("action[%d]: heal takes side/cut (or nothing)", i)
+				return nil, fail("action[%d]: heal takes side/cut (or nothing)", i)
 			}
-			if err := s.checkPlanEdges(a, edges); err != nil {
-				return fail("action[%d]: %v", i, err)
+			if act.Edges, err = s.resolveEdges(a, overlay); err != nil {
+				return nil, fail("action[%d]: %v", i, err)
 			}
 		case ActDrop:
 			if a.Pct < 0 || a.Pct > 100 {
-				return fail("action[%d]: drop pct = %d%% outside [0, 100]", i, a.Pct)
+				return nil, fail("action[%d]: drop pct = %d%% outside [0, 100]", i, a.Pct)
 			}
 			if len(a.Nodes) > 0 || len(a.Side) > 0 || len(a.Cut) > 0 || a.Bound != 0 {
-				return fail("action[%d]: drop takes pct only", i)
+				return nil, fail("action[%d]: drop takes pct only", i)
 			}
 		case ActDelay:
 			if a.Bound < 0 {
-				return fail("action[%d]: delay bound = %d must be non-negative", i, a.Bound)
+				return nil, fail("action[%d]: delay bound = %d must be non-negative", i, a.Bound)
 			}
 			if len(a.Nodes) > 0 || len(a.Side) > 0 || len(a.Cut) > 0 || a.Pct != 0 {
-				return fail("action[%d]: delay takes bound only", i)
+				return nil, fail("action[%d]: delay takes bound only", i)
 			}
 		case "":
-			return fail("action[%d]: action is required", i)
+			return nil, fail("action[%d]: action is required", i)
 		default:
-			return fail("action[%d]: unknown action %q", i, a.Action)
+			return nil, fail("action[%d]: unknown action %q", i, a.Action)
 		}
+		plan.Actions = append(plan.Actions, act)
 	}
 	if s.Live != nil && s.Live.BoundMs > 0 {
 		// The bound asserts that no resumed node stays suspected, so the
@@ -286,131 +324,52 @@ func (s Spec) validatePlan(edges map[edgeKey]bool) error {
 			}
 		}
 		if stuck > 0 {
-			return fail("bound_ms asserts resumed nodes heal, but %d node(s) stay paused at collection", stuck)
+			return nil, fail("bound_ms asserts resumed nodes heal, but %d node(s) stay paused at collection", stuck)
 		}
 	}
-	return nil
+	return plan, nil
 }
 
-// Kind returns the action's kind as the IR vocabulary.
-func (a ActionSpec) Kind() ActionKind { return ActionKind(a.Action) }
-
-// checkPlanEdges validates a cut/heal action's node and edge
-// references against the generated overlay.
-func (s Spec) checkPlanEdges(a ActionSpec, edges map[edgeKey]bool) error {
+// resolveEdges checks a cut/heal action's node and edge references
+// against the sorted overlay and resolves its edge selection: a Side
+// boundary becomes its crossing edges in overlay order, an explicit Cut
+// passes through canonicalized (a < b), and a bare heal resolves to nil
+// ("all active cuts" to the interpreters).
+func (s Spec) resolveEdges(a ActionSpec, overlay []sim.Edge) ([][2]int, error) {
 	for _, id := range a.Side {
 		if id < 1 || id > s.N {
-			return fmt.Errorf("side node %d outside [1, %d]", id, s.N)
+			return nil, fmt.Errorf("side node %d outside [1, %d]", id, s.N)
 		}
 	}
-	for _, e := range a.Cut {
-		x, y := e[0], e[1]
-		if x < 1 || x > s.N || y < 1 || y > s.N || x == y {
-			return fmt.Errorf("bad edge [%d, %d]", x, y)
-		}
-		if !edges[canonEdge(x, y)] {
-			return fmt.Errorf("edge [%d, %d] does not exist in the %s topology", x, y, s.Topology.Kind)
-		}
-	}
-	return nil
-}
-
-// resolveActionEdges compiles one cut/heal action's edge selection
-// against the overlay edge list: a Side boundary becomes its crossing
-// edges, an explicit Cut passes through canonicalized, and a bare heal
-// resolves to nil ("all active cuts" to the interpreters).
-func resolveActionEdges(a ActionSpec, all []edgeKey) ([][2]int, error) {
 	if len(a.Cut) > 0 {
 		out := make([][2]int, len(a.Cut))
 		for i, e := range a.Cut {
-			k := canonEdge(e[0], e[1])
-			out[i] = [2]int{k.a, k.b}
+			x, y := min(e[0], e[1]), max(e[0], e[1])
+			if x < 1 || y > s.N || x == y {
+				return nil, fmt.Errorf("bad edge [%d, %d]", e[0], e[1])
+			}
+			if !hasEdge(overlay, x, y) {
+				return nil, fmt.Errorf("edge [%d, %d] does not exist in the %s topology", e[0], e[1], s.Topology.Kind)
+			}
+			out[i] = [2]int{x, y}
 		}
 		return out, nil
 	}
 	if len(a.Side) == 0 {
 		return nil, nil
 	}
-	inSide := map[int]bool{}
+	inSide := make([]bool, s.N+1)
 	for _, id := range a.Side {
 		inSide[id] = true
 	}
 	var out [][2]int
-	for _, e := range all {
-		if inSide[e.a] != inSide[e.b] {
-			out = append(out, [2]int{e.a, e.b})
+	for _, e := range overlay {
+		if inSide[e.A] != inSide[e.B] {
+			out = append(out, [2]int{int(e.A), int(e.B)})
 		}
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("side boundary severs no overlay edge")
+		return nil, errors.New("side boundary severs no overlay edge")
 	}
 	return out, nil
-}
-
-// CompilePlan compiles the spec's declarative plan into the FaultPlan
-// IR: edges resolved against the generated overlay, actions sorted by
-// time, churn indexed. A spec that declares no plan compiles to an
-// empty one, never nil. The spec must already be valid (Parse/Load
-// guarantee it).
-func (s Spec) CompilePlan() (*FaultPlan, error) {
-	if len(s.Plan) == 0 {
-		return &FaultPlan{N: s.N, Horizon: s.Horizon}, nil
-	}
-	edgeSet, err := s.Topology.edgeSet(s.N)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.validatePlan(edgeSet); err != nil {
-		return nil, err
-	}
-	all := make([]edgeKey, 0, len(edgeSet))
-	for k := range edgeSet {
-		all = append(all, k)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].a != all[j].a {
-			return all[i].a < all[j].a
-		}
-		return all[i].b < all[j].b
-	})
-
-	plan := &FaultPlan{
-		N:       s.N,
-		Horizon: s.Horizon,
-		Joins:   map[int]int64{},
-		Leaves:  map[int]int64{},
-		Kills:   map[int]int64{},
-	}
-	for i, a := range s.Plan {
-		act := PlanAction{
-			At:    a.At,
-			Kind:  a.Kind(),
-			Nodes: append([]int(nil), a.Nodes...),
-			Pct:   a.Pct,
-			Bound: a.Bound,
-		}
-		switch act.Kind {
-		case ActCut, ActHeal:
-			edges, err := resolveActionEdges(a, all)
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: plan: action[%d]: %w", s.Name, i, err)
-			}
-			act.Edges = edges
-		case ActKill:
-			for _, id := range a.Nodes {
-				plan.Kills[id] = a.At
-			}
-		case ActLeave:
-			for _, id := range a.Nodes {
-				plan.Leaves[id] = a.At
-			}
-		case ActJoin:
-			for _, id := range a.Nodes {
-				plan.Joins[id] = a.At
-			}
-		}
-		plan.Actions = append(plan.Actions, act)
-	}
-	sort.SliceStable(plan.Actions, func(i, j int) bool { return plan.Actions[i].At < plan.Actions[j].At })
-	return plan, nil
 }

@@ -103,14 +103,15 @@ func TestV3ParseAndCompile(t *testing.T) {
 }
 
 // TestResolveEdges pins how a cut or heal selects overlay edges: a side
-// boundary becomes every edge crossing it, an explicit cut passes
-// through canonicalized, and a bare heal selects nil — all active cuts.
+// boundary becomes every edge crossing it, in overlay order, an
+// explicit cut passes through canonicalized, and a bare heal selects
+// nil — all active cuts.
 func TestResolveEdges(t *testing.T) {
 	t.Parallel()
 	s := v3Spec()
 	s.Topology = TopologySpec{Kind: TopologyChord}
 	s.Plan = []ActionSpec{
-		{At: 100, Action: "cut", Side: []int{1, 2}},
+		{At: 100, Action: "cut", Side: []int{5, 2}},
 		{At: 200, Action: "cut", Cut: [][2]int{{3, 2}}},
 		{At: 300, Action: "heal"},
 	}
@@ -119,14 +120,15 @@ func TestResolveEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	side, cut, heal := plan.Actions[0].Edges, plan.Actions[1].Edges, plan.Actions[2].Edges
-	if len(side) == 0 {
-		t.Fatal("side boundary resolved to no edges")
-	}
-	inSide := map[int]bool{1: true, 2: true}
-	for _, e := range side {
-		if inSide[e[0]] == inSide[e[1]] {
-			t.Fatalf("edge %v does not cross the boundary", e)
+	inSide := map[int]bool{2: true, 5: true}
+	var crossing [][2]int
+	for _, e := range plan.Overlay {
+		if inSide[int(e.A)] != inSide[int(e.B)] {
+			crossing = append(crossing, [2]int{int(e.A), int(e.B)})
 		}
+	}
+	if len(crossing) == 0 || fmt.Sprint(side) != fmt.Sprint(crossing) {
+		t.Fatalf("side boundary resolved to %v, want the crossing overlay edges %v", side, crossing)
 	}
 	if len(cut) != 1 || cut[0] != [2]int{2, 3} {
 		t.Fatalf("explicit cut resolved to %v, want [[2 3]]", cut)
@@ -168,6 +170,14 @@ func TestV3Rejections(t *testing.T) {
 			s.Plan[2] = ActionSpec{At: 200, Action: "cut", Cut: [][2]int{{1, 3}}}
 			return s
 		}, "does not exist in the ring topology"},
+		{"cut whose side is every node", func(s Spec) Spec {
+			s.Plan[2].Side = []int{1, 2, 3, 4, 5, 6}
+			return s
+		}, "side boundary severs no overlay edge"},
+		{"heal whose side severs no edge", func(s Spec) Spec {
+			s.Plan[3].Side = []int{6, 5, 4, 3, 2, 1}
+			return s
+		}, "side boundary severs no overlay edge"},
 		{"node out of range", func(s Spec) Spec { s.Plan[6].Nodes = []int{7}; return s }, "outside [1, 6]"},
 		{"double kill", func(s Spec) Spec {
 			s.Plan = append(s.Plan, ActionSpec{At: 850, Action: "kill", Nodes: []int{4}})

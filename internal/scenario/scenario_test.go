@@ -329,7 +329,7 @@ func TestBuildSparseTopologyBlocksNonEdges(t *testing.T) {
 	if r.Err != nil {
 		t.Fatal(r.Err)
 	}
-	ringEdges, err := s.Topology.edgeSet(s.N)
+	ringEdges, err := s.Topology.Edges(s.N)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestBuildSparseTopologyBlocksNonEdges(t *testing.T) {
 		if ev.Msg == nil || ev.Msg.From == ev.Msg.To {
 			continue
 		}
-		if !ringEdges[canonEdge(int(ev.Msg.From), int(ev.Msg.To))] {
+		if !hasEdge(ringEdges, int(ev.Msg.From), int(ev.Msg.To)) {
 			t.Fatalf("message delivered across non-edge %v→%v", ev.Msg.From, ev.Msg.To)
 		}
 	}

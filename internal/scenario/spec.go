@@ -3,11 +3,13 @@
 // system size, protocol, detector oracle, crash schedule, topology,
 // fault plan, scheduling policy, stop predicate, horizon and seed
 // range. Load/Parse decode strictly (unknown fields are rejected, so a
-// typo fails instead of silently configuring nothing), Validate checks
-// every cross-field constraint, Build compiles the spec into a runnable
-// harness.Scenario, and ConfigDigest fingerprints the canonical
-// encoding — the digest the streaming checkpoints use as campaign
-// identity.
+// typo fails instead of silently configuring nothing) and validate.
+// One compile checks every constraint, generates the topology once and
+// resolves the fault plan against it: Validate runs it and discards the
+// result, CompilePlan returns its FaultPlan, and Build lowers that plan
+// into a runnable harness.Scenario. ConfigDigest fingerprints the
+// canonical encoding — the digest the streaming checkpoints use as
+// campaign identity.
 //
 // Topology awareness is the point of the format: the communication
 // graph is *generated* (complete, ring, tree, or seeded random), and

@@ -1,71 +1,47 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"realisticfd/internal/model"
 	"realisticfd/internal/sim"
 )
 
-// edgeKey is the canonical {a, b} (a < b) form used for set
-// membership; process IDs are 1-based ints here because the spec layer
-// works on raw JSON integers.
-type edgeKey struct{ a, b int }
-
-func canonEdge(a, b int) edgeKey {
-	if b < a {
-		a, b = b, a
-	}
-	return edgeKey{a: a, b: b}
-}
-
 // Edges generates the undirected edge set of the topology over n
-// processes, sorted lexicographically. Generation is deterministic: a
-// random topology is a pure function of (kind, n, seed, edge_prob).
+// processes, each edge with A < B, sorted lexicographically.
+// Generation is deterministic: a random topology is a pure function of
+// (kind, n, seed, edge_prob).
 func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
-	set, err := t.edgeSet(n)
-	if err != nil {
-		return nil, err
+	// Complete links every pair; ring, tree and chord generate at most
+	// n·(⌊log₂ n⌋+1) edges, and random grows past that as it needs.
+	size := max(n, 0) * bits.Len(uint(n))
+	if t.Kind == TopologyComplete || t.Kind == "" {
+		size = n * (n - 1) / 2
 	}
-	keys := make([]edgeKey, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
+	edges := make([]sim.Edge, 0, size)
+	add := func(a, b int) {
+		if b < a {
+			a, b = b, a
 		}
-		return keys[i].b < keys[j].b
-	})
-	edges := make([]sim.Edge, len(keys))
-	for i, k := range keys {
-		edges[i] = sim.Edge{A: model.ProcessID(k.a), B: model.ProcessID(k.b)}
+		edges = append(edges, sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)})
 	}
-	return edges, nil
-}
-
-// edgeSet generates the canonical edge-membership set of the topology.
-func (t TopologySpec) edgeSet(n int) (map[edgeKey]bool, error) {
-	kind := t.Kind
-	if kind == "" {
-		kind = TopologyComplete
-	}
-	set := make(map[edgeKey]bool)
-	switch kind {
-	case TopologyComplete:
+	switch t.Kind {
+	case TopologyComplete, "":
 		for a := 1; a <= n; a++ {
 			for b := a + 1; b <= n; b++ {
-				set[edgeKey{a: a, b: b}] = true
+				add(a, b)
 			}
 		}
 	case TopologyRing:
 		for a := 1; a < n; a++ {
-			set[edgeKey{a: a, b: a + 1}] = true
+			add(a, a+1)
 		}
 		if n > 2 {
-			set[edgeKey{a: 1, b: n}] = true
+			add(1, n)
 		}
 	case TopologyTree:
 		deg := t.Degree
@@ -76,8 +52,7 @@ func (t TopologySpec) edgeSet(n int) (map[edgeKey]bool, error) {
 			return nil, fmt.Errorf("topology tree: degree = %d must be ≥ 1", t.Degree)
 		}
 		for i := 2; i <= n; i++ {
-			parent := (i-2)/deg + 1
-			set[canonEdge(parent, i)] = true
+			add((i-2)/deg+1, i)
 		}
 	case TopologyChord:
 		// The gossip overlay of the live cluster: node i links to
@@ -88,9 +63,8 @@ func (t TopologySpec) edgeSet(n int) (map[edgeKey]bool, error) {
 		// argument for gossip over all-to-all dissemination).
 		for i := 1; i <= n; i++ {
 			for step := 1; step < n; step *= 2 {
-				j := (i-1+step)%n + 1
-				if i != j {
-					set[canonEdge(i, j)] = true
+				if j := (i-1+step)%n + 1; i != j {
+					add(i, j)
 				}
 			}
 		}
@@ -100,23 +74,39 @@ func (t TopologySpec) edgeSet(n int) (map[edgeKey]bool, error) {
 		}
 		rng := rand.New(rand.NewSource(t.Seed))
 		// A random spanning tree keeps the graph connected: each process
-		// links to one uniformly chosen earlier process.
+		// links to one uniformly chosen earlier process, its parent.
+		parent := make([]int, n+1)
 		for i := 2; i <= n; i++ {
-			set[canonEdge(1+rng.Intn(i-1), i)] = true
+			parent[i] = 1 + rng.Intn(i-1)
+			add(parent[i], i)
 		}
 		// Then every remaining pair joins independently with EdgeProb%.
 		for a := 1; a <= n; a++ {
 			for b := a + 1; b <= n; b++ {
-				if set[edgeKey{a: a, b: b}] {
-					continue
-				}
-				if rng.Intn(100) < t.EdgeProb {
-					set[edgeKey{a: a, b: b}] = true
+				if parent[b] != a && rng.Intn(100) < t.EdgeProb {
+					add(a, b)
 				}
 			}
 		}
 	default:
 		return nil, fmt.Errorf("topology: unknown kind %q", t.Kind)
 	}
-	return set, nil
+	slices.SortFunc(edges, compareEdges)
+	return slices.Compact(edges), nil
+}
+
+func compareEdges(x, y sim.Edge) int {
+	if c := cmp.Compare(x.A, y.A); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.B, y.B)
+}
+
+// hasEdge reports whether the sorted overlay links a and b.
+func hasEdge(overlay []sim.Edge, a, b int) bool {
+	if b < a {
+		a, b = b, a
+	}
+	_, found := slices.BinarySearchFunc(overlay, sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)}, compareEdges)
+	return found
 }

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -63,5 +66,35 @@ func TestChordTopologyConnected(t *testing.T) {
 		if len(seen) != n {
 			t.Fatalf("n=%d: chord overlay reaches %d of %d nodes", n, len(seen), n)
 		}
+	}
+}
+
+// TestTopologyEdgesPinned pins the generated edge lists, order
+// included, of every kind over a grid of sizes, degrees and seeds: the
+// permanent non-edge cut and every side boundary are lowered in this
+// order, so a generator that yields another graph or order changes
+// trace digests.
+func TestTopologyEdgesPinned(t *testing.T) {
+	tops := []TopologySpec{{Kind: TopologyComplete}, {Kind: TopologyRing}, {Kind: TopologyChord}}
+	for deg := 1; deg <= 3; deg++ {
+		tops = append(tops, TopologySpec{Kind: TopologyTree, Degree: deg})
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		for _, prob := range []int{0, 30, 100} {
+			tops = append(tops, TopologySpec{Kind: TopologyRandom, Seed: seed, EdgeProb: prob})
+		}
+	}
+	h := sha256.New()
+	for n := 1; n <= 40; n++ {
+		for _, top := range tops {
+			edges, err := top.Edges(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "%+v/%d: %v\n", top, n, edges)
+		}
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "442e451823f1db0e05804577232c4d7398dcd7e0c5cbf40bdebeedda961eea94"; got != want {
+		t.Fatalf("edge lists hash to %s, want %s", got, want)
 	}
 }

@@ -45,9 +45,18 @@ const (
 const SchemaV3 = "fdspec/v3"
 
 // Validate checks every constraint a well-formed spec must satisfy; it
-// reports the first violation. Parse validates automatically; call it
-// directly on specs assembled in Go.
+// reports the first violation. It compiles the spec and discards the
+// plan, so a spec it accepts also compiles and, at n ≤ 64, builds.
+// Parse validates automatically; call it directly on specs assembled
+// in Go.
 func (s Spec) Validate() error {
+	_, err := s.compile()
+	return err
+}
+
+// checkFields checks the constraints that need neither the overlay nor
+// the plan walk.
+func (s Spec) checkFields() error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: %s", s.Name, fmt.Sprintf(format, args...))
 	}
@@ -125,16 +134,6 @@ func (s Spec) Validate() error {
 		}
 	}
 
-	edges, err := s.Topology.edgeSet(s.N)
-	if err != nil {
-		return fail("%v", err)
-	}
-
-	if len(s.Plan) > 0 {
-		if err := s.validatePlan(edges); err != nil {
-			return err
-		}
-	}
 	if lp := s.Live; lp != nil {
 		if lp.IntervalMs < 0 || lp.SamplePeriodMs < 0 || lp.WarmupMs < 0 || lp.SettleMs < 0 || lp.BoundMs < 0 {
 			return fail("live: durations must be non-negative")
