@@ -43,7 +43,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"realisticfd/internal/harness"
 	"realisticfd/internal/scenario"
@@ -457,22 +456,20 @@ func runSweep(o options, srcs []source) int {
 		}
 		seeds := src.spec.Seeds
 		fmt.Fprintf(os.Stderr, "fdsim: %s seeds [%d, %d) (%s)\n", src.sc.Name, seeds.From, seeds.To, src.label)
-		start := time.Now()
 		stats, err := harness.Stream(src.sc, harness.SeedRange{From: seeds.From, To: seeds.To},
 			harness.AuditReducer(audit(src.spec)), harness.StreamOptions{
 				Workers: o.workers, ChunkSize: o.chunk, Checkpoint: ckpt, Context: ctx,
 			})
-		elapsed := time.Since(start).Seconds()
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "fdsim: interrupted in %s after %d runs (%.1fs); re-run the same command to resume from -checkpoints\n",
-				src.label, stats.Runs, elapsed)
+			fmt.Fprintf(os.Stderr, "fdsim: interrupted in %s after %d runs; re-run the same command to resume from -checkpoints\n",
+				src.label, stats.Runs)
 			return 130
 		}
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "fdsim: %s: %d runs in %.1fs, digest %s, %d audit failure(s)\n",
-			src.sc.Name, stats.Runs, elapsed, short(stats.Digest), stats.AuditFailures)
+		fmt.Fprintf(os.Stderr, "fdsim: %s: %d runs, digest %s, %d audit failure(s)\n",
+			src.sc.Name, stats.Runs, short(stats.Digest), stats.AuditFailures)
 		reports = append(reports, sweepReport{src.label, src.sc.Name, src.sc.ConfigDigest, seeds, stats})
 	}
 

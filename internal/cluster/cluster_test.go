@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -157,13 +158,13 @@ func TestProcClusterKillPauseResume(t *testing.T) {
 	}
 }
 
-// wedgeSpawner runs one designated node as a control-channel zombie:
+// wedgeSpawner runs the designated nodes as control-channel zombies:
 // it says hello, accepts its topology, then never answers anything —
 // the shape of a wedged process. The orchestrator must fail the run
 // within CollectTimeout, not hang.
 type wedgeSpawner struct {
-	inner   InProcSpawner
-	wedgeID int
+	inner  InProcSpawner
+	wedged []int
 }
 
 type wedgeHandle struct {
@@ -180,7 +181,7 @@ func (h *wedgeHandle) Shutdown() {
 }
 
 func (w *wedgeSpawner) Spawn(cfg NodeConfig) (NodeHandle, error) {
-	if cfg.ID != w.wedgeID {
+	if !slices.Contains(w.wedged, cfg.ID) {
 		return w.inner.Spawn(cfg)
 	}
 	conn, err := net.Dial("tcp", cfg.ControlAddr)
@@ -204,8 +205,8 @@ func (w *wedgeSpawner) Spawn(cfg NodeConfig) (NodeHandle, error) {
 }
 
 // TestOrchestratorFailsFastOnWedge pins the CI-critical property:
-// a node that stops responding fails the run within the collect
-// timeout instead of hanging it.
+// nodes that stop responding fail the run within the collect timeout
+// instead of hanging it, each named once, in node-ID order.
 func TestOrchestratorFailsFastOnWedge(t *testing.T) {
 	spec := liveSpec("wedge", 8, scenario.LiveParams{
 		IntervalMs: 25,
@@ -220,7 +221,7 @@ func TestOrchestratorFailsFastOnWedge(t *testing.T) {
 	start := time.Now()
 	res, err := Run(ctx, Config{
 		Scenario:       spec,
-		Spawner:        &wedgeSpawner{wedgeID: 8},
+		Spawner:        &wedgeSpawner{wedged: []int{5, 8}},
 		CollectTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -229,17 +230,12 @@ func TestOrchestratorFailsFastOnWedge(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
 		t.Fatalf("wedged run took %v, should fail fast", elapsed)
 	}
-	found := false
-	for _, f := range res.Failures {
-		if strings.Contains(f, "node 8") {
-			found = true
-		}
+	want := []string{"node 5: no report within 2s", "node 8: no report within 2s"}
+	if !slices.Equal(res.Failures, want) {
+		t.Fatalf("failures %q, want %q", res.Failures, want)
 	}
-	if !found {
-		t.Fatalf("wedge not reported: %v", res.Failures)
-	}
-	if res.Reports != 6 {
-		t.Fatalf("reports %d, want 6 (everyone but the corpse and the wedge)", res.Reports)
+	if res.Reports != 5 {
+		t.Fatalf("reports %d, want 5 (everyone but the corpse and the wedges)", res.Reports)
 	}
 }
 

@@ -241,7 +241,6 @@ type run struct {
 	curDelay int64
 
 	t0     time.Time // end of warmup: plan instants are milliseconds after it
-	cuts   map[[2]int]bool
 	joined map[int]time.Time
 }
 
@@ -275,7 +274,6 @@ func newRun(cfg Config) (*run, error) {
 		hellos:    make(chan helloMsg, s.N),
 		inbound:   make(chan inboundMsg, 4*s.N),
 		states:    make(map[int]*nodeState, s.N),
-		cuts:      map[[2]int]bool{},
 		joined:    map[int]time.Time{},
 	}
 	// The overlay is sorted, so each neighbour list comes out sorted.
@@ -541,41 +539,27 @@ func (r *run) exec(ctx context.Context, a scenario.PlanAction) error {
 			r.logf("t+%dms: resumed node %d", a.At, id)
 		}
 	case scenario.ActCut, scenario.ActHeal:
-		cut := a.Kind == scenario.ActCut
-		edges := a.Edges
-		if !cut && edges == nil {
-			// Bare heal: undo every active cut.
-			for e := range r.cuts {
-				edges = append(edges, e)
-			}
-		}
-		targets := map[int][]int{}
-		for _, e := range edges {
-			x, y := e[0], e[1]
-			if x > y {
-				x, y = y, x
-			}
-			targets[x] = append(targets[x], y)
-			targets[y] = append(targets[y], x)
-			if cut {
-				r.cuts[[2]int{x, y}] = true
-			} else {
-				delete(r.cuts, [2]int{x, y})
-			}
+		// The compiler resolved the edges: a heal names exactly the
+		// severed edges it restores. Each endpoint gets one frame, in
+		// node-ID order.
+		targets := make([][]int, r.spec.N+1)
+		for _, e := range a.Edges {
+			targets[e[0]] = append(targets[e[0]], e[1])
+			targets[e[1]] = append(targets[e[1]], e[0])
 		}
 		kind := ctlCut
-		if !cut {
+		if a.Kind == scenario.ActHeal {
 			kind = ctlHeal
 		}
 		for id, ts := range targets {
 			st := r.states[id]
-			if st == nil || st.killed || st.conn == nil {
+			if len(ts) == 0 || st == nil || st.killed || st.conn == nil {
 				continue
 			}
 			slices.Sort(ts)
 			_ = transport.WriteJSON(st.conn, ctlMsg{Kind: kind, Targets: ts})
 		}
-		r.logf("t+%dms: %s %d edge(s)", a.At, a.Kind, len(edges))
+		r.logf("t+%dms: %s %d edge(s)", a.At, a.Kind, len(a.Edges))
 	case scenario.ActDrop:
 		r.curDrop = a.Pct
 		r.broadcast(ctlMsg{Kind: ctlDrop, Pct: a.Pct})
@@ -622,8 +606,9 @@ func (r *run) collect(ctx context.Context) (map[int]*NodeReport, []string, error
 	}
 	var failures []string
 	expected := map[int]bool{}
-	for id, st := range r.states {
-		if st.killed {
+	for id := 1; id <= r.spec.N; id++ {
+		st := r.states[id]
+		if st == nil || st.killed {
 			continue
 		}
 		if err := transport.WriteJSON(st.conn, ctlMsg{Kind: ctlCollect}); err != nil {
@@ -654,8 +639,8 @@ wait:
 				reports[in.id] = in.msg.Report
 			}
 		case <-deadline.C:
-			for id := range expected {
-				if reports[id] == nil {
+			for id := 1; id <= r.spec.N; id++ {
+				if expected[id] && reports[id] == nil {
 					failures = append(failures, fmt.Sprintf("node %d: no report within %v", id, timeout))
 				}
 			}

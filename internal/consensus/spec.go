@@ -96,6 +96,7 @@ func (o *Outcome) CheckAgreementAmongCorrect(f *model.FailurePattern) error {
 // lowest violating process.
 func (o *Outcome) CheckValidity(props Proposals) error {
 	proposed := make(map[Value]bool, len(props))
+	// order-free: fills a set.
 	for _, v := range props {
 		proposed[v] = true
 	}

@@ -76,6 +76,8 @@ func valsToWire(v valueVec) map[string]string {
 
 func valsFromWire(w map[string]string) (valueVec, error) {
 	var out valueVec
+	// order-free: set is per key; a map with several bad keys is refused
+	// whichever the error names.
 	for k, val := range w {
 		id, err := strconv.Atoi(k)
 		if err != nil || id < 1 || id > model.MaxProcesses {

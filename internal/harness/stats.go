@@ -129,6 +129,7 @@ func (st SweepStats) merge(o SweepStats) SweepStats {
 	if len(o.Stops) > 0 && st.Stops == nil {
 		st.Stops = make(map[string]int64, len(o.Stops))
 	}
+	// order-free: sums per key.
 	for k, v := range o.Stops {
 		st.Stops[k] += v
 	}

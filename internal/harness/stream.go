@@ -343,6 +343,7 @@ func (st *streamState[A]) saveLocked(complete bool) error {
 	f.Prefix = b
 	if len(st.pending) > 0 {
 		f.Pending = make(map[string]json.RawMessage, len(st.pending))
+		// order-free: fills a map, which json.Marshal writes in key order.
 		for ci, a := range st.pending {
 			b, err := json.Marshal(a)
 			if err != nil {
@@ -398,6 +399,8 @@ func (st *streamState[A]) load() error {
 	st.prefix = prefix
 	st.next = f.NextChunk
 	st.complete = f.Complete
+	// order-free: fills a map; a file with several bad chunks is refused
+	// whichever the error names.
 	for key, raw := range f.Pending {
 		ci, err := strconv.Atoi(key)
 		if err != nil {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"realisticfd/internal/abcast"
 	"realisticfd/internal/consensus"
@@ -40,25 +41,17 @@ func (s Spec) Build() (harness.Scenario, error) {
 		Horizon:      model.Time(s.Horizon),
 	}
 
-	crashes := s.Crashes
-	if !plan.Empty() {
-		// Plan kills and leaves are crashes in the simulator's
-		// crash-stop model; iterate the timeline (not the index maps)
-		// so the pattern order is deterministic.
-		crashes = append([]CrashSpec(nil), s.Crashes...)
-		for _, a := range plan.Actions {
-			if a.Kind == ActKill || a.Kind == ActLeave {
-				for _, id := range a.Nodes {
-					crashes = append(crashes, CrashSpec{Process: id, At: a.At})
-				}
-			}
-		}
-	}
+	// Kills (the crashes field's among them) and leaves are crashes in
+	// the simulator's crash-stop model.
 	n := s.N
 	sc.Pattern = func() *model.FailurePattern {
 		pat := model.MustPattern(n)
-		for _, c := range crashes {
-			pat.MustCrash(model.ProcessID(c.Process), model.Time(c.At))
+		for _, a := range plan.Actions {
+			if a.Kind == ActKill || a.Kind == ActLeave {
+				for _, id := range a.Nodes {
+					pat.MustCrash(model.ProcessID(id), model.Time(a.At))
+				}
+			}
 		}
 		return pat
 	}
@@ -126,7 +119,7 @@ func (s Spec) Build() (harness.Scenario, error) {
 		}
 	}
 
-	sc.Faults = s.buildFaults(plan)
+	sc.Faults = lowerPlan(plan)
 
 	switch st := s.Stop; st.Kind {
 	case StopNone:
@@ -182,54 +175,21 @@ func MustBuild(s Spec) harness.Scenario {
 	return sc
 }
 
-// buildFaults lowers the compiled plan onto link faults: a sparse
-// overlay contributes one permanent cut of every non-edge, and the
-// plan's actions lower onto the same machinery. Returns nil when
-// nothing perturbs the network.
-func (s Spec) buildFaults(plan *FaultPlan) *sim.LinkFaults {
+// lowerPlan lowers the compiled plan onto link faults, nil when nothing
+// perturbs the network: a sparse overlay is one permanent cut of every
+// non-edge, drop/delay actions become RateStep/DelayStep timelines, and
+// each distinct isolation window becomes one EdgeCut of the incident
+// overlay edges, in the order first seen: cut edges, paused nodes,
+// joiners. The churn approximations are deliberate: a paused node is
+// modeled as total link isolation for the window (the detector-visible
+// silence is what QoS measures), and a joiner exists from tick 0 but is
+// isolated until its join — "partitioned from birth, healing at the join".
+func lowerPlan(plan *FaultPlan) *sim.LinkFaults {
 	var lf sim.LinkFaults
-	if missing := missingEdges(s.N, plan.Overlay); len(missing) > 0 {
+	if missing := missingEdges(plan.N, plan.Overlay); len(missing) > 0 {
 		// A sparse topology is a permanent severing of its non-links;
 		// Until reaches past the horizon so the cut never heals.
-		lf.Cuts = append(lf.Cuts, sim.EdgeCut{Edges: missing, From: 0, Until: model.Time(s.Horizon) + 1})
-	}
-	s.lowerPlan(plan, &lf)
-	if !lf.Active() {
-		return nil
-	}
-	return &lf
-}
-
-// lowerPlan folds a compiled FaultPlan into the link-fault set: timed
-// drop/delay actions become piecewise-constant RateStep/DelayStep
-// timelines and cut/heal pairs become EdgeCuts. The churn
-// approximations are deliberate: a paused node is modeled as total
-// link isolation for the window (its local steps continue, but the
-// detector-visible silence is what QoS measures), and a joiner exists
-// from tick 0 but is isolated until its join instant — "partitioned
-// from birth, healing at the join".
-func (s Spec) lowerPlan(plan *FaultPlan, lf *sim.LinkFaults) {
-	never := model.Time(s.Horizon) + 1
-	type interval struct {
-		edge  sim.Edge
-		from  model.Time
-		until model.Time
-	}
-	var spans []interval
-
-	// cut/heal pairing: each severed edge stays down until the first
-	// heal that names it (or a bare heal), else past the horizon.
-	cutStart := map[sim.Edge]model.Time{}
-	var activeOrder []sim.Edge
-	dropEdge := func(e sim.Edge, until model.Time) {
-		spans = append(spans, interval{edge: e, from: cutStart[e], until: until})
-		delete(cutStart, e)
-		for i, a := range activeOrder {
-			if a == e {
-				activeOrder = append(activeOrder[:i], activeOrder[i+1:]...)
-				break
-			}
-		}
+		lf.Cuts = append(lf.Cuts, sim.EdgeCut{Edges: missing, From: 0, Until: model.Time(plan.Horizon) + 1})
 	}
 	for _, a := range plan.Actions {
 		switch a.Kind {
@@ -237,111 +197,42 @@ func (s Spec) lowerPlan(plan *FaultPlan, lf *sim.LinkFaults) {
 			lf.DropSteps = append(lf.DropSteps, sim.RateStep{From: model.Time(a.At), Pct: a.Pct})
 		case ActDelay:
 			lf.DelaySteps = append(lf.DelaySteps, sim.DelayStep{From: model.Time(a.At), Max: model.Time(a.Bound)})
-		case ActCut:
-			for _, e := range a.Edges {
-				edge := sim.Edge{A: model.ProcessID(e[0]), B: model.ProcessID(e[1])}
-				if _, active := cutStart[edge]; !active {
-					cutStart[edge] = model.Time(a.At)
-					activeOrder = append(activeOrder, edge)
-				}
-			}
-		case ActHeal:
-			if a.Edges == nil {
-				for len(activeOrder) > 0 {
-					dropEdge(activeOrder[0], model.Time(a.At))
-				}
-				continue
-			}
-			for _, e := range a.Edges {
-				edge := sim.Edge{A: model.ProcessID(e[0]), B: model.ProcessID(e[1])}
-				if _, active := cutStart[edge]; active {
-					dropEdge(edge, model.Time(a.At))
-				}
-			}
 		}
 	}
-	for len(activeOrder) > 0 {
-		dropEdge(activeOrder[0], never)
+	first := len(lf.Cuts) // the plan's windows start after the sparse overlay's cut
+	isolate := func(e sim.Edge, from, until int64) {
+		w := sim.EdgeCut{From: model.Time(from), Until: model.Time(until)}
+		i := first + slices.IndexFunc(lf.Cuts[first:], func(c sim.EdgeCut) bool { return c.From == w.From && c.Until == w.Until })
+		if i < first {
+			i, lf.Cuts = len(lf.Cuts), append(lf.Cuts, w)
+		}
+		lf.Cuts[i].Edges = append(lf.Cuts[i].Edges, e)
 	}
-
-	// pause/resume: isolate the node's incident edges for the window.
-	incident := func(id int) []sim.Edge {
-		var out []sim.Edge
+	isolateNode := func(id int, from, until int64) {
 		p := model.ProcessID(id)
 		for _, e := range plan.Overlay {
 			if e.A == p || e.B == p {
-				out = append(out, e)
+				isolate(e, from, until)
 			}
 		}
-		return out
 	}
-	pausedAt := map[int]model.Time{}
-	var pausedOrder []int
+	for _, w := range plan.cutWindows {
+		isolate(plan.Overlay[w.key], w.from, w.until)
+	}
+	for _, w := range plan.pauseWindows {
+		isolateNode(w.key, w.from, w.until)
+	}
 	for _, a := range plan.Actions {
-		switch a.Kind {
-		case ActPause:
+		if a.Kind == ActJoin && a.At > 0 { // joining at tick 0 is just being present
 			for _, id := range a.Nodes {
-				if _, ok := pausedAt[id]; !ok {
-					pausedAt[id] = model.Time(a.At)
-					pausedOrder = append(pausedOrder, id)
-				}
-			}
-		case ActResume:
-			for _, id := range a.Nodes {
-				from, ok := pausedAt[id]
-				if !ok {
-					continue
-				}
-				for _, e := range incident(id) {
-					spans = append(spans, interval{edge: e, from: from, until: model.Time(a.At)})
-				}
-				delete(pausedAt, id)
-				for i, p := range pausedOrder {
-					if p == id {
-						pausedOrder = append(pausedOrder[:i], pausedOrder[i+1:]...)
-						break
-					}
-				}
+				isolateNode(id, 0, a.At)
 			}
 		}
 	}
-	for _, id := range pausedOrder {
-		for _, e := range incident(id) {
-			spans = append(spans, interval{edge: e, from: pausedAt[id], until: never})
-		}
+	if !lf.Active() {
+		return nil
 	}
-
-	// join: birth isolation [0, joinAt) of the joiner's incident edges.
-	for _, a := range plan.Actions {
-		if a.Kind != ActJoin {
-			continue
-		}
-		for _, id := range a.Nodes {
-			if a.At == 0 {
-				continue // joining at tick 0 is just being present
-			}
-			for _, e := range incident(id) {
-				spans = append(spans, interval{edge: e, from: 0, until: model.Time(a.At)})
-			}
-		}
-	}
-
-	// Group same-window spans into one EdgeCut each, in emission order.
-	type window struct{ from, until model.Time }
-	cutIdx := map[window]int{}
-	for _, sp := range spans {
-		if sp.until <= sp.from {
-			continue
-		}
-		w := window{from: sp.from, until: sp.until}
-		i, ok := cutIdx[w]
-		if !ok {
-			i = len(lf.Cuts)
-			cutIdx[w] = i
-			lf.Cuts = append(lf.Cuts, sim.EdgeCut{From: w.from, Until: w.until})
-		}
-		lf.Cuts[i].Edges = append(lf.Cuts[i].Edges, sp.edge)
-	}
+	return &lf
 }
 
 // missingEdges returns the complement of the sorted overlay: the

@@ -18,7 +18,8 @@ type ActionKind string
 const (
 	// ActCut severs an edge set from this instant on (until healed).
 	ActCut ActionKind = "cut"
-	// ActHeal reverses cuts: the named edges, or every active cut.
+	// ActHeal restores severed edges: those of the named ones that are
+	// severed, or with nothing named every severed edge.
 	ActHeal ActionKind = "heal"
 	// ActDrop sets the message-loss rate (percent) from this instant on.
 	ActDrop ActionKind = "drop"
@@ -26,6 +27,7 @@ const (
 	// instant on.
 	ActDelay ActionKind = "delay"
 	// ActKill crashes nodes (SIGKILL live, pattern crash in the sim).
+	// Each entry of a spec's crashes field compiles to one.
 	ActKill ActionKind = "kill"
 	// ActPause freezes nodes (SIGSTOP live; total link isolation in
 	// the sim, which captures the detector-visible silence).
@@ -49,13 +51,14 @@ type PlanAction struct {
 	At    int64
 	Kind  ActionKind
 	Nodes []int    // kill/pause/resume/leave/join targets
-	Edges [][2]int // cut/heal, canonical a<b, resolved; nil on a bare heal (= all active cuts)
+	Edges [][2]int // cut: the selected edges; heal: exactly the severed edges restored, never nil; canonical a<b
 	Pct   int      // drop: loss percentage from At on
 	Bound int64    // delay: extra-latency bound from At on
 }
 
 // FaultPlan is the shared fault-injection IR: a validated, time-sorted
-// timeline of typed actions over resolved overlay edges and nodes.
+// timeline of typed actions over resolved overlay edges and nodes, in
+// which every crash is a kill and every heal names what it restores.
 // Both backends consume exactly this — internal/sim lowers it onto the
 // LinkFaults machinery, internal/cluster interprets it against live
 // processes — so a checked-in spec runs the identical experiment in
@@ -63,9 +66,11 @@ type PlanAction struct {
 type FaultPlan struct {
 	// N is the system size the node IDs were validated against.
 	N int
-	// Horizon bounds the timeline (plan ticks).
+	// Horizon bounds the plan's actions (plan ticks); only a kill
+	// compiled from a crash may lie beyond it.
 	Horizon int64
-	// Actions is the timeline, sorted by At (stable).
+	// Actions is the timeline, sorted by At (stable), a crash before a
+	// plan action at the same instant.
 	Actions []PlanAction
 	// Joins maps each mid-run joiner to its join instant.
 	Joins map[int]int64
@@ -76,10 +81,19 @@ type FaultPlan struct {
 	// Overlay is the generated topology the edges were resolved
 	// against: every link, A < B, sorted lexicographically.
 	Overlay []sim.Edge
+
+	// cutWindows isolate overlay edges (key: Overlay index) cut to heal,
+	// pauseWindows nodes (key: ID) pause to resume: non-empty windows in
+	// the order they closed, then those open at the end, which run to
+	// horizon + 1, in the order they opened.
+	cutWindows, pauseWindows []window
 }
 
-// Empty reports whether the plan perturbs nothing.
-func (p *FaultPlan) Empty() bool { return len(p.Actions) == 0 }
+// window is the isolation of one overlay edge or node over [from, until).
+type window struct {
+	key         int
+	from, until int64
+}
 
 // Joiner reports whether node id joins mid-run rather than being
 // present from the start.
@@ -92,8 +106,9 @@ func (p *FaultPlan) Joiner(id int) bool {
 // edge resolution. Kill/pause/resume/leave/join name Nodes; cut gives
 // exactly one of Side (a node-set boundary — every overlay edge
 // crossing it is severed) and Cut (explicit edges, validated against
-// the overlay); heal takes side/cut or nothing (= all active cuts);
-// drop carries Pct, delay carries Bound.
+// the overlay); heal takes side/cut, restoring those of its edges that
+// are severed, or nothing, restoring every severed edge; drop carries
+// Pct, delay carries Bound.
 type ActionSpec struct {
 	At     int64    `json:"at"`
 	Action string   `json:"action"`
@@ -162,18 +177,20 @@ func (lp *LiveParams) Normalize() {
 func (a ActionSpec) Kind() ActionKind { return ActionKind(a.Action) }
 
 // CompilePlan compiles the spec into the FaultPlan IR: the spec is
-// checked, the overlay generated, and the plan's edges resolved against
-// it, actions sorted by time and churn indexed. A spec that declares no
-// plan compiles to an empty one, never nil.
+// checked, the overlay generated, the crashes merged into the plan as
+// kills, and the plan's edges resolved against the overlay, actions
+// sorted by time and churn indexed. A spec that declares neither plan
+// nor crashes compiles to an empty plan, never nil.
 func (s Spec) CompilePlan() (*FaultPlan, error) { return s.compile() }
 
 // compile is the one pass from a spec to its FaultPlan that Validate,
 // CompilePlan and Build share. It checks the fields, generates the
-// overlay once, and walks the plan once in stable time order: each
-// action is checked, its cut/heal edges resolved and its churn indexed
-// in the same step. The time-ordered checks are the plan's semantics:
-// no double kill, resume pairs with pause, a joiner is inert before
-// its join, and a crash from the crashes field counts as a kill.
+// overlay once, and walks the timeline once in stable time order: each
+// action is checked, its cut/heal edges resolved, its churn indexed and
+// its isolation windows recorded in the same step. The time-ordered
+// checks are the plan's semantics: no double kill, resume pairs with
+// pause, a joiner is inert before its join, and a crash from the
+// crashes field counts as a kill.
 func (s Spec) compile() (*FaultPlan, error) {
 	if err := s.checkFields(); err != nil {
 		return nil, err
@@ -183,59 +200,77 @@ func (s Spec) compile() (*FaultPlan, error) {
 		return nil, fmt.Errorf("scenario %q: %v", s.Name, err)
 	}
 	plan := &FaultPlan{N: s.N, Horizon: s.Horizon, Overlay: overlay}
-	if len(s.Plan) == 0 {
+	if len(s.Plan) == 0 && len(s.Crashes) == 0 {
 		return plan, nil
 	}
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("scenario %q: plan: %s", s.Name, fmt.Sprintf(format, args...))
 	}
-	ordered := make([]int, len(s.Plan))
-	for i := range ordered {
-		ordered[i] = i
+	// The timeline: entry k < nc is crash k, entry nc+i plan action i.
+	// The stable sort keeps a crash ahead of a plan action at its instant.
+	nc := len(s.Crashes)
+	at := func(k int) int64 {
+		if k < nc {
+			return s.Crashes[k].At
+		}
+		return s.Plan[k-nc].At
 	}
-	slices.SortStableFunc(ordered, func(x, y int) int { return cmp.Compare(s.Plan[x].At, s.Plan[y].At) })
+	ordered := make([]int, nc+len(s.Plan))
+	nodeRefs := nc
+	for k := range ordered {
+		ordered[k] = k
+		if k >= nc {
+			nodeRefs += len(s.Plan[k-nc].Nodes)
+		}
+	}
+	slices.SortStableFunc(ordered, func(x, y int) int { return cmp.Compare(at(x), at(y)) })
 
-	joinAt := map[int]int64{}
-	for _, i := range ordered {
-		a := s.Plan[i]
-		if a.Kind() == ActJoin {
-			for _, id := range a.Nodes {
-				if _, dup := joinAt[id]; dup {
-					return nil, fail("action[%d]: node %d joins twice", i, id)
+	for _, k := range ordered {
+		if k >= nc && s.Plan[k-nc].Kind() == ActJoin {
+			for _, id := range s.Plan[k-nc].Nodes {
+				if _, dup := plan.Joins[id]; dup {
+					return nil, fail("action[%d]: node %d joins twice", k-nc, id)
 				}
-				joinAt[id] = a.At
+				index(&plan.Joins, id, s.Plan[k-nc].At)
 			}
 		}
 	}
-
-	dead := map[int]bool{} // killed or left
-	paused := map[int]bool{}
+	gone := make([]bool, s.N+1) // killed, left or crashing
 	for _, c := range s.Crashes {
 		// Crashes and plan kills share the crash budget; the walk
 		// below rejects a plan kill of an already-crashing process.
-		dead[c.Process] = true
-		if at, ok := joinAt[c.Process]; ok {
+		gone[c.Process] = true
+		if at, ok := plan.Joins[c.Process]; ok {
 			return nil, fail("node %d both joins at %d and crashes via the crashes field", c.Process, at)
 		}
 	}
 
-	plan.Actions = make([]PlanAction, 0, len(s.Plan))
-	plan.Joins, plan.Leaves, plan.Kills = map[int]int64{}, map[int]int64{}, map[int]int64{}
-	for _, i := range ordered {
-		a := s.Plan[i]
+	// Every action's node list is carved from one array.
+	targets := make([]int, 0, nodeRefs)
+	carve := func(ids ...int) []int {
+		if len(ids) == 0 {
+			return nil
+		}
+		targets = append(targets, ids...)
+		return targets[len(targets)-len(ids) : len(targets) : len(targets)]
+	}
+	cuts, pauses := isolations{keys: len(overlay)}, isolations{keys: s.N + 1}
+	plan.Actions = make([]PlanAction, 0, len(ordered))
+	for _, k := range ordered {
+		if k < nc {
+			c := s.Crashes[k]
+			plan.Actions = append(plan.Actions, PlanAction{At: c.At, Kind: ActKill, Nodes: carve(c.Process)})
+			index(&plan.Kills, c.Process, c.At)
+			continue
+		}
+		i, a := k-nc, s.Plan[k-nc]
 		if a.At < 0 {
 			return nil, fail("action[%d]: at = %d must be non-negative", i, a.At)
 		}
 		if a.At > s.Horizon {
 			return nil, fail("action[%d]: at = %d beyond the horizon %d", i, a.At, s.Horizon)
 		}
-		act := PlanAction{
-			At:    a.At,
-			Kind:  a.Kind(),
-			Nodes: append([]int(nil), a.Nodes...),
-			Pct:   a.Pct,
-			Bound: a.Bound,
-		}
+		act := PlanAction{At: a.At, Kind: a.Kind(), Nodes: carve(a.Nodes...), Pct: a.Pct, Bound: a.Bound}
 		switch kind := act.Kind; kind {
 		case ActKill, ActPause, ActResume, ActLeave, ActJoin:
 			if len(a.Nodes) == 0 {
@@ -248,32 +283,29 @@ func (s Spec) compile() (*FaultPlan, error) {
 				if id < 1 || id > s.N {
 					return nil, fail("action[%d]: node %d outside [1, %d]", i, id, s.N)
 				}
-				if at, joiner := joinAt[id]; joiner && kind != ActJoin && a.At < at {
+				if at, joiner := plan.Joins[id]; joiner && kind != ActJoin && a.At < at {
 					return nil, fail("action[%d]: node %d acted on at %d before its join at %d", i, id, a.At, at)
 				}
 				switch kind {
 				case ActKill, ActLeave:
-					if dead[id] {
+					if gone[id] {
 						return nil, fail("action[%d]: node %d is already gone", i, id)
 					}
-					dead[id] = true
+					gone[id] = true
 					if kind == ActKill {
-						plan.Kills[id] = a.At
+						index(&plan.Kills, id, a.At)
 					} else {
-						plan.Leaves[id] = a.At
+						index(&plan.Leaves, id, a.At)
 					}
 				case ActPause:
-					if dead[id] {
+					if gone[id] {
 						return nil, fail("action[%d]: node %d paused after its departure", i, id)
 					}
-					paused[id] = true
+					pauses.begin(id, a.At)
 				case ActResume:
-					if !paused[id] {
+					if !pauses.end(id, a.At) {
 						return nil, fail("action[%d]: node %d resumed without a pause", i, id)
 					}
-					delete(paused, id)
-				case ActJoin:
-					plan.Joins[id] = a.At
 				}
 			}
 		case ActCut:
@@ -286,12 +318,32 @@ func (s Spec) compile() (*FaultPlan, error) {
 			if act.Edges, err = s.resolveEdges(a, overlay); err != nil {
 				return nil, fail("action[%d]: %v", i, err)
 			}
+			cuts.open = slices.Grow(cuts.open, len(act.Edges))
+			for _, e := range act.Edges {
+				cuts.begin(edgeIndex(overlay, e), a.At)
+			}
 		case ActHeal:
 			if len(a.Nodes) > 0 || a.Pct != 0 || a.Bound != 0 {
 				return nil, fail("action[%d]: heal takes side/cut (or nothing)", i)
 			}
-			if act.Edges, err = s.resolveEdges(a, overlay); err != nil {
+			named, err := s.resolveEdges(a, overlay)
+			if err != nil {
 				return nil, fail("action[%d]: %v", i, err)
+			}
+			if named == nil { // a bare heal names every severed edge, in the order they were cut
+				named = make([][2]int, 0, len(cuts.open))
+				for i, w := range cuts.open {
+					if int(cuts.slot[w.key]) == i+1 {
+						named = append(named, pair(overlay[w.key]))
+					}
+				}
+			}
+			act.Edges = named[:0] // named is this action's own: keep the severed edges in place
+			cuts.closed = slices.Grow(cuts.closed, len(named))
+			for _, e := range named {
+				if cuts.end(edgeIndex(overlay, e), a.At) {
+					act.Edges = append(act.Edges, e)
+				}
 			}
 		case ActDrop:
 			if a.Pct < 0 || a.Pct > 100 {
@@ -318,8 +370,8 @@ func (s Spec) compile() (*FaultPlan, error) {
 		// The bound asserts that no resumed node stays suspected, so the
 		// cluster must be able to collect every node that is still alive.
 		stuck := 0
-		for id := range paused {
-			if !dead[id] {
+		for id := 1; id <= s.N; id++ {
+			if pauses.isolated(id) && !gone[id] {
 				stuck++
 			}
 		}
@@ -327,14 +379,76 @@ func (s Spec) compile() (*FaultPlan, error) {
 			return nil, fail("bound_ms asserts resumed nodes heal, but %d node(s) stay paused at collection", stuck)
 		}
 	}
+	cuts.endAll(s.Horizon + 1) // the windows still open run past the horizon
+	pauses.endAll(s.Horizon + 1)
+	plan.cutWindows, plan.pauseWindows = cuts.closed, pauses.closed
 	return plan, nil
 }
 
+// index records a churn instant in one of the plan's node indexes,
+// making the map on first use.
+func index(m *map[int]int64, id int, at int64) {
+	if *m == nil {
+		*m = map[int]int64{}
+	}
+	(*m)[id] = at
+}
+
+// pair is the plan's form of an overlay edge.
+func pair(e sim.Edge) [2]int { return [2]int{int(e.A), int(e.B)} }
+
+// isolations follows the isolation windows of one kind of key, overlay
+// edge indices or node IDs in [0, keys), through the plan walk. slot[key]
+// is 1 + the index in open of key's open window, 0 when key is not
+// isolated; an entry of open whose key's slot has moved on is closed.
+type isolations struct {
+	keys   int
+	slot   []int32  // made by the first begin
+	open   []window // in the order they opened
+	closed []window // non-empty windows, in the order they closed
+}
+
+// begin isolates key from t on, unless it already is.
+func (iso *isolations) begin(key int, t int64) {
+	if iso.slot == nil {
+		iso.slot = make([]int32, iso.keys)
+	}
+	if iso.slot[key] == 0 {
+		iso.open = append(iso.open, window{key: key, from: t})
+		iso.slot[key] = int32(len(iso.open))
+	}
+}
+
+func (iso *isolations) isolated(key int) bool { return iso.slot != nil && iso.slot[key] != 0 }
+
+// end closes key's window at t and reports whether key was isolated.
+func (iso *isolations) end(key int, t int64) bool {
+	if !iso.isolated(key) {
+		return false
+	}
+	w := iso.open[iso.slot[key]-1]
+	iso.slot[key] = 0
+	if w.from < t {
+		iso.closed = append(iso.closed, window{key: key, from: w.from, until: t})
+	}
+	return true
+}
+
+// endAll closes every open window at t, in the order they opened.
+func (iso *isolations) endAll(t int64) {
+	for i, w := range iso.open {
+		if int(iso.slot[w.key]) == i+1 {
+			iso.end(w.key, t)
+		}
+	}
+}
+
 // resolveEdges checks a cut/heal action's node and edge references
-// against the sorted overlay and resolves its edge selection: a Side
-// boundary becomes its crossing edges in overlay order, an explicit Cut
-// passes through canonicalized (a < b), and a bare heal resolves to nil
-// ("all active cuts" to the interpreters).
+// against the sorted overlay and resolves its edge selection into a
+// slice of the action's own: a Side boundary becomes its crossing
+// edges in overlay order, an explicit Cut passes through canonicalized
+// (a < b), and a bare heal, which selects nothing, resolves to nil —
+// compile then hands it every severed edge.
 func (s Spec) resolveEdges(a ActionSpec, overlay []sim.Edge) ([][2]int, error) {
 	for _, id := range a.Side {
 		if id < 1 || id > s.N {
@@ -348,7 +462,7 @@ func (s Spec) resolveEdges(a ActionSpec, overlay []sim.Edge) ([][2]int, error) {
 			if x < 1 || y > s.N || x == y {
 				return nil, fmt.Errorf("bad edge [%d, %d]", e[0], e[1])
 			}
-			if !hasEdge(overlay, x, y) {
+			if edgeIndex(overlay, [2]int{x, y}) < 0 {
 				return nil, fmt.Errorf("edge [%d, %d] does not exist in the %s topology", e[0], e[1], s.Topology.Kind)
 			}
 			out[i] = [2]int{x, y}
@@ -362,14 +476,20 @@ func (s Spec) resolveEdges(a ActionSpec, overlay []sim.Edge) ([][2]int, error) {
 	for _, id := range a.Side {
 		inSide[id] = true
 	}
-	var out [][2]int
+	crossing := 0
 	for _, e := range overlay {
 		if inSide[e.A] != inSide[e.B] {
-			out = append(out, [2]int{int(e.A), int(e.B)})
+			crossing++
 		}
 	}
-	if len(out) == 0 {
+	if crossing == 0 {
 		return nil, errors.New("side boundary severs no overlay edge")
+	}
+	out := make([][2]int, 0, crossing)
+	for _, e := range overlay {
+		if inSide[e.A] != inSide[e.B] {
+			out = append(out, pair(e))
+		}
 	}
 	return out, nil
 }

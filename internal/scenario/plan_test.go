@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,7 +68,7 @@ func TestV3ParseAndCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Empty() || len(plan.Actions) != 4 {
+	if len(plan.Actions) != 4 {
 		t.Fatalf("plan = %+v", plan)
 	}
 	if at, ok := plan.Joins[4]; !ok || at != 300 {
@@ -102,10 +103,46 @@ func TestV3ParseAndCompile(t *testing.T) {
 	}
 }
 
+// TestCrashesCompileToKills pins that the crashes field reaches both
+// backends through the timeline: each crash is a kill at its instant,
+// indexed in Kills, even past the horizon, and a plan kill of a
+// crashing process is still refused.
+func TestCrashesCompileToKills(t *testing.T) {
+	t.Parallel()
+	s, err := Load("../../examples/scenarios/lossy-consensus.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.CompilePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill := PlanAction{At: 60, Kind: ActKill, Nodes: []int{2}}
+	if len(plan.Actions) != 3 || fmt.Sprint(plan.Actions[2]) != fmt.Sprint(kill) || plan.Kills[2] != 60 {
+		t.Fatalf("crash of node 2 at 60 not compiled to a kill: actions %+v, kills %v", plan.Actions, plan.Kills)
+	}
+
+	late := s
+	late.Crashes = append(slices.Clone(s.Crashes), CrashSpec{Process: 3, At: s.Horizon + 10})
+	if plan, err = late.CompilePlan(); err != nil {
+		t.Fatalf("a crash past the horizon: %v", err)
+	}
+	if last := plan.Actions[len(plan.Actions)-1]; last.Kind != ActKill || last.At != s.Horizon+10 || plan.Kills[3] != s.Horizon+10 {
+		t.Fatalf("crash past the horizon not compiled to a kill: %+v", plan.Actions)
+	}
+
+	twice := s
+	twice.Plan = append(slices.Clone(s.Plan), ActionSpec{At: 10, Action: "kill", Nodes: []int{2}})
+	if _, err := twice.CompilePlan(); err == nil || !strings.Contains(err.Error(), "node 2 is already gone") {
+		t.Fatalf("plan kill of a crashing process: error %v, want one saying it is already gone", err)
+	}
+}
+
 // TestResolveEdges pins how a cut or heal selects overlay edges: a side
 // boundary becomes every edge crossing it, in overlay order, an
-// explicit cut passes through canonicalized, and a bare heal selects
-// nil — all active cuts.
+// explicit cut passes through canonicalized, and a bare heal resolves
+// to every severed edge in the order they were cut — here the side's
+// crossing edges, which already include the explicit cut's.
 func TestResolveEdges(t *testing.T) {
 	t.Parallel()
 	s := v3Spec()
@@ -133,8 +170,8 @@ func TestResolveEdges(t *testing.T) {
 	if len(cut) != 1 || cut[0] != [2]int{2, 3} {
 		t.Fatalf("explicit cut resolved to %v, want [[2 3]]", cut)
 	}
-	if heal != nil {
-		t.Fatalf("bare heal resolved to %v, want nil", heal)
+	if fmt.Sprint(heal) != fmt.Sprint(crossing) {
+		t.Fatalf("bare heal resolved to %v, want every severed edge %v", heal, crossing)
 	}
 }
 

@@ -102,11 +102,12 @@ func compareEdges(x, y sim.Edge) int {
 	return cmp.Compare(x.B, y.B)
 }
 
-// hasEdge reports whether the sorted overlay links a and b.
-func hasEdge(overlay []sim.Edge, a, b int) bool {
-	if b < a {
-		a, b = b, a
+// edgeIndex returns the index of edge e (A < B) in the sorted overlay,
+// or -1 when the overlay does not link its ends.
+func edgeIndex(overlay []sim.Edge, e [2]int) int {
+	i, found := slices.BinarySearchFunc(overlay, sim.Edge{A: model.ProcessID(e[0]), B: model.ProcessID(e[1])}, compareEdges)
+	if !found {
+		return -1
 	}
-	_, found := slices.BinarySearchFunc(overlay, sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)}, compareEdges)
-	return found
+	return i
 }

@@ -126,9 +126,11 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 		tr.byProc[p] = idx[:0]
 	}
 	tr.decisions = tr.decisions[:0]
+	// order-free: each entry is truncated in place; none reads another.
 	for inst, d := range tr.decByInst {
 		tr.decByInst[inst] = d[:0]
 	}
+	// order-free: as above.
 	for kind, ev := range tr.evByKind {
 		tr.evByKind[kind] = ev[:0]
 	}
