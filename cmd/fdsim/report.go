@@ -121,7 +121,7 @@ func reportConsensus(tr *sim.Trace, props consensus.Proposals, verbose bool) err
 		fmt.Println("\ndecision events:")
 		for _, d := range tr.Decisions(0) {
 			fmt.Printf("  t=%5d %v → %v (causal contributors %v)\n",
-				d.T, d.P, d.Value, tr.Contributors(d.EventIndex))
+				d.T, d.P, d.Event.Value, tr.Contributors(d.EventIndex))
 		}
 	}
 	return nil

@@ -239,6 +239,49 @@ func TestOrchestratorFailsFastOnWedge(t *testing.T) {
 	}
 }
 
+// badHelloSpawner's node 1 dials the control listener and says hello
+// with an ID outside [1, n]; the other nodes never dial at all.
+type badHelloSpawner struct{ id int }
+
+type badHelloHandle struct{ conn net.Conn }
+
+func (h *badHelloHandle) Kill() error   { return nil }
+func (h *badHelloHandle) Pause() error  { return nil }
+func (h *badHelloHandle) Resume() error { return nil }
+func (h *badHelloHandle) Shutdown() {
+	if h.conn != nil {
+		_ = h.conn.Close()
+	}
+}
+
+func (s badHelloSpawner) Spawn(cfg NodeConfig) (NodeHandle, error) {
+	if cfg.ID != 1 {
+		return &badHelloHandle{}, nil
+	}
+	conn, err := net.Dial("tcp", cfg.ControlAddr)
+	if err != nil {
+		return nil, err
+	}
+	return &badHelloHandle{conn: conn}, transport.WriteJSON(conn, ctlMsg{Kind: ctlHello, ID: s.id, Addr: "127.0.0.1:1"})
+}
+
+// TestOrchestratorRefusesOutOfRangeHello: a hello whose ID names no
+// node of the spec fails the run with the bad-hello error, before the
+// orchestrator indexes its per-node state with that ID.
+func TestOrchestratorRefusesOutOfRangeHello(t *testing.T) {
+	const n = 8
+	for _, id := range []int{n + 1, 0} {
+		spec := liveSpec("bad-hello", n, scenario.LiveParams{IntervalMs: 25})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		_, err := Run(ctx, Config{Scenario: spec, Spawner: badHelloSpawner{id: id}})
+		cancel()
+		want := fmt.Sprintf("cluster: bad hello (kind %q, id %d)", ctlHello, id)
+		if err == nil || err.Error() != want {
+			t.Fatalf("hello with id %d: error %v, want %q", id, err, want)
+		}
+	}
+}
+
 // churnSpec is a /v3 spec exercising every fault axis the live
 // interpreter knows at once: seeded drop, a kill, a partition window,
 // and a mid-run joiner — with bound_ms turning join adoption and kill

@@ -66,7 +66,7 @@ type foldCase struct {
 // a join stamps its joined instant, and the run lasted 10 s.
 func foldRow(c foldCase) *Result {
 	plan := &scenario.FaultPlan{N: c.n, Kills: c.kills, Leaves: c.leaves, Joins: c.joins}
-	states := make(map[int]*nodeState, c.n)
+	states := make([]*nodeState, c.n+1)
 	for id := 1; id <= c.n; id++ {
 		st := &nodeState{id: id}
 		if at, ok := c.kills[id]; ok {

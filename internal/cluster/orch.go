@@ -230,7 +230,9 @@ type run struct {
 	ln      net.Listener
 	hellos  chan helloMsg
 	inbound chan inboundMsg
-	states  map[int]*nodeState
+	// states is indexed by node ID (slot 0 unused), nil until spawned,
+	// so every walk over the nodes goes in ID order.
+	states []*nodeState
 
 	// needHook is whether the plan ever touches the loss axes: only then
 	// do nodes install a transport.FaultHook, keeping loss-free runs on
@@ -273,7 +275,7 @@ func newRun(cfg Config) (*run, error) {
 		neighbors: make(map[int][]int, s.N),
 		hellos:    make(chan helloMsg, s.N),
 		inbound:   make(chan inboundMsg, 4*s.N),
-		states:    make(map[int]*nodeState, s.N),
+		states:    make([]*nodeState, s.N+1),
 		joined:    map[int]time.Time{},
 	}
 	// The overlay is sorted, so each neighbour list comes out sorted.
@@ -313,6 +315,9 @@ func newRun(cfg Config) (*run, error) {
 // close reclaims everything the run spawned, then the listener.
 func (r *run) close() {
 	for _, st := range r.states {
+		if st == nil {
+			continue
+		}
 		if st.conn != nil {
 			_ = st.conn.Close()
 		}
@@ -413,14 +418,15 @@ func (r *run) awaitHellos(ctx context.Context, ids []int) error {
 			if h.err != nil {
 				return fmt.Errorf("cluster: hello: %w", h.err)
 			}
-			st := r.states[h.msg.ID]
-			if st == nil || h.msg.Kind != ctlHello || !want[h.msg.ID] {
+			id := h.msg.ID
+			if id < 1 || id > r.spec.N || r.states[id] == nil || h.msg.Kind != ctlHello || !want[id] {
 				_ = h.conn.Close()
-				return fmt.Errorf("cluster: bad hello (kind %q, id %d)", h.msg.Kind, h.msg.ID)
+				return fmt.Errorf("cluster: bad hello (kind %q, id %d)", h.msg.Kind, id)
 			}
+			st := r.states[id]
 			if st.conn != nil {
 				_ = h.conn.Close()
-				return fmt.Errorf("cluster: duplicate hello from node %d", h.msg.ID)
+				return fmt.Errorf("cluster: duplicate hello from node %d", id)
 			}
 			st.conn, st.r, st.addr = h.conn, h.r, h.msg.Addr
 			remaining--
@@ -485,7 +491,7 @@ func (r *run) interpret(ctx context.Context) error {
 // broadcast sends one control frame to every running node.
 func (r *run) broadcast(msg ctlMsg) {
 	for _, st := range r.states {
-		if st.killed || st.conn == nil {
+		if st == nil || st.killed || st.conn == nil {
 			continue
 		}
 		// A write to a freshly dead node's half-open socket can succeed
@@ -598,7 +604,7 @@ func (r *run) collect(ctx context.Context) (map[int]*NodeReport, []string, error
 	// A node still paused at collection cannot report; resume it.
 	// (Spec validation forbids this whenever bound_ms asserts.)
 	for _, st := range r.states {
-		if st.paused && !st.killed {
+		if st != nil && st.paused && !st.killed {
 			r.logf("node %d still paused at collection; resuming", st.id)
 			_ = st.handle.Resume()
 			st.paused = false
@@ -653,7 +659,7 @@ wait:
 
 	// Stop the survivors; close reclaims everything.
 	for _, st := range r.states {
-		if !st.killed && st.conn != nil {
+		if st != nil && !st.killed && st.conn != nil {
 			_ = transport.WriteJSON(st.conn, ctlMsg{Kind: ctlStop})
 		}
 	}
@@ -686,7 +692,7 @@ func (r *run) fold(reports map[int]*NodeReport, failures []string, elapsed time.
 		res.NodeReports = reports
 	}
 	for _, st := range r.states {
-		if !st.killed {
+		if st != nil && !st.killed {
 			res.Expected++
 		}
 	}
@@ -885,10 +891,10 @@ func readLoop(id int, r *bufio.Reader, inbound chan<- inboundMsg) {
 }
 
 // countConnected counts nodes whose hello arrived.
-func countConnected(states map[int]*nodeState) int {
+func countConnected(states []*nodeState) int {
 	n := 0
 	for _, st := range states {
-		if st.conn != nil {
+		if st != nil && st.conn != nil {
 			n++
 		}
 	}

@@ -25,9 +25,9 @@ func ExtractOutcome(tr *sim.Trace, instance int) (*Outcome, error) {
 		DecidedAt: make(map[model.ProcessID]model.Time),
 	}
 	for _, d := range tr.Decisions(instance) {
-		v, ok := d.Value.(Value)
+		v, ok := d.Event.Value.(Value)
 		if !ok {
-			return nil, fmt.Errorf("consensus: %v decided non-Value payload %T at t=%d", d.P, d.Value, d.T)
+			return nil, fmt.Errorf("consensus: %v decided non-Value payload %T at t=%d", d.P, d.Event.Value, d.T)
 		}
 		if prev, dup := o.Decided[d.P]; dup {
 			return nil, fmt.Errorf("consensus: %v decided twice (%q then %q)", d.P, prev, v)

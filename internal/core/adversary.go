@@ -66,9 +66,9 @@ type DisagreementWitness struct {
 	// (the R1 decision time).
 	PrefixEnd model.Time
 	// FirstDecision is the R1/R3 decision made without the victim.
-	FirstDecision sim.DecisionEvent
+	FirstDecision sim.LocatedEvent
 	// VictimDecision is the victim's solo decision in R3.
-	VictimDecision sim.DecisionEvent
+	VictimDecision sim.LocatedEvent
 	// PrefixIdentical records the event-by-event comparison of the two
 	// runs through PrefixEnd.
 	PrefixIdentical bool
@@ -77,14 +77,14 @@ type DisagreementWitness struct {
 // Disagree reports whether the two decisions conflict — the
 // contradiction concluding Lemma 4.1.
 func (w *DisagreementWitness) Disagree() bool {
-	return w.FirstDecision.Value != w.VictimDecision.Value
+	return w.FirstDecision.Event.Value != w.VictimDecision.Event.Value
 }
 
 // String summarizes the witness.
 func (w *DisagreementWitness) String() string {
 	return fmt.Sprintf("lemma4.1 witness: %v decided %v at t=%d without consulting %v; %v decided %v at t=%d solo; prefix(≤%d) identical=%v",
-		w.FirstDecision.P, w.FirstDecision.Value, w.FirstDecision.T,
-		w.NonTotal.Missing, w.VictimDecision.P, w.VictimDecision.Value,
+		w.FirstDecision.P, w.FirstDecision.Event.Value, w.FirstDecision.T,
+		w.NonTotal.Missing, w.VictimDecision.P, w.VictimDecision.Event.Value,
 		w.VictimDecision.T, w.PrefixEnd, w.PrefixIdentical)
 }
 
@@ -178,7 +178,7 @@ func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: R3 failed: %w", err)
 	}
-	var victimDec sim.DecisionEvent
+	var victimDec sim.LocatedEvent
 	found := false
 	for _, d := range r3.Decisions(0) {
 		if d.P == cfg.Victim {

@@ -101,7 +101,7 @@ func TestBuildDisagreement(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !w.Disagree() {
-			t.Fatalf("seed %d: no disagreement: %v vs %v", seed, w.FirstDecision.Value, w.VictimDecision.Value)
+			t.Fatalf("seed %d: no disagreement: %v vs %v", seed, w.FirstDecision.Event.Value, w.VictimDecision.Event.Value)
 		}
 		if !w.PrefixIdentical {
 			t.Fatalf("seed %d: R1 and R3 prefixes differ through t=%d — realism broken", seed, w.PrefixEnd)
@@ -111,10 +111,10 @@ func TestBuildDisagreement(t *testing.T) {
 		}
 		// The victim decides its own proposal, everyone else decided
 		// without it.
-		if w.VictimDecision.Value != consensus.Value("v1") {
-			t.Fatalf("seed %d: victim decided %v, want its own v1", seed, w.VictimDecision.Value)
+		if w.VictimDecision.Event.Value != consensus.Value("v1") {
+			t.Fatalf("seed %d: victim decided %v, want its own v1", seed, w.VictimDecision.Event.Value)
 		}
-		if w.FirstDecision.Value == consensus.Value("v1") {
+		if w.FirstDecision.Event.Value == consensus.Value("v1") {
 			t.Fatalf("seed %d: R1 decision adopted the unconsulted victim's value", seed)
 		}
 	}

@@ -27,7 +27,7 @@ import (
 // §4.2 totality property.
 type TotalityViolation struct {
 	// Decision locates the offending decide event.
-	Decision sim.DecisionEvent
+	Decision sim.LocatedEvent
 	// Alive is Ω \ F(t) at decision time.
 	Alive model.ProcessSet
 	// Contributors are the processes with a message in the causal
@@ -43,7 +43,7 @@ func (v *TotalityViolation) Error() string {
 		return "<total>"
 	}
 	return fmt.Sprintf("totality violated: decision by %v at t=%d (instance %d) has no message from %v (alive %v, consulted %v)",
-		v.Decision.P, v.Decision.T, v.Decision.Instance, v.Missing, v.Alive, v.Contributors)
+		v.Decision.P, v.Decision.T, v.Decision.Event.Instance, v.Missing, v.Alive, v.Contributors)
 }
 
 // CheckTotality audits every decision of the given instance (or
@@ -71,7 +71,7 @@ func TotalityReport(tr *sim.Trace, instance int) []*TotalityViolation {
 	return out
 }
 
-func checkDecision(tr *sim.Trace, d sim.DecisionEvent) *TotalityViolation {
+func checkDecision(tr *sim.Trace, d sim.LocatedEvent) *TotalityViolation {
 	alive := tr.Pattern.AliveAt(d.T)
 	contributors := tr.Contributors(d.EventIndex)
 	missing := alive.Diff(contributors)

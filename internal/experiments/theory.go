@@ -135,7 +135,7 @@ func E2Adversary(seeds int) *Table {
 		return row{
 			cells: []string{fmt.Sprint(seed), "noisy ◇S", mark(w.PrefixIdentical),
 				w.NonTotal.Missing.String(),
-				fmt.Sprintf("%v:%v vs %v:%v", w.FirstDecision.P, w.FirstDecision.Value, w.VictimDecision.P, w.VictimDecision.Value),
+				fmt.Sprintf("%v:%v vs %v:%v", w.FirstDecision.P, w.FirstDecision.Event.Value, w.VictimDecision.P, w.VictimDecision.Event.Value),
 				mark(w.Disagree())},
 			ok: w.Disagree() && w.PrefixIdentical,
 		}

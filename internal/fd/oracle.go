@@ -81,20 +81,12 @@ func nextCrashVisibility(f *model.FailurePattern, delay, t model.Time) model.Tim
 	return next
 }
 
-// splitmix64 is the deterministic mixing function used for seeded
-// noise. It depends only on its argument, so noise derived from
-// (seed, p, q, t) is measurable on the pattern prefix — i.e. realistic.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // noise returns a pseudorandom uint64 for the tuple (seed, p, q, t).
+// model.Mix64 depends only on its argument, so the noise is measurable
+// on the pattern prefix — i.e. realistic.
 func noise(seed uint64, p, q model.ProcessID, t model.Time) uint64 {
-	x := splitmix64(seed ^ uint64(p)<<40 ^ uint64(q)<<20)
-	return splitmix64(x ^ uint64(t))
+	x := model.Mix64(seed ^ uint64(p)<<40 ^ uint64(q)<<20)
+	return model.Mix64(x ^ uint64(t))
 }
 
 // RecordHistory samples the oracle for every process alive at each

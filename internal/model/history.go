@@ -55,28 +55,6 @@ func NewHistory(n int) *History {
 // N returns the system size.
 func (h *History) N() int { return h.n }
 
-// Reset clears the history in place for reuse with a system of n
-// processes, retaining the per-process span capacity. It exists for
-// the simulator's reusable run contexts, which recycle one History
-// across a whole streaming sweep. Every retained slot is truncated —
-// including slots beyond the new n — so a context reused across
-// shrinking system sizes can never resurface an old process's samples.
-func (h *History) Reset(n int) {
-	full := h.procs[:cap(h.procs)]
-	for p := range full {
-		full[p].spans = full[p].spans[:0]
-		full[p].count = 0
-	}
-	if cap(h.procs) < n+1 {
-		procs := make([]procHistory, n+1)
-		copy(procs, full) // keep the truncated span capacity
-		h.procs = procs
-	} else {
-		h.procs = full[:n+1]
-	}
-	h.n = n
-}
-
 // Record appends the value out seen by p at time t. Times must be
 // recorded in non-decreasing order per process.
 func (h *History) Record(p ProcessID, t Time, out ProcessSet) {

@@ -166,58 +166,6 @@ func TestHistoryChangePointEdges(t *testing.T) {
 	})
 }
 
-// TestHistoryResetShrinkNoResidue is the regression test for the map
-// residue bug: with the old map-backed history, a Reset to a smaller n
-// left stale per-process entries behind, and MaxTime/String iterated
-// them in nondeterministic order. A context reused across shrinking
-// (then re-growing) n must never resurface old processes' samples.
-func TestHistoryResetShrinkNoResidue(t *testing.T) {
-	t.Parallel()
-	h := NewHistory(8)
-	for p := ProcessID(1); p <= 8; p++ {
-		h.Record(p, 500, NewProcessSet(1))
-	}
-
-	h.Reset(4)
-	if h.N() != 4 {
-		t.Fatalf("N after Reset(4) = %d", h.N())
-	}
-	if got := h.MaxTime(); got != 0 {
-		t.Fatalf("MaxTime after shrink = %d: stale samples of p5..p8 survived", got)
-	}
-	if got := h.String(); got != "H{}" {
-		t.Fatalf("String after shrink = %q: stale residue", got)
-	}
-	h.Record(2, 7, NewProcessSet(1))
-	if got := h.MaxTime(); got != 7 {
-		t.Fatalf("MaxTime = %d, want 7", got)
-	}
-
-	// Re-grow within capacity: the old p5..p8 samples must stay gone.
-	h.Reset(8)
-	for p := ProcessID(5); p <= 8; p++ {
-		if got := h.SampleCount(p); got != 0 {
-			t.Fatalf("p%d resurfaced %d samples after shrink+regrow", p, got)
-		}
-		if _, ok := h.FinalSuspicions(p); ok {
-			t.Fatalf("p%d resurfaced a final suspicion after shrink+regrow", p)
-		}
-	}
-	if got := h.MaxTime(); got != 0 {
-		t.Fatalf("MaxTime after shrink+regrow = %d, want 0", got)
-	}
-
-	// Growing past the retained capacity must also start clean.
-	h.Reset(16)
-	if got := h.MaxTime(); got != 0 {
-		t.Fatalf("MaxTime after grow past capacity = %d, want 0", got)
-	}
-	h.Record(16, 3, EmptySet())
-	if got := h.SampleCount(16); got != 1 {
-		t.Fatalf("SampleCount(p16) = %d, want 1", got)
-	}
-}
-
 func TestFinalSuspicionsAndMaxTime(t *testing.T) {
 	t.Parallel()
 	h := NewHistory(4)

@@ -62,3 +62,15 @@ func AllProcesses(n int) ProcessSet {
 	}
 	return ProcessSet{bits: (uint64(1) << uint(n)) - 1}
 }
+
+// Mix64 is the splitmix64 finalizer, the one mixing function behind
+// every seeded lottery: the oracles' noise, the simulator's per-message
+// fault lottery and the live transport's per-frame one. Its output
+// depends only on x, so a draw keyed by (seed, message) or (seed, p, q,
+// t) is reproducible by replay.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -47,9 +47,8 @@ type RunContext struct {
 	sends  arena[*Message]
 	events arena[ProtocolEvent]
 
-	// The trace and its history are recycled in place.
-	trace   Trace
-	history *model.History
+	// The trace is recycled in place.
+	trace Trace
 
 	// The run handle and its RNG are recycled too: rand.NewSource's
 	// state alone is ~5KB, which used to be reallocated every seed of a
@@ -95,12 +94,6 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 	rc.sends.rewind()
 	rc.events.rewind()
 
-	if rc.history == nil {
-		rc.history = model.NewHistory(n)
-	} else {
-		rc.history.Reset(n)
-	}
-
 	// Seed the schedule's capacity modestly on a fresh context: StopWhen
 	// runs often end orders of magnitude before the horizon, so sizing
 	// to the horizon would waste the whole block; growth beyond this is
@@ -117,15 +110,9 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 	} else {
 		tr.Events = tr.Events[:0]
 	}
-	tr.History = rc.history
 	tr.Pattern = pattern
 	tr.Undelivered = tr.Undelivered[:0]
 	tr.Stopped = 0
-	tr.byProc = grow(tr.byProc, n+1)
-	for p, idx := range tr.byProc {
-		tr.byProc[p] = idx[:0]
-	}
-	tr.decisions = tr.decisions[:0]
 	// order-free: each entry is truncated in place; none reads another.
 	for inst, d := range tr.decByInst {
 		tr.decByInst[inst] = d[:0]

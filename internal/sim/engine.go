@@ -144,13 +144,6 @@ func (r *Run) Crash(p model.ProcessID) error {
 	return r.pattern.Crash(p, r.now)
 }
 
-// Errors returned by Execute.
-var (
-	// ErrNoAliveProcess means every process crashed before the run
-	// could finish; the trace up to that point is still returned.
-	ErrNoAliveProcess = errors.New("sim: all processes crashed")
-)
-
 // rebuildAlive recomputes the alive cache from scratch: members of
 // Ω \ F(t) in ID order, and the earliest upcoming crash among them.
 func (r *Run) rebuildAlive(t model.Time) {
@@ -325,7 +318,6 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 				rc.fdUntil[p] = r.steady.StableUntil(pattern, p, t)
 			}
 		}
-		r.trace.History.Record(p, t, susp)
 
 		// (3) state transition and sends.
 		actions := rc.procs[p].Step(msg, susp, t)

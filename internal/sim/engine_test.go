@@ -292,8 +292,13 @@ func TestHistoryRecordedDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The recorded history must satisfy P's properties over this run.
-	rep := fd.Classify(tr.History, pat)
+	// The history read off the steps' FD values must satisfy P's
+	// properties over this run.
+	h := model.NewHistory(tr.N)
+	for _, ev := range tr.Events {
+		h.Record(ev.P, ev.T, ev.FD)
+	}
+	rep := fd.Classify(h, pat)
 	if !rep.InP() {
 		t.Fatalf("history of a Perfect oracle not in P: %+v", rep)
 	}
@@ -321,5 +326,39 @@ func TestUndeliveredAccounting(t *testing.T) {
 	}
 	if total != len(tr.Undelivered) {
 		t.Fatalf("UndeliveredTo partitions %d of %d messages", total, len(tr.Undelivered))
+	}
+}
+
+// TestExecuteAllocBudgets pins what one engine run allocates: a fresh
+// context (the package-level Execute) of a fixed n = 8 run with one
+// crash, and the same run on a reused RunContext, which must allocate
+// no more than the fresh one. It is not parallel: AllocsPerRun counts
+// every allocation in the process, the other tests' included.
+func TestExecuteAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the budget holds for the build the benchmark measures")
+	}
+	cfg := func() Config {
+		return Config{
+			N: 8, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+			Pattern: model.MustPattern(8).MustCrash(3, 700),
+			Horizon: 2000, Seed: 5, Policy: &RandomFairPolicy{},
+		}
+	}
+	run := func(rc *RunContext) {
+		if _, err := rc.Execute(cfg()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 199 // allocations of one fresh run
+	fresh := testing.AllocsPerRun(5, func() { run(NewRunContext()) })
+	rc := NewRunContext()
+	reused := testing.AllocsPerRun(5, func() { run(rc) })
+	t.Logf("fresh context: %.0f allocations, reused: %.0f", fresh, reused)
+	if fresh > budget {
+		t.Errorf("a fresh-context run allocates %.0f times, budget %d", fresh, budget)
+	}
+	if reused > fresh {
+		t.Errorf("a reused-context run allocates %.0f times, more than a fresh one's %.0f", reused, fresh)
 	}
 }

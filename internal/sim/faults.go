@@ -219,14 +219,6 @@ func (fp *FaultyPolicy) ensureSeed(r *rand.Rand) {
 	fp.seeded = true
 }
 
-// mix64 is a splitmix64 finalizer: the per-message fault lottery.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Dropped reports whether the plan loses message m forever, at the
 // rate in force at m.SentAt. The lottery hash itself never depends on
 // the rate, so two plans that agree on the rate at m.SentAt agree on
@@ -236,7 +228,7 @@ func (fp *FaultyPolicy) Dropped(m *Message) bool {
 	if pct <= 0 {
 		return false
 	}
-	return mix64(fp.seed^uint64(m.ID))%100 < uint64(pct)
+	return model.Mix64(fp.seed^uint64(m.ID))%100 < uint64(pct)
 }
 
 // ExtraDelay returns the extra latency the plan imposes on m, drawn
@@ -246,7 +238,7 @@ func (fp *FaultyPolicy) ExtraDelay(m *Message) model.Time {
 	if d <= 0 {
 		return 0
 	}
-	return model.Time(mix64(fp.seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
+	return model.Time(model.Mix64(fp.seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
 }
 
 // cutAdj returns the adjacency of cut i, indexed by process ID up to

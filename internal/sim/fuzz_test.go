@@ -11,16 +11,13 @@ import (
 // naiveDecisions is the pre-index implementation of Trace.Decisions: a
 // full rescan of the schedule. The fuzzer holds the incremental index
 // to exactly this.
-func naiveDecisions(tr *Trace, instance int) []DecisionEvent {
-	var out []DecisionEvent
+func naiveDecisions(tr *Trace, instance int) []LocatedEvent {
+	var out []LocatedEvent
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		for _, pe := range ev.Events {
 			if pe.Kind == KindDecide && (instance == AnyInstance || pe.Instance == instance) {
-				out = append(out, DecisionEvent{
-					EventIndex: i, P: ev.P, T: ev.T,
-					Instance: pe.Instance, Value: pe.Value,
-				})
+				out = append(out, LocatedEvent{EventIndex: i, P: ev.P, T: ev.T, Event: pe})
 			}
 		}
 	}

@@ -29,29 +29,25 @@ type EventRecord struct {
 }
 
 // Trace is the recorded run R = <F, H, C, S, T>: the full schedule
-// with times, the sampled failure-detector history, the (final,
-// possibly adversarially extended) failure pattern, and the state of
-// the message buffer at the end of the run.
+// with times, the (final, possibly adversarially extended) failure
+// pattern, and the state of the message buffer at the end of the run.
+// The failure-detector history H is the value each step saw, kept in
+// that step's EventRecord.FD and nowhere else.
 type Trace struct {
 	N       int
 	Events  []EventRecord
-	History *model.History
 	Pattern *model.FailurePattern
 	// Undelivered is the message buffer content when the run stopped.
 	Undelivered []*Message
 	// Stopped reports why the run ended.
 	Stopped StopReason
-	// byProc[p] lists event indices of process p in order; indexed by
-	// process (slot 0 unused), empty for hand-built traces.
-	byProc [][]int
 
 	// Incremental indexes, maintained by indexEvent as the engine
 	// records steps so that the query API below never rescans the
 	// schedule. They are what makes per-step cost O(1) amortized even
 	// under StopWhen predicates that query the trace after every step
 	// (DESIGN.md §6).
-	decisions  []DecisionEvent              // every decide, schedule order
-	decByInst  map[int][]DecisionEvent      // decides per instance, schedule order
+	decByInst  map[int][]LocatedEvent       // decides per instance, schedule order
 	evByKind   map[EventKind][]LocatedEvent // protocol events per kind, schedule order
 	decided    map[int]model.ProcessSet     // processes that decided an instance
 	decidedAny model.ProcessSet             // processes that decided any instance
@@ -88,23 +84,18 @@ func (tr *Trace) nextEvent() *EventRecord {
 // indexEvent updates every incremental index with ev, the filled
 // record nextEvent returned last. The engine is the only writer.
 func (tr *Trace) indexEvent(ev *EventRecord) {
-	tr.byProc[ev.P] = append(tr.byProc[ev.P], ev.Index)
 	for _, pe := range ev.Events {
 		if tr.evByKind == nil {
 			tr.evByKind = make(map[EventKind][]LocatedEvent)
 		}
-		tr.evByKind[pe.Kind] = append(tr.evByKind[pe.Kind],
-			LocatedEvent{EventIndex: ev.Index, P: ev.P, T: ev.T, Event: pe})
+		le := LocatedEvent{EventIndex: ev.Index, P: ev.P, T: ev.T, Event: pe}
+		tr.evByKind[pe.Kind] = append(tr.evByKind[pe.Kind], le)
 		if pe.Kind == KindDecide {
-			tr.decisions = append(tr.decisions, DecisionEvent{
-				EventIndex: ev.Index, P: ev.P, T: ev.T,
-				Instance: pe.Instance, Value: pe.Value,
-			})
 			if tr.decByInst == nil {
-				tr.decByInst = make(map[int][]DecisionEvent)
+				tr.decByInst = make(map[int][]LocatedEvent)
 				tr.decided = make(map[int]model.ProcessSet)
 			}
-			tr.decByInst[pe.Instance] = append(tr.decByInst[pe.Instance], tr.decisions[len(tr.decisions)-1])
+			tr.decByInst[pe.Instance] = append(tr.decByInst[pe.Instance], le)
 			tr.decided[pe.Instance] = tr.decided[pe.Instance].Add(ev.P)
 			tr.decidedAny = tr.decidedAny.Add(ev.P)
 		}
@@ -167,22 +158,28 @@ func (s StopReason) String() string {
 	}
 }
 
-// EventsOf returns the indices of p's events in schedule order.
+// EventsOf returns the indices of p's events in schedule order. It
+// scans Events on every call, so it is for tests and one-off reports,
+// not for StopWhen predicates.
 func (tr *Trace) EventsOf(p model.ProcessID) []int {
-	if p < 1 || int(p) >= len(tr.byProc) {
-		return nil
+	var out []int
+	for i := range tr.Events {
+		if tr.Events[i].P == p {
+			out = append(out, i)
+		}
 	}
-	return tr.byProc[p]
+	return out
 }
 
 // Decisions returns every decide event in the trace for the given
-// instance (use AnyInstance for all instances), in schedule order.
+// instance (use AnyInstance for all instances), in schedule order;
+// each one's Event carries the Instance and the Value decided.
 // The returned slice is served from the trace's incremental index —
 // O(1), no rescan — and is owned by the trace: callers must not
 // mutate it.
-func (tr *Trace) Decisions(instance int) []DecisionEvent {
+func (tr *Trace) Decisions(instance int) []LocatedEvent {
 	if instance == AnyInstance {
-		return tr.decisions
+		return tr.evByKind[KindDecide]
 	}
 	return tr.decByInst[instance]
 }
@@ -206,15 +203,6 @@ func (tr *Trace) DecidedSet(instance int) model.ProcessSet {
 
 // AnyInstance selects events of every instance in trace queries.
 const AnyInstance = -1
-
-// DecisionEvent is a decide event located in the trace.
-type DecisionEvent struct {
-	EventIndex int
-	P          model.ProcessID
-	T          model.Time
-	Instance   int
-	Value      any
-}
 
 // ProtocolEvents returns all protocol events of a kind (with their
 // event records), in schedule order. The slice is served from the
@@ -311,8 +299,8 @@ func (tr *Trace) MaxTime() model.Time {
 // DeliveredTo counts messages received (non-λ steps) by p.
 func (tr *Trace) DeliveredTo(p model.ProcessID) int {
 	cnt := 0
-	for _, i := range tr.EventsOf(p) {
-		if tr.Events[i].Msg != nil {
+	for i := range tr.Events {
+		if tr.Events[i].P == p && tr.Events[i].Msg != nil {
 			cnt++
 		}
 	}

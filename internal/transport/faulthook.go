@@ -52,20 +52,11 @@ func NewFaultHook(self model.ProcessID, seed uint64) *FaultHook {
 	}
 }
 
-// linkLottery hashes one (seed, link, frame) triple; splitmix64 keeps
-// it identical in spirit to the simulator's mix64 lottery.
+// linkLottery hashes one (seed, link, frame) triple with model.Mix64,
+// the finalizer behind the simulator's per-message lottery too.
 func linkLottery(seed uint64, from, to model.ProcessID, frame uint64) uint64 {
-	h := mix64(seed ^ uint64(from)<<32 ^ uint64(to))
-	return mix64(h ^ frame)
-}
-
-// mix64 is a splitmix64 finalizer (the same construction sim uses for
-// its per-message lottery).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	h := model.Mix64(seed ^ uint64(from)<<32 ^ uint64(to))
+	return model.Mix64(h ^ frame)
 }
 
 // SetDrop sets the outbound loss percentage (0..100).
