@@ -42,6 +42,17 @@ func BenchmarkRotatingRun(b *testing.B) {
 // it reuses one RunContext, so the 20 000-step trace is not allocated
 // and cleared per run.
 func BenchmarkRotatingBlocked(b *testing.B) {
+	benchBlocked(b, false, sim.StopHorizon)
+}
+
+// BenchmarkRotatingBlockedQuiescent is the same run as E8 now runs it,
+// with the quiescence stop: it ends once every alive process idles and
+// nothing is left to deliver, instead of idling to the horizon.
+func BenchmarkRotatingBlockedQuiescent(b *testing.B) {
+	benchBlocked(b, true, sim.StopQuiescent)
+}
+
+func benchBlocked(b *testing.B, quiesce bool, want sim.StopReason) {
 	b.ReportAllocs()
 	rc := sim.NewRunContext()
 	for i := 0; i < b.N; i++ {
@@ -51,12 +62,13 @@ func BenchmarkRotatingBlocked(b *testing.B) {
 			Oracle:  fd.EventuallyStrong{GST: 100, Delay: 3, Seed: uint64(i), FalseRate: 10},
 			Pattern: pat, Horizon: 20000, Seed: int64(i),
 			Policy: &sim.RandomFairPolicy{}, StopWhen: sim.CorrectDecided(0),
+			Quiesce: quiesce,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if tr.Stopped != sim.StopHorizon || !tr.DecidedSet(0).IsEmpty() {
-			b.Fatalf("stopped %v with %v decided; want the horizon and no decision", tr.Stopped, tr.DecidedSet(0))
+		if tr.Stopped != want || !tr.DecidedSet(0).IsEmpty() {
+			b.Fatalf("stopped %v with %v decided; want %v and no decision", tr.Stopped, tr.DecidedSet(0), want)
 		}
 	}
 }

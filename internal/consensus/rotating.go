@@ -163,6 +163,23 @@ func (p *rcProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 	return acts
 }
 
+var _ sim.Quiescer = (*rcProc)(nil)
+
+// Quiescent implements sim.Quiescer. A λ step changes nothing once the
+// decision is taken and relayed; before that, once the process has
+// entered a round, has no coordinator news to scan, and is not waiting
+// on a suspected coordinator other than itself (which would nack).
+func (p *rcProc) Quiescent(susp model.ProcessSet) bool {
+	if p.done && p.relayed {
+		return true
+	}
+	if p.round == 0 || p.news {
+		return false
+	}
+	c := p.coordinator(p.round)
+	return !(p.waiting && susp.Has(c) && c != p.self)
+}
+
 // enterRound moves the participant into round r, sends its estimate
 // to the round's coordinator (locally absorbed when the coordinator is
 // self), and consumes a buffered early proposal if one already

@@ -474,8 +474,7 @@ func E8MajorityCrossover(seeds int) *Table {
 	}
 	ok := true
 	baseS := baseSpec("E8-sflooding")
-	baseR := baseSpec("E8-rotating")
-	baseL := baseSpec("E8-rotating-lossy")
+	baseR, baseL := e8QuiescentSpecs()
 	for f := 0; f <= 4; f++ {
 		crashes := crashSpecs(f, 5, 8, 11, 14)
 		props := consensus.DistinctProposals(expN)
@@ -553,6 +552,18 @@ func E8MajorityCrossover(seeds int) *Table {
 	}
 	t.Verdict = fmt.Sprintf("crossover at f = ⌈n/2⌉ = 3 with safety intact, drops included: %s", mark(ok))
 	return t
+}
+
+// e8QuiescentSpecs returns E8's two rotating-coordinator specs with the
+// "decided-or-quiescent" stop: a blocked or lossy run ends once nothing
+// can happen any more instead of idling to the horizon, which no
+// verdict can tell apart. The embedded files keep their own stop kinds,
+// since the golden protocol traces replay them as written.
+func e8QuiescentSpecs() (rotating, lossy scenario.Spec) {
+	rotating, lossy = baseSpec("E8-rotating"), baseSpec("E8-rotating-lossy")
+	rotating.Stop = scenario.StopSpec{Kind: scenario.StopDecidedOrQuiescent}
+	lossy.Stop = scenario.StopSpec{Kind: scenario.StopDecidedOrQuiescent}
+	return rotating, lossy
 }
 
 // E9QoS sweeps the live heartbeat estimators over a jittery lossy

@@ -76,6 +76,9 @@ type Scenario struct {
 	// AfterStep returns a fresh per-step hook for one run; nil means
 	// none. Adversarial scenarios close over per-run state here.
 	AfterStep func() func(*sim.Run, *sim.EventRecord)
+	// Quiesce ends each run with sim.StopQuiescent once nothing can
+	// happen any more (sim.Config.Quiesce).
+	Quiesce bool
 }
 
 // Config assembles the sim.Config of the scenario's run at the given
@@ -87,6 +90,7 @@ func (sc Scenario) Config(seed int64) sim.Config {
 		Oracle:    sc.Oracle,
 		Horizon:   sc.Horizon,
 		Seed:      seed,
+		Quiesce:   sc.Quiesce,
 	}
 	if sc.OracleFor != nil {
 		cfg.Oracle = sc.OracleFor(seed)

@@ -123,9 +123,10 @@ func (s Spec) Build() (harness.Scenario, error) {
 
 	switch st := s.Stop; st.Kind {
 	case StopNone:
-	case StopDecided:
+	case StopDecided, StopDecidedOrQuiescent:
 		instance := st.Instance
 		sc.StopWhen = func() func(*sim.Trace) bool { return sim.CorrectDecided(instance) }
+		sc.Quiesce = st.Kind == StopDecidedOrQuiescent
 	case StopAllDelivered:
 		waves := s.Protocol.Waves
 		sc.StopWhen = func() func(*sim.Trace) bool { return trb.AllDelivered(waves) }

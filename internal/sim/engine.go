@@ -43,6 +43,10 @@ type Config struct {
 	// adversarial experiments use it to observe decisions and crash
 	// processes through the Run handle.
 	AfterStep func(*Run, *EventRecord)
+	// Quiesce, if true, ends the run with StopQuiescent once nothing
+	// can happen any more (see StopQuiescent). It needs a Steady oracle
+	// and no AfterStep hook; without them it never fires.
+	Quiesce bool
 }
 
 // msgQueue is one destination's slice of the message buffer: a slice
@@ -257,6 +261,7 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 	})
 	defer pattern.SetCrashHook(nil)
 	r.rebuildAlive(1)
+	quiesce := cfg.Quiesce && r.steady != nil && cfg.AfterStep == nil
 
 	for t := model.Time(1); t <= cfg.Horizon; t++ {
 		r.now = t
@@ -377,9 +382,36 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 			r.finish(StopCondition)
 			return r.trace, nil
 		}
+		if quiesce && msg == nil && len(ev.Sends) == 0 && len(ev.Events) == 0 && r.quiescent() {
+			r.finish(StopQuiescent)
+			return r.trace, nil
+		}
 	}
 	r.finish(StopHorizon)
 	return r.trace, nil
+}
+
+// quiescent reports that every fair continuation of the run from now
+// on is empty λ steps: no crash is still to come, every alive process
+// sees its detector output fixed to the horizon and declares a λ step
+// under it idle, and no message to an alive process is pending. Any
+// pending message counts, one held by a cut included; sealed drops
+// leave a queue at its owner's next step, which sifts it before its
+// pick, so they delay the stop by at most that step.
+func (r *Run) quiescent() bool {
+	if r.nextCrash != model.NoCrash {
+		return false
+	}
+	rc := r.rc
+	for _, q := range r.aliveList {
+		if rc.fdUntil[q] < r.cfg.Horizon || len(rc.pending[q].view()) > 0 {
+			return false
+		}
+		if qp, ok := rc.procs[q].(Quiescer); !ok || !qp.Quiescent(rc.fdOut[q]) {
+			return false
+		}
+	}
+	return true
 }
 
 // finish seals the trace with the final buffer contents. Messages

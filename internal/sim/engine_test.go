@@ -361,4 +361,37 @@ func TestExecuteAllocBudgets(t *testing.T) {
 	if reused > fresh {
 		t.Errorf("a reused-context run allocates %.0f times, more than a fresh one's %.0f", reused, fresh)
 	}
+
+	// The quiescence check allocates nothing: in this run every process
+	// turns quiescent early, so the check runs at every idle step to the
+	// horizon, held back only by the messages a cut withholds between
+	// the last two processes to the end; the processes before them pass
+	// every clause. On a reused context it must allocate exactly what
+	// the same run without the check does.
+	quietCfg := func(quiesce bool) Config {
+		return Config{
+			N: 8, Automaton: quietAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+			Horizon: 2000, Seed: 5, Quiesce: quiesce,
+			Policy: &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
+				Cuts: []EdgeCut{{Edges: []Edge{{A: 7, B: 8}}, Until: 2001}},
+			}},
+		}
+	}
+	rc = NewRunContext()
+	quietAllocs := func(quiesce bool) float64 {
+		return testing.AllocsPerRun(5, func() {
+			tr, err := rc.Execute(quietCfg(quiesce))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Stopped != StopHorizon {
+				t.Fatalf("Stopped = %v, want horizon", tr.Stopped)
+			}
+		})
+	}
+	without, with := quietAllocs(false), quietAllocs(true)
+	t.Logf("reused context, held message: %.0f allocations without the quiescence check, %.0f with it", without, with)
+	if with != without {
+		t.Errorf("the quiescence check changes a reused-context run's allocations from %.0f to %.0f", without, with)
+	}
 }

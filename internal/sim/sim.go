@@ -143,6 +143,14 @@ type Process interface {
 	Step(in *Message, susp model.ProcessSet, now model.Time) Actions
 }
 
+// Quiescer is an optional Process extension for runs that opt in to
+// Config.Quiesce. Quiescent(susp) reports that a λ step under the
+// detector value susp would change no state and send and emit nothing.
+// A process that does not implement it is never quiescent.
+type Quiescer interface {
+	Quiescent(susp model.ProcessSet) bool
+}
+
 // Automaton is a protocol: a family of deterministic automata, one per
 // process (§2.3).
 type Automaton interface {

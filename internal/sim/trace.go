@@ -130,11 +130,17 @@ const (
 	StopHorizon StopReason = iota + 1
 	// StopCondition: the StopWhen predicate fired.
 	StopCondition
-	// StopQuiescent is reserved for protocol-level quiescence detection
-	// (no process has anything to do and no messages are pending to
-	// alive processes). The engine does not currently detect it; the
-	// value is kept so existing digests and the numbering of
-	// StopAllCrashed stay stable.
+	// StopQuiescent: the run opted in with Config.Quiesce and reached a
+	// point from which every fair continuation is empty λ steps. The
+	// engine checks after a step that received, sent and emitted
+	// nothing, and stops when all of these hold: the oracle is Steady
+	// and every alive process's output is fixed through the horizon; no
+	// crash is scheduled after now; there is no AfterStep hook; every
+	// alive process is a Quiescer that declares a λ step under its
+	// output idle; and no message to an alive process is pending (one
+	// held by a cut or an extra delay blocks the stop; a sealed drop
+	// leaves its queue at the owner's next step and still appears in
+	// Undelivered). The value's number is part of the digest encoding.
 	StopQuiescent
 	// StopAllCrashed: every process crashed, so no step can be taken.
 	// Historically conflated with StopQuiescent, but an all-crashed
