@@ -474,7 +474,8 @@ func E8MajorityCrossover(seeds int) *Table {
 	}
 	ok := true
 	baseS := baseSpec("E8-sflooding")
-	baseR, baseL := e8QuiescentSpecs()
+	baseR := baseSpec("E8-rotating")
+	baseL := baseSpec("E8-rotating-lossy")
 	for f := 0; f <= 4; f++ {
 		crashes := crashSpecs(f, 5, 8, 11, 14)
 		props := consensus.DistinctProposals(expN)
@@ -497,7 +498,7 @@ func E8MajorityCrossover(seeds int) *Table {
 
 		sR := baseR
 		sR.Crashes = crashes
-		scR := scenario.MustBuild(sR)
+		scR := quiescentScenario(sR)
 		type rotAgg struct{ notLive, notSafe int }
 		rot := streamAgg(scR, seeds, func(r harness.Result) rotAgg {
 			var a rotAgg
@@ -522,7 +523,7 @@ func E8MajorityCrossover(seeds int) *Table {
 		// agreement and validity must.
 		sL := baseL
 		sL.Crashes = crashes
-		scL := scenario.MustBuild(sL)
+		scL := quiescentScenario(sL)
 		lossyBad := streamAgg(scL, seeds, func(r harness.Result) int {
 			if r.Err != nil {
 				return 1
@@ -554,16 +555,18 @@ func E8MajorityCrossover(seeds int) *Table {
 	return t
 }
 
-// e8QuiescentSpecs returns E8's two rotating-coordinator specs with the
-// "decided-or-quiescent" stop: a blocked or lossy run ends once nothing
+// quiescentScenario builds one of E8's rotating-coordinator specs with
+// the "decided" stop and the engine's quiescence stop
+// (harness.Scenario.Quiesce): a blocked or lossy run ends once nothing
 // can happen any more instead of idling to the horizon, which no
-// verdict can tell apart. The embedded files keep their own stop kinds,
-// since the golden protocol traces replay them as written.
-func e8QuiescentSpecs() (rotating, lossy scenario.Spec) {
-	rotating, lossy = baseSpec("E8-rotating"), baseSpec("E8-rotating-lossy")
-	rotating.Stop = scenario.StopSpec{Kind: scenario.StopDecidedOrQuiescent}
-	lossy.Stop = scenario.StopSpec{Kind: scenario.StopDecidedOrQuiescent}
-	return rotating, lossy
+// verdict can tell apart. The embedded files keep their own stop kinds
+// (decided, or none for the lossy one), since the golden protocol
+// traces replay them as written.
+func quiescentScenario(s scenario.Spec) harness.Scenario {
+	s.Stop = scenario.StopSpec{Kind: scenario.StopDecided}
+	sc := scenario.MustBuild(s)
+	sc.Quiesce = true
+	return sc
 }
 
 // E9QoS sweeps the live heartbeat estimators over a jittery lossy

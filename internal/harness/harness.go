@@ -77,7 +77,8 @@ type Scenario struct {
 	// none. Adversarial scenarios close over per-run state here.
 	AfterStep func() func(*sim.Run, *sim.EventRecord)
 	// Quiesce ends each run with sim.StopQuiescent once nothing can
-	// happen any more (sim.Config.Quiesce).
+	// happen any more (sim.Config.Quiesce). It never fires without a
+	// Steady oracle or with an AfterStep hook.
 	Quiesce bool
 }
 

@@ -123,10 +123,9 @@ func (s Spec) Build() (harness.Scenario, error) {
 
 	switch st := s.Stop; st.Kind {
 	case StopNone:
-	case StopDecided, StopDecidedOrQuiescent:
+	case StopDecided:
 		instance := st.Instance
 		sc.StopWhen = func() func(*sim.Trace) bool { return sim.CorrectDecided(instance) }
-		sc.Quiesce = st.Kind == StopDecidedOrQuiescent
 	case StopAllDelivered:
 		waves := s.Protocol.Waves
 		sc.StopWhen = func() func(*sim.Trace) bool { return trb.AllDelivered(waves) }

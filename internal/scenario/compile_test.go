@@ -24,19 +24,6 @@ const sideCoversAllJSON = `{
   "plan": [{"at": 10, "action": "cut", "side": [1, 2, 3, 4]}]
 }`
 
-// quiescentJSON is a blocked ◇S consensus run with the
-// "decided-or-quiescent" stop, which no checked-in spec file uses.
-const quiescentJSON = `{
-  "name": "rotating-quiescent",
-  "n": 5,
-  "horizon": 2000,
-  "seeds": {"from": 0, "to": 3},
-  "protocol": {"kind": "rotating"},
-  "oracle": {"kind": "eventually-strong", "delay": 3, "gst": 100, "false_rate": 10, "per_seed": true},
-  "crashes": [{"process": 1, "at": 5}, {"process": 2, "at": 8}, {"process": 3, "at": 11}],
-  "stop": {"kind": "decided-or-quiescent"}
-}`
-
 // FuzzSpecCompile holds the entry points to one compile: a document
 // Parse accepts also compiles, builds when the simulator can hold it,
 // severs the same edges at every tick under both lowerings, and keeps
@@ -60,7 +47,7 @@ func FuzzSpecCompile(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	for _, doc := range []string{sideCoversAllJSON, v3JSON, liveJSON, quiescentJSON} {
+	for _, doc := range []string{sideCoversAllJSON, v3JSON, liveJSON} {
 		f.Add([]byte(doc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -69,10 +69,6 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		{"no horizon", func(s Spec) Spec { s.Horizon = 0; return s }, "horizon"},
 		{"n zero", func(s Spec) Spec { s.N = 0; return s }, "n = 0"},
 		{"trb without waves", func(s Spec) Spec { s.Protocol = ProtocolSpec{Kind: ProtocolTRB}; s.Stop = StopSpec{}; return s }, "waves"},
-		{"decided-or-quiescent negative instance", func(s Spec) Spec {
-			s.Stop = StopSpec{Kind: StopDecidedOrQuiescent, Instance: -1}
-			return s
-		}, "instance = -1 must be ≥ 0"},
 		{"all-delivered without trb", func(s Spec) Spec { s.Stop = StopSpec{Kind: StopAllDelivered}; return s }, "requires the trb protocol"},
 		{"per_seed on perfect", func(s Spec) Spec { s.Oracle.PerSeed = true; return s }, "per_seed"},
 		{"abcast without max_instances", func(s Spec) Spec { s.Protocol = ProtocolSpec{Kind: ProtocolAbcast}; return s }, "max_instances"},
@@ -308,21 +304,6 @@ func TestBuildRunsDeterministically(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("seed %d replayed differently: %s vs %s", i, a[i], b[i])
-		}
-	}
-}
-
-// TestBuildDecidedOrQuiescent checks that "decided-or-quiescent" is
-// "decided" plus the engine's quiescence stop, and "decided" alone
-// leaves that stop off.
-func TestBuildDecidedOrQuiescent(t *testing.T) {
-	t.Parallel()
-	for _, kind := range []string{StopDecided, StopDecidedOrQuiescent} {
-		s := validSpec()
-		s.Stop = StopSpec{Kind: kind}
-		sc := MustBuild(s)
-		if sc.StopWhen == nil || sc.Quiesce != (kind == StopDecidedOrQuiescent) {
-			t.Errorf("stop %s: StopWhen set %v, Quiesce %v", kind, sc.StopWhen != nil, sc.Quiesce)
 		}
 	}
 }

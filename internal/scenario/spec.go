@@ -172,9 +172,7 @@ type PolicySpec struct {
 
 // StopSpec selects the early-stop predicate. Kinds: "none" (default,
 // run to the horizon), "decided" (every correct process has decided in
-// instance Instance), "decided-or-quiescent" ("decided", or else end
-// the run with sim.StopQuiescent once nothing can happen any more; see
-// sim.Config.Quiesce), and "all-delivered" (every wave of a "trb"
+// instance Instance), and "all-delivered" (every wave of a "trb"
 // protocol delivered everywhere).
 type StopSpec struct {
 	Kind     string `json:"kind,omitempty"`

@@ -32,10 +32,9 @@ const (
 	PolicyFair       = "fair"
 	PolicyDelay      = "delay"
 
-	StopNone               = "none"
-	StopDecided            = "decided"
-	StopDecidedOrQuiescent = "decided-or-quiescent"
-	StopAllDelivered       = "all-delivered"
+	StopNone         = "none"
+	StopDecided      = "decided"
+	StopAllDelivered = "all-delivered"
 
 	HookCrashOnDecide = "crash-on-decide"
 )
@@ -174,9 +173,9 @@ func (s Spec) checkFields() error {
 
 	switch s.Stop.Kind {
 	case StopNone, "": // "" normalizes to none
-	case StopDecided, StopDecidedOrQuiescent:
+	case StopDecided:
 		if s.Stop.Instance < 0 {
-			return fail("stop %s: instance = %d must be ≥ 0", s.Stop.Kind, s.Stop.Instance)
+			return fail("stop decided: instance = %d must be ≥ 0", s.Stop.Instance)
 		}
 	case StopAllDelivered:
 		if s.Protocol.Kind != ProtocolTRB {
