@@ -35,11 +35,27 @@ type SFlooding struct {
 	Proposals Proposals
 }
 
-var _ sim.Automaton = SFlooding{}
+var (
+	_ sim.Automaton = SFlooding{}
+	_ sim.Respawner = SFlooding{}
+)
 
 // Spawn implements sim.Automaton: one instance on a host of its own.
 func (a SFlooding) Spawn(self model.ProcessID, n int) sim.Process {
 	return new(Host).Spawn(self, n, a.Proposals[self])
+}
+
+// Respawn implements sim.Respawner: an instance of a previous run at the
+// same n starts over on its own host, rewound. Only Spawn puts an sfProc
+// in a RunContext's slot, so the host is old's alone.
+func (a SFlooding) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	p, ok := old.(*sfProc)
+	if !ok || p.n != n {
+		return a.Spawn(self, n)
+	}
+	p.host.Rewind()
+	p.host.Retire(p)
+	return p.host.Spawn(self, n, a.Proposals[self])
 }
 
 // Host runs the S-flooding instances of one process of a wrapper that
@@ -47,9 +63,10 @@ func (a SFlooding) Spawn(self model.ProcessID, n int) sim.Process {
 // payloads and proposal vectors are carved from its slabs. Its instances
 // share one Sends and one Events buffer, which is safe because a wrapper
 // consumes an inner step's Actions before it steps another instance. A
-// proposal vector v is never recycled within a run: the payloads sent
-// share it, and the trace renders them when the run ends. The zero Host
-// is ready to use.
+// proposal vector v lives until the host is rewound: the payloads sent
+// share it, and the trace renders them when the run ends, so a wrapper
+// rewinds its host only when it starts a new run. The zero Host is ready
+// to use.
 type Host struct {
 	free    []*sfProc
 	vals    sim.Slab[Value]
@@ -88,8 +105,18 @@ func (h *Host) Spawn(self model.ProcessID, n int, proposal Value) sim.Process {
 	return p
 }
 
-// Retire implements sim.Host: p decided and is never stepped again.
+// Retire implements sim.Host: p decided, or its run ended, and it is
+// never stepped again.
 func (h *Host) Retire(p sim.Process) { h.free = append(h.free, p.(*sfProc)) }
+
+// Rewind hands the host's payload and vector chunks out again from the
+// first, for a new run: everything its instances sent before is dead. It
+// keeps the free list and buffers.
+func (h *Host) Rewind() {
+	h.vals.Rewind()
+	h.floods.Rewind()
+	h.vectors.Rewind()
+}
 
 // sfPhase enumerates the S-flooding phases.
 type sfPhase int

@@ -35,15 +35,35 @@ type Reduction struct {
 	MaxInstances int
 }
 
-var _ sim.Automaton = Reduction{}
+var (
+	_ sim.Automaton = Reduction{}
+	_ sim.Respawner = Reduction{}
+)
 
 // Spawn implements sim.Automaton.
 func (r Reduction) Spawn(self model.ProcessID, n int) sim.Process {
+	return r.start(new(redProc), self, n)
+}
+
+// Respawn implements sim.Respawner: a process of a previous reduction
+// run at the same n starts over, keeping its multiplexer's and host's
+// buffers and slab chunks.
+func (r Reduction) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	if p, ok := old.(*redProc); ok && p.n == n {
+		return r.start(p, self, n)
+	}
+	return r.Spawn(self, n)
+}
+
+// start makes p process self of n at the start of a run.
+func (r Reduction) start(p *redProc, self model.ProcessID, n int) *redProc {
 	if r.MaxInstances <= 0 {
 		panic("core: Reduction.MaxInstances must be positive")
 	}
-	p := &redProc{self: self, n: n, proposal: r.Proposals[self], maxInst: r.MaxInstances}
+	p.self, p.n, p.proposal, p.maxInst = self, n, r.Proposals[self], r.MaxInstances
+	p.inst, p.tags, p.output = 0, model.EmptySet(), model.EmptySet()
 	p.mux.Init(p, &p.host, r.MaxInstances)
+	p.host.Rewind()
 	p.mux.Spawn(0, p.host.Spawn(self, n, p.proposal))
 	return p
 }

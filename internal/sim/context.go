@@ -10,18 +10,21 @@ import (
 // queues, index maps and the Trace itself are recycled run over run
 // instead of being reallocated, which is what lets a streaming sweep
 // (internal/harness Reduce/Stream) hold memory flat across a million
-// seeds.
+// seeds. So are the processes, for an automaton that is a Respawner:
+// each gets its slot's process of the last run back, with the slab
+// chunks its payloads were carved from.
 //
 // The contract is strict single ownership in time: the *Trace returned
-// by (*RunContext).Execute — and every Message, EventRecord and index
-// slice reachable from it — is valid only until the next Execute call
-// on the same context. Callers that need to retain a run must either
-// use the package-level Execute (a fresh context per run) or extract
-// what they keep (Trace.Summary, Trace.Digest) before reusing the
-// context. A RunContext is not safe for concurrent use; parallel
-// sweeps give each worker its own.
+// by (*RunContext).Execute — and every Message, EventRecord, payload
+// and index slice reachable from it — is valid only until the next
+// Execute call on the same context. Callers that need to retain a run
+// must either use the package-level Execute (a fresh context per run)
+// or extract what they keep (Trace.Summary, Trace.Digest) before
+// reusing the context. A RunContext is not safe for concurrent use;
+// parallel sweeps give each worker its own.
 type RunContext struct {
-	// Per-run engine state, sized to N+1 and reset every run.
+	// Per-run engine state, sized to N+1 and reset every run; procs
+	// keeps the last run's processes for Respawn.
 	procs   []Process
 	pending []msgQueue
 	lastEv  []int
@@ -82,7 +85,6 @@ func (rc *RunContext) reset(cfg Config, pattern *model.FailurePattern) *Trace {
 	rc.fdOut = grow(rc.fdOut, n+1)
 	rc.fdUntil = grow(rc.fdUntil, n+1)
 	for p := 0; p <= n; p++ {
-		rc.procs[p] = nil
 		q := &rc.pending[p]
 		q.buf = q.buf[:0]
 		q.head = 0

@@ -239,8 +239,13 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 	r.sifter, _ = policy.(DropSifter)
 	r.inSet, _ = policy.(setPolicy)
 	r.steady, _ = cfg.Oracle.(fd.Steady)
+	respawn, _ := cfg.Automaton.(Respawner)
 	for p := 1; p <= cfg.N; p++ {
-		rc.procs[p] = cfg.Automaton.Spawn(model.ProcessID(p), cfg.N)
+		if respawn != nil {
+			rc.procs[p] = respawn.Respawn(rc.procs[p], model.ProcessID(p), cfg.N)
+		} else {
+			rc.procs[p] = cfg.Automaton.Spawn(model.ProcessID(p), cfg.N)
+		}
 	}
 
 	// The alive cache is rebuilt only when a crash takes effect; the

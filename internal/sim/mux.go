@@ -11,10 +11,13 @@ import "realisticfd/internal/model"
 // instances not yet spawned, and stamps instance numbers on inner events.
 // Instances are numbered 0..instances−1; the wrapper maps its ids on.
 //
-// Two lifetime rules make instances cheap. An inner step's Actions are
+// Three lifetime rules make instances cheap. An inner step's Actions are
 // consumed before any instance steps again, so a Host may give all its
 // instances one Sends and one Events buffer. Inner messages are shown in
 // one scratch Message, so an inner process must not keep in (Process).
+// An envelope lives until the next Init, which hands its slab chunk out
+// again: a wrapper re-initialised for a new run on the same RunContext
+// may do so, because the last run's trace is then dead.
 //
 // One contract makes an idle instance free: every step of an inner
 // process fires all the transitions its state, its received messages
@@ -62,9 +65,20 @@ type Host interface{ Retire(Process) }
 // wrapper or an inner process that read them later would diverge.
 var InnerStepHook func(Actions)
 
-// Init prepares the Mux for the given number of instances.
+// Init prepares the Mux for the given number of instances. A Mux that
+// ran before keeps the capacity of its slots and buffer and rewinds its
+// envelope slab, so the envelopes of its last run are handed out again;
+// the instances still running go back to their Host.
 func (m *Mux[E]) Init(w Wrapper[E], host Host, instances int) {
-	m.w, m.host, m.slots = w, host, make([]muxSlot, instances)
+	for _, s := range m.slots {
+		if s.proc != nil {
+			m.host.Retire(s.proc)
+		}
+	}
+	clear(m.early)
+	m.w, m.host = w, host
+	m.slots, m.early = append(m.slots[:0], make([]muxSlot, instances)...), m.early[:0]
+	m.envs.Rewind()
 }
 
 // Running reports whether instance k is spawned and has not decided.

@@ -3,9 +3,11 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"realisticfd/internal/fd"
+	"realisticfd/internal/harness"
 	"realisticfd/internal/model"
 	"realisticfd/internal/scenario"
 	"realisticfd/internal/sim"
@@ -57,6 +59,61 @@ func sentCount(tr *sim.Trace) int {
 	return sent
 }
 
+// hostedProtocols are the automata that get their processes back on a
+// reused RunContext, as scenario protocol kinds.
+var hostedProtocols = []string{"reduction", "trb", "sflooding"}
+
+// hostedScenario is a run of a hosted protocol at n: one crash, delayed
+// links, and the protocol's own stop.
+func hostedScenario(tb testing.TB, kind string, n int) harness.Scenario {
+	protocol, stop := `{"kind": "sflooding"}`, `{"kind": "decided"}`
+	switch kind {
+	case "reduction":
+		protocol, stop = `{"kind": "reduction", "max_instances": 6}`, `{"kind": "decided", "instance": 5}`
+	case "trb":
+		protocol, stop = `{"kind": "trb", "waves": 2}`, `{"kind": "all-delivered"}`
+	}
+	spec, err := scenario.Parse(fmt.Appendf(nil, `{
+		"schema": "fdspec/v3", "name": "reuse-%s", "n": %d, "horizon": 60000,
+		"seeds": {"from": 0, "to": 1},
+		"protocol": %s, "stop": %s,
+		"oracle": {"kind": "perfect", "delay": 2},
+		"crashes": [{"process": 2, "at": 60}],
+		"plan": [{"at": 0, "action": "delay", "bound": 4}]
+	}`, kind, n, protocol, stop))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return scenario.MustBuild(spec)
+}
+
+// respawnSpy counts the processes its automaton's Respawn handed back
+// in place of a fresh Spawn.
+type respawnSpy struct {
+	hostedAutomaton
+	respawned *int
+}
+
+type hostedAutomaton interface {
+	sim.Automaton
+	sim.Respawner
+}
+
+func (s respawnSpy) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	p := s.hostedAutomaton.Respawn(old, self, n)
+	if p == old {
+		*s.respawned++
+	}
+	return p
+}
+
+// spied is sc's run at seed, its automaton counted into respawned.
+func spied(sc harness.Scenario, seed int64, respawned *int) sim.Config {
+	cfg := sc.Config(seed)
+	cfg.Automaton = respawnSpy{cfg.Automaton.(hostedAutomaton), respawned}
+	return cfg
+}
+
 // TestReusedContextMatchesFresh holds a run on a reused RunContext to
 // a fresh run of the same config, field by field. The engine writes
 // each step into trace and arena slots it does not clear between runs,
@@ -64,7 +121,11 @@ func sentCount(tr *sim.Trace) int {
 // grows every slot the run under test will take and fills it, and
 // ScribbleRecycled then overwrites them all with values no run writes.
 // A field the engine failed to write would keep that value, where the
-// fresh run has a zero.
+// fresh run has a zero. Each hosted protocol runs twice: once after a
+// run of itself at another n and one at another seed, so that Respawn
+// hands every process back with the last run's payloads in its slab
+// chunks, and once after another automaton, so that Respawn falls back
+// to Spawn.
 func TestReusedContextMatchesFresh(t *testing.T) {
 	consensus, err := scenario.Parse([]byte(`{
 		"schema": "fdspec/v3", "name": "reuse-consensus", "n": 8, "horizon": 4000,
@@ -79,13 +140,24 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := scenario.MustBuild(consensus)
-	cases := []struct {
-		name  string
-		dirty sim.Config
-		run   func() sim.Config
-	}{
-		{"n64 broadcast", churnShape(60, 2500, 17), func() sim.Config { return benchShape(1_000_000) }},
-		{"n8 sflooding", churnShape(6, 600, 4), func() sim.Config { return sc.Config(3) }},
+	var respawned int
+	type reuseCase struct {
+		name      string
+		dirty     []sim.Config // run on the context in order
+		run       func() sim.Config
+		respawned int // processes the run under test gets back from Respawn
+	}
+	cases := []reuseCase{
+		{"n64 broadcast", []sim.Config{churnShape(60, 2500, 17)}, func() sim.Config { return benchShape(1_000_000) }, 0},
+		{"n8 sflooding", []sim.Config{churnShape(6, 600, 4)}, func() sim.Config { return sc.Config(3) }, 0},
+	}
+	for _, kind := range hostedProtocols {
+		const n = 6
+		hosted, wider := hostedScenario(t, kind, n), hostedScenario(t, kind, n+2)
+		run := func() sim.Config { return spied(hosted, 3, &respawned) }
+		cases = append(cases,
+			reuseCase{kind + " respawned", []sim.Config{spied(wider, 21, &respawned), spied(hosted, 22, &respawned)}, run, n},
+			reuseCase{kind + " after churn", []sim.Config{spied(hosted, 22, &respawned), churnShape(n, 2000, 5)}, run, 0})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,18 +166,26 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			rc := sim.NewRunContext()
-			dirty, err := rc.Execute(c.dirty)
-			if err != nil {
-				t.Fatal(err)
+			events, sends := 0, 0
+			for _, cfg := range c.dirty {
+				dirty, err := rc.Execute(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				events, sends = max(events, len(dirty.Events)), max(sends, sentCount(dirty))
 			}
-			if len(dirty.Events) < len(fresh.Events) || sentCount(dirty) < sentCount(fresh) {
-				t.Fatalf("dirtying run too small: %d events and %d sends, the run under test has %d and %d",
-					len(dirty.Events), sentCount(dirty), len(fresh.Events), sentCount(fresh))
+			if events < len(fresh.Events) || sends < sentCount(fresh) {
+				t.Fatalf("dirtying runs too small: %d events and %d sends, the run under test has %d and %d",
+					events, sends, len(fresh.Events), sentCount(fresh))
 			}
 			sim.ScribbleRecycled(rc)
+			respawned = 0
 			reused, err := rc.Execute(c.run())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if respawned != c.respawned {
+				t.Fatalf("Respawn handed back %d processes, want %d", respawned, c.respawned)
 			}
 
 			if len(reused.Events) != len(fresh.Events) {
@@ -144,6 +224,137 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// slotAutomaton checks the engine's side of Respawn: each slot's process
+// of the last run comes back to that slot. Its Respawn keeps a process
+// of its own at the same n and logs why it spawns any other.
+type slotAutomaton struct{ log *[]string }
+
+type slotProc struct {
+	self model.ProcessID
+	n    int
+}
+
+func (slotAutomaton) Spawn(self model.ProcessID, n int) sim.Process {
+	return &slotProc{self: self, n: n}
+}
+
+func (a slotAutomaton) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	p, ok := old.(*slotProc)
+	switch {
+	case old == nil:
+		*a.log = append(*a.log, "nil")
+	case !ok:
+		*a.log = append(*a.log, "foreign")
+	case p.n != n:
+		*a.log = append(*a.log, "n")
+	case p.self != self:
+		*a.log = append(*a.log, fmt.Sprintf("%v in %v's slot", p.self, self))
+	default:
+		*a.log = append(*a.log, "kept")
+		return p
+	}
+	return a.Spawn(self, n)
+}
+
+func (*slotProc) Step(*sim.Message, model.ProcessSet, model.Time) sim.Actions { return sim.Actions{} }
+
+// TestRespawnHandOff runs a sequence of configs on one context and
+// checks what Respawn is handed, slot by slot: nothing on a fresh
+// context, the slot's own process after a run of the same automaton, a
+// process of another automaton after one, and one of another size
+// after a run at another n. A smaller run leaves the slots above its n
+// as they were.
+func TestRespawnHandOff(t *testing.T) {
+	var log []string
+	slots := func(n int) sim.Config {
+		return sim.Config{N: n, Automaton: slotAutomaton{&log}, Oracle: fd.Perfect{}, Horizon: 5}
+	}
+	each := func(k int, why string) []string { return slices.Repeat([]string{why}, k) }
+	rc := sim.NewRunContext()
+	for _, step := range []struct {
+		cfg  sim.Config
+		want []string // what each slot of the run is handed
+	}{
+		{slots(7), each(7, "nil")},
+		{slots(7), each(7, "kept")},
+		{churnShape(7, 40, 1), nil},
+		{slots(7), each(7, "foreign")},
+		{slots(5), each(5, "n")},
+		{slots(5), each(5, "kept")},
+		{slots(7), append(each(5, "n"), "kept", "kept")}, // 6 and 7 hold theirs of n = 7
+	} {
+		log = log[:0]
+		if _, err := rc.Execute(step.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(log, step.want) {
+			t.Fatalf("n=%d: Respawn was handed %v, want %v", step.cfg.N, log, step.want)
+		}
+	}
+}
+
+// TestRespawnFallsBackToSpawn holds each hosted protocol's Respawn to
+// its contract: it keeps its own process of a run at the same n, and
+// spawns a fresh one for nil, for another automaton's process and for
+// its own of another n.
+func TestRespawnFallsBackToSpawn(t *testing.T) {
+	const n = 6
+	automata := make([]hostedAutomaton, len(hostedProtocols))
+	for i, kind := range hostedProtocols {
+		automata[i] = hostedScenario(t, kind, n).Automaton.(hostedAutomaton)
+	}
+	for i, a := range automata {
+		own := a.Spawn(3, n)
+		if got := a.Respawn(own, 3, n); got != own {
+			t.Errorf("%s: Respawn spawned afresh for its own process at the same n", hostedProtocols[i])
+		}
+		for j, old := range []sim.Process{
+			nil,
+			churnAutomaton{}.Spawn(3, n),
+			a.Spawn(3, n+1),
+			automata[(i+1)%len(automata)].Spawn(3, n),
+		} {
+			if got := a.Respawn(old, 3, n); got == nil || got == old {
+				t.Errorf("%s: Respawn kept old process %d (%T) instead of spawning", hostedProtocols[i], j, old)
+			}
+		}
+	}
+}
+
+// FuzzHostedContextReuse runs a hosted protocol at a dirtying seed and
+// then at seed on one RunContext, so that the second run gets every
+// process, multiplexer, host and slab chunk of the first back: its
+// digest must be the fresh-context one.
+func FuzzHostedContextReuse(f *testing.F) {
+	f.Add(uint8(0), uint8(1), int64(3), int64(22))
+	f.Add(uint8(1), uint8(2), int64(3), int64(22))
+	f.Add(uint8(2), uint8(4), int64(0), int64(1))
+	f.Fuzz(func(t *testing.T, kind, size uint8, seed, dirtySeed int64) {
+		n := 4 + int(size%5)
+		sc := hostedScenario(t, hostedProtocols[int(kind)%len(hostedProtocols)], n)
+		fresh, err := sim.Execute(sc.Config(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fresh.Digest()
+		rc := sim.NewRunContext()
+		if _, err := rc.Execute(sc.Config(dirtySeed)); err != nil {
+			t.Fatal(err)
+		}
+		respawned := 0
+		reused, err := rc.Execute(spied(sc, seed, &respawned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if respawned != n {
+			t.Fatalf("Respawn handed back %d of %d processes", respawned, n)
+		}
+		if got := reused.Digest(); got != want {
+			t.Fatalf("digest %s on the reused context, %s on a fresh one", got[:16], want[:16])
+		}
+	})
 }
 
 // BenchmarkEngineStepsN64 is the engine's share of the repository

@@ -158,3 +158,14 @@ type Automaton interface {
 	// n processes.
 	Spawn(self model.ProcessID, n int) Process
 }
+
+// Respawner is an optional Automaton extension that lets a RunContext
+// recycle processes: Respawn is handed the process that last ran in
+// self's slot of the context, and may reset and return it in place of a
+// fresh Spawn. old may be nil, come from another automaton or from a run
+// of another size; Respawn must check it and otherwise Spawn. What old
+// sent in its last run is dead by then (see RunContext), so its payload
+// chunks may be handed out again.
+type Respawner interface {
+	Respawn(old Process, self model.ProcessID, n int) Process
+}

@@ -43,3 +43,52 @@ func TestSlabHandsOutDistinctZeroValues(t *testing.T) {
 		t.Fatal("the value after a large carve is shared or non-zero")
 	}
 }
+
+// TestSlabRewindReusesChunks scribbles over every value a Slab handed
+// out, rewinds it and carves the same sequence again: every value must
+// arrive zero and sit in a chunk the Slab already held, so a warm Slab
+// allocates nothing.
+func TestSlabRewindReusesChunks(t *testing.T) {
+	var s Slab[Message]
+	sizes := []int{1, 3, 1, 9, 300, 1, 2, 40} // 300: a chunk of its own
+	carve := func(vals [][]Message) [][]Message {
+		for round := 0; round < 20; round++ {
+			for _, k := range sizes {
+				vals = append(vals, s.Carve(k))
+			}
+		}
+		return vals
+	}
+	vals := carve(make([][]Message, 0, 20*len(sizes)))
+	for _, v := range vals {
+		for i := range v {
+			v[i] = Message{ID: -1, SentBy: -1, Payload: "stale"}
+		}
+	}
+	held := make(map[*Message]bool)
+	for c := 0; c < s.count; c++ {
+		chunk := s.chunk(c)
+		for i := range chunk {
+			held[&chunk[i]] = true
+		}
+	}
+	chunks := s.count
+
+	s.Rewind()
+	for _, v := range carve(vals[:0]) {
+		for i := range v {
+			if v[i] != (Message{}) || !held[&v[i]] {
+				t.Fatalf("after Rewind a value arrived as %+v, in a retained chunk: %v", v[i], held[&v[i]])
+			}
+		}
+	}
+	if s.count != chunks {
+		t.Errorf("the second pass grew the Slab from %d to %d chunks", chunks, s.count)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		s.Rewind()
+		carve(vals[:0])
+	}); allocs != 0 {
+		t.Errorf("a warm Slab allocated %.0f times per pass", allocs)
+	}
+}

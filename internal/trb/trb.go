@@ -23,6 +23,7 @@ package trb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"realisticfd/internal/consensus"
 	"realisticfd/internal/model"
@@ -61,7 +62,10 @@ type Broadcast struct {
 	Script func(initiator model.ProcessID, seq int) consensus.Value
 }
 
-var _ sim.Automaton = Broadcast{}
+var (
+	_ sim.Automaton = Broadcast{}
+	_ sim.Respawner = Broadcast{}
+)
 
 // DefaultScript names each message after its instance.
 func DefaultScript(initiator model.ProcessID, seq int) consensus.Value {
@@ -70,16 +74,32 @@ func DefaultScript(initiator model.ProcessID, seq int) consensus.Value {
 
 // Spawn implements sim.Automaton.
 func (b Broadcast) Spawn(self model.ProcessID, n int) sim.Process {
-	script := b.Script
-	if script == nil {
-		script = DefaultScript
+	return b.start(new(trbProc), self, n)
+}
+
+// Respawn implements sim.Respawner: a process of a previous TRB run at
+// the same n starts over, keeping its multiplexer's and host's buffers
+// and slab chunks.
+func (b Broadcast) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	if p, ok := old.(*trbProc); ok && p.n == n {
+		return b.start(p, self, n)
 	}
-	waves := b.Waves
-	if waves <= 0 {
-		waves = 1
+	return b.Spawn(self, n)
+}
+
+// start makes p process self of n at the start of a run.
+func (b Broadcast) start(p *trbProc, self model.ProcessID, n int) *trbProc {
+	p.script = b.Script
+	if p.script == nil {
+		p.script = DefaultScript
 	}
-	p := &trbProc{self: self, n: n, waves: waves, script: script, instances: make([]trbInstance, waves*n)}
+	p.waves = max(b.Waves, 1)
+	p.self, p.n = self, n
+	p.started, p.selfWave = false, 0
+	p.instances = append(p.instances[:0], make([]trbInstance, p.waves*n)...)
+	p.ready = append(p.ready[:0], make([]uint64, (len(p.instances)+63)/64)...)
 	p.mux.Init(p, &p.host, len(p.instances))
+	p.host.Rewind()
 	return p
 }
 
@@ -118,11 +138,15 @@ type trbProc struct {
 	script func(model.ProcessID, int) consensus.Value
 
 	started  bool
-	selfWave int // next wave this process will initiate
+	selfWave int              // next wave this process will initiate
+	last     model.ProcessSet // the detector output of the last step
 
 	// instances holds instance (i, k) at index k·n + i−1: wave-major,
 	// the order Step drives them in, and their number in mux.
 	instances []trbInstance
+	// ready marks, one bit per instance, those that may move although
+	// the detector output is the last step's: see Step.
+	ready []uint64
 
 	mux  sim.Mux[trbCons]
 	host consensus.Host
@@ -145,10 +169,12 @@ func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) s
 	acts := &p.acts
 	acts.Sends, acts.Events = acts.Sends[:0], acts.Events[:0]
 
+	walkAll := !p.started || susp != p.last
 	if !p.started {
 		p.started = true
 		p.initiateWave(0, acts)
 	}
+	p.last = susp
 
 	if in != nil {
 		switch m := in.Payload.(type) {
@@ -156,18 +182,40 @@ func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) s
 			if i := p.index(in.From, m.Seq); i >= 0 && !p.instances[i].gotSet {
 				p.instances[i].got = m.Val
 				p.instances[i].gotSet = true
+				p.mark(i)
 			}
 		case *trbCons:
 			p.mux.Receive(in, susp, now, acts)
 		}
 	}
 
-	// Drive every live instance of every wave ≤ the frontier.
-	for i := range p.instances {
-		p.progress(i, susp, now, acts)
+	// Drive the instances in index order. After every step, progress
+	// under that step's output would change no instance: each running
+	// one has stepped under it (Mux.Step skips the λ step), and each
+	// waiting one has neither its value nor a suspicion of its
+	// initiator. Under an unchanged output only a marked instance, one
+	// that got its value since, can move; so only those are walked.
+	// Starting instance i marks only instances after i (initiateWave's
+	// next wave), which the walk still reaches.
+	if walkAll {
+		for i := range p.instances {
+			p.progress(i, susp, now, acts)
+		}
+		clear(p.ready)
+		return *acts
+	}
+	for w := range p.ready {
+		for p.ready[w] != 0 {
+			b := bits.TrailingZeros64(p.ready[w])
+			p.ready[w] &^= 1 << b
+			p.progress(w*64+b, susp, now, acts)
+		}
 	}
 	return *acts
 }
+
+// mark adds instance i to the instances the next walk visits.
+func (p *trbProc) mark(i int) { p.ready[i/64] |= 1 << (i % 64) }
 
 // initiateWave broadcasts this process's value for wave k.
 func (p *trbProc) initiateWave(k int, acts *sim.Actions) {
@@ -176,9 +224,11 @@ func (p *trbProc) initiateWave(k int, acts *sim.Actions) {
 	}
 	p.selfWave = k + 1
 	val := p.script(p.self, k)
-	inst := &p.instances[p.index(p.self, k)]
+	i := p.index(p.self, k)
+	inst := &p.instances[i]
 	inst.got = val
 	inst.gotSet = true
+	p.mark(i)
 	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, trbValue{Seq: k, Val: val})
 }
 
