@@ -65,7 +65,7 @@ func TestRotatingQuiescentMeansIdle(t *testing.T) {
 	lossy := sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 15}}, DelaySteps: []sim.DelayStep{{Max: 4}}}
 	for f := 0; f <= 4; f++ {
 		for seed := int64(0); seed < 8; seed++ {
-			for _, faults := range []sim.LinkFaults{{}, lossy} {
+			for _, faults := range []*sim.LinkFaults{nil, &lossy} {
 				pat := model.MustPattern(5)
 				for i := 0; i < f; i++ {
 					pat.MustCrash(model.ProcessID(i+1), model.Time(5+3*i))
@@ -74,7 +74,8 @@ func TestRotatingQuiescentMeansIdle(t *testing.T) {
 					N: 5, Automaton: quietChecked{t: t, idle: &idle, inner: Rotating{Proposals: DistinctProposals(5)}},
 					Oracle:  fd.EventuallyStrong{GST: 100, Delay: 3, Seed: uint64(seed), FalseRate: 10},
 					Pattern: pat, Horizon: 2000, Seed: seed,
-					Policy:   &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: faults},
+					Policy:   &sim.RandomFairPolicy{},
+					Faults:   faults,
 					StopWhen: sim.CorrectDecided(0),
 				})
 				if err != nil {

@@ -34,8 +34,8 @@ import (
 // executing runs would be both a data race and a determinism bug, so
 // the scenario constructs fresh ones for every seed. The shared fields
 // (Automaton, Oracle, Faults) are safe by the package contracts:
-// automata spawn per-process state, oracles are pure, and the fault
-// plan is copied into a fresh FaultyPolicy per run.
+// automata spawn per-process state, oracles are pure, and the engine
+// only reads the fault plan.
 type Scenario struct {
 	// Name labels the scenario in reports.
 	Name string
@@ -66,9 +66,9 @@ type Scenario struct {
 	// Policy returns a fresh scheduling policy for one run; nil means
 	// FairPolicy.
 	Policy func() sim.Policy
-	// Faults, when non-nil and active, wraps the policy in a
-	// sim.FaultyPolicy seeded from the run's RNG: the same seed replays
-	// the same losses, delays and partitions.
+	// Faults are the link faults of every run (sim.Config.Faults),
+	// their lottery seeded from the run's RNG: the same seed replays the
+	// same losses, delays and partitions. Nil means reliable links.
 	Faults *sim.LinkFaults
 	// StopWhen returns a fresh stop predicate for one run; nil means
 	// run to the horizon.
@@ -91,6 +91,7 @@ func (sc Scenario) Config(seed int64) sim.Config {
 		Oracle:    sc.Oracle,
 		Horizon:   sc.Horizon,
 		Seed:      seed,
+		Faults:    sc.Faults,
 		Quiesce:   sc.Quiesce,
 	}
 	if sc.OracleFor != nil {
@@ -99,14 +100,9 @@ func (sc Scenario) Config(seed int64) sim.Config {
 	if sc.Pattern != nil {
 		cfg.Pattern = sc.Pattern()
 	}
-	var pol sim.Policy
 	if sc.Policy != nil {
-		pol = sc.Policy()
+		cfg.Policy = sc.Policy()
 	}
-	if sc.Faults != nil && sc.Faults.Active() {
-		pol = &sim.FaultyPolicy{Inner: pol, Faults: *sc.Faults}
-	}
-	cfg.Policy = pol
 	if sc.StopWhen != nil {
 		cfg.StopWhen = sc.StopWhen()
 	}

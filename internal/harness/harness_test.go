@@ -146,26 +146,20 @@ func TestAfterStepFactoryIsolatesRuns(t *testing.T) {
 	}
 }
 
-// TestScenarioFaultsWrapPolicy checks Config wires the fault plan in
-// as a FaultyPolicy around the scenario policy.
-func TestScenarioFaultsWrapPolicy(t *testing.T) {
+// TestScenarioPassesFaults checks Config hands the fault plan to the
+// engine as Config.Faults and the scenario policy over unwrapped.
+func TestScenarioPassesFaults(t *testing.T) {
 	t.Parallel()
-	sc := testScenario(&sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 10}}})
-	cfg := sc.Config(3)
-	fp, ok := cfg.Policy.(*sim.FaultyPolicy)
-	if !ok {
-		t.Fatalf("policy is %T, want *sim.FaultyPolicy", cfg.Policy)
+	lf := &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 10}}}
+	cfg := testScenario(lf).Config(3)
+	if cfg.Faults != lf {
+		t.Fatalf("Faults = %v, want the scenario's plan", cfg.Faults)
 	}
-	if _, ok := fp.Inner.(*sim.RandomFairPolicy); !ok {
-		t.Fatalf("inner policy is %T, want *sim.RandomFairPolicy", fp.Inner)
+	if _, ok := cfg.Policy.(*sim.RandomFairPolicy); !ok {
+		t.Fatalf("policy is %T, want *sim.RandomFairPolicy", cfg.Policy)
 	}
 	if cfg.Seed != 3 {
 		t.Fatalf("seed = %d, want 3", cfg.Seed)
-	}
-	// An inert plan must not wrap.
-	sc.Faults = &sim.LinkFaults{}
-	if _, ok := sc.Config(0).Policy.(*sim.FaultyPolicy); ok {
-		t.Fatal("inert fault plan still wrapped the policy")
 	}
 }
 

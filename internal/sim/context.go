@@ -33,8 +33,8 @@ type RunContext struct {
 	// finish can reconstruct the exact Undelivered accounting a
 	// purge-free engine would have produced.
 	dropped [][]*Message
-	// dead is the per-step scratch for DropSifter results.
-	dead []*Message
+	// faults is the link-fault plane of the runs that have faults.
+	faults faultPlane
 
 	// Per-process FD output cache for Steady oracles: fdOut[p] is valid
 	// through time fdUntil[p]. Horizons are dropped to -1 whenever the

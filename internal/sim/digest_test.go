@@ -225,8 +225,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 		"payload shapes, lossy n=8": {
 			N: 8, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(8).MustCrash(3, 20),
-			Horizon: 300, Seed: 5,
-			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}}},
+			Horizon: 300, Seed: 5, Policy: &sim.RandomFairPolicy{},
+			Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}},
 		},
 		"busy n=6": {
 			N: 6, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{},
@@ -236,8 +236,8 @@ func TestEncodeMatchesReference(t *testing.T) {
 		"lossy n=64": {
 			N: 64, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(64).MustCrash(7, 300),
-			Horizon: 1500, Seed: 11,
-			Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 35}}}},
+			Horizon: 1500, Seed: 11, Policy: &sim.RandomFairPolicy{},
+			Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 35}}},
 		},
 	} {
 		tr, err := sim.Execute(cfg)
@@ -499,8 +499,8 @@ func TestBackReferenceSoundness(t *testing.T) {
 	t.Parallel()
 	base, err := sim.Execute(sim.Config{
 		N: 6, Automaton: payloadAutomaton{}, Oracle: fd.Perfect{Delay: 2},
-		Horizon: 200, Seed: 3,
-		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}}},
+		Horizon: 200, Seed: 3, Policy: &sim.RandomFairPolicy{},
+		Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 30}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -653,15 +653,15 @@ func FuzzDigestRoundTrip(f *testing.F) {
 		case seed&2 == 2:
 			auto = othersAutomaton{}
 		}
-		var policy sim.Policy = &sim.RandomFairPolicy{}
+		var faults *sim.LinkFaults
 		if drop := int(dropRaw % 60); drop > 0 {
-			policy = &sim.FaultyPolicy{Inner: policy, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: drop}}}}
+			faults = &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: drop}}}
 		}
 		victim := model.ProcessID(1 + uint64(seed)%uint64(n))
 		tr, err := sim.Execute(sim.Config{
 			N: n, Automaton: auto, Oracle: fd.Perfect{Delay: 2},
 			Pattern: model.MustPattern(n).MustCrash(victim, 1+horizon/3),
-			Horizon: horizon, Seed: seed, Policy: policy,
+			Horizon: horizon, Seed: seed, Policy: &sim.RandomFairPolicy{}, Faults: faults,
 		})
 		if err != nil {
 			t.Fatal(err)

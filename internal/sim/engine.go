@@ -34,6 +34,11 @@ type Config struct {
 	// Policy schedules processes and message deliveries; nil means a
 	// fresh FairPolicy.
 	Policy Policy
+	// Faults are the link faults: lost, delayed and cut links. The
+	// policy sees only the messages they let through. Nil or an
+	// inactive plan means reliable links; the engine only reads it, so
+	// concurrent runs may share one.
+	Faults *LinkFaults
 	// StopWhen, if non-nil, ends the run early once it returns true;
 	// it is evaluated after every step. Predicates should use the
 	// trace's indexed queries (DecidedSet, ProtocolEvents, AliveNow) —
@@ -89,25 +94,6 @@ func (q *msgQueue) remove(i int) *Message {
 	return m
 }
 
-// purge removes every message of dead from the queue, preserving the
-// order of the survivors. dead must be a subsequence of view() in
-// queue order (which is how DropSifter implementations report it).
-func (q *msgQueue) purge(dead []*Message) {
-	live := q.buf[q.head:q.head]
-	di := 0
-	for _, m := range q.view() {
-		if di < len(dead) && m == dead[di] {
-			di++
-			continue
-		}
-		live = append(live, m)
-	}
-	for i := q.head + len(live); i < len(q.buf); i++ {
-		q.buf[i] = nil
-	}
-	q.buf = q.buf[:q.head+len(live)]
-}
-
 // Run is a live run handle passed to AfterStep hooks.
 type Run struct {
 	cfg     Config
@@ -117,9 +103,9 @@ type Run struct {
 	pattern *model.FailurePattern
 	trace   *Trace
 	nextMsg int64
-	sifter  DropSifter // policy's drop reporter, nil if none
-	inSet   setPolicy  // policy's set-reading scheduler, nil if none
-	steady  fd.Steady  // oracle's stability declaration, nil if none
+	faults  *faultPlane // the link faults in force, nil if none
+	inSet   setPolicy   // policy's set-reading scheduler, nil if none
+	steady  fd.Steady   // oracle's stability declaration, nil if none
 
 	// Alive-set cache: rebuilt only when a crash takes effect, never
 	// per tick. aliveList is sorted by ID (the Policy contract);
@@ -236,7 +222,6 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 		nextMsg:   1,
 		aliveList: aliveList[:0],
 	}
-	r.sifter, _ = policy.(DropSifter)
 	r.inSet, _ = policy.(setPolicy)
 	r.steady, _ = cfg.Oracle.(fd.Steady)
 	respawn, _ := cfg.Automaton.(Respawner)
@@ -266,6 +251,12 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 	})
 	defer pattern.SetCrashHook(nil)
 	r.rebuildAlive(1)
+	if lf := cfg.Faults; lf != nil && lf.Active() {
+		// The fault lottery's seed is the run's first draw, taken
+		// before the policy's first NextProcess.
+		rc.faults.reset(lf, r.rng.Uint64())
+		r.faults = &rc.faults
+	}
 	quiesce := cfg.Quiesce && r.steady != nil && cfg.AfterStep == nil
 
 	for t := model.Time(1); t <= cfg.Horizon; t++ {
@@ -290,25 +281,24 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 			return nil, fmt.Errorf("sim: policy scheduled crashed process %v at t=%d", p, t)
 		}
 
-		// (1) receive a message or λ. Under a lossy fault plan, first
-		// purge the messages whose drop verdict is already sealed: they
-		// can never be delivered, and leaving them in the queue would
-		// make every later pick rescan a monotonically growing backlog.
-		// Purged messages still count as undelivered (finish merges
-		// them back), so the trace is byte-identical to a purge-free
+		// (1) receive a message or λ. Under link faults the policy
+		// picks among the messages they let through, and the pick is
+		// mapped back to the queue. Sealed drops leave the queue here
+		// for good; they still count as undelivered (finish merges them
+		// back), so the trace is byte-identical to a purge-free
 		// engine's.
 		q := &rc.pending[p]
-		if r.sifter != nil && len(q.view()) > 0 {
-			rc.dead = r.sifter.SiftDropped(q.view(), rc.dead[:0])
-			if len(rc.dead) > 0 {
-				q.purge(rc.dead)
-				rc.dropped[p] = append(rc.dropped[p], rc.dead...)
-			}
+		pending := q.view()
+		if r.faults != nil && len(pending) > 0 {
+			pending = r.faults.sift(q, &rc.dropped[p], t)
 		}
 		var msg *Message
-		if idx := policy.PickMessage(p, q.view(), t, r.rng); idx >= 0 {
-			if idx >= len(q.view()) {
-				return nil, fmt.Errorf("sim: policy picked message %d of %d for %v", idx, len(q.view()), p)
+		if idx := policy.PickMessage(p, pending, t, r.rng); idx >= 0 {
+			if idx >= len(pending) {
+				return nil, fmt.Errorf("sim: policy picked message %d of %d for %v", idx, len(pending), p)
+			}
+			if r.faults != nil {
+				idx = r.faults.origIdx[idx]
 			}
 			msg = q.remove(idx)
 		}

@@ -362,6 +362,29 @@ func TestExecuteAllocBudgets(t *testing.T) {
 		t.Errorf("a reused-context run allocates %.0f times, more than a fresh one's %.0f", reused, fresh)
 	}
 
+	// The same run under drops, extra delay and a cut, warm on a reused
+	// context: the fault plane's scratch (pick lists, cut adjacency) is
+	// recycled with it. The budget is the measured 33 plus 10 %.
+	lossy := func() Config {
+		c := cfg()
+		c.Faults = &LinkFaults{
+			DropSteps: []RateStep{{Pct: 20}}, DelaySteps: []DelayStep{{Max: 3}},
+			Cuts: []EdgeCut{{Edges: []Edge{{A: 1, B: 2}, {A: 1, B: 5}, {A: 4, B: 8}}, From: 100, Until: 900}},
+		}
+		return c
+	}
+	const lossyBudget = 36 // allocations of one warm reused-context run
+	rc = NewRunContext()
+	warmLossy := testing.AllocsPerRun(5, func() {
+		if _, err := rc.Execute(lossy()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("reused context, lossy links and a cut: %.0f allocations", warmLossy)
+	if warmLossy > lossyBudget {
+		t.Errorf("a warm lossy reused-context run allocates %.0f times, budget %d", warmLossy, lossyBudget)
+	}
+
 	// The quiescence check allocates nothing: in this run every process
 	// turns quiescent early, so the check runs at every idle step to the
 	// horizon, held back only by the messages a cut withholds between
@@ -371,10 +394,8 @@ func TestExecuteAllocBudgets(t *testing.T) {
 	quietCfg := func(quiesce bool) Config {
 		return Config{
 			N: 8, Automaton: quietAutomaton{}, Oracle: fd.Perfect{Delay: 2},
-			Horizon: 2000, Seed: 5, Quiesce: quiesce,
-			Policy: &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-				Cuts: []EdgeCut{{Edges: []Edge{{A: 7, B: 8}}, Until: 2001}},
-			}},
+			Horizon: 2000, Seed: 5, Quiesce: quiesce, Policy: &RandomFairPolicy{},
+			Faults: &LinkFaults{Cuts: []EdgeCut{{Edges: []Edge{{A: 7, B: 8}}, Until: 2001}}},
 		}
 	}
 	rc = NewRunContext()

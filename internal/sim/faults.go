@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"realisticfd/internal/model"
@@ -45,11 +44,15 @@ func (ec EdgeCut) String() string {
 	return fmt.Sprintf("cut{%s}@%d..%d", strings.Join(es, " "), ec.From, ec.Until)
 }
 
-// LinkFaults describes a composable set of link-level faults layered on
-// top of any scheduling policy by FaultyPolicy. Every fault decision is
-// a pure function of the fault seed and the message identity, so a run
-// replayed with the same sim.Config (and therefore the same engine RNG
-// stream) reproduces the exact same losses, delays and partitions.
+// LinkFaults describes a composable set of link-level faults. Like the
+// failure pattern, they are part of a run's environment (§2.3–2.4), set
+// as Config.Faults: the engine applies them under any scheduling
+// policy, which only picks among the messages they let through. Every
+// fault decision is a pure function of the run's fault seed (the first
+// draw of the engine's RNG) and the message identity, never of
+// scheduling order, so a run replayed with the same Config reproduces
+// the exact same losses, delays and partitions, and the Lemma 4.1
+// indistinguishability argument keeps its footing under faulty links.
 //
 // Loss and extra delay are piecewise-constant in send time: a constant
 // rate is one step at From 0, and no step means no loss (no delay).
@@ -116,16 +119,6 @@ func (lf LinkFaults) delayBoundAt(t model.Time) model.Time {
 	return d
 }
 
-// lossy reports whether any segment of the plan loses messages.
-func (lf LinkFaults) lossy() bool {
-	for _, s := range lf.DropSteps {
-		if s.Pct > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Active reports whether the fault plan perturbs anything at all.
 func (lf LinkFaults) Active() bool {
 	return len(lf.Cuts) > 0 || len(lf.DropSteps) > 0 || len(lf.DelaySteps) > 0
@@ -162,182 +155,106 @@ func (lf LinkFaults) String() string {
 	return "faults{" + strings.Join(parts, ",") + "}"
 }
 
-// FaultyPolicy layers LinkFaults on top of an inner scheduling policy:
-// messages the faults make invisible at time t (dropped forever,
-// still in their extra-delay window, or caught behind an unhealed
-// partition) are hidden from the inner policy, which schedules the
-// remaining traffic exactly as it would have. Composability is the
-// point — any Policy (fair, random-fair, adversarial) can be wrapped.
-//
-// The per-message fault lottery is seeded once per run: explicitly via
-// Seed, or, when Seed is zero, from the engine's RNG on first use.
-// Either way the decision for message m depends only on (seed, m.ID),
-// never on scheduling order, so replays with the same Config are
-// byte-identical and the Lemma 4.1 indistinguishability argument keeps
-// its footing under faulty links.
-//
-// Like every Policy, a FaultyPolicy is a stateful per-run object:
-// construct a fresh one for each run.
-type FaultyPolicy struct {
-	// Inner supplies the underlying schedule; nil means FairPolicy.
-	Inner Policy
-	// Faults is the fault plan.
-	Faults LinkFaults
-	// Seed overrides the fault lottery seed; 0 draws one from the
-	// engine RNG on first use (still deterministic per run).
-	Seed uint64
-
-	seed    uint64
-	seeded  bool
-	visible []*Message // scratch: reused per PickMessage call
-	origIdx []int      // scratch: visible[i] = pending[origIdx[i]]
-	// cutAdjs holds one adjacency word per process for each
-	// Faults.Cuts entry, built lazily, so a membership test is one bit
-	// test per message even for the large cuts sparse topologies
-	// compile into.
-	cutAdjs [][]model.ProcessSet
-}
-
-var _ Policy = (*FaultyPolicy)(nil)
-
-func (fp *FaultyPolicy) inner() Policy {
-	if fp.Inner == nil {
-		fp.Inner = &FairPolicy{}
-	}
-	return fp.Inner
-}
-
-func (fp *FaultyPolicy) ensureSeed(r *rand.Rand) {
-	if fp.seeded {
-		return
-	}
-	if fp.Seed != 0 {
-		fp.seed = fp.Seed
-	} else {
-		fp.seed = r.Uint64()
-	}
-	fp.seeded = true
-}
-
-// Dropped reports whether the plan loses message m forever, at the
-// rate in force at m.SentAt. The lottery hash itself never depends on
-// the rate, so two plans that agree on the rate at m.SentAt agree on
-// m's fate.
-func (fp *FaultyPolicy) Dropped(m *Message) bool {
-	pct := fp.Faults.dropPctAt(m.SentAt)
+// dropped reports whether the plan loses message m forever under the
+// lottery seed, at the rate in force at m.SentAt. The lottery hash
+// itself never depends on the rate, so two plans that agree on the rate
+// at m.SentAt agree on m's fate.
+func (lf *LinkFaults) dropped(seed uint64, m *Message) bool {
+	pct := lf.dropPctAt(m.SentAt)
 	if pct <= 0 {
 		return false
 	}
-	return model.Mix64(fp.seed^uint64(m.ID))%100 < uint64(pct)
+	return model.Mix64(seed^uint64(m.ID))%100 < uint64(pct)
 }
 
-// ExtraDelay returns the extra latency the plan imposes on m, drawn
-// from the delay bound in force at m.SentAt.
-func (fp *FaultyPolicy) ExtraDelay(m *Message) model.Time {
-	d := fp.Faults.delayBoundAt(m.SentAt)
+// extraDelay returns the extra latency the plan imposes on m under the
+// lottery seed, drawn from the delay bound in force at m.SentAt.
+func (lf *LinkFaults) extraDelay(seed uint64, m *Message) model.Time {
+	d := lf.delayBoundAt(m.SentAt)
 	if d <= 0 {
 		return 0
 	}
-	return model.Time(model.Mix64(fp.seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
+	return model.Time(model.Mix64(seed^uint64(m.ID)<<1^0xd1b54a32d192ed03) % uint64(d+1))
 }
 
-// cutAdj returns the adjacency of cut i, indexed by process ID up to
-// the cut's highest endpoint: q is in adj[p] exactly when the cut
-// severs {p, q}. It is built on first use.
-func (fp *FaultyPolicy) cutAdj(i int) []model.ProcessSet {
-	if fp.cutAdjs == nil {
-		fp.cutAdjs = make([][]model.ProcessSet, len(fp.Faults.Cuts))
-	}
-	if fp.cutAdjs[i] == nil {
-		edges := fp.Faults.Cuts[i].Edges
+// faultPlane is a run's link faults as the engine applies them: the
+// plan, the run's lottery seed and the cuts' adjacency words, plus the
+// scratch of each pick. It lives in the RunContext, so its slices are
+// recycled run over run; reset rebuilds it from each run's own plan.
+type faultPlane struct {
+	lf   *LinkFaults
+	seed uint64
+	// cutAdj[i] is the adjacency of Cuts[i], indexed by process ID up to
+	// the cut's highest endpoint: q is in cutAdj[i][p] exactly when the
+	// cut severs {p, q}. A membership test is one bit test per message
+	// even for the large cuts sparse topologies compile into.
+	cutAdj [][]model.ProcessSet
+	// visible holds the messages of the last pick the faults let
+	// through; visible[i] sits at index origIdx[i] of the queue.
+	visible []*Message
+	origIdx []int
+}
+
+// reset arms the plane for a run under lf with the given lottery seed.
+func (fp *faultPlane) reset(lf *LinkFaults, seed uint64) {
+	fp.lf, fp.seed = lf, seed
+	fp.cutAdj = grow(fp.cutAdj, len(lf.Cuts))
+	for i, ec := range lf.Cuts {
 		var top model.ProcessID
-		for _, e := range edges {
+		for _, e := range ec.Edges {
 			top = max(top, e.A, e.B)
 		}
-		adj := make([]model.ProcessSet, top+1)
-		for _, e := range edges {
+		adj := grow(fp.cutAdj[i], int(top)+1)
+		clear(adj)
+		for _, e := range ec.Edges {
 			adj[e.A] = adj[e.A].Add(e.B)
 			adj[e.B] = adj[e.B].Add(e.A)
 		}
-		fp.cutAdjs[i] = adj
+		fp.cutAdj[i] = adj
 	}
-	return fp.cutAdjs[i]
 }
 
-// Deliverable reports whether m may reach its destination at time t
-// under the fault plan (assuming the fault seed is fixed).
-func (fp *FaultyPolicy) Deliverable(m *Message, t model.Time) bool {
-	if fp.Dropped(m) || t < m.SentAt+fp.ExtraDelay(m) {
-		return false
+// held reports whether the plan withholds m at time t: it is still in
+// its extra-delay window, or an unhealed cut severs its link. Unlike a
+// drop, a hold ends.
+func (fp *faultPlane) held(m *Message, t model.Time) bool {
+	if t < m.SentAt+fp.lf.extraDelay(fp.seed, m) {
+		return true
 	}
-	for i, ec := range fp.Faults.Cuts {
+	for i, ec := range fp.lf.Cuts {
 		if t < ec.From || t >= ec.Until {
 			continue
 		}
-		if adj := fp.cutAdj(i); int(m.From) < len(adj) && adj[m.From].Has(m.To) {
-			return false
+		if adj := fp.cutAdj[i]; int(m.From) < len(adj) && adj[m.From].Has(m.To) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
-// DropSifter is implemented by policies under which some pending
-// messages are permanently undeliverable. The engine consults it
-// before every PickMessage and purges the reported messages from the
-// pending queue — they still count as undelivered in the trace, but
-// no later step rescans them. Implementations must report a subset of
-// pending in its original order, and a message once reported must
-// never have been (and never be) deliverable.
-type DropSifter interface {
-	// SiftDropped appends the permanently dropped messages of pending
-	// to dst and returns it. pending is the destination's queue in
-	// sending order; the returned messages keep that order.
-	SiftDropped(pending []*Message, dst []*Message) []*Message
-}
-
-var _ DropSifter = (*FaultyPolicy)(nil)
-
-// SiftDropped implements DropSifter: every pending message whose drop
-// lottery says "lost forever" is reported for purging.
-func (fp *FaultyPolicy) SiftDropped(pending []*Message, dst []*Message) []*Message {
-	if !fp.seeded || !fp.Faults.lossy() {
-		return dst
-	}
-	for _, m := range pending {
-		if fp.Dropped(m) {
-			dst = append(dst, m)
+// sift prepares a pick from q at time t. It moves the messages whose
+// drop is sealed out of q and onto *dropped: they can never be
+// delivered, and left in the queue they would make every later pick
+// rescan a growing backlog. It returns the remaining messages that are
+// not held at t, in queue order, with origIdx mapping each back to its
+// index in q.view(). *dropped stays in ID order: a queue is, and a
+// message sifted at a later step was sent after every one sifted
+// before it.
+func (fp *faultPlane) sift(q *msgQueue, dropped *[]*Message, t model.Time) []*Message {
+	fp.visible, fp.origIdx = fp.visible[:0], fp.origIdx[:0]
+	live := q.buf[:q.head]
+	for _, m := range q.view() {
+		if fp.lf.dropped(fp.seed, m) {
+			*dropped = append(*dropped, m)
+			continue
 		}
-	}
-	return dst
-}
-
-// NextProcess implements Policy by delegating to the inner policy.
-func (fp *FaultyPolicy) NextProcess(alive []model.ProcessID, t model.Time, r *rand.Rand) model.ProcessID {
-	fp.ensureSeed(r)
-	return fp.inner().NextProcess(alive, t, r)
-}
-
-// PickMessage implements Policy: the inner policy chooses among the
-// messages the faults let through, and the choice is mapped back to an
-// index into the full pending slice.
-func (fp *FaultyPolicy) PickMessage(p model.ProcessID, pending []*Message, t model.Time, r *rand.Rand) int {
-	fp.ensureSeed(r)
-	fp.visible = fp.visible[:0]
-	fp.origIdx = fp.origIdx[:0]
-	for i, m := range pending {
-		if fp.Deliverable(m, t) {
+		if !fp.held(m, t) {
 			fp.visible = append(fp.visible, m)
-			fp.origIdx = append(fp.origIdx, i)
+			fp.origIdx = append(fp.origIdx, len(live)-q.head)
 		}
+		live = append(live, m)
 	}
-	idx := fp.inner().PickMessage(p, fp.visible, t, r)
-	if idx < 0 {
-		return -1
-	}
-	if idx >= len(fp.origIdx) {
-		// Out of range for pending too, so the engine rejects the
-		// inner policy's bad pick as it would unwrapped.
-		return len(pending)
-	}
-	return fp.origIdx[idx]
+	clear(q.buf[len(live):])
+	q.buf = live
+	return fp.visible
 }

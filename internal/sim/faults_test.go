@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,17 +11,79 @@ import (
 	"realisticfd/internal/model"
 )
 
+// refFaultPolicy is the purge-free reference for the engine's fault
+// plane: the filter-and-map policy wrapper that used to apply link
+// faults. It draws the lottery seed at its first call, hides from the
+// inner policy every message the plan does not let through at t, maps
+// the pick back to pending and never purges a sealed drop. A run with
+// Config.Faults nil and the plan in here must match the digest of the
+// same run under Config.Faults.
+type refFaultPolicy struct {
+	inner  Policy
+	lf     *LinkFaults
+	plane  faultPlane
+	seeded bool
+}
+
+func (rp *refFaultPolicy) ensureSeed(r *rand.Rand) {
+	if !rp.seeded {
+		rp.plane.reset(rp.lf, r.Uint64())
+		rp.seeded = true
+	}
+}
+
+func (rp *refFaultPolicy) NextProcess(alive []model.ProcessID, t model.Time, r *rand.Rand) model.ProcessID {
+	rp.ensureSeed(r)
+	return rp.inner.NextProcess(alive, t, r)
+}
+
+func (rp *refFaultPolicy) PickMessage(p model.ProcessID, pending []*Message, t model.Time, r *rand.Rand) int {
+	rp.ensureSeed(r)
+	var visible []*Message
+	var origIdx []int
+	for i, m := range pending {
+		if deliverable(&rp.plane, m, t) {
+			visible = append(visible, m)
+			origIdx = append(origIdx, i)
+		}
+	}
+	idx := rp.inner.PickMessage(p, visible, t, r)
+	if idx < 0 {
+		return -1
+	}
+	if idx >= len(origIdx) {
+		return len(pending) // out of range for pending too
+	}
+	return origIdx[idx]
+}
+
+// deliverable reports whether the plane lets m reach its destination
+// at time t: neither dropped nor held.
+func deliverable(fp *faultPlane, m *Message, t model.Time) bool {
+	return !fp.lf.dropped(fp.seed, m) && !fp.held(m, t)
+}
+
+// armed is a fault plane for lf under the lottery seed.
+func armed(lf LinkFaults, seed uint64) *faultPlane {
+	fp := &faultPlane{}
+	fp.reset(&lf, seed)
+	return fp
+}
+
+// faultSeed is the lottery seed of a faulty run at seed: the first
+// draw of the run's RNG.
+func faultSeed(seed int64) uint64 { return rand.New(rand.NewSource(seed)).Uint64() }
+
 // TestFaultyPolicyDropIsPerMessage checks that the drop lottery is a
 // pure function of the message identity: whether m is lost must not
-// depend on when or how often the policy looks at the buffer.
+// depend on when or how often the engine looks at the buffer.
 func TestFaultyPolicyDropIsPerMessage(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 40}}}, Seed: 99}
-	fp.seeded, fp.seed = true, fp.Seed
+	lf := &LinkFaults{DropSteps: []RateStep{{Pct: 40}}}
 	m := &Message{ID: 7, From: 1, To: 2, SentAt: 3}
-	first := fp.Dropped(m)
+	first := lf.dropped(99, m)
 	for i := 0; i < 50; i++ {
-		if fp.Dropped(m) != first {
+		if lf.dropped(99, m) != first {
 			t.Fatal("drop verdict changed between calls")
 		}
 	}
@@ -28,7 +91,7 @@ func TestFaultyPolicyDropIsPerMessage(t *testing.T) {
 	dropped := 0
 	const total = 2000
 	for id := int64(1); id <= total; id++ {
-		if fp.Dropped(&Message{ID: id}) {
+		if lf.dropped(99, &Message{ID: id}) {
 			dropped++
 		}
 	}
@@ -40,11 +103,10 @@ func TestFaultyPolicyDropIsPerMessage(t *testing.T) {
 // TestFaultyPolicyDelayBounded checks 0 ≤ extra delay ≤ the delay bound.
 func TestFaultyPolicyDelayBounded(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 5}}}, Seed: 4}
-	fp.seeded, fp.seed = true, fp.Seed
+	lf := &LinkFaults{DelaySteps: []DelayStep{{Max: 5}}}
 	seen := make(map[model.Time]bool)
 	for id := int64(1); id <= 500; id++ {
-		d := fp.ExtraDelay(&Message{ID: id})
+		d := lf.extraDelay(4, &Message{ID: id})
 		if d < 0 || d > 5 {
 			t.Fatalf("extra delay %d outside [0, 5]", d)
 		}
@@ -57,10 +119,10 @@ func TestFaultyPolicyDelayBounded(t *testing.T) {
 	}
 }
 
-// cutBlocks reports whether the policy's cuts withhold a message from
+// cutBlocks reports whether the plane's cuts withhold a message from
 // p to q at time t; the plan has no loss or delay, so only a cut can.
-func cutBlocks(fp *FaultyPolicy, id int64, p, q model.ProcessID, t model.Time) bool {
-	return !fp.Deliverable(&Message{ID: id, From: p, To: q}, t)
+func cutBlocks(fp *faultPlane, id int64, p, q model.ProcessID, t model.Time) bool {
+	return !deliverable(fp, &Message{ID: id, From: p, To: q}, t)
 }
 
 // TestPartitionBlocksOnlyCrossCut checks a bipartition written as the
@@ -68,9 +130,9 @@ func cutBlocks(fp *FaultyPolicy, id int64, p, q model.ProcessID, t model.Time) b
 // traffic inside the window is blocked, and the cut heals.
 func TestPartitionBlocksOnlyCrossCut(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{
+	fp := armed(LinkFaults{Cuts: []EdgeCut{
 		{Edges: []Edge{{A: 1, B: 3}, {A: 1, B: 4}, {A: 2, B: 3}, {A: 2, B: 4}}, From: 10, Until: 20},
-	}}}
+	}}, 0)
 	cases := []struct {
 		from, to model.ProcessID
 		t        model.Time
@@ -101,9 +163,9 @@ func TestFaultyPolicyPartitionDelivery(t *testing.T) {
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 400, Seed: 11,
-		Policy: &FaultyPolicy{Faults: LinkFaults{
+		Faults: &LinkFaults{
 			Cuts: []EdgeCut{{Edges: []Edge{{A: 1, B: 2}, {A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}}, From: 1, Until: 100}},
-		}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,21 +191,16 @@ func TestFaultyPolicyPartitionDelivery(t *testing.T) {
 // delivered: they remain in the undelivered buffer at the horizon.
 func TestFaultyPolicyDropLosesTraffic(t *testing.T) {
 	t.Parallel()
-	tr, err := Execute(Config{
+	lf := &LinkFaults{DropSteps: []RateStep{{Pct: 60}}}
+	cfg := Config{
 		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
-		Horizon: 300, Seed: 5,
-		Policy: &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 60}}}},
-	})
+		Horizon: 300, Seed: 5, Faults: lf,
+	}
+	tr, err := Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 60}}}}
-	// Recover the lottery seed the run drew: replay the engine's RNG.
-	tr2, err := Execute(Config{
-		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
-		Horizon: 300, Seed: 5,
-		Policy: fp,
-	})
+	tr2, err := Execute(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +209,7 @@ func TestFaultyPolicyDropLosesTraffic(t *testing.T) {
 	}
 	droppedLeft := 0
 	for _, m := range tr2.Undelivered {
-		if fp.Dropped(m) {
+		if lf.dropped(faultSeed(cfg.Seed), m) {
 			droppedLeft++
 		}
 	}
@@ -170,11 +227,11 @@ func TestFaultyPolicyDropLosesTraffic(t *testing.T) {
 // byte-identity).
 func TestLossyBacklogPurged(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropSteps: []RateStep{{Pct: 50}}}}
+	lf := &LinkFaults{DropSteps: []RateStep{{Pct: 50}}}
 	tr, err := Execute(Config{
 		N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 4000, Seed: 9,
-		Policy: fp,
+		Policy: &RandomFairPolicy{}, Faults: lf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +243,7 @@ func TestLossyBacklogPurged(t *testing.T) {
 			t.Fatalf("Undelivered to %v out of ID order: %d after %d", m.To, m.ID, lastID[m.To])
 		}
 		lastID[m.To] = m.ID
-		if fp.Dropped(m) {
+		if lf.dropped(faultSeed(9), m) {
 			dropped++
 		}
 	}
@@ -195,16 +252,16 @@ func TestLossyBacklogPurged(t *testing.T) {
 	}
 }
 
-// TestFaultyPolicyComposesWithInner checks the wrapper preserves the
-// inner policy's scheduling among deliverable messages (fairness
+// TestFaultyPolicyComposesWithInner checks that link faults preserve
+// the policy's scheduling among deliverable messages (fairness
 // forcing, adversarial embargoes, ...).
 func TestFaultyPolicyComposesWithInner(t *testing.T) {
 	t.Parallel()
-	inner := &DelayPolicy{Target: model.NewProcessSet(2), Until: 50}
-	fp := &FaultyPolicy{Inner: inner, Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 2}}}, Seed: 8}
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
-		Horizon: 200, Seed: 3, Policy: fp,
+		Horizon: 200, Seed: 3,
+		Policy: &DelayPolicy{Target: model.NewProcessSet(2), Until: 50},
+		Faults: &LinkFaults{DelaySteps: []DelayStep{{Max: 2}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +280,9 @@ func TestFaultyPolicyComposesWithInner(t *testing.T) {
 // only inside the window.
 func TestEdgeCutBlocksOnlyCutEdges(t *testing.T) {
 	t.Parallel()
-	fp := &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{
+	fp := armed(LinkFaults{Cuts: []EdgeCut{
 		{Edges: []Edge{{A: 1, B: 3}, {A: 4, B: 2}}, From: 10, Until: 20},
-	}}}
+	}}, 0)
 	cases := []struct {
 		from, to model.ProcessID
 		t        model.Time
@@ -258,7 +315,7 @@ func TestEdgeCutEquivalentToPartition(t *testing.T) {
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 400, Seed: 11,
-		Policy: &FaultyPolicy{Faults: LinkFaults{Cuts: []EdgeCut{{Edges: crossing, From: 1, Until: 100}}}},
+		Faults: &LinkFaults{Cuts: []EdgeCut{{Edges: crossing, From: 1, Until: 100}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +342,7 @@ func TestFaultyPolicyCutDelivery(t *testing.T) {
 	tr, err := Execute(Config{
 		N: 5, Automaton: broadcastAutomaton{}, Oracle: fd.Perfect{},
 		Horizon: 400, Seed: 11,
-		Policy: &FaultyPolicy{Faults: lf},
+		Faults: &lf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,12 +376,6 @@ func TestLinkFaultsString(t *testing.T) {
 			t.Errorf("plan rendering %q missing %q", got, want)
 		}
 	}
-	if !lf.lossy() {
-		t.Error("plan with drops claims loss-free")
-	}
-	if (LinkFaults{DelaySteps: []DelayStep{{Max: 3}}}).lossy() {
-		t.Error("delay-only plan must be loss-free")
-	}
 }
 
 // TestFaultyPolicyStepTimelines pins the piecewise drop/delay
@@ -332,32 +383,25 @@ func TestLinkFaultsString(t *testing.T) {
 // fate, and before the first step nothing is lost or delayed.
 func TestFaultyPolicyStepTimelines(t *testing.T) {
 	t.Parallel()
-	steps := &FaultyPolicy{Faults: LinkFaults{
+	steps := &LinkFaults{
 		DropSteps:  []RateStep{{From: 100, Pct: 100}, {From: 200, Pct: 0}},
 		DelaySteps: []DelayStep{{From: 100, Max: 5}},
-	}, Seed: 17}
-	steps.seeded, steps.seed = true, steps.Seed
+	}
 	for id := int64(1); id <= 200; id++ {
 		before := &Message{ID: id, SentAt: 99}
 		during := &Message{ID: id, SentAt: 150}
 		after := &Message{ID: id, SentAt: 200}
-		if steps.Dropped(before) || steps.Dropped(after) {
+		if steps.dropped(17, before) || steps.dropped(17, after) {
 			t.Fatal("message outside the 100% window dropped")
 		}
-		if !steps.Dropped(during) {
+		if !steps.dropped(17, during) {
 			t.Fatal("message inside the 100% window survived")
 		}
-		if d := steps.ExtraDelay(before); d != 0 {
+		if d := steps.extraDelay(17, before); d != 0 {
 			t.Fatalf("delay %d before the delay step", d)
 		}
-		if d := steps.ExtraDelay(during); d < 0 || d > 5 {
+		if d := steps.extraDelay(17, during); d < 0 || d > 5 {
 			t.Fatalf("delay %d outside [0, 5]", d)
 		}
-	}
-	if !steps.Faults.lossy() {
-		t.Fatal("timeline with a lossy segment claims loss-free")
-	}
-	if (LinkFaults{DropSteps: []RateStep{{From: 0, Pct: 0}}}).lossy() {
-		t.Fatal("all-zero drop timeline is loss-free")
 	}
 }

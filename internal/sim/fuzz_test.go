@@ -49,53 +49,64 @@ func naiveDecidedSet(tr *Trace, instance int) model.ProcessSet {
 }
 
 // fuzzAutomata are the protocol shapes the fuzzer schedules: message
-// noise, deliver events, a causal chain with one decision, and
-// multi-instance decisions.
+// noise, deliver events, a causal chain with one decision,
+// multi-instance decisions, and one hello round that then turns
+// quiescent.
 func fuzzAutomaton(kind uint8, n int) Automaton {
-	switch kind % 4 {
+	switch kind % 5 {
 	case 0:
 		return noisyAutomaton{}
 	case 1:
 		return broadcastAutomaton{}
 	case 2:
 		return chainAutomaton{k: n - 1}
-	default:
+	case 3:
 		return multiInstanceDecider{}
+	default:
+		return quietAutomaton{}
 	}
 }
 
-func fuzzPolicy(kind uint8, dropPct, extraDelay uint8) Policy {
-	switch kind % 5 {
+func fuzzPolicy(kind uint8) Policy {
+	switch kind % 4 {
 	case 0:
 		return &FairPolicy{}
 	case 1:
 		return &RandomFairPolicy{}
 	case 2:
 		return &DelayPolicy{Target: model.NewProcessSet(2), Until: 90}
-	case 3:
-		return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(1, 3), Until: 60}
 	default:
-		return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-			DropSteps:  []RateStep{{Pct: int(dropPct % 40)}},
-			DelaySteps: []DelayStep{{Max: model.Time(extraDelay % 8)}},
-			// {p1, p2} severed from the rest: the fuzzed n is at most 11,
-			// and edges to absent processes carry nothing.
-			Cuts: []EdgeCut{{Edges: []Edge{
-				{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6}, {A: 1, B: 7}, {A: 1, B: 8}, {A: 1, B: 9}, {A: 1, B: 10}, {A: 1, B: 11},
-				{A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6}, {A: 2, B: 7}, {A: 2, B: 8}, {A: 2, B: 9}, {A: 2, B: 10}, {A: 2, B: 11},
-			}, From: 20, Until: model.Time(20 + extraDelay)}},
-		}}
+		return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(1, 3), Until: 60}
 	}
 }
 
-// listOnlyPolicy embeds only Policy, so it hides every optional engine
-// interface of the policy it wraps (setPolicy, DropSifter), as a
-// wrapper from outside the package does: the engine then schedules
-// through NextProcess and never purges dropped messages.
+func fuzzFaults(dropPct, extraDelay uint8) *LinkFaults {
+	return &LinkFaults{
+		DropSteps:  []RateStep{{Pct: int(dropPct % 40)}},
+		DelaySteps: []DelayStep{{Max: model.Time(extraDelay % 8)}},
+		// {p1, p2} severed from the rest: the fuzzed n is at most 11,
+		// and edges to absent processes carry nothing.
+		Cuts: []EdgeCut{{Edges: []Edge{
+			{A: 1, B: 3}, {A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6}, {A: 1, B: 7}, {A: 1, B: 8}, {A: 1, B: 9}, {A: 1, B: 10}, {A: 1, B: 11},
+			{A: 2, B: 3}, {A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6}, {A: 2, B: 7}, {A: 2, B: 8}, {A: 2, B: 9}, {A: 2, B: 10}, {A: 2, B: 11},
+		}, From: 20, Until: model.Time(20 + extraDelay)}},
+	}
+}
+
+// listOnlyPolicy embeds only Policy, so it hides the setPolicy word
+// path of the policy it wraps, as a wrapper from outside the package
+// does: the engine then schedules through NextProcess.
 type listOnlyPolicy struct{ Policy }
 
+// The flags of a FuzzEngineDeterminism input.
+const (
+	fuzzStopWhen = 1 << iota // Config.StopWhen = AllDecided(0)
+	fuzzQuiesce              // Config.Quiesce
+	fuzzFaulty               // Config.Faults = fuzzFaults(...)
+)
+
 // FuzzEngineDeterminism fuzzes (seed, faults, horizon, policy,
-// automaton, crash script) configurations and asserts the two
+// automaton, crash script, stop) configurations and asserts the
 // invariants the whole reproduction rests on:
 //
 //  1. Determinism: executing the same config twice yields
@@ -104,15 +115,22 @@ type listOnlyPolicy struct{ Policy }
 //     naive full-trace rescan, and the engine's cached alive set
 //     agrees with a fresh pattern scan.
 //  3. Optional interfaces change no run: the same config with its
-//     policy behind listOnlyPolicy yields the same digest.
+//     policy behind listOnlyPolicy yields the same digest, quiescence
+//     stop included.
+//  4. Purging sealed drops changes no trace: without Quiesce, a faulty
+//     config digests as the same run does with Config.Faults nil and
+//     the plan applied by refFaultPolicy, which never purges.
+//  5. A reused RunContext reproduces a fresh context's digest.
 func FuzzEngineDeterminism(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(1), uint8(10), uint8(4), uint16(300), uint8(0), uint8(0), false)
-	f.Add(int64(42), uint8(8), uint8(3), uint8(0), uint8(0), uint16(800), uint8(1), uint8(1), true)
-	f.Add(int64(7), uint8(5), uint8(0), uint8(20), uint8(6), uint16(150), uint8(4), uint8(2), false)
-	f.Add(int64(99), uint8(11), uint8(7), uint8(35), uint8(3), uint16(1500), uint8(3), uint8(3), true)
-	f.Add(int64(-3), uint8(4), uint8(4), uint8(5), uint8(7), uint16(60), uint8(2), uint8(1), false)
+	f.Add(int64(1), uint8(6), uint8(1), uint8(10), uint8(4), uint16(300), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(42), uint8(8), uint8(3), uint8(0), uint8(0), uint16(800), uint8(1), uint8(1), uint8(fuzzStopWhen))
+	f.Add(int64(7), uint8(5), uint8(0), uint8(20), uint8(6), uint16(150), uint8(1), uint8(2), uint8(fuzzFaulty))
+	f.Add(int64(99), uint8(11), uint8(7), uint8(35), uint8(3), uint16(1500), uint8(3), uint8(3), uint8(fuzzStopWhen|fuzzFaulty))
+	f.Add(int64(-3), uint8(4), uint8(4), uint8(5), uint8(7), uint16(60), uint8(2), uint8(1), uint8(0))
+	f.Add(int64(7), uint8(1), uint8(0), uint8(50), uint8(0), uint16(1999), uint8(1), uint8(4), uint8(fuzzQuiesce|fuzzFaulty))
+	f.Add(int64(3), uint8(7), uint8(2), uint8(0), uint8(5), uint16(900), uint8(2), uint8(4), uint8(fuzzQuiesce))
 
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, crashes, dropPct, extraDelay uint8, horizonRaw uint16, policyKind, autoKind uint8, stop bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, crashes, dropPct, extraDelay uint8, horizonRaw uint16, policyKind, autoKind, flags uint8) {
 		n := 4 + int(nRaw%8)                       // 4..11
 		horizon := model.Time(1 + horizonRaw%2000) // 1..2000
 
@@ -134,10 +152,14 @@ func FuzzEngineDeterminism(f *testing.F) {
 				Pattern:   pat,
 				Horizon:   horizon,
 				Seed:      seed,
-				Policy:    fuzzPolicy(policyKind, dropPct, extraDelay),
+				Policy:    fuzzPolicy(policyKind),
+				Quiesce:   flags&fuzzQuiesce != 0,
 			}
-			if stop {
+			if flags&fuzzStopWhen != 0 {
 				cfg.StopWhen = AllDecided(0)
+			}
+			if flags&fuzzFaulty != 0 {
+				cfg.Faults = fuzzFaults(dropPct, extraDelay)
 			}
 			return cfg
 		}
@@ -154,7 +176,7 @@ func FuzzEngineDeterminism(f *testing.F) {
 			t.Fatalf("replay diverged: %s vs %s", d1[:16], d2[:16])
 		}
 
-		// The list-only leg: no set path, no purge of sealed drops.
+		// The list-only leg: no set path.
 		hidden := build(n, seed)
 		hidden.Policy = listOnlyPolicy{hidden.Policy}
 		trH, err := Execute(hidden)
@@ -163,6 +185,26 @@ func FuzzEngineDeterminism(f *testing.F) {
 		}
 		if dH := trH.Digest(); dH != tr1.Digest() {
 			t.Fatalf("list-only policy diverged: %s vs %s", dH[:16], tr1.Digest()[:16])
+		}
+
+		// The purge-free leg: the plan applied by refFaultPolicy instead
+		// of the engine, without the quiescence stop, which sees sealed
+		// drops leave only through the engine's purge.
+		if flags&fuzzFaulty != 0 {
+			engine, ref := build(n, seed), build(n, seed)
+			engine.Quiesce, ref.Quiesce = false, false
+			ref.Policy, ref.Faults = &refFaultPolicy{inner: ref.Policy, lf: ref.Faults}, nil
+			trE, err := Execute(engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trR, err := Execute(ref)
+			if err != nil {
+				t.Fatalf("reference run: %v", err)
+			}
+			if dE, dR := trE.Digest(), trR.Digest(); dE != dR {
+				t.Fatalf("engine faults diverged from the purge-free reference: %s vs %s", dE[:16], dR[:16])
+			}
 		}
 
 		// Streaming-vs-retained equivalence: on one reused RunContext,

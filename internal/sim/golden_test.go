@@ -29,34 +29,30 @@ type GoldenCase struct {
 //
 // and a PR explaining why behavior was allowed to change.
 func GoldenGrid() []GoldenCase {
+	randomFair := func() Policy { return &RandomFairPolicy{} }
 	policies := []struct {
 		name   string
 		policy func() Policy
+		faults *LinkFaults
 	}{
-		{"fair", func() Policy { return &FairPolicy{} }},
-		{"rand", func() Policy { return &RandomFairPolicy{} }},
+		{"fair", func() Policy { return &FairPolicy{} }, nil},
+		{"rand", randomFair, nil},
 		{"delay", func() Policy {
 			return &DelayPolicy{Target: model.NewProcessSet(2), Until: 120}
-		}},
+		}, nil},
 		{"muzzle", func() Policy {
 			return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(3, 4), Until: 80}
-		}},
-		{"drop", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DropSteps: []RateStep{{Pct: 20}}}}
-		}},
-		{"jitter", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 6}}}}
-		}},
-		{"partition", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-				DropSteps: []RateStep{{Pct: 5}}, DelaySteps: []DelayStep{{Max: 3}},
-				// {p1, p2, p3} severed from {p4, p5, p6}.
-				Cuts: []EdgeCut{{Edges: []Edge{
-					{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},
-					{A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6},
-					{A: 3, B: 4}, {A: 3, B: 5}, {A: 3, B: 6},
-				}, From: 30, Until: 150}},
-			}}
+		}, nil},
+		{"drop", randomFair, &LinkFaults{DropSteps: []RateStep{{Pct: 20}}}},
+		{"jitter", randomFair, &LinkFaults{DelaySteps: []DelayStep{{Max: 6}}}},
+		{"partition", randomFair, &LinkFaults{
+			DropSteps: []RateStep{{Pct: 5}}, DelaySteps: []DelayStep{{Max: 3}},
+			// {p1, p2, p3} severed from {p4, p5, p6}.
+			Cuts: []EdgeCut{{Edges: []Edge{
+				{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},
+				{A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6},
+				{A: 3, B: 4}, {A: 3, B: 5}, {A: 3, B: 6},
+			}, From: 30, Until: 150}},
 		}},
 	}
 	oracles := []struct {
@@ -89,7 +85,7 @@ func GoldenGrid() []GoldenCase {
 						return Config{
 							N: 6, Automaton: noisyAutomaton{}, Oracle: o.oracle,
 							Pattern: pat.pattern(), Horizon: 400, Seed: seed,
-							Policy: pol.policy(),
+							Policy: pol.policy(), Faults: pol.faults,
 						}
 					},
 				})

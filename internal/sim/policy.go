@@ -31,9 +31,9 @@ type Policy interface {
 // processes as a set. nextIn is NextProcess with word holding exactly
 // the members of alive; the engine passes the set it already keeps
 // (Ω∖F(t), rebuilt only at crashes), so the policy need not rebuild it
-// from the list on every step. The wrappers (FaultyPolicy,
-// MuzzlePolicy) do not implement it: they reach their inner policy
-// through NextProcess.
+// from the list on every step. It is an optimisation only: a run
+// behind a wrapper that hides it (MuzzlePolicy, or one that embeds
+// only Policy) takes the same schedule through NextProcess.
 type setPolicy interface {
 	nextIn(alive []model.ProcessID, word model.ProcessSet, t model.Time, r *rand.Rand) model.ProcessID
 }

@@ -103,7 +103,7 @@ func TestQuiescentStopConditions(t *testing.T) {
 	faulty := func(lf LinkFaults) func() Config {
 		return func() Config {
 			c := base()
-			c.Policy = &FaultyPolicy{Inner: c.Policy, Faults: lf}
+			c.Faults = &lf
 			return c
 		}
 	}
@@ -168,11 +168,24 @@ func TestQuiescentStopConditions(t *testing.T) {
 
 	// Sealed drops alone do not hold the stop back, and Undelivered
 	// still lists them as the horizon run does: by destination, each
-	// destination's in ID order.
+	// destination's in ID order. A policy wrapper that embeds only
+	// Policy changes nothing: the engine sifts the drops, not the
+	// policy.
 	t.Run("sealed drops", func(t *testing.T) {
-		quiet, full := runQuiesced(t, faulty(LinkFaults{DropSteps: []RateStep{{Pct: 50}}}))
+		lossy := faulty(LinkFaults{DropSteps: []RateStep{{Pct: 50}}})
+		quiet, full := runQuiesced(t, lossy)
 		if quiet.Stopped != StopQuiescent {
 			t.Fatalf("Stopped = %v, want quiescent", quiet.Stopped)
+		}
+		c := lossy()
+		c.Quiesce, c.Policy = true, listOnlyPolicy{c.Policy}
+		wrapped, err := Execute(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrapped.Stopped != StopQuiescent || wrapped.Digest() != quiet.Digest() {
+			t.Fatalf("behind a wrapper: Stopped = %v after %d steps, want the bare run's quiescent stop after %d",
+				wrapped.Stopped, len(wrapped.Events), len(quiet.Events))
 		}
 		ids := func(ms []*Message) []int64 {
 			out := make([]int64, len(ms))

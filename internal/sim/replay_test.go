@@ -8,41 +8,38 @@ import (
 )
 
 // replayCases enumerates every scheduling policy with a fresh-state
-// constructor: policies are stateful per-run objects, so each replay
-// builds a new one (and a new pattern — the engine extends patterns in
-// place).
+// constructor, and the link faults of the faulty cases: policies are
+// stateful per-run objects, so each replay builds a new one (and a new
+// pattern — the engine extends patterns in place).
 func replayCases() []struct {
 	name   string
 	policy func() Policy
+	faults *LinkFaults
 } {
+	randomFair := func() Policy { return &RandomFairPolicy{} }
 	return []struct {
 		name   string
 		policy func() Policy
+		faults *LinkFaults
 	}{
-		{"fair", func() Policy { return &FairPolicy{} }},
-		{"random-fair", func() Policy { return &RandomFairPolicy{} }},
+		{"fair", func() Policy { return &FairPolicy{} }, nil},
+		{"random-fair", randomFair, nil},
 		{"delay-adversary", func() Policy {
 			return &DelayPolicy{Target: model.NewProcessSet(2), Until: 120}
-		}},
+		}, nil},
 		{"muzzle-adversary", func() Policy {
 			return &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(3, 4), Until: 80}
-		}},
-		{"faulty-drop", func() Policy {
-			return &FaultyPolicy{Faults: LinkFaults{DropSteps: []RateStep{{Pct: 20}}}}
-		}},
-		{"faulty-delay", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{DelaySteps: []DelayStep{{Max: 6}}}}
-		}},
-		{"faulty-partition", func() Policy {
-			return &FaultyPolicy{Inner: &RandomFairPolicy{}, Faults: LinkFaults{
-				DropSteps: []RateStep{{Pct: 5}}, DelaySteps: []DelayStep{{Max: 3}},
-				// {p1, p2, p3} severed from {p4, p5, p6}.
-				Cuts: []EdgeCut{{Edges: []Edge{
-					{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},
-					{A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6},
-					{A: 3, B: 4}, {A: 3, B: 5}, {A: 3, B: 6},
-				}, From: 30, Until: 150}},
-			}}
+		}, nil},
+		{"faulty-drop", func() Policy { return &FairPolicy{} }, &LinkFaults{DropSteps: []RateStep{{Pct: 20}}}},
+		{"faulty-delay", randomFair, &LinkFaults{DelaySteps: []DelayStep{{Max: 6}}}},
+		{"faulty-partition", randomFair, &LinkFaults{
+			DropSteps: []RateStep{{Pct: 5}}, DelaySteps: []DelayStep{{Max: 3}},
+			// {p1, p2, p3} severed from {p4, p5, p6}.
+			Cuts: []EdgeCut{{Edges: []Edge{
+				{A: 1, B: 4}, {A: 1, B: 5}, {A: 1, B: 6},
+				{A: 2, B: 4}, {A: 2, B: 5}, {A: 2, B: 6},
+				{A: 3, B: 4}, {A: 3, B: 5}, {A: 3, B: 6},
+			}, From: 30, Until: 150}},
 		}},
 	}
 }
@@ -62,7 +59,7 @@ func TestDeterministicReplayAllPolicies(t *testing.T) {
 				pat := model.MustPattern(6).MustCrash(2, 90)
 				tr, err := Execute(Config{
 					N: 6, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
-					Pattern: pat, Horizon: 600, Seed: seed, Policy: tc.policy(),
+					Pattern: pat, Horizon: 600, Seed: seed, Policy: tc.policy(), Faults: tc.faults,
 				})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)

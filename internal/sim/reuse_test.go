@@ -44,10 +44,17 @@ func churnShape(n int, horizon model.Time, seed int64) sim.Config {
 	return sim.Config{
 		N: n, Automaton: churnAutomaton{}, Oracle: fd.Perfect{Delay: 3},
 		Pattern: model.MustPattern(n).MustCrash(2, horizon/2),
-		Horizon: horizon, Seed: seed,
-		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{},
-			Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 20}}, DelaySteps: []sim.DelayStep{{Max: 3}}}},
+		Horizon: horizon, Seed: seed, Policy: &sim.RandomFairPolicy{},
+		Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 20}}, DelaySteps: []sim.DelayStep{{Max: 3}}},
 	}
+}
+
+// cutShape is churnShape with one more fault, a cut of the given edges
+// over the middle half of the run.
+func cutShape(n int, horizon model.Time, seed int64, edges ...sim.Edge) sim.Config {
+	cfg := churnShape(n, horizon, seed)
+	cfg.Faults.Cuts = []sim.EdgeCut{{Edges: edges, From: horizon / 4, Until: horizon * 3 / 4}}
+	return cfg
 }
 
 // sentCount is the number of messages a trace's steps sent.
@@ -150,6 +157,10 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 	cases := []reuseCase{
 		{"n64 broadcast", []sim.Config{churnShape(60, 2500, 17)}, func() sim.Config { return benchShape(1_000_000) }, 0},
 		{"n8 sflooding", []sim.Config{churnShape(6, 600, 4)}, func() sim.Config { return sc.Config(3) }, 0},
+		// The cut adjacency words are recycled too: the dirtying run's
+		// cut severs links the run under test's does not.
+		{"cut sets", []sim.Config{cutShape(7, 2000, 5, sim.Edge{A: 1, B: 2}, sim.Edge{A: 1, B: 3}, sim.Edge{A: 3, B: 4}, sim.Edge{A: 2, B: 5}, sim.Edge{A: 6, B: 7})},
+			func() sim.Config { return cutShape(5, 600, 3, sim.Edge{A: 1, B: 4}, sim.Edge{A: 2, B: 3}) }, 0},
 	}
 	for _, kind := range hostedProtocols {
 		const n = 6

@@ -18,8 +18,8 @@ func sample(t testing.TB) *sim.Trace {
 	tr, err := sim.Execute(sim.Config{
 		N: 5, Automaton: scenario.BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
 		Pattern: model.MustPattern(5).MustCrash(2, 9),
-		Horizon: 40, Seed: 4,
-		Policy: &sim.FaultyPolicy{Inner: &sim.RandomFairPolicy{}, Faults: sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 25}}}},
+		Horizon: 40, Seed: 4, Policy: &sim.RandomFairPolicy{},
+		Faults: &sim.LinkFaults{DropSteps: []sim.RateStep{{Pct: 25}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 )
 
 // FaultHook is the live counterpart of the simulator's per-message
-// fault lottery (sim.FaultyPolicy): seeded probabilistic drop and
+// fault lottery (sim.LinkFaults): seeded probabilistic drop and
 // bounded extra delay applied to every outbound frame of a TCPNode.
 // The verdict for a frame is a pure function of (seed, sender,
 // destination, per-destination frame index) — never of wall-clock time
