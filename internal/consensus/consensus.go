@@ -40,6 +40,27 @@ type Value string
 // NoValue is the zero Value; algorithms never decide it.
 const NoValue Value = ""
 
+// valueBoxes boxes Values for decision events, handing out again the
+// box of any of the last values it boxed: a process that decides among
+// a few values run after run boxes each once. A box is never written
+// after boxing, so it may outlive the run that made it.
+type valueBoxes struct {
+	ring [16]any
+	next int
+}
+
+func (b *valueBoxes) box(v Value) any {
+	for _, x := range b.ring {
+		if y, ok := x.(Value); ok && y == v {
+			return x
+		}
+	}
+	x := any(v)
+	b.ring[b.next] = x
+	b.next = (b.next + 1) % len(b.ring)
+	return x
+}
+
 // Proposals maps each process to its initial proposal.
 type Proposals map[model.ProcessID]Value
 

@@ -24,22 +24,28 @@ type Rotating struct {
 	Proposals Proposals
 }
 
-var _ sim.Automaton = Rotating{}
+var (
+	_ sim.Automaton = Rotating{}
+	_ sim.Respawner = Rotating{}
+)
 
 // Spawn implements sim.Automaton.
 func (a Rotating) Spawn(self model.ProcessID, n int) sim.Process {
-	return &rcProc{
-		self:         self,
-		n:            n,
-		est:          a.Proposals[self],
-		ts:           0,
-		earlyPropose: map[int]Value{},
-		coord:        map[int]*coordState{},
+	return new(rcProc).start(self, n, a.Proposals[self])
+}
+
+// Respawn implements sim.Respawner: a process of a previous run at the
+// same n starts over, keeping its maps, slab chunks and buffers.
+func (a Rotating) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	if p, ok := old.(*rcProc); ok && p.n == n {
+		return p.start(self, n, a.Proposals[self])
 	}
+	return a.Spawn(self, n)
 }
 
 // Message payloads. Round numbers start at 1; coordinator of round r
-// is ((r-1) mod n) + 1.
+// is ((r-1) mod n) + 1. Each travels as a sim.Ref, carved from its
+// sender's slab.
 type (
 	// rcEstimate is the phase-1 message: a participant's current
 	// estimate and the round in which it was last locked.
@@ -78,7 +84,8 @@ type estEntry struct {
 // releases them.
 type coordState struct {
 	round     int
-	estimates map[model.ProcessID]estEntry
+	estimates []estEntry       // estimates[q] for q ∈ estFrom
+	estFrom   model.ProcessSet // the processes whose estimate arrived
 	proposed  bool
 	propVal   Value
 	acks      int
@@ -118,6 +125,54 @@ type rcProc struct {
 
 	done    bool
 	relayed bool
+
+	// What a run leaves for the next, recycled by start: the step's
+	// Actions, the coordinator states and their estimates, the payloads
+	// sent, and the boxes of the values decided.
+	acts      sim.Actions
+	states    sim.Slab[coordState]
+	entries   sim.Slab[estEntry]
+	estimates sim.Slab[rcEstimate]
+	proposes  sim.Slab[rcPropose]
+	acks      sim.Slab[rcAck]
+	decides   sim.Slab[rcDecide]
+	boxes     valueBoxes
+}
+
+// start makes p process self of n at the start of a run, proposing est:
+// every field is reset, the maps cleared and the slabs rewound, since
+// what p sent in its last run is dead (see sim.Respawner).
+func (p *rcProc) start(self model.ProcessID, n int, est Value) *rcProc {
+	early, coord := p.earlyPropose, p.coord
+	if early == nil {
+		early, coord = map[int]Value{}, map[int]*coordState{}
+	}
+	clear(early)
+	clear(coord)
+	p.states.Rewind()
+	p.entries.Rewind()
+	p.estimates.Rewind()
+	p.proposes.Rewind()
+	p.acks.Rewind()
+	p.decides.Rewind()
+	*p = rcProc{
+		self:         self,
+		n:            n,
+		est:          est,
+		earlyPropose: early,
+		coord:        coord,
+		coordRounds:  p.coordRounds[:0],
+		roundScratch: p.roundScratch[:0],
+		acts:         sim.Actions{Sends: p.acts.Sends[:0], Events: p.acts.Events[:0]},
+		states:       p.states,
+		entries:      p.entries,
+		estimates:    p.estimates,
+		proposes:     p.proposes,
+		acks:         p.acks,
+		decides:      p.decides,
+		boxes:        p.boxes,
+	}
+	return p
 }
 
 func (p *rcProc) majority() int { return p.n/2 + 1 }
@@ -126,25 +181,28 @@ func (p *rcProc) coordinator(r int) model.ProcessID {
 	return model.ProcessID((r-1)%p.n + 1)
 }
 
-// Step implements sim.Process.
+// Step implements sim.Process. The returned Actions are p's own,
+// rewritten by its next step.
 func (p *rcProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.Actions {
-	var acts sim.Actions
+	acts := &p.acts
+	acts.Sends, acts.Events = acts.Sends[:0], acts.Events[:0]
 	if p.done && p.relayed {
-		return acts
+		return *acts
 	}
 
 	if in != nil {
-		if dec, ok := in.Payload.(rcDecide); ok {
-			return p.decide(dec.Val)
+		if dec, ok := in.Payload.(sim.Ref[rcDecide]); ok {
+			p.decide(dec.V.Val, acts)
+			return *acts
 		}
-		p.absorb(in, &acts)
+		p.absorb(in, acts)
 	}
 	if p.done {
-		return acts
+		return *acts
 	}
 
 	if p.round == 0 {
-		p.enterRound(1, &acts)
+		p.enterRound(1, acts)
 	}
 
 	// Participant: waiting for the coordinator's proposal or its
@@ -153,14 +211,14 @@ func (p *rcProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 		c := p.coordinator(p.round)
 		if susp.Has(c) && c != p.self {
 			// nack and move on.
-			acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: rcAck{Round: p.round, Ack: false}})
-			p.enterRound(p.round+1, &acts)
+			acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: p.acks.Ref(rcAck{Round: p.round, Ack: false})})
+			p.enterRound(p.round+1, acts)
 		}
 	}
 
 	// Coordinator: act on whatever has been collected.
-	p.coordProgress(&acts)
-	return acts
+	p.coordProgress(acts)
+	return *acts
 }
 
 var _ sim.Quiescer = (*rcProc)(nil)
@@ -192,7 +250,7 @@ func (p *rcProc) enterRound(r int, acts *sim.Actions) {
 	if c == p.self {
 		p.coordAbsorbEstimate(p.self, est)
 	} else {
-		acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: est})
+		acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: p.estimates.Ref(est)})
 	}
 	if v, ok := p.earlyPropose[r]; ok {
 		delete(p.earlyPropose, r)
@@ -211,7 +269,7 @@ func (p *rcProc) adoptPropose(r int, v Value, acts *sim.Actions) {
 	if c == p.self {
 		p.coordAbsorbAck(p.self, ack)
 	} else {
-		acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: ack})
+		acts.Sends = append(acts.Sends, sim.Send{To: c, Payload: p.acks.Ref(ack)})
 	}
 	p.enterRound(r+1, acts)
 }
@@ -219,24 +277,24 @@ func (p *rcProc) adoptPropose(r int, v Value, acts *sim.Actions) {
 // absorb processes a non-decide message.
 func (p *rcProc) absorb(in *sim.Message, acts *sim.Actions) {
 	switch m := in.Payload.(type) {
-	case rcEstimate:
-		if p.coordinator(m.Round) == p.self {
-			p.coordAbsorbEstimate(in.From, m)
+	case sim.Ref[rcEstimate]:
+		if p.coordinator(m.V.Round) == p.self {
+			p.coordAbsorbEstimate(in.From, *m.V)
 		}
-	case rcPropose:
-		switch {
-		case m.Round == p.round && p.waiting:
-			p.adoptPropose(m.Round, m.Val, acts)
-		case m.Round > p.round:
+	case sim.Ref[rcPropose]:
+		switch r := m.V.Round; {
+		case r == p.round && p.waiting:
+			p.adoptPropose(r, m.V.Val, acts)
+		case r > p.round:
 			// Early proposal for a round we have not reached: keep it
 			// available, as the paper's message buffer would.
-			if _, dup := p.earlyPropose[m.Round]; !dup {
-				p.earlyPropose[m.Round] = m.Val
+			if _, dup := p.earlyPropose[r]; !dup {
+				p.earlyPropose[r] = m.V.Val
 			}
 		}
-	case rcAck:
-		if p.coordinator(m.Round) == p.self {
-			p.coordAbsorbAck(in.From, m)
+	case sim.Ref[rcAck]:
+		if p.coordinator(m.V.Round) == p.self {
+			p.coordAbsorbAck(in.From, *m.V)
 		}
 	}
 }
@@ -247,7 +305,8 @@ func (p *rcProc) absorb(in *sim.Message, acts *sim.Actions) {
 func (p *rcProc) coordRound(r int) *coordState {
 	cs, ok := p.coord[r]
 	if !ok {
-		cs = &coordState{round: r, estimates: map[model.ProcessID]estEntry{}}
+		cs = p.states.New()
+		cs.round, cs.estimates = r, p.entries.Carve(p.n+1)
 		p.coord[r] = cs
 		i := sort.SearchInts(p.coordRounds, r)
 		p.coordRounds = append(p.coordRounds, 0)
@@ -263,8 +322,9 @@ func (p *rcProc) coordAbsorbEstimate(from model.ProcessID, m rcEstimate) {
 	if cs.proposed {
 		return
 	}
-	if _, ok := cs.estimates[from]; !ok {
+	if !cs.estFrom.Has(from) {
 		cs.estimates[from] = estEntry{val: m.Val, ts: m.TS}
+		cs.estFrom = cs.estFrom.Add(from)
 		p.news = true
 	}
 }
@@ -310,22 +370,18 @@ func (p *rcProc) coordProgressRound(cs *coordState, acts *sim.Actions) {
 	// Phase 2: with a majority of estimates, propose the one locked in
 	// the highest round (ties broken by lowest process ID for
 	// determinism).
-	if !cs.proposed && len(cs.estimates) >= p.majority() {
+	if !cs.proposed && cs.estFrom.Len() >= p.majority() {
 		bestTS := -1
 		var bestVal Value
-		for q := 1; q <= p.n; q++ {
-			e, ok := cs.estimates[model.ProcessID(q)]
-			if !ok {
-				continue
-			}
-			if e.ts > bestTS {
+		for q := model.ProcessID(1); int(q) <= p.n; q++ {
+			if e := cs.estimates[q]; cs.estFrom.Has(q) && e.ts > bestTS {
 				bestTS = e.ts
 				bestVal = e.val
 			}
 		}
 		cs.proposed = true
 		cs.propVal = bestVal
-		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcPropose{Round: cs.round, Val: bestVal})
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, p.proposes.Ref(rcPropose{Round: cs.round, Val: bestVal}))
 		// Deliver the proposal to ourselves directly.
 		if p.waiting && p.round == cs.round {
 			p.adoptPropose(cs.round, bestVal, acts)
@@ -341,26 +397,22 @@ func (p *rcProc) coordProgressRound(cs *coordState, acts *sim.Actions) {
 	// Phase 4: a majority of acks decides; reliable broadcast.
 	if cs.proposed && cs.acks >= p.majority() {
 		cs.decided = true
-		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcDecide{Val: cs.propVal})
-		local := p.decide(cs.propVal)
-		acts.Events = append(acts.Events, local.Events...)
-		acts.Sends = append(acts.Sends, local.Sends...)
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, p.decides.Ref(rcDecide{Val: cs.propVal}))
+		p.decide(cs.propVal, acts)
 	}
 }
 
 // decide records the decision once and relays it once (the reliable
 // broadcast step that makes the decision contagious).
-func (p *rcProc) decide(v Value) sim.Actions {
-	var acts sim.Actions
+func (p *rcProc) decide(v Value, acts *sim.Actions) {
 	if !p.done {
 		p.done = true
 		acts.Events = append(acts.Events, sim.ProtocolEvent{
-			Kind: sim.KindDecide, Instance: 0, Value: v,
+			Kind: sim.KindDecide, Instance: 0, Value: p.boxes.box(v),
 		})
 	}
 	if !p.relayed {
 		p.relayed = true
-		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, rcDecide{Val: v})
+		acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, p.decides.Ref(rcDecide{Val: v}))
 	}
-	return acts
 }

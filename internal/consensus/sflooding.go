@@ -74,8 +74,7 @@ type Host struct {
 	vectors sim.Slab[sfVectorMsg]
 	sends   []sim.Send
 	events  [1]sim.ProtocolEvent
-	decided Value // the last decision; box holds it boxed, as instances mostly decide alike
-	box     any
+	boxes   valueBoxes // of the values decided, as instances mostly decide alike
 }
 
 var _ sim.Host = (*Host)(nil)
@@ -206,10 +205,7 @@ func (p *sfProc) Step(in *sim.Message, susp model.ProcessSet, _ model.Time) sim.
 	h.sends = h.sends[:0]
 	var acts sim.Actions
 	if val, ok := p.progress(susp); ok {
-		if h.box == nil || val != h.decided {
-			h.decided, h.box = val, val
-		}
-		h.events[0] = sim.ProtocolEvent{Kind: sim.KindDecide, Instance: 0, Value: h.box}
+		h.events[0] = sim.ProtocolEvent{Kind: sim.KindDecide, Instance: 0, Value: h.boxes.box(val)}
 		acts.Events = h.events[:]
 	}
 	acts.Sends = h.sends

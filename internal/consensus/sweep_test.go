@@ -22,7 +22,7 @@ func TestSFloodingRandomSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random sweep")
 	}
-	errs := harness.SeedMap(harness.Seeds(60), 0, func(seed int64) error {
+	errs := harness.SeedMap(harness.Seeds(60), 0, func(_ *sim.RunContext, seed int64) error {
 		rng := rand.New(rand.NewSource(2024 + seed))
 		n := 4 + rng.Intn(4) // 4..7
 		pat := model.MustPattern(n)
@@ -94,7 +94,7 @@ func TestSFloodingFaultyLinkSweep(t *testing.T) {
 		},
 		StopWhen: func() func(*sim.Trace) bool { return sim.CorrectDecided(0) },
 	}
-	for _, r := range harness.SeedMap(harness.Seeds(40), 0, sc.Run) {
+	for _, r := range harness.SeedMap(harness.Seeds(40), 0, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -119,7 +119,7 @@ func TestRotatingRandomSafetySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random sweep")
 	}
-	errs := harness.SeedMap(harness.Seeds(50), 0, func(seed int64) error {
+	errs := harness.SeedMap(harness.Seeds(50), 0, func(_ *sim.RunContext, seed int64) error {
 		rng := rand.New(rand.NewSource(4242 + seed))
 		n := 4 + rng.Intn(3)
 		pat := model.MustPattern(n)
@@ -191,7 +191,7 @@ func TestRotatingLossyLinkSafetySweep(t *testing.T) {
 			}, From: 100, Until: 900}},
 		},
 	}
-	for _, r := range harness.SeedMap(harness.Seeds(40), 0, sc.Run) {
+	for _, r := range harness.SeedMap(harness.Seeds(40), 0, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -232,7 +232,7 @@ func TestRotatingLivenessSweep(t *testing.T) {
 		Policy:   func() sim.Policy { return &sim.RandomFairPolicy{} },
 		StopWhen: func() func(*sim.Trace) bool { return sim.CorrectDecided(0) },
 	}
-	stalls := harness.SeedMap(harness.Seeds(4000), 0, func(seed int64) error {
+	stalls := harness.SeedMap(harness.Seeds(4000), 0, func(_ *sim.RunContext, seed int64) error {
 		r := sc.Run(seed)
 		if r.Err != nil {
 			return fmt.Errorf("seed %d: %w", r.Seed, r.Err)
@@ -256,7 +256,7 @@ func TestPartialOrderRandomSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random sweep")
 	}
-	errs := harness.SeedMap(harness.Seeds(50), 0, func(seed int64) error {
+	errs := harness.SeedMap(harness.Seeds(50), 0, func(_ *sim.RunContext, seed int64) error {
 		rng := rand.New(rand.NewSource(99 + seed))
 		n := 4 + rng.Intn(4)
 		pat := model.MustPattern(n)

@@ -52,14 +52,9 @@ func (c *AdversaryConfig) defaults() {
 // two runs of the same algorithm, with failure patterns that agree
 // through PrefixEnd, whose schedules are identical through PrefixEnd
 // (the realistic detector cannot tell them apart), and in which two
-// processes decide differently.
+// processes decide differently. It keeps what it found, not the runs:
+// both ran on the caller's RunContext, R3 over R1.
 type DisagreementWitness struct {
-	// RunR1 is the paper's R1: no crashes, the victim starved of
-	// messages, a decision reached without consulting the victim.
-	RunR1 *sim.Trace
-	// RunR3 is the paper's R3: same prefix, then every process except
-	// the victim crashes; the victim later decides alone.
-	RunR3 *sim.Trace
 	// NonTotal is the audited totality violation of the R1 decision.
 	NonTotal *TotalityViolation
 	// PrefixEnd is the time through which patterns and schedules agree
@@ -113,9 +108,11 @@ var (
 //	    alone, eventually suspects everyone (genuine crashes), runs
 //	    solo and decides its own proposal: disagreement.
 //
-// The returned witness carries both traces, the totality audit of the
-// attacked decision, and the prefix-identity verification.
-func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
+// Both runs execute on rc, R3 over R1, so R1's steps through t are
+// copied out before R3 starts. The returned witness carries the
+// totality audit of the attacked decision, both decisions and the
+// prefix-identity verification; no trace outlives its run.
+func BuildDisagreement(rc *sim.RunContext, cfg AdversaryConfig) (*DisagreementWitness, error) {
 	cfg.defaults()
 	if err := model.ValidateN(cfg.N); err != nil {
 		return nil, err
@@ -149,7 +146,7 @@ func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
 	// --- R1: failure-free, stop at the first decision. ---
 	r1cfg := baseCfg(model.MustPattern(cfg.N))
 	r1cfg.StopWhen = func(tr *sim.Trace) bool { return tr.DecisionCount(0) > 0 }
-	r1, err := sim.Execute(r1cfg)
+	r1, err := rc.Execute(r1cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: R1 failed: %w", err)
 	}
@@ -162,6 +159,7 @@ func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
 	if nonTotal == nil {
 		return nil, ErrDecisionTotal
 	}
+	r1Prefix := prefixSteps(r1, first.T)
 
 	// --- R3: same seed and schedule; crashes scripted at t+1. ---
 	pat := model.MustPattern(cfg.N)
@@ -174,7 +172,7 @@ func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
 	r3cfg.StopWhen = func(tr *sim.Trace) bool {
 		return tr.DecidedSet(0).Has(cfg.Victim)
 	}
-	r3, err := sim.Execute(r3cfg)
+	r3, err := rc.Execute(r3cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: R3 failed: %w", err)
 	}
@@ -192,38 +190,60 @@ func BuildDisagreement(cfg AdversaryConfig) (*DisagreementWitness, error) {
 	}
 
 	return &DisagreementWitness{
-		RunR1:           r1,
-		RunR3:           r3,
 		NonTotal:        nonTotal,
 		PrefixEnd:       first.T,
 		FirstDecision:   first,
 		VictimDecision:  victimDec,
-		PrefixIdentical: SamePrefixRun(r1, r3, first.T),
+		PrefixIdentical: samePrefix(r1Prefix, r3, first.T),
 	}, nil
 }
 
-// SamePrefixRun verifies the indistinguishability step of the proof:
-// through time cut, the two traces schedule the same processes, with
-// the same received messages and the same failure-detector outputs.
-// This is what "the failure detector is realistic, so it can behave in
-// R3 as in R1 until time t" looks like operationally.
-func SamePrefixRun(a, b *sim.Trace, cut model.Time) bool {
-	la, lb := prefixLen(a, cut), prefixLen(b, cut)
-	if la != lb {
+// prefixStep is what the indistinguishability step of the proof
+// compares of one event: who stepped when, under which detector value,
+// what it received, and how many messages it sent. It is a copy, so
+// that it outlives the trace it was taken from; process IDs fit a byte
+// (model.MaxProcesses).
+type prefixStep struct {
+	t       model.Time
+	fd      model.ProcessSet
+	msgID   int64
+	sends   int32
+	p, from uint8 // from is the received message's sender
+	lambda  bool  // no message received
+}
+
+// prefixSteps copies tr's steps through time cut.
+func prefixSteps(tr *sim.Trace, cut model.Time) []prefixStep {
+	out := make([]prefixStep, prefixLen(tr, cut))
+	for i := range out {
+		ev := &tr.Events[i]
+		out[i] = prefixStep{t: ev.T, fd: ev.FD, sends: int32(len(ev.Sends)), p: uint8(ev.P), lambda: ev.Msg == nil}
+		if ev.Msg != nil {
+			out[i].msgID, out[i].from = ev.Msg.ID, uint8(ev.Msg.From)
+		}
+	}
+	return out
+}
+
+// samePrefix verifies the indistinguishability step of the proof:
+// through time cut, tr schedules the same processes as the run the
+// steps were copied from, with the same received messages and the same
+// failure-detector outputs. This is what "the failure detector is
+// realistic, so it can behave in R3 as in R1 until time t" looks like
+// operationally.
+func samePrefix(steps []prefixStep, tr *sim.Trace, cut model.Time) bool {
+	if prefixLen(tr, cut) != len(steps) {
 		return false
 	}
-	for i := 0; i < la; i++ {
-		ea, eb := a.Events[i], b.Events[i]
-		if ea.P != eb.P || ea.T != eb.T || !ea.FD.Equal(eb.FD) {
+	for i, s := range steps {
+		ev := &tr.Events[i]
+		if ev.P != model.ProcessID(s.p) || ev.T != s.t || !ev.FD.Equal(s.fd) || len(ev.Sends) != int(s.sends) {
 			return false
 		}
-		if (ea.Msg == nil) != (eb.Msg == nil) {
+		if (ev.Msg == nil) != s.lambda {
 			return false
 		}
-		if ea.Msg != nil && (ea.Msg.ID != eb.Msg.ID || ea.Msg.From != eb.Msg.From) {
-			return false
-		}
-		if len(ea.Sends) != len(eb.Sends) {
+		if ev.Msg != nil && (ev.Msg.ID != s.msgID || ev.Msg.From != model.ProcessID(s.from)) {
 			return false
 		}
 	}

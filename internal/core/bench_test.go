@@ -64,11 +64,12 @@ func BenchmarkTotalityAudit(b *testing.B) {
 }
 
 // BenchmarkAdversary times one full Lemma 4.1 construction (two runs
-// plus the prefix comparison).
+// plus the prefix comparison) on a reused RunContext, as E2 runs it.
 func BenchmarkAdversary(b *testing.B) {
 	b.ReportAllocs()
+	rc := sim.NewRunContext()
 	for i := 0; i < b.N; i++ {
-		w, err := BuildDisagreement(AdversaryConfig{Seed: int64(i)})
+		w, err := BuildDisagreement(rc, AdversaryConfig{Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

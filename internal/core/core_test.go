@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"realisticfd/internal/consensus"
@@ -93,12 +94,19 @@ func TestRotatingIsNotTotal(t *testing.T) {
 
 // --- Lemma 4.1 adversary (experiment E2) ---
 
+// TestBuildDisagreement runs the adversary seed after seed on one
+// RunContext, as an E2 worker does, and holds each witness to the one
+// a fresh context builds.
 func TestBuildDisagreement(t *testing.T) {
 	t.Parallel()
+	rc := sim.NewRunContext()
 	for seed := int64(0); seed < 5; seed++ {
-		w, err := BuildDisagreement(AdversaryConfig{Seed: seed})
+		w, err := BuildDisagreement(rc, AdversaryConfig{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if fresh, err := BuildDisagreement(sim.NewRunContext(), AdversaryConfig{Seed: seed}); err != nil || !reflect.DeepEqual(w, fresh) {
+			t.Fatalf("seed %d: witness %v on a reused context, %v (%v) on a fresh one", seed, w, fresh, err)
 		}
 		if !w.Disagree() {
 			t.Fatalf("seed %d: no disagreement: %v vs %v", seed, w.FirstDecision.Event.Value, w.VictimDecision.Event.Value)
@@ -125,7 +133,7 @@ func TestAdversaryFailsAgainstAccurateDetector(t *testing.T) {
 	// With an accurate realistic detector and fair delivery the same
 	// algorithm is total, so the adversary must come back empty-handed
 	// (ErrDecisionTotal) — the contrapositive reading of Lemma 4.1.
-	_, err := BuildDisagreement(AdversaryConfig{Seed: 1, Accurate: true})
+	_, err := BuildDisagreement(sim.NewRunContext(), AdversaryConfig{Seed: 1, Accurate: true})
 	if !errors.Is(err, ErrDecisionTotal) {
 		t.Fatalf("err = %v, want ErrDecisionTotal", err)
 	}

@@ -127,8 +127,15 @@ func E2Adversary(seeds int) *Table {
 		cells []string
 		ok    bool
 	}
-	rows := harness.SeedMap(harness.Seeds(seeds), Workers(), func(seed int64) row {
-		w, err := core.BuildDisagreement(core.AdversaryConfig{Seed: seed})
+	// One slot past the seeds is the negative control: the attack at
+	// seed 0 against an accurate detector, which must fail.
+	rows := harness.SeedMap(harness.Seeds(seeds+1), Workers(), func(rc *sim.RunContext, seed int64) row {
+		if seed == int64(seeds) {
+			_, err := core.BuildDisagreement(rc, core.AdversaryConfig{Seed: 0, Accurate: true})
+			attackFails := err == core.ErrDecisionTotal
+			return row{cells: []string{"0", "accurate P", "-", "-", "-", "attack impossible: " + mark(attackFails)}, ok: attackFails}
+		}
+		w, err := core.BuildDisagreement(rc, core.AdversaryConfig{Seed: seed})
 		if err != nil {
 			return row{cells: []string{fmt.Sprint(seed), "noisy ◇S", "-", "-", "-", "error: " + err.Error()}}
 		}
@@ -146,12 +153,6 @@ func E2Adversary(seeds int) *Table {
 		if !r.ok {
 			ok = false
 		}
-	}
-	_, err := core.BuildDisagreement(core.AdversaryConfig{Seed: 0, Accurate: true})
-	attackFails := err == core.ErrDecisionTotal
-	t.AddRow("0", "accurate P", "-", "-", "-", "attack impossible: "+mark(attackFails))
-	if !attackFails {
-		ok = false
 	}
 	t.Verdict = fmt.Sprintf("adversary splits every non-total run and none with accurate detectors: %s", mark(ok))
 	return t
@@ -434,7 +435,7 @@ func E7Collapse(seeds int) *Table {
 	}
 	// A noisy realistic detector (claiming S at best) gets caught: the
 	// continuation where everyone else crashes breaks weak accuracy.
-	caught := harness.SeedMap(harness.Seeds(seeds), Workers(), func(seed int64) bool {
+	caught := harness.SeedMap(harness.Seeds(seeds), Workers(), func(_ *sim.RunContext, seed int64) bool {
 		o := fd.EventuallyStrong{GST: 60, Delay: 1, Seed: uint64(seed), FalseRate: 25}
 		w, err := core.BuildCollapseWitness(o, model.MustPattern(expN), 300)
 		return err == nil && w != nil && w.WeakAccuracyInFPrime != nil

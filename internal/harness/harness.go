@@ -177,7 +177,13 @@ func (sr SeedRange) Count() int {
 // §6.3 collapse witness, the QoS estimator grid); Scenario campaigns
 // fold through Stream/Reduce. job must be safe for concurrent use and
 // deterministic in its seed.
-func SeedMap[T any](seeds SeedRange, workers int, job func(seed int64) T) []T {
+//
+// Each worker hands job its own sim.RunContext, drawn from the free
+// list Stream's workers use and returned there: a job may run on it
+// (RunContext.Execute, Scenario.RunIn) and keep what it extracts, but
+// no trace, since the worker's next job reuses the context. A job that
+// runs nothing ignores it.
+func SeedMap[T any](seeds SeedRange, workers int, job func(rc *sim.RunContext, seed int64) T) []T {
 	if err := seeds.Validate(); err != nil {
 		// No error return in the retained-sweep API; an invalid range is
 		// a caller bug, reported loudly instead of misbehaving.
@@ -194,25 +200,28 @@ func SeedMap[T any](seeds SeedRange, workers int, job func(seed int64) T) []T {
 	if workers > count {
 		workers = count
 	}
-	if workers <= 1 {
-		for i := range out {
-			out[i] = job(seeds.From + int64(i))
+	var next atomic.Int64
+	work := func() {
+		rc := takeRunContext()
+		defer returnRunContext(rc)
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= count {
+				return
+			}
+			out[i] = job(rc, seeds.From+int64(i))
 		}
+	}
+	if workers <= 1 {
+		work()
 		return out
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= count {
-					return
-				}
-				out[i] = job(seeds.From + int64(i))
-			}
+			work()
 		}()
 	}
 	wg.Wait()

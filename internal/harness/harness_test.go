@@ -2,7 +2,9 @@ package harness
 
 import (
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"realisticfd/internal/consensus"
 	"realisticfd/internal/fd"
@@ -30,21 +32,30 @@ func testScenario(faults *sim.LinkFaults) Scenario {
 	}
 }
 
-func digests(t *testing.T, results []Result) []string {
-	t.Helper()
-	out := make([]string, len(results))
-	for i, r := range results {
+// retained is sc.Run as a SeedMap job: each run on a fresh context, so
+// the results keep their traces.
+func retained(sc Scenario) func(*sim.RunContext, int64) Result {
+	return func(_ *sim.RunContext, seed int64) Result { return sc.Run(seed) }
+}
+
+// digests sweeps sc over seeds [0, 8) on the given number of workers,
+// each run on its worker's context, and returns the run digests in
+// seed order.
+func digests(t *testing.T, sc Scenario, workers int) []string {
+	return SeedMap(Seeds(8), workers, func(rc *sim.RunContext, seed int64) string {
+		r := sc.RunIn(rc, seed)
 		if r.Err != nil {
-			t.Fatalf("seed %d: %v", r.Seed, r.Err)
+			t.Errorf("seed %d: %v", r.Seed, r.Err)
+			return ""
 		}
-		out[i] = r.Trace.Digest()
-	}
-	return out
+		return r.Trace.Digest()
+	})
 }
 
 // TestSweepParallelEqualsSequential is the harness's core guarantee:
 // the same sweep at parallelism 1 and at high parallelism produces
-// byte-identical traces in the same (seed) order.
+// byte-identical traces in the same (seed) order, and the same as runs
+// on fresh contexts.
 func TestSweepParallelEqualsSequential(t *testing.T) {
 	t.Parallel()
 	for _, faults := range []*sim.LinkFaults{
@@ -56,14 +67,17 @@ func TestSweepParallelEqualsSequential(t *testing.T) {
 		}}},
 	} {
 		sc := testScenario(faults)
-		seq := digests(t, SeedMap(Seeds(8), 1, sc.Run))
-		par := digests(t, SeedMap(Seeds(8), 2*runtime.GOMAXPROCS(0), sc.Run))
+		seq := digests(t, sc, 1)
+		par := digests(t, sc, 2*runtime.GOMAXPROCS(0))
 		if len(seq) != len(par) {
 			t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
 		}
 		for i := range seq {
 			if seq[i] != par[i] {
 				t.Fatalf("faults=%v seed %d: parallel trace differs from sequential", faults, i)
+			}
+			if fresh := sc.Run(int64(i)).Trace.Digest(); seq[i] != fresh {
+				t.Fatalf("faults=%v seed %d: worker-context trace differs from a fresh context's", faults, i)
 			}
 		}
 	}
@@ -73,7 +87,7 @@ func TestSweepParallelEqualsSequential(t *testing.T) {
 // an arbitrary range.
 func TestSweepOrderAndSeeds(t *testing.T) {
 	t.Parallel()
-	results := SeedMap(SeedRange{From: 100, To: 108}, 0, testScenario(nil).Run)
+	results := SeedMap(SeedRange{From: 100, To: 108}, 0, retained(testScenario(nil)))
 	if len(results) != 8 {
 		t.Fatalf("got %d results, want 8", len(results))
 	}
@@ -94,8 +108,8 @@ func TestMapSummarizesInWorkers(t *testing.T) {
 		decided bool
 	}
 	sc := testScenario(nil)
-	sums := SeedMap(Seeds(10), 0, func(seed int64) summary {
-		r := sc.Run(seed)
+	sums := SeedMap(Seeds(10), 0, func(rc *sim.RunContext, seed int64) summary {
+		r := sc.RunIn(rc, seed)
 		if r.Err != nil {
 			t.Errorf("seed %d: %v", r.Seed, r.Err)
 			return summary{seed: r.Seed}
@@ -133,7 +147,7 @@ func TestAfterStepFactoryIsolatesRuns(t *testing.T) {
 			}
 		}
 	}
-	for _, r := range SeedMap(Seeds(8), 0, sc.Run) {
+	for _, r := range SeedMap(Seeds(8), 0, retained(sc)) {
 		if r.Err != nil {
 			t.Fatalf("seed %d: %v", r.Seed, r.Err)
 		}
@@ -163,12 +177,28 @@ func TestScenarioPassesFaults(t *testing.T) {
 	}
 }
 
-// TestSeedMap pins the generic fan-out: ordering, empty ranges, and
-// the worker count not leaking into results.
+// TestSeedMap pins the generic fan-out: ordering, empty ranges, the
+// worker count not leaking into results, and a context for every job
+// that no other job holds at the same time.
 func TestSeedMap(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 3, 0} {
-		sq := SeedMap(SeedRange{From: 5, To: 15}, workers, func(seed int64) int64 { return seed * seed })
+		var mu sync.Mutex
+		busy := map[*sim.RunContext]bool{}
+		sq := SeedMap(SeedRange{From: 5, To: 15}, workers, func(rc *sim.RunContext, seed int64) int64 {
+			mu.Lock()
+			shared := rc == nil || busy[rc]
+			busy[rc] = true
+			mu.Unlock()
+			if shared {
+				t.Errorf("workers=%d, seed %d: job got context %p, nil or in use by another job", workers, seed, rc)
+			}
+			time.Sleep(time.Millisecond) // let the other workers' jobs overlap this one
+			mu.Lock()
+			delete(busy, rc)
+			mu.Unlock()
+			return seed * seed
+		})
 		if len(sq) != 10 {
 			t.Fatalf("workers=%d: %d results, want 10", workers, len(sq))
 		}
@@ -179,7 +209,7 @@ func TestSeedMap(t *testing.T) {
 			}
 		}
 	}
-	if got := SeedMap(SeedRange{From: 4, To: 4}, 8, func(int64) int { return 1 }); got != nil {
+	if got := SeedMap(SeedRange{From: 4, To: 4}, 8, func(*sim.RunContext, int64) int { return 1 }); got != nil {
 		t.Fatalf("empty range returned %v", got)
 	}
 }

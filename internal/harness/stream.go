@@ -199,10 +199,10 @@ func Stream[A any](sc Scenario, seeds SeedRange, red Reducer[A], opts StreamOpti
 	return st.prefix, nil
 }
 
-// freeContexts is the free list Stream's workers draw their run
-// contexts from and return them to on exit, so the dozens of small
-// campaigns behind one experiment table share arenas instead of each
-// warming its own. A plain stack rather than a sync.Pool: reuse must
+// freeContexts is the free list the workers of Stream and SeedMap draw
+// their run contexts from and return them to on exit, so the dozens of
+// small campaigns behind one experiment table share arenas instead of
+// each warming its own. A plain stack rather than a sync.Pool: reuse must
 // not depend on when the collector runs, or allocations per seed would
 // vary from run to run. It holds at most GOMAXPROCS contexts — what
 // one full-width campaign can use — each at its high-water size.

@@ -59,7 +59,7 @@ func BenchmarkSweepRetained(b *testing.B) {
 	sc := benchScenario()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs := SeedMap(Seeds(32), 0, sc.Run)
+		rs := SeedMap(Seeds(32), 0, retained(sc))
 		if len(rs) != 32 {
 			b.Fatalf("%d results", len(rs))
 		}

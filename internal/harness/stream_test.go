@@ -25,7 +25,7 @@ func refStats(t *testing.T, sc Scenario, seeds SeedRange) SweepStats {
 	t.Helper()
 	red := SweepReducer()
 	st := red.New()
-	for _, r := range SeedMap(seeds, 1, sc.Run) {
+	for _, r := range SeedMap(seeds, 1, retained(sc)) {
 		st = red.Fold(st, r)
 	}
 	return st
@@ -308,12 +308,12 @@ func TestSeedRangeValidation(t *testing.T) {
 				t.Error("SeedMap did not reject an inverted range")
 			}
 		}()
-		SeedMap(inverted, 1, func(seed int64) int { return 0 })
+		SeedMap(inverted, 1, func(*sim.RunContext, int64) int { return 0 })
 	}()
 	if err := (SeedRange{From: 5, To: 5}).Validate(); err != nil {
 		t.Fatalf("empty range rejected: %v", err)
 	}
-	if got := SeedMap(SeedRange{From: 5, To: 5}, 1, testScenario(nil).Run); got != nil {
+	if got := SeedMap(SeedRange{From: 5, To: 5}, 1, retained(testScenario(nil))); got != nil {
 		t.Fatalf("empty range swept %d runs", len(got))
 	}
 }
@@ -452,7 +452,7 @@ func TestAuditReducerKeepsLowestFailure(t *testing.T) {
 	}
 	var failures int64
 	var first *AuditFailure
-	for _, r := range SeedMap(seeds, 1, sc.Run) {
+	for _, r := range SeedMap(seeds, 1, retained(sc)) {
 		if err := audit(r.Trace); err != nil {
 			failures++
 			if first == nil {

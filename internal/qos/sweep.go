@@ -7,6 +7,7 @@ import (
 
 	"realisticfd/internal/harness"
 	"realisticfd/internal/heartbeat"
+	"realisticfd/internal/sim"
 )
 
 // ArrivalModel generates a synthetic heartbeat arrival sequence with
@@ -115,7 +116,7 @@ type Config struct {
 // GOMAXPROCS); results keep input order, so the sweep is deterministic
 // at any parallelism. Make must build estimators without shared state.
 func Sweep(base ArrivalModel, configs []Config, workers int) []SweepPoint {
-	return harness.SeedMap(harness.Seeds(len(configs)), workers, func(i int64) SweepPoint {
+	return harness.SeedMap(harness.Seeds(len(configs)), workers, func(_ *sim.RunContext, i int64) SweepPoint {
 		cfg := configs[i]
 		crashModel := base
 		if crashModel.CrashAfter <= 0 {

@@ -8,6 +8,7 @@ import (
 
 	"realisticfd/internal/harness"
 	"realisticfd/internal/model"
+	"realisticfd/internal/sim"
 )
 
 // v3Spec is a well-formed /v3 spec exercising every plan verb, used
@@ -457,7 +458,8 @@ func TestPlanConstantRateMatchesV2(t *testing.T) {
 		},
 	}
 	v2 := []string{"bb1b4e96f06c658e", "7888f0c5b9011fb9", "e3ca0abb120919ab", "1f6391cc3aa99b54", "aab2c0e40cc62dba", "f19fbc163a32d574"}
-	for i, r := range harness.SeedMap(harness.Seeds(6), 1, MustBuild(s).Run) {
+	sc := MustBuild(s)
+	for i, r := range harness.SeedMap(harness.Seeds(6), 1, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -541,7 +543,7 @@ func TestPlanLowering(t *testing.T) {
 func TestPlanChurnRunCompletes(t *testing.T) {
 	t.Parallel()
 	sc := MustBuild(v3Spec())
-	for _, r := range harness.SeedMap(harness.Seeds(4), 1, sc.Run) {
+	for _, r := range harness.SeedMap(harness.Seeds(4), 1, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}

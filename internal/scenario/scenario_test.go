@@ -292,7 +292,7 @@ func TestBuildRunsDeterministically(t *testing.T) {
 	digests := func() []string {
 		sc := MustBuild(s)
 		var out []string
-		for _, r := range harness.SeedMap(harness.Seeds(4), 1, sc.Run) {
+		for _, r := range harness.SeedMap(harness.Seeds(4), 1, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
 			if r.Err != nil {
 				t.Fatal(r.Err)
 			}

@@ -198,6 +198,8 @@ type MuzzlePolicy struct {
 	Muzzled model.ProcessSet
 	// Until lifts the muzzle.
 	Until model.Time
+
+	free []model.ProcessID // the step's unmuzzled processes, reused
 }
 
 var _ Policy = (*MuzzlePolicy)(nil)
@@ -207,12 +209,13 @@ func (mp *MuzzlePolicy) NextProcess(alive []model.ProcessID, t model.Time, r *ra
 	if t >= mp.Until {
 		return mp.Inner.NextProcess(alive, t, r)
 	}
-	free := make([]model.ProcessID, 0, len(alive))
+	free := mp.free[:0]
 	for _, p := range alive {
 		if !mp.Muzzled.Has(p) {
 			free = append(free, p)
 		}
 	}
+	mp.free = free
 	if len(free) == 0 {
 		// Everyone is muzzled; the schedule must still advance.
 		return mp.Inner.NextProcess(alive, t, r)

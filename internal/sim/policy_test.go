@@ -345,3 +345,31 @@ func TestPolicyAllocBudgets(t *testing.T) {
 		}
 	}
 }
+
+// TestMuzzleAllocBudgets: a muzzle filters the alive list into a scratch
+// slice of its own, so a warm reused-context n = 8, 2 000-step run
+// behind a MuzzlePolicy that holds to the horizon allocates what its
+// unmuzzled processes' broadcasts do, plus the scratch, grown once per
+// policy. The budget is the measured 22 plus 10 %; a fresh list per
+// step made it 2 018.
+func TestMuzzleAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own; the budget holds for the build the benchmark measures")
+	}
+	const budget = 24
+	rc := NewRunContext()
+	run := func() {
+		if _, err := rc.Execute(Config{
+			N: 8, Automaton: noisyAutomaton{}, Oracle: fd.Perfect{Delay: 2}, Horizon: 2000, Seed: 5,
+			Policy: &MuzzlePolicy{Inner: &FairPolicy{}, Muzzled: model.NewProcessSet(2, 5), Until: 2001},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the context
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("warm reused context, muzzled to the horizon: %.0f allocations", got)
+	if got > budget {
+		t.Errorf("a muzzled run allocates %.0f times, budget %d", got, budget)
+	}
+}

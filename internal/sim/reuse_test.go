@@ -68,26 +68,33 @@ func sentCount(tr *sim.Trace) int {
 
 // hostedProtocols are the automata that get their processes back on a
 // reused RunContext, as scenario protocol kinds.
-var hostedProtocols = []string{"reduction", "trb", "sflooding"}
+var hostedProtocols = []string{"reduction", "trb", "sflooding", "rotating"}
 
 // hostedScenario is a run of a hosted protocol at n: one crash, delayed
-// links, and the protocol's own stop.
+// links, and the protocol's own stop. The rotating coordinator runs
+// under ◇S with false suspicions and loses the first coordinator early,
+// so that its runs go through several rounds and leave early proposals
+// and coordinator states behind.
 func hostedScenario(tb testing.TB, kind string, n int) harness.Scenario {
 	protocol, stop := `{"kind": "sflooding"}`, `{"kind": "decided"}`
+	oracle, crash := `{"kind": "perfect", "delay": 2}`, `{"process": 2, "at": 60}`
 	switch kind {
 	case "reduction":
 		protocol, stop = `{"kind": "reduction", "max_instances": 6}`, `{"kind": "decided", "instance": 5}`
 	case "trb":
 		protocol, stop = `{"kind": "trb", "waves": 2}`, `{"kind": "all-delivered"}`
+	case "rotating":
+		protocol = `{"kind": "rotating"}`
+		oracle = `{"kind": "eventually-strong", "delay": 3, "gst": 150, "false_rate": 30, "per_seed": true}`
+		crash = `{"process": 1, "at": 8}`
 	}
 	spec, err := scenario.Parse(fmt.Appendf(nil, `{
 		"schema": "fdspec/v3", "name": "reuse-%s", "n": %d, "horizon": 60000,
 		"seeds": {"from": 0, "to": 1},
-		"protocol": %s, "stop": %s,
-		"oracle": {"kind": "perfect", "delay": 2},
-		"crashes": [{"process": 2, "at": 60}],
+		"protocol": %s, "stop": %s, "oracle": %s,
+		"crashes": [%s],
 		"plan": [{"at": 0, "action": "delay", "bound": 4}]
-	}`, kind, n, protocol, stop))
+	}`, kind, n, protocol, stop, oracle, crash))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -342,6 +349,7 @@ func FuzzHostedContextReuse(f *testing.F) {
 	f.Add(uint8(0), uint8(1), int64(3), int64(22))
 	f.Add(uint8(1), uint8(2), int64(3), int64(22))
 	f.Add(uint8(2), uint8(4), int64(0), int64(1))
+	f.Add(uint8(3), uint8(3), int64(0), int64(3)) // rotating: the dirtying run leaves early proposals behind
 	f.Fuzz(func(t *testing.T, kind, size uint8, seed, dirtySeed int64) {
 		n := 4 + int(size%5)
 		sc := hostedScenario(t, hostedProtocols[int(kind)%len(hostedProtocols)], n)

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Slab carves zeroed values of one type out of chunks that it keeps: a
 // process that wraps every Send in an envelope, or sends a payload
 // struct by pointer, pays one allocation per chunk instead of one per
@@ -56,3 +58,23 @@ func (s *Slab[T]) chunk(i int) []T {
 	}
 	return s.more[i-len(s.inline)]
 }
+
+// Ref returns a Ref to a copy of v carved from the slab.
+func (s *Slab[T]) Ref(v T) Ref[T] {
+	p := s.New()
+	*p = v
+	return Ref[T]{p}
+}
+
+// Ref is a payload carved from a Slab and sent by pointer that reads, to
+// the trace, as the T value itself. It is a one-pointer struct, so it
+// boxes into a Payload without allocating, as a pointer does; unlike a
+// pointer it renders as fmt renders the T (the text the trace digests
+// pin), and the canonical trace encoding writes it send by send, as it
+// writes a value payload. So a process may send Ref[T] or T with the
+// same digests. The T lives as long as its Slab chunk: until the next
+// Rewind.
+type Ref[T any] struct{ V *T }
+
+// String renders the value as fmt renders a T.
+func (r Ref[T]) String() string { return fmt.Sprint(*r.V) }

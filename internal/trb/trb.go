@@ -90,8 +90,8 @@ func (b Broadcast) Respawn(old sim.Process, self model.ProcessID, n int) sim.Pro
 // start makes p process self of n at the start of a run.
 func (b Broadcast) start(p *trbProc, self model.ProcessID, n int) *trbProc {
 	p.script = b.Script
-	if p.script == nil {
-		p.script = DefaultScript
+	if p.self != self {
+		p.named = p.named[:0] // DefaultScript's values are self's
 	}
 	p.waves = max(b.Waves, 1)
 	p.self, p.n = self, n
@@ -100,12 +100,14 @@ func (b Broadcast) start(p *trbProc, self model.ProcessID, n int) *trbProc {
 	p.ready = append(p.ready[:0], make([]uint64, (len(p.instances)+63)/64)...)
 	p.mux.Init(p, &p.host, len(p.instances))
 	p.host.Rewind()
+	p.values.Rewind()
 	return p
 }
 
 // Payloads.
 type (
-	// trbValue is the initiator's broadcast of instance (From, Seq).
+	// trbValue is the initiator's broadcast of instance (From, Seq). It
+	// travels as a sim.Ref, carved from the sender's slab.
 	trbValue struct {
 		Seq int
 		Val consensus.Value
@@ -135,7 +137,8 @@ type trbProc struct {
 	self   model.ProcessID
 	n      int
 	waves  int
-	script func(model.ProcessID, int) consensus.Value
+	script func(model.ProcessID, int) consensus.Value // nil: DefaultScript
+	named  []consensus.Value                          // DefaultScript's values of self's waves so far
 
 	started  bool
 	selfWave int              // next wave this process will initiate
@@ -148,9 +151,10 @@ type trbProc struct {
 	// the detector output is the last step's: see Step.
 	ready []uint64
 
-	mux  sim.Mux[trbCons]
-	host consensus.Host
-	acts sim.Actions // the step's, reused from step to step
+	mux    sim.Mux[trbCons]
+	host   consensus.Host
+	values sim.Slab[trbValue]
+	acts   sim.Actions // the step's, reused from step to step
 }
 
 // index returns the index of instance (initiator, seq), or −1 for an
@@ -178,9 +182,9 @@ func (p *trbProc) Step(in *sim.Message, susp model.ProcessSet, now model.Time) s
 
 	if in != nil {
 		switch m := in.Payload.(type) {
-		case trbValue:
-			if i := p.index(in.From, m.Seq); i >= 0 && !p.instances[i].gotSet {
-				p.instances[i].got = m.Val
+		case sim.Ref[trbValue]:
+			if i := p.index(in.From, m.V.Seq); i >= 0 && !p.instances[i].gotSet {
+				p.instances[i].got = m.V.Val
 				p.instances[i].gotSet = true
 				p.mark(i)
 			}
@@ -223,13 +227,25 @@ func (p *trbProc) initiateWave(k int, acts *sim.Actions) {
 		return
 	}
 	p.selfWave = k + 1
-	val := p.script(p.self, k)
+	val := p.value(k)
 	i := p.index(p.self, k)
 	inst := &p.instances[i]
 	inst.got = val
 	inst.gotSet = true
 	p.mark(i)
-	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, trbValue{Seq: k, Val: val})
+	acts.Sends = sim.AppendOthers(acts.Sends, p.n, p.self, p.values.Ref(trbValue{Seq: k, Val: val}))
+}
+
+// value is this process's broadcast value for wave k: Script's, or
+// DefaultScript's, formatted once and kept from run to run.
+func (p *trbProc) value(k int) consensus.Value {
+	if p.script != nil {
+		return p.script(p.self, k)
+	}
+	for len(p.named) <= k {
+		p.named = append(p.named, DefaultScript(p.self, len(p.named)))
+	}
+	return p.named[k]
 }
 
 // progress fires instance i's pending transitions: once its proposal is

@@ -37,7 +37,7 @@ func TestWireEncodesEveryEmittedPayload(t *testing.T) {
 			for _, m := range ev.Sends {
 				payload := m.Payload
 				switch env := payload.(type) {
-				case trbValue:
+				case sim.Ref[trbValue]:
 					continue
 				case *trbCons:
 					payload = env.Inner
