@@ -25,7 +25,14 @@ type FailurePattern struct {
 	// simulator registers a hook here so it can keep its cached alive
 	// set current without rescanning the pattern every tick; the hook
 	// is an observer only and must not mutate the pattern.
-	onCrash func(p ProcessID, t Time)
+	onCrash CrashHook
+}
+
+// CrashHook observes the crashes added to a FailurePattern. It is an
+// interface, not a func, so that the engine registers its run handle
+// without allocating a closure per run.
+type CrashHook interface {
+	NoteCrash(p ProcessID, t Time)
 }
 
 // NewFailurePattern returns the failure-free pattern over n processes.
@@ -69,18 +76,18 @@ func (f *FailurePattern) Crash(p ProcessID, t Time) error {
 	f.crash[p] = t
 	f.correct = f.correct.Remove(p)
 	if f.onCrash != nil {
-		f.onCrash(p, t)
+		f.onCrash.NoteCrash(p, t)
 	}
 	return nil
 }
 
-// SetCrashHook registers fn to be called after every successful Crash,
+// SetCrashHook registers h to be told of every successful Crash,
 // replacing any previous hook; nil unregisters. At most one hook is
 // held at a time — the intended owner is the engine of the run
 // currently driving the pattern, which registers on start and
 // unregisters when the run ends.
-func (f *FailurePattern) SetCrashHook(fn func(p ProcessID, t Time)) {
-	f.onCrash = fn
+func (f *FailurePattern) SetCrashHook(h CrashHook) {
+	f.onCrash = h
 }
 
 // MustCrash is Crash that panics on error, for tests and examples.

@@ -53,13 +53,16 @@ type RunContext struct {
 	// The trace is recycled in place.
 	trace Trace
 
-	// The run handle and its RNG are recycled too: rand.NewSource's
-	// state alone is ~5KB, which used to be reallocated every seed of a
-	// streaming sweep. Re-seeding resets the generator to exactly the
-	// state a fresh rand.New(rand.NewSource(seed)) starts from, so
-	// replay determinism is unaffected (the golden digests pin it).
-	run Run
-	rng *rand.Rand
+	// The run handle and its generator are recycled too. Each run
+	// starts rng afresh over seeds' run source, put in the state
+	// rand.NewSource(seed) starts in, so it draws exactly what a fresh
+	// rand.New(rand.NewSource(seed)) draws, Read included
+	// (TestSeededGeneratorMatchesFresh; the golden digests pin it too).
+	// The package-level Execute, whose context runs once, keeps no seed
+	// table and starts a new source.
+	run   Run
+	rng   rand.Rand
+	seeds seedSources
 }
 
 // NewRunContext returns an empty reusable run context.

@@ -164,6 +164,25 @@ func (r *Run) refreshAlive(t model.Time) {
 	}
 }
 
+// crashHook is a Run as its pattern's model.CrashHook; the named type
+// keeps NoteCrash off Run's API.
+type crashHook Run
+
+// NoteCrash lowers the alive cache's next crash to t.
+func (h *crashHook) NoteCrash(_ model.ProcessID, t model.Time) {
+	r := (*Run)(h)
+	if t < r.nextCrash {
+		r.nextCrash = t
+	}
+	// A new crash voids every Steady stability horizon: outputs may
+	// now change earlier than the oracle promised for the old F.
+	if r.steady != nil {
+		for p := range r.rc.fdUntil {
+			r.rc.fdUntil[p] = -1
+		}
+	}
+}
+
 // Execute runs the configured algorithm in a fresh context and returns
 // the recorded trace. The returned error is non-nil only for
 // configuration problems; a run in which all processes crash ends
@@ -174,14 +193,22 @@ func (r *Run) refreshAlive(t model.Time) {
 // message arenas across runs, at the price that each returned trace is
 // only valid until the context's next run.
 func Execute(cfg Config) (*Trace, error) {
-	return NewRunContext().Execute(cfg)
+	// A context that runs once has no use for a seed table.
+	return NewRunContext().execute(cfg, rand.NewSource(cfg.Seed))
 }
 
 // Execute runs the configured algorithm reusing the context's arenas.
 // The returned Trace — and everything reachable from it — is valid
 // only until the next Execute call on the same context; see the
-// RunContext contract.
+// RunContext contract. The run's source starts from the context's seed
+// table (see seedSources).
 func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
+	return rc.execute(cfg, rc.seeds.start(cfg.Seed))
+}
+
+// execute is Execute with the run's source src in the state
+// rand.NewSource(cfg.Seed) starts in.
+func (rc *RunContext) execute(cfg Config, src rand.Source) (*Trace, error) {
 	if err := model.ValidateN(cfg.N); err != nil {
 		return nil, err
 	}
@@ -206,17 +233,12 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 		policy = &FairPolicy{}
 	}
 
-	if rc.rng == nil {
-		rc.rng = rand.New(rand.NewSource(cfg.Seed))
-	} else {
-		rc.rng.Seed(cfg.Seed)
-	}
 	r := &rc.run
 	aliveList := r.aliveList // keep the recycled capacity
 	*r = Run{
 		cfg:       cfg,
 		rc:        rc,
-		rng:       rc.rng,
+		rng:       rc.startRNG(src),
 		pattern:   pattern,
 		trace:     rc.reset(cfg, pattern),
 		nextMsg:   1,
@@ -237,18 +259,7 @@ func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
 	// pattern hook catches crashes injected mid-run by AfterStep
 	// adversaries. The hook is an engine implementation detail, so it
 	// is removed again however the run ends.
-	pattern.SetCrashHook(func(_ model.ProcessID, t model.Time) {
-		if t < r.nextCrash {
-			r.nextCrash = t
-		}
-		// A new crash voids every Steady stability horizon: outputs may
-		// now change earlier than the oracle promised for the old F.
-		if r.steady != nil {
-			for p := range rc.fdUntil {
-				rc.fdUntil[p] = -1
-			}
-		}
-	})
+	pattern.SetCrashHook((*crashHook)(r))
 	defer pattern.SetCrashHook(nil)
 	r.rebuildAlive(1)
 	if lf := cfg.Faults; lf != nil && lf.Active() {

@@ -120,7 +120,8 @@ const (
 //  4. Purging sealed drops changes no trace: without Quiesce, a faulty
 //     config digests as the same run does with Config.Faults nil and
 //     the plan applied by refFaultPolicy, which never purges.
-//  5. A reused RunContext reproduces a fresh context's digest.
+//  5. A reused RunContext reproduces a fresh context's digest, also
+//     when the run's seed comes back after a seed sharing its slot.
 func FuzzEngineDeterminism(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(1), uint8(10), uint8(4), uint16(300), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(42), uint8(8), uint8(3), uint8(0), uint8(0), uint16(800), uint8(1), uint8(1), uint8(fuzzStopWhen))
@@ -208,15 +209,19 @@ func FuzzEngineDeterminism(f *testing.F) {
 		}
 
 		// Streaming-vs-retained equivalence: on one reused RunContext,
-		// first a different config (another n and seed), so that the
-		// recycled arena and trace slots hold values the fresh run never
-		// had, then the config itself, which must reproduce the
-		// fresh-context digest byte for byte. Running the same config
-		// twice would leave stale values equal to fresh ones and hide a
-		// field the engine forgot to write.
+		// first a different config (another n), so that the recycled
+		// arena and trace slots hold values the fresh run never had,
+		// then the config itself, which must reproduce the fresh-context
+		// digest byte for byte. Running the same config twice would
+		// leave stale values equal to fresh ones and hide a field the
+		// engine forgot to write. The dirtying runs take a seed sharing
+		// seed's slot in the context's seed table, then seed, so that
+		// the run under test starts from the slot's copy of seed.
 		rc := NewRunContext()
-		if _, err := rc.Execute(build(4+(n-3)%8, seed+1)); err != nil {
-			t.Fatalf("dirtying run: %v", err)
+		for _, s := range []int64{seed + seedSlots, seed} {
+			if _, err := rc.Execute(build(4+(n-3)%8, s)); err != nil {
+				t.Fatalf("dirtying run: %v", err)
+			}
 		}
 		trS, err := rc.Execute(build(n, seed))
 		if err != nil {

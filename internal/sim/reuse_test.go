@@ -242,6 +242,29 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 			}
 		})
 	}
+
+	// The context's seed table (64 slots): A shares its slot with
+	// A+64, so the second run of A finds the slot remembering A+64 and
+	// is seeded directly again; the third fills the slot and copies it,
+	// the fourth only copies it.
+	t.Run("seed table", func(t *testing.T) {
+		const a, b = 3, 4
+		rc := sim.NewRunContext()
+		for i, seed := range []int64{a, b, a + 64, a, a, a} {
+			fresh, err := sim.Execute(churnShape(6, 600, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.Digest()
+			reused, err := rc.Execute(churnShape(6, 600, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reused.Digest(); got != want {
+				t.Fatalf("run %d (seed %d): digest %s on the reused context, %s on a fresh one", i, seed, got[:16], want[:16])
+			}
+		}
+	})
 }
 
 // slotAutomaton checks the engine's side of Respawn: each slot's process
