@@ -9,20 +9,23 @@
 // The faults come from a -plan file — a /v3 scenario whose fault plan
 // also runs under fdsim's sim lowering (examples/scenarios/) —
 // or, without one, a built-in kill+pause+partition+heal sequence
-// scaled to -n. The flags that shape the built-in schedule (-n -est
-// -timeout -interval -fanout -warmup -settle -bound) are refused
-// beside -plan, whose file carries them. With -bound (or a plan's
-// bound_ms) the run becomes an assertion and the exit status a
-// verdict: every survivor must suspect every killed node within the
-// bound, no resumed node may stay suspected at collection, and every
-// mid-run joiner must be adopted cluster-wide.
+// scaled to -n. The live cluster runs the busy protocol only: a plan
+// naming another protocol is refused with exit 2, -validate included,
+// and its oracle and stop fields are simulator-only. The flags that
+// shape the built-in schedule (-n -est -timeout -interval -fanout
+// -warmup -settle -bound) are refused beside -plan, whose file carries
+// them. With -bound (or a plan's bound_ms) the run becomes an
+// assertion and the exit status a verdict: every survivor must suspect
+// every killed node within the bound, no resumed node may stay
+// suspected at collection, and every mid-run joiner must be adopted
+// cluster-wide.
 //
 // The result JSON carries the spec's sha256 config digest
 // (plan_digest), which is the run's identity: -validate parses and
-// semantically checks the plan (printing the digest) without spawning
-// anything, and -if-changed skips the run when the -out file already
-// holds a result with the same digest — a renamed-but-changed plan is
-// never mistaken for a rerun.
+// semantically checks the plan, the protocol check included (printing
+// the digest), without spawning anything, and -if-changed skips the
+// run when the -out file already holds a result with the same digest —
+// a renamed-but-changed plan is never mistaken for a rerun.
 //
 // Examples:
 //
@@ -194,6 +197,9 @@ func prepare(args []string) (options, *scenario.Spec, error) {
 		return o, nil, err
 	}
 	spec, err := o.spec()
+	if err == nil {
+		err = cluster.CheckProtocol(spec)
+	}
 	return o, spec, err
 }
 

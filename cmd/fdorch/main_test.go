@@ -10,6 +10,7 @@ import (
 // error, and the flags a -plan run honours must still pass with one.
 func TestPrepareFlags(t *testing.T) {
 	const smoke = "../../examples/scenarios/smoke16.json"
+	const lossy = "../../examples/scenarios/lossy-consensus.json"
 	cases := []struct {
 		name    string
 		args    []string
@@ -33,6 +34,7 @@ func TestPrepareFlags(t *testing.T) {
 		{"unknown estimator", []string{"-est", "psychic"}, `unknown estimator "psychic"`},
 		{"timeout without fixed", []string{"-est", "phi", "-timeout", "1s"}, "-est fixed only"},
 		{"missing plan", []string{"-plan", "no-such-plan.json"}, "no-such-plan.json"},
+		{"non-busy plan", []string{"-plan", lossy, "-inproc"}, `protocol "sflooding" runs in the simulator only`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,5 +73,13 @@ func TestBuiltinFlagsReachTheSpec(t *testing.T) {
 	if spec.N != 40 || live.IntervalMs != 20 || live.Fanout != 3 || live.WarmupMs != 2000 ||
 		live.SettleMs != 1000 || live.BoundMs != 1500 || live.Estimator.TimeoutMs != 240 {
 		t.Errorf("spec n=%d live=%+v", spec.N, *live)
+	}
+}
+
+// TestValidateRefusesNonBusyPlan: -validate runs the live cluster's
+// protocol check, so a simulator-only plan exits 2 without spawning.
+func TestValidateRefusesNonBusyPlan(t *testing.T) {
+	if code := fdorch([]string{"-plan", "../../examples/scenarios/lossy-consensus.json", "-validate"}); code != 2 {
+		t.Errorf("exit %d, want 2", code)
 	}
 }

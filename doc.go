@@ -25,9 +25,9 @@
 //   - transport, heartbeat, qos, membership: the live substrate —
 //     gossip heartbeats over sockets, QoS metrics, exclusion-based
 //     membership
-//   - scenario, cluster, livecons: one fdspec/v3 scenario format for
-//     both backends, the live-cluster orchestrator, and S-flooding
-//     consensus over the live stack
+//   - scenario, cluster: one fdspec/v3 scenario format for both
+//     backends, and the live-cluster orchestrator, which runs the busy
+//     protocol only
 //   - experiments: the E1–E9 tables (see DESIGN.md and EXPERIMENTS.md)
 //
 // Entry points: cmd/fdsim (run, sweep, validate), cmd/experiments, cmd/fdorch

@@ -282,6 +282,64 @@ func TestOrchestratorRefusesOutOfRangeHello(t *testing.T) {
 	}
 }
 
+// failSpawner fails the test if the orchestrator spawns anything.
+type failSpawner struct{ t *testing.T }
+
+func (s failSpawner) Spawn(cfg NodeConfig) (NodeHandle, error) {
+	s.t.Errorf("spawned node %d", cfg.ID)
+	return nil, fmt.Errorf("nothing may spawn here")
+}
+
+// TestRunRefusesNonBusyProtocols: the live cluster runs the busy
+// protocol only. Every other kind scenario.Validate accepts is refused
+// by name, by CheckProtocol, newRun and Run alike, before the control
+// listener opens (newRun hands back no run to close) or a node spawns.
+func TestRunRefusesNonBusyProtocols(t *testing.T) {
+	protocols := []scenario.ProtocolSpec{
+		{Kind: scenario.ProtocolBusy},
+		{Kind: scenario.ProtocolSFlooding},
+		{Kind: scenario.ProtocolRotating},
+		{Kind: scenario.ProtocolMarabout},
+		{Kind: scenario.ProtocolPartialOrder},
+		{Kind: scenario.ProtocolTRB, Waves: 1},
+		{Kind: scenario.ProtocolReduction, MaxInstances: 1},
+		{Kind: scenario.ProtocolAbcast, MaxInstances: 1},
+	}
+	for _, p := range protocols {
+		spec := liveSpec("refuse-"+p.Kind, 8, scenario.LiveParams{IntervalMs: 25},
+			scenario.ActionSpec{At: 100, Action: "kill", Nodes: []int{2}})
+		spec.Protocol = p
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: the simulator refuses the spec: %v", p.Kind, err)
+		}
+		cfg := Config{Scenario: spec, Spawner: failSpawner{t}}
+		r, err := newRun(cfg)
+		if p.Kind == scenario.ProtocolBusy {
+			if err != nil {
+				t.Fatalf("busy refused: %v", err)
+			}
+			r.close()
+			continue
+		}
+		name := fmt.Sprintf("%q", p.Kind)
+		if r != nil {
+			r.close()
+		}
+		if err == nil || r != nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: newRun = %v, %v; want no run and an error naming %s", p.Kind, r, err, name)
+		}
+		if cerr := CheckProtocol(spec); cerr == nil || err == nil || cerr.Error() != err.Error() {
+			t.Errorf("%s: CheckProtocol = %v, newRun = %v; want the same error", p.Kind, cerr, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := Run(ctx, cfg)
+		cancel()
+		if err == nil || res != nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Run = %v, %v; want an error naming %s", p.Kind, res, err, name)
+		}
+	}
+}
+
 // churnSpec is a /v3 spec exercising every fault axis the live
 // interpreter knows at once: seeded drop, a kill, a partition window,
 // and a mid-run joiner — with bound_ms turning join adoption and kill

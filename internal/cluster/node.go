@@ -343,12 +343,9 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 	if h != nil {
 		h.register(g)
 	}
-	// Non-gossip envelopes have no consumer in a detection-only node;
-	// drain them so the channel never fills.
-	go func() {
-		for range g.Forward() {
-		}
-	}()
+	// Nothing reads g.Forward(): gossip is the node's only traffic, and
+	// once its buffer is full the gossiper drops a stray non-gossip
+	// envelope and counts it in ForwardDrops, without stalling detection.
 
 	// Control reader: buffered well past the handful of frames an
 	// orchestrator ever sends, so the goroutine cannot jam if the loop

@@ -17,8 +17,8 @@ import (
 
 // Config parameterizes one orchestrated run.
 type Config struct {
-	// Scenario is a parsed /v3 spec: its fault plan, topology and live
-	// parameters define the run.
+	// Scenario is a parsed /v3 spec of the busy protocol: its fault
+	// plan, crashes, topology and live parameters define the run.
 	Scenario *scenario.Spec
 	// Spawner launches the nodes (processes or goroutines).
 	Spawner Spawner
@@ -246,11 +246,25 @@ type run struct {
 	joined map[int]time.Time
 }
 
-// newRun compiles the Config's spec, wires the overlay it carries and
-// opens the control listener. Nothing is spawned yet.
+// CheckProtocol refuses a spec whose protocol the live cluster cannot
+// run, naming its kind. A live node runs gossip detection and the
+// membership feed, which is the busy protocol, and hosts no other
+// automaton; the spec's oracle and stop are simulator-only fields.
+func CheckProtocol(s *scenario.Spec) error {
+	if k := s.Protocol.Kind; k != scenario.ProtocolBusy {
+		return fmt.Errorf("cluster: protocol %q runs in the simulator only; the live cluster runs %q", k, scenario.ProtocolBusy)
+	}
+	return nil
+}
+
+// newRun checks and compiles the Config's spec, wires the overlay it
+// carries and opens the control listener. Nothing is spawned yet.
 func newRun(cfg Config) (*run, error) {
 	if cfg.Scenario == nil {
 		return nil, fmt.Errorf("cluster: config has no scenario")
+	}
+	if err := CheckProtocol(cfg.Scenario); err != nil {
+		return nil, err
 	}
 	s := *cfg.Scenario
 	plan, err := s.CompilePlan()

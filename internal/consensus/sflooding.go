@@ -244,7 +244,8 @@ func (p *sfProc) progress(susp model.ProcessSet) (Value, bool) {
 }
 
 // absorb merges an incoming message into local knowledge. Senders and
-// keys outside 1..n (possible only on the wire) are ignored.
+// keys outside 1..n are ignored, so a malformed payload cannot index
+// past the dense state or enter the decision.
 func (p *sfProc) absorb(in *sim.Message) {
 	if in.From < 1 || int(in.From) > p.n {
 		return

@@ -489,10 +489,10 @@ func TestGossipStatsCountSilentDrops(t *testing.T) {
 	}
 }
 
-// TestGossipForwardsForeignTraffic pins the contract a protocol sharing
-// the gossiper's transport (livecons) reads it by: a non-gossip
-// envelope comes out of Forward with From, Type and Body intact, and
-// Forward closes once the gossiper is closed.
+// TestGossipForwardsForeignTraffic pins the contract a reader of
+// Forward relies on: a non-gossip envelope comes out of Forward with
+// From, Type and Body intact, and Forward closes once the gossiper is
+// closed.
 func TestGossipForwardsForeignTraffic(t *testing.T) {
 	t.Parallel()
 	net, err := transport.NewChanNetwork(4)

@@ -1,63 +1,33 @@
 package transport
 
 import (
-	"math/rand"
 	"sync"
-	"time"
 
 	"realisticfd/internal/model"
 )
 
-// ChanNetwork is an in-process network of n nodes with seeded fault
-// injection: per-message delay jitter, probabilistic loss, and
-// dynamic partitions. It is the deterministic-ish substrate for
-// heartbeat and membership tests (delays use real timers; determinism
-// of *content* comes from the seeded drop/delay draws).
+// ChanNetwork is an in-process network of n nodes with dynamic
+// partitions: the substrate for heartbeat and membership tests.
+// Delivery is immediate; loss and delay are the FaultHook's, on the
+// TCP transport.
 type ChanNetwork struct {
 	n int
 
-	mu        sync.Mutex
-	rng       *rand.Rand
-	closed    bool
-	minDelay  time.Duration
-	maxDelay  time.Duration
-	dropPct   int
-	blocked   map[[2]model.ProcessID]bool
-	deliverWG sync.WaitGroup
+	mu      sync.Mutex
+	closed  bool
+	blocked map[[2]model.ProcessID]bool
 
 	nodes []*chanNode
 }
 
-// ChanOption configures a ChanNetwork.
-type ChanOption func(*ChanNetwork)
-
-// WithDelay sets the per-message delay range.
-func WithDelay(min, max time.Duration) ChanOption {
-	return func(c *ChanNetwork) { c.minDelay, c.maxDelay = min, max }
-}
-
-// WithDrop sets the percentage (0..100) of messages silently lost.
-func WithDrop(pct int) ChanOption {
-	return func(c *ChanNetwork) { c.dropPct = pct }
-}
-
-// WithSeed seeds the fault-injection randomness.
-func WithSeed(seed int64) ChanOption {
-	return func(c *ChanNetwork) { c.rng = rand.New(rand.NewSource(seed)) }
-}
-
 // NewChanNetwork builds an n-node in-process network.
-func NewChanNetwork(n int, opts ...ChanOption) (*ChanNetwork, error) {
+func NewChanNetwork(n int) (*ChanNetwork, error) {
 	if err := model.ValidateN(n); err != nil {
 		return nil, err
 	}
 	c := &ChanNetwork{
 		n:       n,
-		rng:     rand.New(rand.NewSource(1)),
 		blocked: map[[2]model.ProcessID]bool{},
-	}
-	for _, o := range opts {
-		o(c)
 	}
 	c.nodes = make([]*chanNode, n+1)
 	for p := 1; p <= n; p++ {
@@ -104,70 +74,38 @@ func (c *ChanNetwork) Isolate(p model.ProcessID) {
 	}
 }
 
-// Close shuts the network down: further sends fail, in-flight
-// deliveries are awaited, and node channels close.
+// Close shuts the network down: further sends fail and node channels
+// close.
 func (c *ChanNetwork) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	c.mu.Unlock()
-
-	c.deliverWG.Wait()
 	for p := 1; p <= c.n; p++ {
 		close(c.nodes[p].in)
 	}
 	return nil
 }
 
-// send is the hub: applies loss, partition and delay, then delivers.
+// send is the hub: applies the partition, then delivers. It holds the
+// lock across the non-blocking channel send, so Close cannot close the
+// channel under it.
 func (c *ChanNetwork) send(env Envelope) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClosed
-	}
-	if env.To < 1 || int(env.To) > c.n {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.closed || env.To < 1 || int(env.To) > c.n {
 		return ErrClosed
 	}
 	if c.blocked[[2]model.ProcessID{env.From, env.To}] {
-		c.mu.Unlock()
 		return nil // silently dropped, like a real partition
 	}
-	if c.dropPct > 0 && c.rng.Intn(100) < c.dropPct {
-		c.mu.Unlock()
-		return nil
+	select {
+	case c.nodes[env.To].in <- env:
+	default:
+		// Receiver queue full: drop, as a kernel socket buffer would.
 	}
-	delay := c.minDelay
-	if c.maxDelay > c.minDelay {
-		delay += time.Duration(c.rng.Int63n(int64(c.maxDelay - c.minDelay)))
-	}
-	c.deliverWG.Add(1)
-	c.mu.Unlock()
-
-	deliver := func() {
-		defer c.deliverWG.Done()
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if closed {
-			return
-		}
-		select {
-		case c.nodes[env.To].in <- env:
-		default:
-			// Receiver queue full: drop, as a kernel socket buffer
-			// would.
-		}
-	}
-	if delay <= 0 {
-		deliver()
-		return nil
-	}
-	time.AfterFunc(delay, deliver)
 	return nil
 }
 

@@ -118,42 +118,6 @@ func TestChanNetworkIsolate(t *testing.T) {
 	}
 }
 
-func TestChanNetworkDropAll(t *testing.T) {
-	t.Parallel()
-	net, err := NewChanNetwork(4, WithDrop(100), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	for i := 0; i < 20; i++ {
-		if err := net.Node(1).Send(Envelope{To: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := recvWithin(t, net.Node(2), 50*time.Millisecond); ok {
-		t.Fatal("message survived 100% drop")
-	}
-}
-
-func TestChanNetworkDelayedDelivery(t *testing.T) {
-	t.Parallel()
-	net, err := NewChanNetwork(4, WithDelay(20*time.Millisecond, 30*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = net.Close() }()
-	start := time.Now()
-	if err := net.Node(1).Send(Envelope{To: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := recvWithin(t, net.Node(2), time.Second); !ok {
-		t.Fatal("no delivery")
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("delivered after %v, want ≥ ~20ms", elapsed)
-	}
-}
-
 func TestChanNetworkSendAfterClose(t *testing.T) {
 	t.Parallel()
 	net, err := NewChanNetwork(4)
