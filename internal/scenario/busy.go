@@ -15,6 +15,8 @@ import (
 // scale.
 type BusyAutomaton struct{}
 
+var _ sim.Respawner = BusyAutomaton{}
+
 type busyProc struct {
 	self model.ProcessID
 	fan  *busyFanout
@@ -47,6 +49,18 @@ func busyFanoutFor(n int) *busyFanout {
 // Spawn implements sim.Automaton.
 func (BusyAutomaton) Spawn(self model.ProcessID, n int) sim.Process {
 	return &busyProc{self: self, fan: busyFanoutFor(n)}
+}
+
+// Respawn implements sim.Respawner: a busy process of a previous run at
+// the same n starts over in place, so a sweep on a reused RunContext
+// allocates no processes after its first seed.
+func (a BusyAutomaton) Respawn(old sim.Process, self model.ProcessID, n int) sim.Process {
+	p, ok := old.(*busyProc)
+	if !ok || len(p.fan.seed) != n { // a fan-out holds one send per process
+		return a.Spawn(self, n)
+	}
+	*p = busyProc{self: self, fan: p.fan}
+	return p
 }
 
 // Step implements sim.Process.

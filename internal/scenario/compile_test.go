@@ -135,3 +135,30 @@ func TestCompileAllocBudgets(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSpecPipelineN64 times the live workloads' set-up path on the
+// checked-in n = 64 chord spec: Parse, Validate and CompilePlan, each of
+// which compiles the spec and so generates its overlay.
+func BenchmarkSpecPipelineN64(b *testing.B) {
+	data, err := os.ReadFile("../../benchmark/specs/live-kill-n64.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := Parse(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		plan, err := s.CompilePlan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(plan.Kills) != 6 {
+			b.Fatalf("plan kills %d nodes, want 6", len(plan.Kills))
+		}
+	}
+}

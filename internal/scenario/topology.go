@@ -12,9 +12,11 @@ import (
 )
 
 // Edges generates the undirected edge set of the topology over n
-// processes, each edge with A < B, sorted lexicographically.
-// Generation is deterministic: a random topology is a pure function of
-// (kind, n, seed, edge_prob).
+// processes, each edge with A < B, sorted lexicographically. Every kind
+// emits its edges in that order as it generates them, with no
+// duplicates, so nothing is sorted afterwards. Generation is
+// deterministic: a random topology is a pure function of (kind, n,
+// seed, edge_prob).
 func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 	// Complete links every pair; ring, tree and chord generate at most
 	// n·(⌊log₂ n⌋+1) edges, and random grows past that as it needs.
@@ -24,9 +26,6 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 	}
 	edges := make([]sim.Edge, 0, size)
 	add := func(a, b int) {
-		if b < a {
-			a, b = b, a
-		}
 		edges = append(edges, sim.Edge{A: model.ProcessID(a), B: model.ProcessID(b)})
 	}
 	switch t.Kind {
@@ -39,9 +38,9 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 	case TopologyRing:
 		for a := 1; a < n; a++ {
 			add(a, a+1)
-		}
-		if n > 2 {
-			add(1, n)
+			if a == 1 && n > 2 {
+				add(1, n)
+			}
 		}
 	case TopologyTree:
 		deg := t.Degree
@@ -51,6 +50,7 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 		if deg < 1 {
 			return nil, fmt.Errorf("topology tree: degree = %d must be ≥ 1", t.Degree)
 		}
+		// A child's parent (i-2)/deg+1 never decreases with i.
 		for i := 2; i <= n; i++ {
 			add((i-2)/deg+1, i)
 		}
@@ -61,11 +61,37 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 		// heartbeats a logarithmic neighborhood, yet news crosses the
 		// whole ring in logarithmically many hops (Dobre et al.'s
 		// argument for gossip over all-to-all dissemination).
-		for i := 1; i <= n; i++ {
-			for step := 1; step < n; step *= 2 {
-				if j := (i-1+step)%n + 1; i != j {
-					add(i, j)
+		//
+		// Node a's higher neighbours are a+2^k ≤ n, ascending in k, and
+		// a+n−2^k for a ≤ 2^k < n (the steps that wrap past n back to
+		// a), ascending as k falls: merging the two lists, repeats
+		// dropped, emits a's edges in order.
+		var pow [bits.UintSize]int
+		m := 0
+		for step := 1; step < n; step *= 2 {
+			pow[m] = step
+			m++
+		}
+		for a := 1; a <= n; a++ {
+			up, wrap := 0, m-1
+			for {
+				b, c := n+1, n+1
+				if up < m && a+pow[up] <= n {
+					b = a + pow[up]
 				}
+				if wrap >= 0 && pow[wrap] >= a {
+					c = a + n - pow[wrap]
+				}
+				if b > n && c > n {
+					break
+				}
+				if b <= c {
+					up++
+				}
+				if c <= b {
+					wrap--
+				}
+				add(a, min(b, c))
 			}
 		}
 	case TopologyRandom:
@@ -78,12 +104,12 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 		parent := make([]int, n+1)
 		for i := 2; i <= n; i++ {
 			parent[i] = 1 + rng.Intn(i-1)
-			add(parent[i], i)
 		}
-		// Then every remaining pair joins independently with EdgeProb%.
+		// Then every remaining pair joins independently with EdgeProb%;
+		// a tree edge is emitted in its pair's place, without a draw.
 		for a := 1; a <= n; a++ {
 			for b := a + 1; b <= n; b++ {
-				if parent[b] != a && rng.Intn(100) < t.EdgeProb {
+				if parent[b] == a || rng.Intn(100) < t.EdgeProb {
 					add(a, b)
 				}
 			}
@@ -91,8 +117,7 @@ func (t TopologySpec) Edges(n int) ([]sim.Edge, error) {
 	default:
 		return nil, fmt.Errorf("topology: unknown kind %q", t.Kind)
 	}
-	slices.SortFunc(edges, compareEdges)
-	return slices.Compact(edges), nil
+	return edges, nil
 }
 
 func compareEdges(x, y sim.Edge) int {

@@ -139,7 +139,8 @@ func spied(sc harness.Scenario, seed int64, respawned *int) sim.Config {
 // run of itself at another n and one at another seed, so that Respawn
 // hands every process back with the last run's payloads in its slab
 // chunks, and once after another automaton, so that Respawn falls back
-// to Spawn.
+// to Spawn. The busy broadcast of the sweep benchmark runs after a run
+// of itself at another seed, so it gets all 64 processes back.
 func TestReusedContextMatchesFresh(t *testing.T) {
 	consensus, err := scenario.Parse([]byte(`{
 		"schema": "fdspec/v3", "name": "reuse-consensus", "n": 8, "horizon": 4000,
@@ -161,8 +162,14 @@ func TestReusedContextMatchesFresh(t *testing.T) {
 		run       func() sim.Config
 		respawned int // processes the run under test gets back from Respawn
 	}
+	busy := func(seed int64) sim.Config {
+		cfg := benchShape(seed)
+		cfg.Automaton = respawnSpy{scenario.BusyAutomaton{}, &respawned}
+		return cfg
+	}
 	cases := []reuseCase{
 		{"n64 broadcast", []sim.Config{churnShape(60, 2500, 17)}, func() sim.Config { return benchShape(1_000_000) }, 0},
+		{"n64 broadcast respawned", []sim.Config{churnShape(60, 2500, 17), busy(7)}, func() sim.Config { return busy(1_000_000) }, 64},
 		{"n8 sflooding", []sim.Config{churnShape(6, 600, 4)}, func() sim.Config { return sc.Config(3) }, 0},
 		// The cut adjacency words are recycled too: the dirtying run's
 		// cut severs links the run under test's does not.
@@ -336,20 +343,22 @@ func TestRespawnHandOff(t *testing.T) {
 	}
 }
 
-// TestRespawnFallsBackToSpawn holds each hosted protocol's Respawn to
-// its contract: it keeps its own process of a run at the same n, and
-// spawns a fresh one for nil, for another automaton's process and for
-// its own of another n.
+// TestRespawnFallsBackToSpawn holds each hosted protocol's Respawn, and
+// the busy broadcast's, to its contract: it keeps its own process of a
+// run at the same n, and spawns a fresh one for nil, for another
+// automaton's process and for its own of another n.
 func TestRespawnFallsBackToSpawn(t *testing.T) {
 	const n = 6
-	automata := make([]hostedAutomaton, len(hostedProtocols))
-	for i, kind := range hostedProtocols {
-		automata[i] = hostedScenario(t, kind, n).Automaton.(hostedAutomaton)
+	names := append(slices.Clone(hostedProtocols), "busy")
+	automata := make([]hostedAutomaton, 0, len(names))
+	for _, kind := range hostedProtocols {
+		automata = append(automata, hostedScenario(t, kind, n).Automaton.(hostedAutomaton))
 	}
+	automata = append(automata, scenario.BusyAutomaton{})
 	for i, a := range automata {
 		own := a.Spawn(3, n)
 		if got := a.Respawn(own, 3, n); got != own {
-			t.Errorf("%s: Respawn spawned afresh for its own process at the same n", hostedProtocols[i])
+			t.Errorf("%s: Respawn spawned afresh for its own process at the same n", names[i])
 		}
 		for j, old := range []sim.Process{
 			nil,
@@ -358,7 +367,7 @@ func TestRespawnFallsBackToSpawn(t *testing.T) {
 			automata[(i+1)%len(automata)].Spawn(3, n),
 		} {
 			if got := a.Respawn(old, 3, n); got == nil || got == old {
-				t.Errorf("%s: Respawn kept old process %d (%T) instead of spawning", hostedProtocols[i], j, old)
+				t.Errorf("%s: Respawn kept old process %d (%T) instead of spawning", names[i], j, old)
 			}
 		}
 	}
