@@ -243,19 +243,16 @@ func (p *sfProc) progress(susp model.ProcessSet) (Value, bool) {
 	}
 }
 
-// absorb merges an incoming message into local knowledge. Senders and
-// keys outside 1..n are ignored, so a malformed payload cannot index
-// past the dense state or enter the decision.
+// absorb merges an incoming message into local knowledge. Every sender
+// and key is in 1..n: the engine delivers only what its processes sent,
+// and a payload's keys come from its sender's known set.
 func (p *sfProc) absorb(in *sim.Message) {
-	if in.From < 1 || int(in.From) > p.n {
-		return
-	}
 	switch m := in.Payload.(type) {
 	case *sfFloodMsg:
 		if m.Round >= 1 && m.Round <= p.rounds {
 			p.received[m.Round] = p.received[m.Round].Add(in.From)
 		}
-		fresh := m.Delta.keys.Intersect(model.AllProcesses(p.n)).Diff(p.known)
+		fresh := m.Delta.keys.Diff(p.known)
 		fresh.ForEach(func(q model.ProcessID) bool {
 			p.v[q] = m.Delta.vals[q]
 			return true
@@ -263,7 +260,7 @@ func (p *sfProc) absorb(in *sim.Message) {
 		p.known = p.known.Union(fresh)
 	case *sfVectorMsg:
 		if !p.vecReceived.Has(in.From) {
-			p.vectors[in.From] = m.Vector.keys.Intersect(model.AllProcesses(p.n))
+			p.vectors[in.From] = m.Vector.keys
 			p.vecReceived = p.vecReceived.Add(in.From)
 		}
 	}
