@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"realisticfd/internal/fd"
 	"realisticfd/internal/harness"
 	"realisticfd/internal/model"
 	"realisticfd/internal/sim"
@@ -440,8 +441,9 @@ func TestV2CanonicalUnchangedByV3Fields(t *testing.T) {
 
 // TestPlanConstantRateMatchesV2 pins the lowering equivalence: a plan
 // that sets drop/delay once at tick 0 replays byte-identically to the
-// retired v2 spec with the same constant rates ("faults": {"drop_pct":
-// 10, "max_extra_delay": 4}), whose trace digests are pinned here.
+// retired v2 lowering of the same constant rates ("faults":
+// {"drop_pct": 10, "max_extra_delay": 4}), a hand-built sim.Config
+// whose LinkFaults hold one drop and one delay step at tick 0.
 func TestPlanConstantRateMatchesV2(t *testing.T) {
 	t.Parallel()
 	s := Spec{
@@ -457,14 +459,26 @@ func TestPlanConstantRateMatchesV2(t *testing.T) {
 			{At: 0, Action: "delay", Bound: 4},
 		},
 	}
-	v2 := []string{"bb1b4e96f06c658e", "7888f0c5b9011fb9", "e3ca0abb120919ab", "1f6391cc3aa99b54", "aab2c0e40cc62dba", "f19fbc163a32d574"}
+	v2 := &sim.LinkFaults{
+		DropSteps:  []sim.RateStep{{From: 0, Pct: 10}},
+		DelaySteps: []sim.DelayStep{{From: 0, Max: 4}},
+	}
 	sc := MustBuild(s)
-	for i, r := range harness.SeedMap(harness.Seeds(6), 1, func(_ *sim.RunContext, seed int64) harness.Result { return sc.Run(seed) }) {
+	for seed := int64(0); seed < 6; seed++ {
+		r := sc.Run(seed)
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
-		if got := r.Trace.Digest()[:16]; got != v2[i] {
-			t.Fatalf("seed %d diverged: plan %s, v2 %s", i, got, v2[i])
+		got := r.Trace.Digest()
+		tr, err := sim.Execute(sim.Config{
+			N: 5, Automaton: BusyAutomaton{}, Oracle: fd.Perfect{Delay: 2},
+			Horizon: 800, Seed: seed, Policy: &sim.RandomFairPolicy{}, Faults: v2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := tr.Digest(); got != want {
+			t.Fatalf("seed %d diverged: plan %.16s, v2 %.16s", seed, got, want)
 		}
 	}
 }
