@@ -68,8 +68,7 @@ func BenchmarkSweepRetained(b *testing.B) {
 
 // BenchmarkSweepStreaming is the same sweep folded through streaming
 // run contexts: no trace outlives its run. Iteration i folds seeds
-// [32i, 32i+32), so no seed comes back to a context's seed table, as in
-// a real sweep.
+// [32i, 32i+32), so no seed comes back, as in a real sweep.
 func BenchmarkSweepStreaming(b *testing.B) {
 	sc := benchScenario()
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"realisticfd/internal/model"
 )
@@ -53,20 +54,40 @@ type RunContext struct {
 	// The trace is recycled in place.
 	trace Trace
 
-	// The run handle and its generator are recycled too. Each run
-	// starts rng afresh over seeds' run source, put in the state
-	// rand.NewSource(seed) starts in, so it draws exactly what a fresh
-	// rand.New(rand.NewSource(seed)) draws, Read included
-	// (TestSeededGeneratorMatchesFresh; the golden digests pin it too).
-	// The package-level Execute, whose context runs once, keeps no seed
-	// table and starts a new source.
-	run   Run
-	rng   rand.Rand
-	seeds seedSources
+	// The run handle and its generator are recycled too: each run
+	// seeds src and rebuilds rng over it (startRNG).
+	run Run
+	rng rand.Rand
+	src pcgSource
 }
 
 // NewRunContext returns an empty reusable run context.
 func NewRunContext() *RunContext { return &RunContext{} }
+
+// pcgSource is every run's generator source: math/rand/v2's PCG, whose
+// state is two words, behind math/rand's Source64, so a Policy still
+// draws through a *math/rand.Rand. Seeding it is O(1); seeding a
+// math/rand source rewrites 607 words.
+type pcgSource struct{ randv2.PCG }
+
+// Seed sets the high state word to seed and the low one to seed times
+// 2⁶⁴/φ, an odd constant and so a bijection: any two seeds differ in
+// both words, where a fixed low word would be shared by every seed.
+func (s *pcgSource) Seed(seed int64) {
+	s.PCG.Seed(uint64(seed), uint64(seed)*0x9e3779b97f4a7c15)
+}
+
+// Int63 returns the top 63 bits of the next Uint64.
+func (s *pcgSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// startRNG seeds the context's source and returns its generator. The
+// Rand is rebuilt, not re-seeded, which also empties the buffer its
+// Read keeps, so a run draws the same on a fresh or a reused context.
+func (rc *RunContext) startRNG(seed int64) *rand.Rand {
+	rc.src.Seed(seed)
+	rc.rng = *rand.New(&rc.src)
+	return &rc.rng
+}
 
 // grow returns s extended to length n, reusing its backing array when
 // the capacity allows.

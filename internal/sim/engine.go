@@ -193,22 +193,14 @@ func (h *crashHook) NoteCrash(_ model.ProcessID, t model.Time) {
 // message arenas across runs, at the price that each returned trace is
 // only valid until the context's next run.
 func Execute(cfg Config) (*Trace, error) {
-	// A context that runs once has no use for a seed table.
-	return NewRunContext().execute(cfg, rand.NewSource(cfg.Seed))
+	return NewRunContext().Execute(cfg)
 }
 
 // Execute runs the configured algorithm reusing the context's arenas.
 // The returned Trace — and everything reachable from it — is valid
 // only until the next Execute call on the same context; see the
-// RunContext contract. The run's source starts from the context's seed
-// table (see seedSources).
+// RunContext contract.
 func (rc *RunContext) Execute(cfg Config) (*Trace, error) {
-	return rc.execute(cfg, rc.seeds.start(cfg.Seed))
-}
-
-// execute is Execute with the run's source src in the state
-// rand.NewSource(cfg.Seed) starts in.
-func (rc *RunContext) execute(cfg Config, src rand.Source) (*Trace, error) {
 	if err := model.ValidateN(cfg.N); err != nil {
 		return nil, err
 	}
@@ -238,7 +230,7 @@ func (rc *RunContext) execute(cfg Config, src rand.Source) (*Trace, error) {
 	*r = Run{
 		cfg:       cfg,
 		rc:        rc,
-		rng:       rc.startRNG(src),
+		rng:       rc.startRNG(cfg.Seed),
 		pattern:   pattern,
 		trace:     rc.reset(cfg, pattern),
 		nextMsg:   1,

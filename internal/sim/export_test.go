@@ -37,3 +37,7 @@ func ScribbleRecycled(rc *RunContext) {
 
 // RefAppendCanonical is the pre-fusion encoder, refAppendCanonical.
 var RefAppendCanonical = refAppendCanonical
+
+// FaultSeed is the lottery seed of a faulty run at seed: the first
+// draw of the generator the engine starts that run with.
+func FaultSeed(seed int64) uint64 { return NewRunContext().startRNG(seed).Uint64() }
