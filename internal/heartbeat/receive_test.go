@@ -7,60 +7,79 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"realisticfd/internal/model"
-	"realisticfd/internal/transport"
 )
 
-// quietGossiper builds a gossiper's state with neither loop running, so
-// that the test alone drives it; its timer is stopped at the end. Its
-// estimators' epoch is reset to epoch, so two quiet gossipers of one
-// config start equal.
-func quietGossiper(tb testing.TB, cfg GossipConfig, epoch time.Time) *Gossiper {
-	tb.Helper()
+// quietConfig fills in what a test leaves out of cfg: node 1, and a
+// round period and a timeout of an hour.
+func quietConfig(cfg GossipConfig) GossipConfig {
+	if cfg.Self == 0 {
+		cfg.Self = 1
+	}
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Hour
 	}
 	if cfg.NewEstimator == nil {
-		cfg.NewEstimator = func() Estimator { return &FixedTimeout{Timeout: time.Hour} }
+		cfg.NewEstimator = fixed(time.Hour)
 	}
+	return cfg
+}
+
+// quietCore is a gossip core the test alone drives, on instants it makes
+// up: it keeps what the core emits, and takes a body the way the
+// driver's receive does.
+type quietCore struct {
+	*gossipCore
+	emitted   []Transition
+	escapes   []uint64
+	badFrames uint64
+}
+
+func newQuietCore(tb testing.TB, cfg GossipConfig, epoch time.Time) *quietCore {
+	tb.Helper()
+	cfg = quietConfig(cfg)
 	if err := cfg.validate(); err != nil {
 		tb.Fatal(err)
 	}
-	g := newGossiper(newSinkTransport(model.ProcessID(cfg.Self)), cfg)
-	tb.Cleanup(func() { g.timer.Stop() })
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, est := range g.ests {
-		if est != nil {
-			est.SetEpoch(epoch)
-		}
-	}
-	g.sweepLocked(epoch)
-	return g
+	q := &quietCore{}
+	q.gossipCore = newCore(cfg, epoch, func(tr Transition) { q.emitted = append(q.emitted, tr) }, nil)
+	return q
 }
 
 // takeAt is receive for a gossip body arriving at now.
-func (g *Gossiper) takeAt(body []byte, now time.Time) error {
-	f, err := parseFrame(body, g.cfg.N, g.escapes)
+func (q *quietCore) takeAt(body []byte, now time.Time) error {
+	f, err := parseFrame(body, q.cfg.N, q.escapes)
 	if err != nil {
+		q.badFrames++
 		return err
 	}
-	g.escapes = f.escapes
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.mergeLocked(&f, now)
+	q.escapes = f.escapes
+	q.merge(&f, now)
 	return nil
 }
 
-// merge takes pb as if it arrived at now, by the path receive takes.
-func (g *Gossiper) merge(pb Piggyback, now time.Time) {
+// take takes pb as if it arrived at now, by the path receive takes.
+func (q *quietCore) take(pb Piggyback, now time.Time) {
 	body, err := pb.Encode()
 	if err != nil {
-		panic(fmt.Sprintf("merge: %v", err))
+		panic(fmt.Sprintf("take: %v", err))
 	}
-	if err := g.takeAt(body, now); err != nil {
-		panic(fmt.Sprintf("merge: %v", err))
+	if err := q.takeAt(body, now); err != nil {
+		panic(fmt.Sprintf("take: %v", err))
+	}
+}
+
+// drain returns the transitions emitted since the last call.
+func (q *quietCore) drain() []Transition {
+	out := q.emitted
+	q.emitted = nil
+	return out
+}
+
+// fireUntil does what the driver's timer would have done up to now: a
+// sweep a nanosecond after each wake before it.
+func (q *quietCore) fireUntil(now time.Time) {
+	for w := q.wake; !w.IsZero() && w.Before(now); w = q.wake {
+		q.sweep(w.Add(time.Nanosecond))
 	}
 }
 
@@ -134,44 +153,44 @@ func referenceDecode(data []byte, wantN int) (Piggyback, error) {
 	return pb, nil
 }
 
-// referenceMergeLocked is the per-entry merge of a decoded piggyback the
+// referenceMerge is the per-entry merge of a decoded piggyback the
 // gossiper used before it merged off the frame.
-func (g *Gossiper) referenceMergeLocked(pb Piggyback, now time.Time) {
-	if g.muted {
+func (c *gossipCore) referenceMerge(pb Piggyback, now time.Time) {
+	if c.muted {
 		return
 	}
-	for i := range g.counters {
-		if pb.Counters[i] > g.counters[i] {
-			g.counters[i] = pb.Counters[i]
-			sighted := !g.present[i]
+	for i := range c.counters {
+		if pb.Counters[i] > c.counters[i] {
+			c.counters[i] = pb.Counters[i]
+			sighted := !c.present[i]
 			if sighted {
-				g.present[i] = true
-				if i+1 != g.cfg.Self {
-					g.ests[i] = g.cfg.NewEstimator()
-					g.ests[i].SetEpoch(now)
+				c.present[i] = true
+				if i+1 != c.cfg.Self {
+					c.ests[i] = c.cfg.NewEstimator()
+					c.ests[i].SetEpoch(now)
 				}
 			}
-			if est := g.ests[i]; est != nil {
+			if est := c.ests[i]; est != nil {
 				est.Observe(now)
 				switch {
 				case sighted:
-					g.record(i, false, CauseFirstSighting, now)
-					g.armLocked(est.Deadline())
-				case g.suspected[i]:
+					c.record(i, false, CauseFirstSighting, now)
+					c.arm(est.Deadline())
+				case c.suspected[i]:
 					if !est.Suspect(now) {
-						g.suspected[i] = false
-						g.record(i, false, CauseFresherCounter, now)
-						g.armLocked(est.Deadline())
+						c.suspected[i] = false
+						c.record(i, false, CauseFresherCounter, now)
+						c.arm(est.Deadline())
 					}
-				case g.wake.IsZero() || est.Suspect(g.wake):
-					g.armLocked(est.Deadline())
+				case c.wake.IsZero() || est.Suspect(c.wake):
+					c.arm(est.Deadline())
 				}
 			}
 		}
-		if pb.Suspects[i] && g.present[i] && i+1 != g.cfg.Self && pb.Origin != i+1 {
-			if !g.accused[i] || pb.Counters[i] > g.accusedAt[i] {
-				g.accused[i] = true
-				g.accusedAt[i] = pb.Counters[i]
+		if pb.Suspects[i] && c.present[i] && i+1 != c.cfg.Self && pb.Origin != i+1 {
+			if !c.accused[i] || pb.Counters[i] > c.accusedAt[i] {
+				c.accused[i] = true
+				c.accusedAt[i] = pb.Counters[i]
 			}
 		}
 	}
@@ -184,38 +203,35 @@ type gossipState struct {
 	LastArrivals                []time.Time
 	Wake                        time.Time
 	Transitions                 []Transition
-	BadFrames, TransitionDrops  uint64
+	BadFrames                   uint64
 }
 
-// state copies out g's state and takes the transitions queued since the
-// last call.
-func (g *Gossiper) state() gossipState {
-	g.mu.Lock()
+// state copies out q's state and takes the transitions emitted since
+// the last call.
+func (q *quietCore) state() gossipState {
 	s := gossipState{
-		Counters:     append([]uint64(nil), g.counters...),
-		AccusedAt:    append([]uint64(nil), g.accusedAt...),
-		Accused:      append([]bool(nil), g.accused...),
-		Present:      append([]bool(nil), g.present...),
-		Suspected:    append([]bool(nil), g.suspected...),
-		Wake:         g.wake,
-		BadFrames:    g.badFrames.Load(),
-		LastArrivals: make([]time.Time, len(g.ests)),
+		Counters:     append([]uint64(nil), q.counters...),
+		AccusedAt:    append([]uint64(nil), q.accusedAt...),
+		Accused:      append([]bool(nil), q.accused...),
+		Present:      append([]bool(nil), q.present...),
+		Suspected:    append([]bool(nil), q.suspected...),
+		Wake:         q.wake,
+		Transitions:  q.drain(),
+		BadFrames:    q.badFrames,
+		LastArrivals: make([]time.Time, len(q.ests)),
 	}
-	for i, est := range g.ests {
+	for i, est := range q.ests {
 		if est != nil {
 			s.LastArrivals[i] = est.LastArrival()
 		}
 	}
-	g.mu.Unlock()
-	s.Transitions = queued(g.Transitions())
-	s.TransitionDrops = g.Stats().TransitionDrops
 	return s
 }
 
 // TestRejectedFrameChangesNothing feeds every malformed frame, and every
-// truncation of a valid one, through receive into a gossiper that has
+// truncation of a valid one, by receive's path into a core that has
 // heard from everyone: each must count as one bad frame and leave the
-// state and the transition queue as they were.
+// state as it was and emit nothing.
 func TestRejectedFrameChangesNothing(t *testing.T) {
 	bodies := map[int][][]byte{} // by the node count they claim
 	for _, data := range malformedFrames {
@@ -245,19 +261,20 @@ func TestRejectedFrameChangesNothing(t *testing.T) {
 	}
 
 	for n, bad := range bodies {
-		g := quietGossiper(t, GossipConfig{Self: 1, N: n, Peers: []int{2}}, time.Now())
+		now := time.Now()
+		g := newQuietCore(t, GossipConfig{Self: 1, N: n, Peers: []int{2}}, now)
 		warm := Piggyback{Origin: 2, Counters: make([]uint64, n), Suspects: make([]bool, n)}
 		for i := range warm.Counters {
 			warm.Counters[i] = 3
 		}
 		warm.Suspects[n-1] = true
-		g.receive(envelope(t, warm))
+		g.take(warm, now)
 		before := g.state()
 		if before.Counters[1] != 3 || n > 2 && !before.Accused[n-1] || before.LastArrivals[1].IsZero() { // with n = 2 the only other node is the origin
 			t.Fatalf("n=%d: the warm-up frame was not taken: %+v", n, before)
 		}
 		for k, body := range bad {
-			g.receive(transport.Envelope{From: 2, To: 1, Type: GossipEnvelopeType, Body: body})
+			_ = g.takeAt(body, now)
 			after := g.state()
 			if after.BadFrames != before.BadFrames+1 {
 				t.Fatalf("n=%d, frame % x: BadFrames %d → %d, want one more", n, body, before.BadFrames, after.BadFrames)
@@ -271,20 +288,17 @@ func TestRejectedFrameChangesNothing(t *testing.T) {
 	}
 }
 
-// diffCase drives a gossiper through parseFrame and mergeLocked and its
-// twin through the reference decoder and merge, on one made-up timeline.
+// diffCase drives a core through parseFrame and merge and its twin
+// through the reference decoder and merge, on one made-up timeline.
 type diffCase struct {
 	t        *testing.T
 	now      time.Time
-	got, ref *Gossiper
+	got, ref *quietCore
 }
 
 func newDiffCase(t *testing.T, cfg GossipConfig) *diffCase {
 	now := time.Now()
-	c := &diffCase{t: t, now: now, got: quietGossiper(t, cfg, now), ref: quietGossiper(t, cfg, now)}
-	c.got.Transitions()
-	c.ref.Transitions()
-	return c
+	return &diffCase{t: t, now: now, got: newQuietCore(t, cfg, now), ref: newQuietCore(t, cfg, now)}
 }
 
 // take gives body to both at the current instant and compares them.
@@ -293,9 +307,9 @@ func (c *diffCase) take(body []byte) {
 	errGot := c.got.takeAt(body, c.now)
 	pb, errRef := referenceDecode(body, c.ref.cfg.N)
 	if errRef == nil {
-		c.ref.mu.Lock()
-		c.ref.referenceMergeLocked(pb, c.now)
-		c.ref.mu.Unlock()
+		c.ref.referenceMerge(pb, c.now)
+	} else {
+		c.ref.badFrames++
 	}
 	if (errGot == nil) != (errRef == nil) {
 		c.t.Fatalf("frame % x: parseFrame says %v, the reference decoder %v", body, errGot, errRef)
@@ -308,29 +322,16 @@ func (c *diffCase) take(body []byte) {
 func (c *diffCase) advance(d time.Duration) {
 	c.t.Helper()
 	c.now = c.now.Add(d)
-	for _, g := range []*Gossiper{c.got, c.ref} {
-		g.mu.Lock()
-		for w := g.wake; !w.IsZero() && w.Before(c.now); w = g.wake {
-			g.sweepLocked(w.Add(time.Nanosecond))
-		}
-		g.mu.Unlock()
-	}
+	c.got.fireUntil(c.now)
+	c.ref.fireUntil(c.now)
 	c.compare(fmt.Sprintf("advance %v", d))
 }
 
 // mute is SetMuted on the timeline.
 func (c *diffCase) mute(muted bool) {
 	c.t.Helper()
-	for _, g := range []*Gossiper{c.got, c.ref} {
-		g.mu.Lock()
-		if g.muted != muted {
-			g.muted = muted
-			if !muted {
-				g.sweepLocked(c.now)
-			}
-		}
-		g.mu.Unlock()
-	}
+	c.got.setMuted(muted, c.now)
+	c.ref.setMuted(muted, c.now)
 	c.compare(fmt.Sprintf("muted=%v", muted))
 }
 
@@ -341,15 +342,14 @@ func (c *diffCase) compare(step string) {
 	}
 }
 
-// randomFrame is what some node might gossip to g: counters around the
-// ones g knows — some behind by 15 or more, escaped — and accusations of
+// randomFrame is what some node might gossip to q: counters around the
+// ones q knows — some behind by 15 or more, escaped — and accusations of
 // anyone, self, origin and absent joiners included.
-func randomFrame(rng *rand.Rand, g *Gossiper) []byte {
-	n := g.cfg.N
+func randomFrame(rng *rand.Rand, q *quietCore) []byte {
+	n := q.cfg.N
 	pb := Piggyback{Origin: 1 + rng.Intn(n), Counters: make([]uint64, n), Suspects: make([]bool, n)}
-	g.mu.Lock()
 	for i := range pb.Counters {
-		c := int64(g.counters[i]) + int64(rng.Intn(7)) - 3
+		c := int64(q.counters[i]) + int64(rng.Intn(7)) - 3
 		switch rng.Intn(8) {
 		case 0:
 			c -= 15 + rng.Int63n(300)
@@ -359,7 +359,6 @@ func randomFrame(rng *rand.Rand, g *Gossiper) []byte {
 		pb.Counters[i] = uint64(max(c, 0))
 		pb.Suspects[i] = rng.Intn(4) == 0
 	}
-	g.mu.Unlock()
 	data, err := pb.Encode()
 	if err != nil {
 		panic(err)
@@ -370,8 +369,7 @@ func randomFrame(rng *rand.Rand, g *Gossiper) []byte {
 	return data
 }
 
-// diffEstimators are the three estimators at timeouts of minutes, so the
-// real timers, armed by the real clock, never fire while a test runs.
+// diffEstimators are the three estimators at timeouts of minutes.
 var diffEstimators = []func() Estimator{
 	func() Estimator { return &FixedTimeout{Timeout: 10 * time.Minute} },
 	func() Estimator { return &Chen{Window: 4, Alpha: 5 * time.Minute} },

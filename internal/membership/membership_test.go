@@ -166,7 +166,7 @@ func TestFalseSuspicionMadeAccurateByExclusion(t *testing.T) {
 			net.Heal(2, q)
 		}
 	}
-	if !eventually(5*time.Second, func() bool { return !slices.Contains(members[1].g.Suspects(), 2) }) {
+	if !eventually(5*time.Second, func() bool { return !members[1].g.Verdicts(time.Now())[1] }) {
 		t.Fatal("p1's detector never trusted p2 again after the heal")
 	}
 	if !slices.Contains(members[1].feed.Excluded(), 2) {
