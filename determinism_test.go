@@ -19,7 +19,7 @@ import (
 var simulatorDirs = []string{
 	"internal/sim", "internal/fd", "internal/model", "internal/consensus",
 	"internal/trb", "internal/abcast", "internal/core", "internal/harness",
-	"internal/scenario", "internal/experiments", "cmd/fdsim",
+	"internal/scenario", "internal/experiments", "internal/qos", "cmd/fdsim",
 }
 
 // detectorCoreDir holds the live detector's algorithm: every file of it

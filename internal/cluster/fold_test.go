@@ -96,7 +96,8 @@ func foldRow(c foldCase) *Result {
 
 // TestFoldGroundTruth pins the fold of hand-built reports against the
 // recorded kill, leave, pause and join instants: detection inside and
-// outside bound_ms, a resumed node still suspected, mistakes on clean
+// outside bound_ms, a resumed node still suspected (and one suspected
+// only by a flip stamped after the report ended), mistakes on clean
 // targets, join adoption (a departed joiner counts as adopted by an
 // observer that excluded it), holes in the flips, an empty collection
 // and the pair matrix.
@@ -168,6 +169,20 @@ func TestFoldGroundTruth(t *testing.T) {
 			},
 			wantReports: 3, wantExpected: 3,
 			wantPauses: []PauseReport{{Target: 3, SuspectedAtEndBy: []int{2}}},
+			wantMinAcc: 1,
+		},
+		{
+			// A suspicion the gossiper stamped after the node read its
+			// report's end instant is not the verdict at collection.
+			name: "resumed node suspected only after collection", n: 3, boundMs: 3000,
+			paused: []int{3},
+			reports: map[int]*NodeReport{
+				1: foldReport(1, 0, nil, all3, nil, all3),
+				2: foldReport(2, 0, map[int][]qos.Flip{3: flipsAt(2000, true, 3000, false, 10_001, true)}, all3, nil, all3),
+				3: foldReport(3, 0, nil, all3, nil, all3),
+			},
+			wantReports: 3, wantExpected: 3,
+			wantPauses: []PauseReport{{Target: 3, SuspectedAtEndBy: []int{}}},
 			wantMinAcc: 1,
 		},
 		{

@@ -241,8 +241,10 @@ func (l *verdictLog) updateFeed() {
 	}
 }
 
-// catchUp applies every transition stamped up to the instant it
-// returns.
+// catchUp reads the gossiper's clock, then applies every transition
+// queued by then, and returns the instant it read. A transition the
+// gossiper stamps in between can land in the flips with a stamp after
+// that instant; FoldFlips, whose window ends there, ignores it.
 func (l *verdictLog) catchUp() time.Time {
 	now := l.g.Now()
 	for {

@@ -778,7 +778,7 @@ func (r *run) fold(reports map[int]*NodeReport, failures []string, elapsed time.
 				crashAt = st.killedAt
 			}
 			m := qos.FoldFlips(qStart, end, crashAt, flips, period)
-			finalSuspected := len(flips) > 0 && flips[len(flips)-1].Suspected
+			finalSuspected := m.FinalSuspected
 
 			if st.killed {
 				if crashAt.IsZero() {

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -18,25 +19,23 @@ func BenchmarkReplay(b *testing.B) {
 		SamplePeriod: 5 * time.Millisecond,
 		Seed:         1,
 	}
-	for i := 0; i < b.N; i++ {
-		tl := m.Replay(&heartbeat.PhiAccrual{Window: 64, Threshold: 8, MinStdDev: 2 * time.Millisecond})
-		_ = tl.Compute()
+	for b.Loop() {
+		m.Replay(&heartbeat.PhiAccrual{Window: 64, Threshold: 8, MinStdDev: 2 * time.Millisecond})
 	}
 }
 
-func BenchmarkComputeMetrics(b *testing.B) {
-	m := ArrivalModel{
-		Interval:     10 * time.Millisecond,
-		JitterStd:    3 * time.Millisecond,
-		DropPct:      15,
-		Duration:     5 * time.Second,
-		SamplePeriod: 2 * time.Millisecond,
-		Seed:         2,
+// BenchmarkFoldFlips folds a 5 s window queried every 2 ms, one flip
+// about every 50 queries.
+func BenchmarkFoldFlips(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	start, end := time.Unix(0, 0), time.Unix(5, 0)
+	var flips []Flip
+	for t, s := start, false; t.Before(end); t = t.Add(time.Duration(rng.Int63n(int64(200 * time.Millisecond)))) {
+		s = !s
+		flips = append(flips, Flip{AtUnixNano: t.UnixNano(), Suspected: s})
 	}
-	tl := m.Replay(&heartbeat.FixedTimeout{Timeout: 15 * time.Millisecond})
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tl.Compute()
+	for b.Loop() {
+		FoldFlips(start, end, time.Time{}, flips, 2*time.Millisecond)
 	}
 }

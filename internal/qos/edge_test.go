@@ -8,8 +8,8 @@ import (
 
 func TestEmptyTimeline(t *testing.T) {
 	t.Parallel()
-	tl := NewTimeline(origin)
-	m := tl.Compute()
+	// A window with no query in it: no period to query on.
+	m := FoldFlips(origin, at(time.Second), time.Time{}, []Flip{flip(0, true)}, 0)
 	if m.Samples != 0 || m.Detected || m.Mistakes != 0 {
 		t.Fatalf("empty timeline = %+v", m)
 	}
@@ -17,11 +17,7 @@ func TestEmptyTimeline(t *testing.T) {
 
 func TestCrashBeforeFirstSample(t *testing.T) {
 	t.Parallel()
-	tl := NewTimeline(origin)
-	tl.Crash(at(10 * time.Millisecond))
-	tl.Record(at(100*time.Millisecond), true)
-	tl.Record(at(200*time.Millisecond), true)
-	m := tl.Compute()
+	m := FoldFlips(origin, at(200*time.Millisecond), at(10*time.Millisecond), []Flip{flip(100*time.Millisecond, true)}, 100*time.Millisecond)
 	if !m.Detected {
 		t.Fatal("not detected")
 	}
@@ -39,11 +35,7 @@ func TestAlwaysSuspectedAliveProcess(t *testing.T) {
 	t.Parallel()
 	// A paranoid detector suspecting a live process throughout: one
 	// long open mistake, P_A = 0.
-	tl := NewTimeline(origin)
-	for d := 10 * time.Millisecond; d <= 100*time.Millisecond; d += 10 * time.Millisecond {
-		tl.Record(at(d), true)
-	}
-	m := tl.Compute()
+	m := FoldFlips(origin, at(100*time.Millisecond), time.Time{}, []Flip{flip(0, true)}, 10*time.Millisecond)
 	if m.Mistakes != 1 {
 		t.Fatalf("mistakes = %d, want 1 open episode", m.Mistakes)
 	}
@@ -57,10 +49,7 @@ func TestAlwaysSuspectedAliveProcess(t *testing.T) {
 
 func TestMetricsString(t *testing.T) {
 	t.Parallel()
-	tl := NewTimeline(origin)
-	tl.Crash(at(50 * time.Millisecond))
-	tl.Record(at(100*time.Millisecond), true)
-	s := tl.Compute().String()
+	s := FoldFlips(origin, at(100*time.Millisecond), at(50*time.Millisecond), []Flip{flip(100*time.Millisecond, true)}, 100*time.Millisecond).String()
 	for _, want := range []string{"T_D=", "λ_M=", "T_M=", "P_A="} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Metrics.String() = %q missing %q", s, want)
@@ -76,8 +65,7 @@ func TestReplayWithoutCrashNeverDetects(t *testing.T) {
 		SamplePeriod: 5 * time.Millisecond,
 		Seed:         2,
 	}
-	tl := m.Replay(&fakeEst{})
-	if got := tl.Compute(); got.Detected {
+	if got := m.Replay(&fakeEst{}); got.Detected {
 		t.Fatalf("detected with no crash: %+v", got)
 	}
 }

@@ -6,61 +6,73 @@ import (
 	"time"
 )
 
-// TestFoldFlipsMatchesDirectRecording holds the live-report path to
-// the reference: a node that records every sample directly into a
-// Timeline and a node that ships only the flips must yield identical
-// metrics, over randomized verdict streams and crash placements.
+// TestFoldFlipsMatchesDirectRecording holds the one-pass fold to the
+// reference that records every query's verdict directly and classifies
+// the samples one by one (refFold): identical metrics and final verdict
+// over random flip streams. Half the streams flip only on the query
+// grid, rarely, so long constant runs are the rule, with crashes in or
+// after the window; the other half flip at arbitrary instants, before
+// start and after end too, repeat verdicts, and mix in a zero period,
+// inverted windows and crashes before the window.
 func TestFoldFlipsMatchesDirectRecording(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 300; trial++ {
-		start := time.Unix(1_700_000_000, 0)
-		period := time.Duration(1+rng.Intn(50)) * time.Millisecond
-		samples := 1 + rng.Intn(400)
+	for trial := 0; trial < 20000; trial++ {
+		start := time.Unix(1_700_000_000, rng.Int63n(int64(time.Second)))
+		period := time.Duration(1 + rng.Int63n(int64(50*time.Millisecond)))
+		samples := rng.Intn(400)
 		end := start.Add(time.Duration(samples) * period)
 		// Occasionally stretch end past the sample grid to exercise
 		// the tail rule.
 		if rng.Intn(3) == 0 {
-			end = end.Add(time.Duration(rng.Intn(int(period))))
+			end = end.Add(time.Duration(rng.Int63n(int64(period))))
 		}
+		span := int64(end.Sub(start)) + 1
 
 		var crashAt time.Time
-		if rng.Intn(2) == 0 {
-			crashAt = start.Add(time.Duration(rng.Int63n(int64(end.Sub(start)))))
-		}
-
-		direct := NewTimeline(start)
-		if !crashAt.IsZero() {
-			direct.Crash(crashAt)
-		}
 		var flips []Flip
-		verdict := false
-		record := func(q time.Time) {
-			// Flip with some probability; crashed targets trend toward
-			// suspected to exercise detection streaks.
-			pFlip := 10
-			if !crashAt.IsZero() && q.After(crashAt) && !verdict {
-				pFlip = 40
+		if trial%2 == 0 {
+			if rng.Intn(2) == 0 {
+				crashAt = start.Add(time.Duration(rng.Int63n(span + int64(50*time.Millisecond))))
 			}
-			if rng.Intn(100) < pFlip {
-				verdict = !verdict
-				flips = append(flips, Flip{AtUnixNano: q.UnixNano(), Suspected: verdict})
+			verdict := false
+			for q := start.Add(period); !q.After(end); q = q.Add(period) {
+				// Flip with some probability; crashed targets trend
+				// toward suspected to exercise detection streaks.
+				pFlip := 10
+				if !crashAt.IsZero() && q.After(crashAt) && !verdict {
+					pFlip = 40
+				}
+				if rng.Intn(100) < pFlip {
+					verdict = !verdict
+					flips = append(flips, Flip{AtUnixNano: q.UnixNano(), Suspected: verdict})
+				}
 			}
-			direct.Record(q, verdict)
-		}
-		var lastQ time.Time
-		for q := start.Add(period); !q.After(end); q = q.Add(period) {
-			record(q)
-			lastQ = q
-		}
-		if !lastQ.Equal(end) {
-			record(end)
+		} else {
+			switch rng.Intn(6) {
+			case 0:
+				period = 0
+			case 1:
+				end = start.Add(-time.Duration(1 + rng.Int63n(span)))
+			}
+			switch rng.Intn(4) {
+			case 0:
+				crashAt = start.Add(-time.Duration(1 + rng.Int63n(span)))
+			case 1:
+				crashAt = start.Add(time.Duration(rng.Int63n(2 * span)))
+			}
+			at := start.Add(-time.Duration(rng.Int63n(span/4 + 1)))
+			for n := rng.Intn(30); n > 0; n-- {
+				at = at.Add(time.Duration(rng.Int63n(span/8 + 1)))
+				flips = append(flips, Flip{AtUnixNano: at.UnixNano(), Suspected: rng.Intn(2) == 0})
+			}
 		}
 
-		want := direct.Compute()
+		want := refFold(start, end, crashAt, flips, period)
 		got := FoldFlips(start, end, crashAt, flips, period)
 		if got != want {
-			t.Fatalf("trial %d (period %v, samples %d, crash %v):\nfold   %+v\ndirect %+v",
-				trial, period, samples, crashAt, got, want)
+			t.Fatalf("trial %d (period %v, window %v, crash %v, %d flips):\nfold      %+v\nreference %+v",
+				trial, period, end.Sub(start), crashAt, len(flips), got, want)
 		}
 	}
 }

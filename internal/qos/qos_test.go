@@ -11,27 +11,13 @@ var origin = time.Unix(0, 0)
 
 func at(d time.Duration) time.Time { return origin.Add(d) }
 
-func TestTimelineOrderEnforced(t *testing.T) {
-	t.Parallel()
-	tl := NewTimeline(origin)
-	tl.Record(at(10*time.Millisecond), false)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Record did not panic")
-		}
-	}()
-	tl.Record(at(5*time.Millisecond), false)
-}
+// flip is the verdict change-point to s at d after the origin.
+func flip(d time.Duration, s bool) Flip { return Flip{AtUnixNano: at(d).UnixNano(), Suspected: s} }
 
 func TestMetricsCleanDetection(t *testing.T) {
 	t.Parallel()
 	// Trusted while alive, crash at 1s, suspected from 1.3s on.
-	tl := NewTimeline(origin)
-	tl.Crash(at(time.Second))
-	for d := 100 * time.Millisecond; d <= 2*time.Second; d += 100 * time.Millisecond {
-		tl.Record(at(d), d >= 1300*time.Millisecond)
-	}
-	m := tl.Compute()
+	m := FoldFlips(origin, at(2*time.Second), at(time.Second), []Flip{flip(1300*time.Millisecond, true)}, 100*time.Millisecond)
 	if !m.Detected {
 		t.Fatal("crash not detected")
 	}
@@ -49,15 +35,9 @@ func TestMetricsCleanDetection(t *testing.T) {
 func TestMetricsFalseSuspicionEpisodes(t *testing.T) {
 	t.Parallel()
 	// Alive throughout; two false episodes: [200,400) and [700,800).
-	tl := NewTimeline(origin)
-	verdict := func(d time.Duration) bool {
-		return (d >= 200*time.Millisecond && d < 400*time.Millisecond) ||
-			(d >= 700*time.Millisecond && d < 800*time.Millisecond)
-	}
-	for d := 100 * time.Millisecond; d <= time.Second; d += 100 * time.Millisecond {
-		tl.Record(at(d), verdict(d))
-	}
-	m := tl.Compute()
+	ms := time.Millisecond
+	m := FoldFlips(origin, at(time.Second), time.Time{},
+		[]Flip{flip(200*ms, true), flip(400*ms, false), flip(700*ms, true), flip(800*ms, false)}, 100*ms)
 	if m.Detected {
 		t.Fatal("detected a crash that never happened")
 	}
@@ -82,12 +62,7 @@ func TestMetricsPrematureSuspicionRollsIntoDetection(t *testing.T) {
 	t.Parallel()
 	// Suspected from 0.9s, crash at 1s, suspected to the end: T_D = 0
 	// and the premature 100ms counts as a mistake.
-	tl := NewTimeline(origin)
-	tl.Crash(at(time.Second))
-	for d := 100 * time.Millisecond; d <= 2*time.Second; d += 100 * time.Millisecond {
-		tl.Record(at(d), d >= 900*time.Millisecond)
-	}
-	m := tl.Compute()
+	m := FoldFlips(origin, at(2*time.Second), at(time.Second), []Flip{flip(900*time.Millisecond, true)}, 100*time.Millisecond)
 	if !m.Detected {
 		t.Fatal("not detected")
 	}
@@ -101,12 +76,7 @@ func TestMetricsPrematureSuspicionRollsIntoDetection(t *testing.T) {
 
 func TestMetricsNeverDetected(t *testing.T) {
 	t.Parallel()
-	tl := NewTimeline(origin)
-	tl.Crash(at(500 * time.Millisecond))
-	for d := 100 * time.Millisecond; d <= time.Second; d += 100 * time.Millisecond {
-		tl.Record(at(d), false)
-	}
-	m := tl.Compute()
+	m := FoldFlips(origin, at(time.Second), at(500*time.Millisecond), nil, 100*time.Millisecond)
 	if m.Detected {
 		t.Fatal("reported detection with all-trust verdicts")
 	}
@@ -122,8 +92,7 @@ func TestReplayFixedTimeoutDetectsCrash(t *testing.T) {
 		SamplePeriod: 5 * time.Millisecond,
 		Seed:         1,
 	}
-	tl := model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond})
-	m := tl.Compute()
+	m := model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond})
 	if !m.Detected {
 		t.Fatal("crash not detected")
 	}
@@ -140,8 +109,8 @@ func TestReplayFixedTimeoutDetectsCrash(t *testing.T) {
 // for the unobserved-tail bug: when SamplePeriod does not divide
 // Duration, Replay used to stop sampling at the last multiple of the
 // period, so anything that happened in the window's tail — like a
-// crash turning into permanent suspicion — was invisible and
-// FinalSuspected reported a stale instant.
+// crash turning into permanent suspicion — was invisible and the final
+// verdict was a stale instant's.
 func TestReplayNonDividingSamplePeriodCoversTail(t *testing.T) {
 	t.Parallel()
 	model := ArrivalModel{
@@ -153,28 +122,21 @@ func TestReplayNonDividingSamplePeriodCoversTail(t *testing.T) {
 		SamplePeriod: 300 * time.Millisecond,
 		Seed:         1,
 	}
-	tl := model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond})
-	if got, want := tl.end, origin.Add(model.Duration); !got.Equal(want) {
-		t.Fatalf("window ends at %v, want %v (tail sample missing)", got, want)
+	m := model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond})
+	if m.Samples != 4 {
+		t.Fatalf("recorded %d samples, want 4 (3 in-period + 1 tail)", m.Samples)
 	}
-	if tl.SampleCount() != 4 {
-		t.Fatalf("recorded %d samples, want 4 (3 in-period + 1 tail)", tl.SampleCount())
-	}
-	if !tl.FinalSuspected() {
+	if !m.FinalSuspected {
 		t.Fatal("crash at 930ms undetected: the tail sample at 1s never ran")
 	}
-	if m := tl.Compute(); !m.Detected {
+	if !m.Detected {
 		t.Fatalf("metrics say undetected: %+v", m)
 	}
 
 	// A dividing period must not double-sample the endpoint.
 	model.SamplePeriod = 250 * time.Millisecond
-	tl = model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond})
-	if tl.SampleCount() != 4 {
-		t.Fatalf("dividing period recorded %d samples, want exactly 4", tl.SampleCount())
-	}
-	if got, want := tl.end, origin.Add(model.Duration); !got.Equal(want) {
-		t.Fatalf("window ends at %v, want %v", got, want)
+	if m = model.Replay(&heartbeat.FixedTimeout{Timeout: 60 * time.Millisecond}); m.Samples != 4 {
+		t.Fatalf("dividing period recorded %d samples, want exactly 4", m.Samples)
 	}
 }
 
@@ -191,8 +153,8 @@ func TestReplayTightTimeoutMistakesUnderJitterLoss(t *testing.T) {
 		SamplePeriod: 5 * time.Millisecond,
 		Seed:         7,
 	}
-	tight := model.Replay(&heartbeat.FixedTimeout{Timeout: 25 * time.Millisecond}).Compute()
-	loose := model.Replay(&heartbeat.FixedTimeout{Timeout: 200 * time.Millisecond}).Compute()
+	tight := model.Replay(&heartbeat.FixedTimeout{Timeout: 25 * time.Millisecond})
+	loose := model.Replay(&heartbeat.FixedTimeout{Timeout: 200 * time.Millisecond})
 	if tight.Mistakes == 0 {
 		t.Fatal("tight timeout under loss made no mistakes; model too forgiving")
 	}

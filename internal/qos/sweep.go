@@ -39,24 +39,54 @@ type ArrivalModel struct {
 	Seed int64
 }
 
-// Replay drives est with the model's synthetic arrivals and query
-// samples, returning the resulting timeline. Virtual time starts at
-// the epoch; nothing sleeps.
-func (am ArrivalModel) Replay(est heartbeat.Estimator) *Timeline {
+// Replay drives est with the model's synthetic arrivals and returns
+// the metrics of a monitor queried every SamplePeriod over the window.
+// Virtual time starts at the epoch; nothing sleeps. The monitor stamps
+// flips as a live node's gossiper does: its timeout is armed at the
+// estimator's deadline and turns the verdict a nanosecond after it,
+// unless a fresh arrival comes first and re-arms it; a stale one
+// changes nothing. FoldFlips then queries the flips on the grid.
+func (am ArrivalModel) Replay(est heartbeat.Estimator) Metrics {
 	start := time.Unix(0, 0)
-	rng := rand.New(rand.NewSource(am.Seed))
-	tl := NewTimeline(start)
-
 	var crashAt time.Time
 	if am.CrashAfter > 0 {
 		crashAt = start.Add(am.CrashAfter)
-		tl.Crash(crashAt)
 	}
+	var (
+		flips     []Flip
+		suspected bool
+		deadline  time.Time // zero: silence alone never turns the verdict
+	)
+	verdict := func(at time.Time, s bool) {
+		if s != suspected {
+			flips = append(flips, Flip{AtUnixNano: at.UnixNano(), Suspected: s})
+			suspected = s
+		}
+	}
+	for _, a := range am.arrivals(start, crashAt) {
+		if !a.After(est.LastArrival()) {
+			continue
+		}
+		if !deadline.IsZero() && deadline.Add(1).Before(a) {
+			verdict(deadline.Add(1), true)
+		}
+		est.Observe(a)
+		deadline = est.Deadline()
+		verdict(a, !deadline.IsZero() && a.After(deadline))
+	}
+	if !deadline.IsZero() {
+		verdict(deadline.Add(1), true)
+	}
+	return FoldFlips(start, start.Add(am.Duration), crashAt, flips, am.SamplePeriod)
+}
 
-	// Generate arrival instants: sent every Interval, delayed by
-	// |N(0, JitterStd)|, dropped with DropPct. Arrivals can reorder
-	// slightly under jitter; estimators ignore non-monotone arrivals,
-	// as a real monitor reading a clock would.
+// arrivals generates the model's arrival instants from start: sent
+// every Interval until the crash, delayed by |N(0, JitterStd)|,
+// dropped with DropPct. Arrivals can reorder slightly under jitter; a
+// stale one, no later than the latest, changes nothing, as a real
+// monitor reading a clock would find.
+func (am ArrivalModel) arrivals(start, crashAt time.Time) []time.Time {
+	rng := rand.New(rand.NewSource(am.Seed))
 	var arrivals []time.Time
 	for sent := start; sent.Before(start.Add(am.Duration)); sent = sent.Add(am.Interval) {
 		if !crashAt.IsZero() && !sent.Before(crashAt) {
@@ -77,17 +107,7 @@ func (am ArrivalModel) Replay(est heartbeat.Estimator) *Timeline {
 		}
 		arrivals = append(arrivals, sent.Add(jitter))
 	}
-
-	// Interleave arrivals and query samples in time order.
-	ai := 0
-	tl.sampleEvery(am.SamplePeriod, start.Add(am.Duration), func(q time.Time) bool {
-		for ai < len(arrivals) && !arrivals[ai].After(q) {
-			est.Observe(arrivals[ai])
-			ai++
-		}
-		return est.Suspect(q)
-	})
-	return tl
+	return arrivals
 }
 
 // SweepPoint is one (configuration, metrics) row of a QoS sweep.
@@ -131,15 +151,13 @@ func Sweep(base ArrivalModel, configs []Config, workers int) []SweepPoint {
 			outageModel.OutageDuration = base.Duration / 10
 		}
 
-		crashTL := crashModel.Replay(cfg.Make())
-		steadyTL := steadyModel.Replay(cfg.Make())
-		outageTL := outageModel.Replay(cfg.Make())
+		outage := outageModel.Replay(cfg.Make())
 		return SweepPoint{
 			Estimator:       cfg.Label,
-			Crash:           crashTL.Compute(),
-			Steady:          steadyTL.Compute(),
-			Outage:          outageTL.Compute(),
-			OutageRecovered: !outageTL.FinalSuspected(),
+			Crash:           crashModel.Replay(cfg.Make()),
+			Steady:          steadyModel.Replay(cfg.Make()),
+			Outage:          outage,
+			OutageRecovered: !outage.FinalSuspected,
 		}
 	})
 }
