@@ -77,6 +77,47 @@ func TestFoldFlipsMatchesDirectRecording(t *testing.T) {
 	}
 }
 
+// TestComputeMatchesPerSampleReference holds FoldFlips to the
+// per-sample classifier it replaced (refCompute): a random verdict
+// stream is recorded at every query, turned into flips at the queries
+// where the verdict changes, and folded over the same grid. Flips are
+// rare, so long constant runs are the rule, and the crash, when there
+// is one, lands in or after the window.
+func TestComputeMatchesPerSampleReference(t *testing.T) {
+	t.Parallel()
+	base := time.Unix(1000, 0)
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nSamples := 1 + rng.Intn(60)
+		period := time.Duration(5+rng.Intn(50)) * time.Millisecond
+
+		var crashAt time.Time
+		if rng.Intn(2) == 0 {
+			crashAt = base.Add(time.Duration(rng.Intn(nSamples*int(period)/int(time.Millisecond)+50)) * time.Millisecond)
+		}
+
+		var raw []sample
+		var flips []Flip
+		at := base
+		suspected := false
+		for i := 0; i < nSamples; i++ {
+			at = at.Add(period)
+			if rng.Intn(100) < 25 { // flip rarely: long constant runs
+				suspected = !suspected
+				flips = append(flips, Flip{AtUnixNano: at.UnixNano(), Suspected: suspected})
+			}
+			raw = append(raw, sample{at: at, suspected: suspected})
+		}
+
+		got := FoldFlips(base, at, crashAt, flips, period)
+		want := refCompute(base, at, crashAt, raw)
+		want.FinalSuspected = suspected
+		if got != want {
+			t.Fatalf("seed %d (crashAt=%v): metrics diverge\nfold: %+v\nref:  %+v", seed, crashAt, got, want)
+		}
+	}
+}
+
 func TestFoldFlipsEdges(t *testing.T) {
 	start := time.Unix(0, 0)
 	end := start.Add(time.Second)
