@@ -70,11 +70,12 @@ type ctlMsg struct {
 }
 
 // NodeReport is one node's collected observations: per-peer suspicion
-// verdict change-points (each stamped by the gossiper when the timeout
-// expired or the refuting counter arrived; Samples only counts the
-// sample ticks), gossip fan-out accounting, the membership
-// feed state, and — when a fault hook ran — the per-link frame/drop
-// tallies and (optionally) recorded decision prefixes.
+// verdict change-points — every one the gossiper logged up to
+// EndUnixNano, each stamped when the timeout expired or the refuting
+// counter arrived (Samples only counts the sample ticks) — gossip
+// fan-out accounting, the membership feed state, and — when a fault
+// hook ran — the per-link frame/drop tallies and (optionally) recorded
+// decision prefixes.
 type NodeReport struct {
 	ID            int                `json:"id"`
 	StartUnixNano int64              `json:"start"`
@@ -83,11 +84,8 @@ type NodeReport struct {
 	Flips         map[int][]qos.Flip `json:"flips,omitempty"`
 	Destinations  int                `json:"destinations"`
 	Rounds        uint64             `json:"rounds"`
-	// TransitionDrops counts verdict changes the node's transition queue
-	// overflowed on: non-zero means Flips has holes.
-	TransitionDrops uint64 `json:"transition_drops,omitempty"`
-	ViewID          int    `json:"view_id,omitempty"`
-	Excluded        []int  `json:"excluded,omitempty"`
+	ViewID        int                `json:"view_id,omitempty"`
+	Excluded      []int              `json:"excluded,omitempty"`
 	// Members is the final membership view (sorted); Known is the
 	// gossip layer's present set — initial nodes plus every joiner
 	// whose counters were observed.

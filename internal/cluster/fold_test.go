@@ -240,21 +240,6 @@ func TestFoldGroundTruth(t *testing.T) {
 			wantMinAcc: 1,
 		},
 		{
-			name: "transition drops", n: 3, boundMs: 3000,
-			reports: func() map[int]*NodeReport {
-				r := map[int]*NodeReport{
-					1: foldReport(1, 0, nil, all3, nil, all3),
-					2: foldReport(2, 0, nil, all3, nil, all3),
-					3: foldReport(3, 0, nil, all3, nil, all3),
-				}
-				r[2].TransitionDrops = 7
-				return r
-			}(),
-			wantReports: 3, wantExpected: 3,
-			wantMinAcc:   1,
-			wantFailures: []string{"node 2 dropped 7 verdict transitions: its flips have holes"},
-		},
-		{
 			name: "zero reports", n: 3, boundMs: 3000,
 			reports:      map[int]*NodeReport{},
 			wantExpected: 3,

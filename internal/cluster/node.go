@@ -204,57 +204,98 @@ func (h *inprocHandle) Shutdown() {
 	<-h.done
 }
 
-// verdictLog is a node's consumer of its gossiper's transitions: each
-// suspect or trust becomes a flip of the report at the instant the
-// gossiper stamped it, a suspect is put to the membership feed at once,
-// so the view that excludes a crashed node is installed when its
-// timeout expires, and a joiner is admitted at its first sighting.
-type verdictLog struct {
-	g     *heartbeat.Gossiper
-	in    <-chan heartbeat.Transition
-	feed  *membership.Feed // nil when the group is too small for one
-	flips map[int][]qos.Flip
+// node is what a running node's loop keeps between turns.
+type node struct {
+	cfg     NodeConfig
+	g       *heartbeat.Gossiper
+	feed    *membership.Feed // nil when the group is too small for one
+	h       *inprocHandle    // nil for a real process
+	hook    *transport.FaultHook
+	start   time.Time
+	read    int // the gossiper's log entries put to the feed so far
+	samples int
 }
 
-func newVerdictLog(g *heartbeat.Gossiper, feed *membership.Feed) *verdictLog {
-	return &verdictLog{g: g, in: g.Transitions(), feed: feed, flips: map[int][]qos.Flip{}}
-}
-
-func (l *verdictLog) apply(tr heartbeat.Transition) {
-	if tr.Cause == heartbeat.CauseFirstSighting {
-		if l.feed != nil {
-			l.feed.Admit(tr.Peer)
+// follow puts the gossiper's log entries from n.read on, its unread
+// tail, to the membership feed: a first sighting admits the joiner, and
+// a suspect puts the community suspicion to the feed at once, so the
+// view that excludes a crashed node is installed when its timeout
+// expires.
+func (n *node) follow(tail []heartbeat.Transition) {
+	for _, tr := range tail {
+		switch {
+		case tr.Cause == heartbeat.CauseFirstSighting:
+			if n.feed != nil {
+				n.feed.Admit(tr.Peer)
+			}
+		case tr.Suspected:
+			n.updateFeed()
 		}
-		return
 	}
-	l.flips[tr.Peer] = append(l.flips[tr.Peer], qos.Flip{AtUnixNano: tr.At.UnixNano(), Suspected: tr.Suspected})
-	if tr.Suspected {
-		l.updateFeed()
-	}
+	n.read += len(tail)
 }
 
 // updateFeed puts the community suspicion — own verdicts and live
 // accusations from elsewhere — to the membership feed.
-func (l *verdictLog) updateFeed() {
-	if l.feed != nil {
-		l.feed.Update(l.g.CommunitySuspects())
+func (n *node) updateFeed() {
+	if n.feed != nil {
+		n.feed.Update(n.g.CommunitySuspects())
 	}
 }
 
-// catchUp reads the gossiper's clock, then applies every transition
-// queued by then, and returns the instant it read. A transition the
-// gossiper stamps in between can land in the flips with a stamp after
-// that instant; FoldFlips, whose window ends there, ignores it.
-func (l *verdictLog) catchUp() time.Time {
-	now := l.g.Now()
-	for {
-		select {
-		case tr := <-l.in:
-			l.apply(tr)
-		default:
-			return now
+// sample is the sample tick: it counts Samples and puts accusations
+// made elsewhere, which have no transition here, to the feed.
+func (n *node) sample() {
+	if n.h != nil && n.h.isPaused() {
+		return // a SIGSTOPped process samples nothing
+	}
+	n.samples++
+	n.updateFeed()
+}
+
+// report answers ctlCollect. It takes the log up to the instant the
+// gossiper reads, which ends the report, and puts its unread tail to
+// the feed before the feed's state is read; Flips are the log's
+// verdict changes, each at the gossiper's stamp.
+func (n *node) report() *NodeReport {
+	now, log := n.g.Transitions(0)
+	n.follow(log[n.read:])
+	n.sample()
+	flips := map[int][]qos.Flip{}
+	for _, tr := range log {
+		if tr.Cause != heartbeat.CauseFirstSighting {
+			flips[tr.Peer] = append(flips[tr.Peer], qos.Flip{AtUnixNano: tr.At.UnixNano(), Suspected: tr.Suspected})
 		}
 	}
+	rep := &NodeReport{
+		ID:            n.cfg.ID,
+		StartUnixNano: n.start.UnixNano(),
+		EndUnixNano:   now.UnixNano(),
+		Samples:       n.samples,
+		Flips:         flips,
+		Destinations:  n.g.DistinctDestinations(),
+		Rounds:        n.g.Rounds(),
+		Known:         n.g.Known(),
+	}
+	if n.feed != nil {
+		v := n.feed.View()
+		rep.ViewID = v.ID
+		rep.Members = v.Members
+		rep.Excluded = n.feed.Excluded()
+	}
+	if n.hook != nil {
+		rep.FaultStats = map[int]transport.LinkStats{}
+		for to, st := range n.hook.Stats() {
+			rep.FaultStats[int(to)] = st
+		}
+		if n.cfg.RecordDecisions {
+			rep.FaultDecisions = map[int][]bool{}
+			for to := range rep.FaultStats {
+				rep.FaultDecisions[to] = n.hook.Decisions(model.ProcessID(to))
+			}
+		}
+	}
+	return rep
 }
 
 // runNode is the node runtime shared by real processes (h == nil) and
@@ -341,7 +382,7 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 		return err
 	}
 	defer g.Close()
-	log := newVerdictLog(g, feed) // before the first transition can happen
+	nd := &node{cfg: cfg, g: g, feed: feed, h: h, hook: hook, start: time.Now()}
 	if h != nil {
 		h.register(g)
 	}
@@ -365,16 +406,6 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 		}
 	}()
 
-	start := time.Now()
-	samples := 0
-	sample := func() {
-		if h != nil && h.isPaused() {
-			return // a SIGSTOPped process samples nothing
-		}
-		samples++
-		log.updateFeed() // accusations made elsewhere have no event yet
-	}
-
 	var killCh chan struct{}
 	if h != nil {
 		killCh = h.kill
@@ -384,9 +415,10 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 	for {
 		select {
 		case <-ticker.C:
-			sample()
-		case tr := <-log.in:
-			log.apply(tr)
+			nd.sample()
+		case <-g.Changed():
+			_, tail := g.Transitions(nd.read)
+			nd.follow(tail)
 		case m := <-ctlIn:
 			switch m.Kind {
 			case ctlCut, ctlHeal:
@@ -405,37 +437,7 @@ func runNode(cfg NodeConfig, h *inprocHandle) error {
 				tr.SetPeer(model.ProcessID(m.Joiner), m.JoinerAddr)
 				g.AddPeer(m.Joiner)
 			case ctlCollect:
-				now := log.catchUp()
-				sample()
-				rep := &NodeReport{
-					ID:              cfg.ID,
-					StartUnixNano:   start.UnixNano(),
-					EndUnixNano:     now.UnixNano(),
-					Samples:         samples,
-					Flips:           log.flips,
-					Destinations:    g.DistinctDestinations(),
-					Rounds:          g.Rounds(),
-					TransitionDrops: g.Stats().TransitionDrops,
-				}
-				if feed != nil {
-					v := feed.View()
-					rep.ViewID = v.ID
-					rep.Members = v.Members
-					rep.Excluded = feed.Excluded()
-				}
-				rep.Known = g.Known()
-				if hook != nil {
-					rep.FaultStats = map[int]transport.LinkStats{}
-					for to, st := range hook.Stats() {
-						rep.FaultStats[int(to)] = st
-					}
-					if cfg.RecordDecisions {
-						rep.FaultDecisions = map[int][]bool{}
-						for to := range rep.FaultStats {
-							rep.FaultDecisions[to] = hook.Decisions(model.ProcessID(to))
-						}
-					}
-				}
+				rep := nd.report()
 				if err := transport.WriteJSON(ctl, ctlMsg{Kind: ctlReport, Report: rep}); err != nil {
 					return fmt.Errorf("cluster: node %d: report: %w", cfg.ID, err)
 				}

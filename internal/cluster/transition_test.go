@@ -2,98 +2,94 @@ package cluster
 
 import (
 	"context"
-	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"realisticfd/internal/heartbeat"
-	"realisticfd/internal/model"
+	"realisticfd/internal/membership"
+	"realisticfd/internal/qos"
 	"realisticfd/internal/scenario"
 	"realisticfd/internal/transport"
 )
 
-// TestTransitionReportComplete: what a node has applied after catchUp
-// is every transition up to the instant catchUp returned — the report
-// built at ctlCollect ends at that instant and misses none. The peer is
-// paused and resumed all along, so transitions are in flight at most
-// catch-ups.
+// TestTransitionReportComplete: the report a node builds at ctlCollect
+// ends at the instant the gossiper read with its log, its Flips are
+// every verdict change the log holds up to that instant, and the log's
+// tail the loop has not followed yet reaches the membership feed before
+// the report reads it. The observer's two peers go silent and are
+// suspected, which the node follows (the group of three cannot exclude
+// both); then one frame refutes node 2 and sights joiner 4, and the
+// report comes before the node follows that.
 func TestTransitionReportComplete(t *testing.T) {
-	const (
-		interval = 2 * time.Millisecond
-		timeout  = 15 * time.Millisecond
-	)
-	net, err := transport.NewChanNetwork(4) // the smallest there is; nodes 3 and 4 never join
+	const timeout = 100 * time.Millisecond
+	net, err := transport.NewChanNetwork(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gossiper := func(self, peer int) *heartbeat.Gossiper {
-		g, err := heartbeat.NewGossiper(net.Node(model.ProcessID(self)), heartbeat.GossipConfig{
-			Self: self, N: 4, Peers: []int{peer}, Interval: interval, Deferred: []int{3, 4},
-			NewEstimator: func() heartbeat.Estimator { return &heartbeat.FixedTimeout{Timeout: timeout} },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for range g.Forward() {
-			}
-		}()
-		return g
+	g, err := heartbeat.NewGossiper(net.Node(1), heartbeat.GossipConfig{
+		Self: 1, N: 4, Peers: []int{2}, Interval: time.Hour, Deferred: []int{4},
+		NewEstimator: func() heartbeat.Estimator { return &heartbeat.FixedTimeout{Timeout: timeout} },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	observer := gossiper(1, 2)
-	log := newVerdictLog(observer, nil)
-	peer := gossiper(2, 1)
-	defer observer.Close()
-	defer peer.Close()
+	defer g.Close()
+	feed, err := membership.NewFeedMembers(1, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := &node{cfg: NodeConfig{ID: 1}, g: g, feed: feed, start: time.Now()}
 
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for muted := true; ; muted = !muted {
-			peer.SetMuted(muted)
+	// awaitLog waits, through Changed, for the log to hold n entries.
+	awaitLog := func(n int) []heartbeat.Transition {
+		t.Helper()
+		expired := time.After(5 * time.Second)
+		for {
+			if _, log := g.Transitions(0); len(log) >= n {
+				return log
+			}
 			select {
-			case <-stop:
-				return
-			case <-time.After(timeout + 5*interval):
-			}
-		}
-	}()
-
-	rng := rand.New(rand.NewSource(1))
-	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); {
-		upTo := log.catchUp()
-		time.Sleep(time.Duration(rng.Intn(3000)) * time.Microsecond)
-		for late := true; late; {
-			select {
-			case tr := <-log.in:
-				if !tr.At.After(upTo) {
-					t.Fatalf("transition %+v, stamped %v before the catch-up instant, was not in the queue then", tr, upTo.Sub(tr.At))
-				}
-				log.apply(tr)
-			default:
-				late = false
+			case <-g.Changed():
+			case <-expired:
+				_, log := g.Transitions(0)
+				t.Fatalf("log %+v, want %d entries", log, n)
 			}
 		}
 	}
-	close(stop)
-	<-stopped
+	nd.follow(awaitLog(2))
+	body, err := heartbeat.Piggyback{Origin: 2, Counters: []uint64{0, 1, 0, 1}, Suspects: make([]bool, 4)}.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Node(2).Send(transport.Envelope{To: 1, Type: heartbeat.GossipEnvelopeType, Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	awaitLog(4)
+	rep := nd.report()
 
-	flips := log.flips[2]
-	if len(flips) < 20 {
-		t.Fatalf("only %d flips in 1.5 s of pausing and resuming the peer every %v", len(flips), timeout+5*interval)
+	_, log := g.Transitions(0)
+	if got := []heartbeat.Cause{log[0].Cause, log[1].Cause, log[2].Cause, log[3].Cause}; !slices.Equal(got, []heartbeat.Cause{
+		heartbeat.CauseOwnDeadline, heartbeat.CauseOwnDeadline, heartbeat.CauseFresherCounter, heartbeat.CauseFirstSighting,
+	}) || log[2].Peer != 2 || log[3].Peer != 4 {
+		t.Fatalf("log %+v, want nodes 2 and 3 suspected, then 2 trusted and 4 sighted", log)
 	}
-	for i, f := range flips {
-		if f.Suspected != (i%2 == 0) {
-			t.Fatalf("flip %d is suspected=%v: the flips do not alternate from a first suspicion: %+v", i, f.Suspected, flips)
-		}
-		if i > 0 && f.AtUnixNano < flips[i-1].AtUnixNano {
-			t.Fatalf("flip %d is stamped before flip %d", i, i-1)
+	want := map[int][]qos.Flip{}
+	for _, tr := range log {
+		if tr.At.UnixNano() <= rep.EndUnixNano && tr.Cause != heartbeat.CauseFirstSighting {
+			want[tr.Peer] = append(want[tr.Peer], qos.Flip{AtUnixNano: tr.At.UnixNano(), Suspected: tr.Suspected})
 		}
 	}
-	if drops := observer.Stats().TransitionDrops; drops != 0 {
-		t.Fatalf("%d transitions dropped", drops)
+	if !reflect.DeepEqual(rep.Flips, want) {
+		t.Fatalf("report ending at %d has flips %+v, want the log's up to then: %+v", rep.EndUnixNano, rep.Flips, want)
+	}
+	// Joiner 4 is admitted first, so the group of four can exclude node 3,
+	// still suspected, at the report's sample.
+	if !slices.Equal(rep.Members, []int{1, 2, 4}) || !slices.Equal(rep.Excluded, []int{3}) || rep.Samples != 1 {
+		t.Fatalf("report has members %v, excluded %v and %d samples, want [1 2 4], [3] and one sample", rep.Members, rep.Excluded, rep.Samples)
 	}
 }
 

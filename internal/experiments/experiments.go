@@ -100,13 +100,6 @@ var Generators = []struct {
 	{"E9", func(int) *Table { return E9QoS() }},
 }
 
-// RunAll executes every experiment and prints its table.
-func RunAll(w io.Writer, seeds int) {
-	for _, g := range Generators {
-		g.Gen(seeds).Fprint(w)
-	}
-}
-
 // mark renders booleans as table-friendly glyphs.
 func mark(ok bool) string {
 	if ok {

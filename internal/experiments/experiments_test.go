@@ -40,11 +40,10 @@ func TestTablesByteIdenticalAcrossWorkers(t *testing.T) {
 	// sibling tests run is safe.
 	defer SetWorkers(0)
 	const seeds = 2
-	var seq, par bytes.Buffer
 	SetWorkers(1)
-	RunAll(&seq, seeds)
+	seq := allTables(seeds)
 	SetWorkers(6)
-	RunAll(&par, seeds)
+	par := allTables(seeds)
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatalf("parallel tables differ from sequential:\n--- workers=1 ---\n%s\n--- workers=6 ---\n%s",
 			seq.String(), par.String())
@@ -107,14 +106,22 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestRunAllWritesEveryTable(t *testing.T) {
-	t.Parallel()
+// allTables prints every generator's table in order, as cmd/experiments
+// does.
+func allTables(seeds int) *bytes.Buffer {
 	var buf bytes.Buffer
-	RunAll(&buf, 1)
-	out := buf.String()
+	for _, g := range Generators {
+		g.Gen(seeds).Fprint(&buf)
+	}
+	return &buf
+}
+
+func TestGeneratorsWriteEveryTable(t *testing.T) {
+	t.Parallel()
+	out := allTables(1).String()
 	for _, id := range []string{"E1 —", "E2 —", "E3 —", "E4 —", "E5 —", "E6 —", "E7 —", "E8 —", "E9 —"} {
 		if !strings.Contains(out, id) {
-			t.Errorf("RunAll output missing %q", id)
+			t.Errorf("the tables miss %q", id)
 		}
 	}
 }

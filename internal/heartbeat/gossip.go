@@ -95,19 +95,20 @@ func (c GossipConfig) validate() error {
 //
 // The algorithm is the embedded gossipCore; the Gossiper is its live
 // driver, which owns the clock, the loops, the timer armed at the
-// core's wake, the transport, the transition queue and the drop counts.
+// core's wake, the transport, the transition log and the drop counts.
 type Gossiper struct {
 	mu          sync.Mutex
 	*gossipCore // guarded by mu
 	timer       *time.Timer
-	transitions chan Transition // nil until Transitions is first called
+	log         []Transition  // guarded by mu: every transition, in order
+	changed     chan struct{} // one slot, rung by emit
 
 	tr      transport.Transport
 	forward chan transport.Envelope
 
 	escapes []uint64 // receive's escape list, touched by no one else
 
-	badFrames, forwardDrops, sendErrors, transitionDrops atomic.Uint64
+	badFrames, forwardDrops, sendErrors atomic.Uint64
 
 	stop     chan struct{}
 	emitDone chan struct{}
@@ -124,6 +125,7 @@ func NewGossiper(tr transport.Transport, cfg GossipConfig) (*Gossiper, error) {
 	g := &Gossiper{
 		tr:       tr,
 		forward:  make(chan transport.Envelope, 64),
+		changed:  make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		emitDone: make(chan struct{}),
 		recvDone: make(chan struct{}),
@@ -214,47 +216,35 @@ func (g *Gossiper) receive(env transport.Envelope) {
 		return
 	}
 	g.escapes = f.escapes
-	// The arrival is stamped under the lock, like every transition: see Now.
+	// Stamped under the lock, like every transition: see Transitions.
 	g.mu.Lock()
 	g.merge(&f, time.Now())
 	g.mu.Unlock()
 }
 
-// Transitions returns the queue of this gossiper's transitions, in
-// order. Nothing is queued before the first call, so a consumer that
-// wants them all calls it before the first can happen, right after
-// NewGossiper. The queue is bounded and never blocks the gossiper: a
-// transition it has no room for is dropped and counted in
-// GossipStats.TransitionDrops. It is not closed.
-func (g *Gossiper) Transitions() <-chan Transition {
+// Transitions reads the clock and returns it with the log of this
+// gossiper's transitions from index from on, in order, since
+// NewGossiper. Every transition is stamped and logged under the lock
+// this reads the clock under, so the result holds exactly the
+// transitions stamped at or before now. The log only grows; the result
+// shares it and must not be written to.
+func (g *Gossiper) Transitions(from int) (now time.Time, log []Transition) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.transitions == nil {
-		// A resume suspects every peer in one sweep and trusts them all
-		// again within a round.
-		g.transitions = make(chan Transition, 4*g.cfg.N)
-	}
-	return g.transitions
+	return time.Now(), g.log[from:len(g.log):len(g.log)]
 }
 
-// Now reads the clock under the gossiper's lock. Transitions are
-// stamped and queued under it too, so every transition stamped up to
-// the returned instant is already in the queue.
-func (g *Gossiper) Now() time.Time {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return time.Now()
-}
+// Changed is rung after a transition is logged. It holds one ring, and
+// a ring while one is pending is dropped: that loses nothing, since the
+// reader re-reads the log from where it stopped.
+func (g *Gossiper) Changed() <-chan struct{} { return g.changed }
 
-// emit is the core's transition hook: it queues tr as Transitions says.
+// emit is the core's transition hook: it logs tr and rings Changed.
 func (g *Gossiper) emit(tr Transition) {
-	if g.transitions == nil {
-		return
-	}
+	g.log = append(g.log, tr)
 	select {
-	case g.transitions <- tr:
+	case g.changed <- struct{}{}:
 	default:
-		g.transitionDrops.Add(1)
 	}
 }
 
@@ -345,18 +335,14 @@ type GossipStats struct {
 	// an unregistered peer); frames it lost after accepting them are
 	// its own to count.
 	SendErrors uint64
-	// TransitionDrops are transitions the Transitions queue had no room
-	// for: its consumer's picture of the verdicts is off by them.
-	TransitionDrops uint64
 }
 
 // Stats returns the gossiper's silent-drop counters so far.
 func (g *Gossiper) Stats() GossipStats {
 	return GossipStats{
-		BadFrames:       g.badFrames.Load(),
-		ForwardDrops:    g.forwardDrops.Load(),
-		SendErrors:      g.sendErrors.Load(),
-		TransitionDrops: g.transitionDrops.Load(),
+		BadFrames:    g.badFrames.Load(),
+		ForwardDrops: g.forwardDrops.Load(),
+		SendErrors:   g.sendErrors.Load(),
 	}
 }
 

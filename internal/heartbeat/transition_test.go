@@ -246,30 +246,29 @@ func TestTransitionVerdictsAgree(t *testing.T) {
 }
 
 // The driver-level tests below run the live Gossiper on the real clock:
-// its timer, its transition queue and Close.
+// its timer, its transition log and Close.
 
-// queued takes what the transition queue holds right now.
-func queued(in <-chan Transition) []Transition {
-	var out []Transition
-	for {
-		select {
-		case tr := <-in:
-			out = append(out, tr)
-		default:
-			return out
-		}
-	}
+// logged returns the gossiper's transition log from index from on.
+func logged(g *Gossiper, from int) []Transition {
+	_, log := g.Transitions(from)
+	return log
 }
 
-// await takes the next transition, failing the test after limit.
-func await(t *testing.T, in <-chan Transition, limit time.Duration) Transition {
+// await waits for the log entry at index i, reading the log again at
+// each ring of Changed, the way a cluster node follows it, and fails
+// the test after limit.
+func await(t *testing.T, g *Gossiper, i int, limit time.Duration) Transition {
 	t.Helper()
-	select {
-	case tr := <-in:
-		return tr
-	case <-time.After(limit):
-		t.Fatalf("no transition within %v", limit)
-		return Transition{}
+	expired := time.After(limit)
+	for {
+		if log := logged(g, i); len(log) > 0 {
+			return log[0]
+		}
+		select {
+		case <-g.Changed():
+		case <-expired:
+			t.Fatalf("no transition %d within %v", i, limit)
+		}
 	}
 }
 
@@ -290,24 +289,23 @@ func startGossiper(t testing.TB, tr transport.Transport, cfg GossipConfig) *Goss
 }
 
 // TestTransitionResumeSweepsAtOnce: SetMuted(false) looks at the clock
-// and queues what it finds before it returns, and the live timer, armed
-// again, queues the next expiry when it happens.
+// and logs what it finds before it returns, and the live timer, armed
+// again, logs the next expiry when it happens.
 func TestTransitionResumeSweepsAtOnce(t *testing.T) {
 	const timeout = 40 * time.Millisecond
 	g := startGossiper(t, newSinkTransport(1), GossipConfig{N: 4, Peers: []int{2}, NewEstimator: fixed(timeout)})
-	in := g.Transitions()
 	g.SetMuted(true)
 	time.Sleep(3 * timeout)
 	g.receive(envelope(t, frame(4, 2, map[int]uint64{2: 3, 3: 3, 4: 3})))
-	if got := queued(in); len(got) != 0 || slices.Contains(g.Verdicts(time.Now()), true) {
-		t.Fatalf("a muted gossiper queued %+v", got)
+	if got := logged(g, 0); len(got) != 0 || slices.Contains(g.Verdicts(time.Now()), true) {
+		t.Fatalf("a muted gossiper logged %+v", got)
 	}
 
 	before := time.Now()
 	g.SetMuted(false)
-	got := queued(in) // queued inside SetMuted, not by a timer later
+	got := logged(g, 0) // logged inside SetMuted, not by a timer later
 	if len(got) != 3 {
-		t.Fatalf("resume queued %+v, want one suspect transition per peer", got)
+		t.Fatalf("resume logged %+v, want one suspect transition per peer", got)
 	}
 	for i, tr := range got {
 		if tr.Peer != i+2 || !tr.Suspected || tr.At.Before(before) {
@@ -315,32 +313,106 @@ func TestTransitionResumeSweepsAtOnce(t *testing.T) {
 		}
 	}
 	g.receive(envelope(t, frame(4, 2, map[int]uint64{3: 9})))
-	if tr := await(t, in, timerSlack); tr.Peer != 3 || tr.Suspected {
+	if tr := await(t, g, 3, timerSlack); tr.Peer != 3 || tr.Suspected {
 		t.Fatalf("after resume, a fresher counter produced %+v", tr)
 	}
-	tr := await(t, in, timeout+timerSlack)
+	tr := await(t, g, 4, timeout+timerSlack)
 	if waited := tr.At.Sub(tr.LastArrival); tr.Peer != 3 || !tr.Suspected || waited <= timeout || waited > timeout+timerSlack {
-		t.Fatalf("after resume, silence queued %+v, %v after the arrival, want node 3 within (%v, %v]", tr, waited, timeout, timeout+timerSlack)
+		t.Fatalf("after resume, silence logged %+v, %v after the arrival, want node 3 within (%v, %v]", tr, waited, timeout, timeout+timerSlack)
 	}
 }
 
-// TestTransitionQueueOverflowIsCounted: the driver's emit hook queues
-// nothing before Transitions is first called; after that a transition
-// with no room left is dropped and counted, and emit does not block.
-// With a timeout of an hour nothing but the test emits.
-func TestTransitionQueueOverflowIsCounted(t *testing.T) {
+// TestTransitionChangedRings: the timer's suspicion of a silent peer
+// rings Changed within a slack of the deadline, and the log then holds
+// it.
+func TestTransitionChangedRings(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	start := time.Now()
+	g := startGossiper(t, newSinkTransport(1), GossipConfig{N: 2, Peers: []int{2}, NewEstimator: fixed(timeout)})
+	select {
+	case <-g.Changed():
+	case <-time.After(timeout + timerSlack):
+		t.Fatalf("Changed did not ring within %v of a %v timeout", timerSlack, timeout)
+	}
+	if got := logged(g, 0); len(got) != 1 || got[0].Peer != 2 || !got[0].Suspected || got[0].At.Sub(start) <= timeout {
+		t.Fatalf("after the ring the log holds %+v, want node 2 suspected past its deadline", got)
+	}
+}
+
+// TestTransitionLogKeepsBurst: a burst of transitions far longer than
+// a resume's — every peer suspected, then trusted again — is all in the
+// log, in order, and emit does not block. With a timeout of an hour
+// nothing but the test emits.
+func TestTransitionLogKeepsBurst(t *testing.T) {
+	const n = 4
+	g := startGossiper(t, newSinkTransport(1), GossipConfig{N: n, Peers: []int{2}})
+	const burst = 8*n + 1
+	g.mu.Lock() // where the core emits
+	for c := range burst {
+		g.emit(Transition{Peer: 2 + c%(n-1), Suspected: c%2 == 0, Counter: uint64(c)})
+	}
+	g.mu.Unlock()
+	got := logged(g, 0)
+	if len(got) != burst {
+		t.Fatalf("a burst of %d transitions logged %d", burst, len(got))
+	}
+	for c, tr := range got {
+		if tr.Counter != uint64(c) {
+			t.Fatalf("log entry %d is %+v, want the burst in order", c, tr)
+		}
+	}
+	if tail := logged(g, burst-2); len(tail) != 2 || tail[0].Counter != burst-2 {
+		t.Fatalf("the log from %d is %+v, want its last two entries", burst-2, tail)
+	}
+}
+
+// TestTransitionsReadUnderTheLock: the instant Transitions returns and
+// the log it returns are read under one hold of the lock every stamp is
+// taken under. A transition stamped while a reader waits for the lock is
+// in the log it gets, at or before its instant; one stamped right after
+// the reader lets go is not, and stamped after it. Another goroutine
+// stamps transitions as fast as the lock lets it, so a clock read
+// outside the lock is caught between two of them.
+func TestTransitionsReadUnderTheLock(t *testing.T) {
 	g := startGossiper(t, newSinkTransport(1), GossipConfig{N: 2, Peers: []int{2}})
-	g.emit(Transition{Peer: 2, Suspected: true})
-	in := g.Transitions()
-	for c := 0; c < 2*cap(in); c++ {
-		g.emit(Transition{Peer: 2, Suspected: c%2 == 0, Counter: uint64(c)})
+	g.mu.Lock()
+	read := make(chan []Transition)
+	var now time.Time
+	go func() {
+		var log []Transition
+		now, log = g.Transitions(0)
+		read <- log
+	}()
+	time.Sleep(20 * time.Millisecond) // the reader waits for the lock
+	g.emit(Transition{Peer: 2, At: time.Now()})
+	g.mu.Unlock()
+	if log := <-read; len(log) != 1 || log[0].At.After(now) {
+		t.Fatalf("a reader that waited for the lock got %+v at %v, want the transition stamped at or before then", log, now)
 	}
-	if got, want := g.Stats().TransitionDrops, uint64(cap(in)); got != want {
-		t.Fatalf("%d transitions into a queue of %d dropped %d, want %d", 2*cap(in), cap(in), got, want)
-	}
-	got := queued(in)
-	if len(got) != cap(in) || got[0].Counter != 0 || got[len(got)-1].Counter != uint64(cap(in)-1) {
-		t.Fatalf("the queue held %+v, want the first %d in order", got, cap(in))
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g.mu.Lock()
+			g.emit(Transition{Peer: 2, At: time.Now()})
+			g.mu.Unlock()
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+	for range 100000 {
+		now, log := g.Transitions(0)
+		if last := log[len(log)-1]; last.At.After(now) {
+			t.Fatalf("Transitions returned %v, before its last entry's stamp %v", now, last.At)
+		}
+		if later := logged(g, len(log)); len(later) > 0 && !later[0].At.After(now) {
+			t.Fatalf("a transition stamped at %v, not after the %v Transitions returned, was missing from it", later[0].At, now)
+		}
 	}
 }
 
@@ -367,13 +439,12 @@ func TestCloseLeavesNoTimerArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := g.Transitions()
-	if tr := await(t, in, timeout+timerSlack); tr.Peer != 2 || !tr.Suspected {
-		t.Fatalf("silence queued %+v, want node 2 suspected", tr)
+	if tr := await(t, g, 0, timeout+timerSlack); tr.Peer != 2 || !tr.Suspected {
+		t.Fatalf("silence logged %+v, want node 2 suspected", tr)
 	}
 	g.Close()
-	if got := queued(in); len(got) != 1 || got[0].Suspected {
-		t.Fatalf("the frame Close delivered queued %+v, want node 2 trusted", got)
+	if got := logged(g, 1); len(got) != 1 || got[0].Suspected {
+		t.Fatalf("the frame Close delivered logged %+v, want node 2 trusted", got)
 	}
 	if g.timer.Stop() {
 		t.Fatal("the deadline timer is still armed after Close")

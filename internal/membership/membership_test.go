@@ -12,8 +12,8 @@ import (
 )
 
 // member is one node of a test group: a gossiper over the in-process
-// network and the feed its suspicions drive, the way a cluster node's
-// verdict log drives it.
+// network and the feed its suspicions drive, the way a cluster node
+// follows its gossiper's transition log.
 type member struct {
 	g    *heartbeat.Gossiper
 	feed *Feed
@@ -48,16 +48,20 @@ func startGroup(t *testing.T, net *transport.ChanNetwork, n int, timeout time.Du
 			t.Fatal(err)
 		}
 		members[p] = &member{g: g, feed: feed}
-		in := g.Transitions()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			read := 0 // the log entries put to the feed so far
 			for {
 				select {
-				case tr := <-in:
-					if tr.Suspected {
-						feed.Update(g.CommunitySuspects())
+				case <-g.Changed():
+					_, tail := g.Transitions(read)
+					for _, tr := range tail {
+						if tr.Suspected {
+							feed.Update(g.CommunitySuspects())
+						}
 					}
+					read += len(tail)
 				case <-stop:
 					return
 				}

@@ -18,8 +18,8 @@ import (
 // listens on its own port and dials peers on demand; each envelope
 // travels as one length-prefixed binary frame (see appendFrame) whose
 // body is the envelope's bytes, untouched. This is the "heartbeats
-// over sockets" substrate of experiment E9 and the live cluster
-// (internal/cluster).
+// over sockets" substrate of the live cluster (internal/cluster) and
+// its experiment, E10.
 //
 // Writes to one peer are serialized through a per-peer link lock, so
 // concurrent senders (heartbeat emitter, membership, control traffic)

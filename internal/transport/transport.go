@@ -1,14 +1,15 @@
 // Package transport provides the live message layer under the
 // heartbeat failure detectors and the membership service: an
-// in-process network with seeded delay/drop/partition injection for
-// deterministic tests, and a TCP transport (length-prefixed binary
-// frames over localhost sockets) for the real thing. An envelope's
-// body is raw bytes end to end; the package's JSON framing
-// (WriteJSON/ReadJSON) serves the cluster control channel only.
+// in-process network with partitions and immediate delivery for tests,
+// and a TCP transport (length-prefixed binary frames over localhost
+// sockets) for the real thing, whose FaultHook injects seeded loss and
+// delay. An envelope's body is raw bytes end to end; the package's JSON
+// framing (WriteJSON/ReadJSON) serves the cluster control channel only.
 //
 // The paper's practical observation (§1.3) is that real systems
 // emulate a Perfect detector with timeout-based group membership; this
-// package supplies the "real" substrate those experiments (E9) run on.
+// package supplies the "real" substrate the live cluster's experiment
+// (E10) runs on.
 package transport
 
 import (
